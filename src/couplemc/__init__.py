@@ -26,7 +26,7 @@ from .errors import (ConfigError, CoupleMCError, DegenerateDirectionError,
 from .fk_solver import (ModulusExperimentConfig, ResultTable, SolveRequest,
                         expected_regime, fit_result_table, modulus_experiment,
                         solve_difference_coupled, solve_u)
-from .oracles import (RunningMaxBounds, RunningMaxQuery, SgnDriftQuery,
+from .oracles import (RunningMaxBounds, RunningMaxQuery,
                       bm_coupling_expectation, heat_kernel,
                       running_max_bounds, sgn_drift_density,
                       sgn_drift_solution)

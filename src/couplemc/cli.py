@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import fit_power_law
 from .coefficients import default_sample_points, validate_field
 from .config import ExperimentConfig, load_config
 from .coupling import coupling_time_expectation, default_couple_tol
@@ -77,12 +76,7 @@ def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
         columns=["distance", "horizon", "n_paths", "mean_tau_capped",
                  "stderr", "fraction_coupled", "couple_tol"],
         rows=rows)
-    fits = {}
-    means = [row[3] for row in rows]
-    if len(rows) >= 3 and all(m > 0 for m in means):
-        fits["tau_power_fit"] = fit_power_law(
-            [(row[0], row[3]) for row in rows]).as_dict()
-    return table, fits
+    return table, fit_result_table(table)
 
 
 def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
@@ -90,7 +84,6 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
     grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
     req = SolveRequest(field=field, terminal=terminal,
-                       terminal_sup=terminal.sup_norm,
                        eval_point=np.asarray(cfg.base_point, dtype=float),
                        n_paths=cfg.n_paths, grid=grid)
     est, se = solve_u(req, RngStream(cfg.seed), n_workers=cfg.workers)
@@ -105,11 +98,11 @@ def _run_modulus(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
     grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
     mcfg = ModulusExperimentConfig(
-        field=field, terminal=terminal, terminal_sup=terminal.sup_norm,
+        field=field, terminal=terminal,
         base_point=np.asarray(cfg.base_point, dtype=float),
         direction=np.asarray(cfg.direction, dtype=float),
         distances=cfg.ladder, grid=grid, n_paths=cfg.n_paths,
-        couple_tol=cfg.couple_tol, intermediate_time=cfg.eval_horizon)
+        couple_tol=cfg.couple_tol)
     table = modulus_experiment(mcfg, RngStream(cfg.seed), n_workers=cfg.workers)
     return table, dict(table.metadata)
 
@@ -214,15 +207,7 @@ def _cmd_report(run_dir) -> int:
         columns = next(reader)
         rows = [tuple(_parse_csv_cell(c) for c in row) for row in reader]
     table = ResultTable(columns=columns, rows=rows)
-    if "distance" in columns:
-        if "mean_tau_capped" in columns:
-            pairs = list(zip(table.column("distance").astype(float),
-                             table.column("mean_tau_capped").astype(float)))
-            fits = {"tau_power_fit": fit_power_law(pairs).as_dict()}
-        else:
-            fits = fit_result_table(table)
-    else:
-        fits = {}
+    fits = fit_result_table(table) if "distance" in columns else {}
     json.dump(fits, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK

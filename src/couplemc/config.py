@@ -26,6 +26,14 @@ from .registry import FIELD_BUILDERS, TERMINAL_BUILDERS
 KINDS = ("couple", "solve", "modulus", "oracle", "validate")
 ORACLES = ("sgn", "heat", "running-max", "bm-coupling")
 
+# top-level config keys; each sets the ExperimentConfig attribute named by
+# its last dotted part (grid.steps -> steps).  The sections field.*,
+# terminal.* and oracle.* set <section>_name and <section>_params.
+TOP_LEVEL_KEYS = ("kind", "seed", "workers", "grid.horizon", "grid.steps",
+                  "n_paths", "ladder", "base_point", "direction",
+                  "eval_horizon", "couple_tol")
+SECTIONS = ("field", "terminal", "oracle")
+
 
 def _parse_scalar(tok: str):
     tok = tok.strip()
@@ -73,6 +81,20 @@ def _section(raw: dict, prefix: str) -> dict:
     return {k[plen:]: v for k, v in raw.items() if k.startswith(prefix + ".")}
 
 
+def _named_section(raw: dict, sec: str, known, required: bool) -> tuple:
+    """(name, params) of the field or terminal section, (None, {}) when it
+    names nothing."""
+    params = _section(raw, sec)
+    name = params.pop("name", None)
+    if name is None:
+        if required:
+            raise ConfigError(f"{sec}.name is required for this kind")
+        return None, {}
+    if name not in known:
+        raise ConfigError(f"unknown {sec} {name!r}; known: {sorted(known)}")
+    return name, params
+
+
 def _as_list(v) -> list:
     if v is None:
         return []
@@ -102,35 +124,19 @@ class ExperimentConfig:
     oracle_params: dict = dc_field(default_factory=dict)
 
     def resolved(self) -> dict:
-        """Full config echo with defaults expanded; sufficient to re-run."""
-        out = {
-            "kind": self.kind,
-            "seed": self.seed,
-            "workers": self.workers,
-            "grid.horizon": self.horizon,
-            "grid.steps": self.steps,
-            "n_paths": self.n_paths,
-        }
-        if self.field_name is not None:
-            out["field.name"] = self.field_name
-            for k, v in sorted(self.field_params.items()):
-                out[f"field.{k}"] = v
-        if self.terminal_name is not None:
-            out["terminal.name"] = self.terminal_name
-            for k, v in sorted(self.terminal_params.items()):
-                out[f"terminal.{k}"] = v
-        if self.ladder:
-            out["ladder"] = list(self.ladder)
-        out["base_point"] = list(self.base_point)
-        out["direction"] = list(self.direction)
-        if self.eval_horizon is not None:
-            out["eval_horizon"] = self.eval_horizon
-        if self.couple_tol is not None:
-            out["couple_tol"] = self.couple_tol
-        if self.oracle_name is not None:
-            out["oracle.name"] = self.oracle_name
-            for k, v in sorted(self.oracle_params.items()):
-                out[f"oracle.{k}"] = v
+        """Full config echo with defaults expanded; sufficient to re-run.
+        Unset (None) and empty keys are left out."""
+        out = {}
+        for key in TOP_LEVEL_KEYS:
+            v = getattr(self, key.rpartition(".")[2])
+            if v is not None and v != ():
+                out[key] = list(v) if isinstance(v, tuple) else v
+        for sec in SECTIONS:
+            name = getattr(self, f"{sec}_name")
+            if name is not None:
+                out[f"{sec}.name"] = name
+                for k, v in sorted(getattr(self, f"{sec}_params").items()):
+                    out[f"{sec}.{k}"] = v
         return out
 
 
@@ -155,29 +161,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
 
-    fsec = _section(raw, "field")
-    if fsec or kind in ("couple", "solve", "modulus", "validate"):
-        name = fsec.pop("name", None)
-        if kind != "oracle" and name is None:
-            raise ConfigError("field.name is required for this kind")
-        if name is not None:
-            if name not in FIELD_BUILDERS:
-                raise ConfigError(
-                    f"unknown field {name!r}; known: {sorted(FIELD_BUILDERS)}")
-            cfg.field_name = name
-            cfg.field_params = fsec
-
-    tsec = _section(raw, "terminal")
-    if tsec or kind in ("solve", "modulus"):
-        name = tsec.pop("name", None)
-        if kind in ("solve", "modulus") and name is None:
-            raise ConfigError("terminal.name is required for this kind")
-        if name is not None:
-            if name not in TERMINAL_BUILDERS:
-                raise ConfigError(
-                    f"unknown terminal {name!r}; known: {sorted(TERMINAL_BUILDERS)}")
-            cfg.terminal_name = name
-            cfg.terminal_params = tsec
+    cfg.field_name, cfg.field_params = _named_section(
+        raw, "field", FIELD_BUILDERS, required=kind != "oracle")
+    cfg.terminal_name, cfg.terminal_params = _named_section(
+        raw, "terminal", TERMINAL_BUILDERS, required=kind in ("solve", "modulus"))
 
     cfg.horizon = float(raw.get("grid.horizon", 1.0))
     cfg.steps = int(raw.get("grid.steps", 1000))
@@ -199,6 +186,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     cfg.base_point = tuple(float(v) for v in _as_list(raw.get("base_point", [0.0])))
     cfg.direction = tuple(float(v) for v in _as_list(raw.get("direction", [1.0])))
     if raw.get("eval_horizon") is not None:
+        if kind != "couple":
+            raise ConfigError("eval_horizon applies only to kind = couple")
         cfg.eval_horizon = float(raw["eval_horizon"])
         if not 0.0 < cfg.eval_horizon <= cfg.horizon:
             raise ConfigError("eval_horizon must lie in (0, grid.horizon]")
@@ -215,12 +204,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         cfg.oracle_name = name
         cfg.oracle_params = osec
 
-    known_prefixes = ("field.", "terminal.", "oracle.")
-    known_keys = {"kind", "seed", "workers", "grid.horizon", "grid.steps",
-                  "n_paths", "ladder", "base_point", "direction",
-                  "eval_horizon", "couple_tol"}
+    known_prefixes = tuple(f"{sec}." for sec in SECTIONS)
     for key in raw:
-        if key in known_keys or key.startswith(known_prefixes):
+        if key in TOP_LEVEL_KEYS or key.startswith(known_prefixes):
             continue
         raise ConfigError(f"unknown config key {key!r}")
     return cfg

@@ -5,8 +5,25 @@ across sigma(Z)^-1 (X - Z) until the pair meets, then fused with X.  On a
 discrete grid the meeting is declared when |X - Z| falls below a tolerance
 or, in one dimension, when the separation changes sign between nodes or a
 Brownian-bridge test says it crossed zero inside the step.  The bridge
-test removes the O(sqrt(dt)) bias of endpoint-only detection; 1D pairs
-consume two uniforms per step (increment + bridge) for it.
+test removes the O(sqrt(dt)) bias of endpoint-only detection.
+
+``pair_step`` is the one step of a batch of uncoupled pairs: both legs
+take the Euler update of ``sde_engine.euler_update``, then the meeting
+test runs.  Legs of pairs that have met take ``sde_engine.euler_step``.
+Three drivers run these steps:
+
+* the tau-only driver (``simulate_coupled_block``, ``coupling_times``)
+  keeps the uncoupled pairs compacted and draws in chunks that grow as
+  the pairs couple;
+* the terminal driver (``simulate_coupled_block(want_terminal=True)``)
+  carries every pair to the horizon with the c-integrals of both legs;
+* the recorder ``simulate_coupled`` is a batch of one that stores every
+  node.
+
+Draw layout per step of pair p (stream of ``RngStream``): in 1D two
+uniforms, the increment (through the inverse normal CDF) and the bridge
+uniform; in d >= 2, d normals.  Every driver consumes the same draws, so
+the coupling step of a pair does not depend on the driver.
 """
 
 from __future__ import annotations
@@ -18,8 +35,9 @@ from scipy.special import ndtri
 
 from .coefficients import CoefficientField, ModulusOfContinuity, require_dini
 from .errors import DegenerateDirectionError, SimulationDivergedError, ValidationError
-from .sde_engine import (RngStream, SamplePath, TimeGrid, _chunk_edges,
-                         mean_stderr, run_path_blocks, sigma_batch)
+from .sde_engine import (_CHUNK_BUDGET, RngStream, SamplePath, TimeGrid,
+                         draw_chunks, euler_step, euler_update, mean_stderr,
+                         run_path_blocks, sigma_batch)
 
 
 @dataclass
@@ -94,299 +112,178 @@ def _reflect_increments(v: np.ndarray, dW: np.ndarray) -> np.ndarray:
     return dW - 2.0 * v * proj[..., None]
 
 
+def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
+              Z: np.ndarray, dW: np.ndarray, u_bridge: np.ndarray | None,
+              couple_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance a batch of uncoupled pairs from node k; returns
+    (X_next, Z_next, hit).
+
+    Both legs take the Euler update, Z with the increments reflected
+    across sigma(Z)^-1 (X - Z) (in 1D simply -dW).  hit marks the pairs
+    that meet in the step: |X - Z| <= couple_tol at the new node or, in
+    1D, a zero crossing of the separation's Brownian bridge, tested with
+    the uniforms u_bridge (None in d >= 2).  Raises
+    SimulationDivergedError(k + 1) when a state is not finite.
+    """
+    t, dt = grid.horizon - k * grid.dt, grid.dt
+    xi = X - Z
+    sig_x = sigma_batch(field, t, X)
+    sig_z = sigma_batch(field, t, Z)
+    if field.dim == 1:
+        hdw = -dW
+    else:
+        v = np.linalg.solve(sig_z, xi[..., None])[..., 0]
+        hdw = _reflect_increments(v, dW)
+    X_next = euler_update(field, t, dt, X, sig_x, dW)
+    Z_next = euler_update(field, t, dt, Z, sig_z, hdw)
+    xi_next = X_next - Z_next
+    # a blow-up of either leg surfaces in the separation
+    if not np.isfinite(xi_next).all():
+        raise SimulationDivergedError(k + 1)
+    if field.dim > 1:
+        return X_next, Z_next, np.linalg.norm(xi_next, axis=-1) <= couple_tol
+    # separations a -> b cross zero with probability exp(-2ab / (s^2 dt)),
+    # s the summed sigmas; for opposite signs the exponent is >= 0, so the
+    # test fires surely
+    a, b = xi[:, 0], xi_next[:, 0]
+    s = sig_x[:, 0, 0] + sig_z[:, 0, 0]
+    p_cross = np.exp(-2.0 * a * b / (s**2 * dt))
+    return X_next, Z_next, (np.abs(b) <= couple_tol) | (u_bridge < p_cross)
+
+
+def _pair_draws(rng: RngStream, paths, k_lo: int, k_hi: int, d: int, dt: float):
+    """Increments (paths, steps, d) for steps [k_lo, k_hi) and, in 1D, the
+    bridge uniforms (paths, steps); None in d >= 2."""
+    if d == 1:
+        u = rng.uniforms(paths, k_lo, k_hi, 2)
+        return ndtri(u[:, :, :1] + 2.0**-54) * np.sqrt(dt), u[:, :, 1]
+    return rng.normals(paths, k_lo, k_hi, d) * np.sqrt(dt), None
+
+
 def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
                            rng: RngStream, path_lo: int, path_hi: int,
                            couple_tol: float, stop_step: int | None = None,
                            want_terminal: bool = False):
     """Vectorized coupled pairs over the path-index range [path_lo, path_hi).
 
-    Returns (tau_step, x_final, wx, z_final, wz):
-
-      * tau_step -- node index at which coupling was declared, -1 if the
-        pair did not couple before ``stop_step`` (terminal mode always
-        watches the full grid);
-      * terminal arrays (zero-filled unless want_terminal): state and
-        c-integral of each leg at the horizon; after coupling the Z leg
-        equals the X leg and its c-integral differs by the discrepancy
-        accumulated before the coupling time.
+    Returns tau_step, the node index at which coupling was declared (-1 if
+    the pair did not couple before ``stop_step``).  With want_terminal the
+    pairs run over the full grid and the result is (tau_step, x_final, wx,
+    z_final, wz): state and c-integral of each leg at the horizon; after
+    coupling the Z leg equals the X leg and its c-integral differs by the
+    discrepancy accumulated before the coupling time.
 
     Per-path results depend only on (seed, path index) and the arguments,
     never on block boundaries, so any partitioning reproduces them.
     """
-    d = field.dim
-    n = path_hi - path_lo
-    x = np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)), (d,))
-    z = np.broadcast_to(np.atleast_1d(np.asarray(z, dtype=float)), (d,))
-    if want_terminal:
-        return _coupled_terminal_block(field, x, z, grid, rng,
-                                       path_lo, path_hi, couple_tol)
-    detect_until = grid.steps if stop_step is None \
-        else min(stop_step, grid.steps)
-    tau_step = _coupled_taus_block(field, x, z, grid, rng, path_lo, path_hi,
-                                   couple_tol, detect_until)
-    zero_s = np.zeros((n, d))
-    zero_w = np.zeros(n)
-    return tau_step, zero_s, zero_w, zero_s.copy(), zero_w.copy()
-
-
-def _bridge_hit(av, bv, s_loc, dt, bridge_u, couple_tol):
-    """1D meeting test: endpoint tolerance, sign change, or a crossing of
-    the bridge between the separation endpoints (probability
-    exp(-2ab / (s^2 dt)) when both endpoints share a sign)."""
-    p_cross = np.exp(np.minimum(0.0, -2.0 * av * bv / (s_loc**2 * dt)))
-    return (np.abs(bv) <= couple_tol) | (av * bv <= 0.0) | (bridge_u < p_cross)
-
-
-def _coupled_taus_block(field, x, z, grid, rng, path_lo, path_hi,
-                        couple_tol, detect_until):
-    """Coupling node indices only; active pairs are kept in compacted
-    arrays so per-step cost scales with the number of survivors."""
-    d = field.dim
-    if d == 1:
-        return _coupled_taus_block_1d(field, x, z, grid, rng, path_lo,
-                                      path_hi, couple_tol, detect_until)
-    n = path_hi - path_lo
-    dt, T = grid.dt, grid.horizon
-    sq_dt = np.sqrt(dt)
-    tau_step = np.full(n, -1, dtype=np.int64)
-    if float(np.linalg.norm(x - z)) <= couple_tol:
-        tau_step[:] = 0
-        return tau_step
+    d, n = field.dim, path_hi - path_lo
+    x, z = _as_point(x, d), _as_point(z, d)
     paths = np.arange(path_lo, path_hi, dtype=np.uint64)
-    rows = np.arange(n)  # local ids of still-uncoupled pairs
-    X = np.tile(x, (n, 1))
-    Z = np.tile(z, (n, 1))
-    has_drift = field.b_sup > 0.0
-    # adaptive chunking: the fewer survivors, the longer the lookahead, so
-    # the per-path generator setup cost stays sublinear in step count
-    k = 0
-    while k < detect_until and len(rows):
-        chunk = max(16, _TAUS_CHUNK_BUDGET // (d * len(rows)))
-        k_hi = min(detect_until, k + chunk)
-        dW_chunk = rng.normals(paths[rows], k, k_hi, d) * sq_dt
-        dpos = np.arange(len(rows))  # row into this chunk's draws
-        for kk in range(k, k_hi):
-            if not len(rows):
-                break
-            t_rev = T - kk * dt
-            dW = dW_chunk[dpos, kk - k]
-            sig_x = sigma_batch(field, t_rev, X)
-            sig_z = sigma_batch(field, t_rev, Z)
-            v = np.linalg.solve(sig_z, (X - Z)[..., None])[..., 0]
-            hdw = _reflect_increments(v, dW)
-            X_next = X + np.einsum("nij,nj->ni", sig_x, dW)
-            Z_next = Z + np.einsum("nij,nj->ni", sig_z, hdw)
-            if has_drift:
-                X_next += field.b(t_rev, X) * dt
-                Z_next += field.b(t_rev, Z) * dt
-            xi_new = X_next - Z_next
-            # a blow-up of either leg surfaces in the separation
-            if not np.all(np.isfinite(xi_new)):
-                raise SimulationDivergedError(kk + 1)
-            hit = np.linalg.norm(xi_new, axis=-1) <= couple_tol
-            if hit.any():
-                tau_step[rows[hit]] = kk + 1
-                keep = ~hit
-                rows, dpos = rows[keep], dpos[keep]
-                X, Z = X_next[keep], Z_next[keep]
-            else:
-                X, Z = X_next, Z_next
-        k = k_hi
-    return tau_step
-
-
-def _coupled_taus_block_1d(field, x, z, grid, rng, path_lo, path_hi,
-                           couple_tol, detect_until):
-    """Flat scalar-state version of the tau loop for one dimension, with
-    the bridge-crossing test folded into a single exponential bound: for
-    same-sign separation endpoints a, b the crossing fires with
-    probability exp(-2ab / (s^2 dt)); for opposite signs the bound exceeds
-    one and fires surely."""
-    n = path_hi - path_lo
-    dt, T = grid.dt, grid.horizon
-    sq_dt = np.sqrt(dt)
-    tau_step = np.full(n, -1, dtype=np.int64)
-    if abs(float(x[0] - z[0])) <= couple_tol:
-        tau_step[:] = 0
-        return tau_step
-    paths = np.arange(path_lo, path_hi, dtype=np.uint64)
-    rows = np.arange(n)
-    xs = np.full(n, float(x[0]))
-    zs = np.full(n, float(z[0]))
-    has_drift = field.b_sup > 0.0
-    neg_inv = -2.0 / dt
-    k = 0
-    # non-finite states propagate NaN into the separation and fail every
-    # comparison, so they survive to the chunk-boundary check below
+    met = float(np.linalg.norm(x - z)) <= couple_tol
+    tau_step = np.full(n, 0 if met else -1, dtype=np.int64)
+    X, Z = np.tile(x, (n, 1)), np.tile(z, (n, 1))
+    # overflow is handled by the finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        while k < detect_until and rows.size:
-            chunk = max(16, _TAUS_CHUNK_BUDGET // (2 * rows.size))
-            k_hi = min(detect_until, k + chunk)
-            u = rng.uniforms(paths[rows], k, k_hi, 2)
-            dW_chunk = ndtri(u[:, :, 0] + 2.0**-54) * sq_dt
-            bridge_chunk = u[:, :, 1]
-            dpos = np.arange(rows.size)
+        if want_terminal:
+            return _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z)
+        stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
+        rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
+        # adaptive chunking: the fewer survivors, the longer the lookahead,
+        # so the per-path generator setup cost stays sublinear in step count
+        for k, k_hi in draw_chunks(stop, _TAUS_CHUNK_BUDGET,
+                                   lambda: (2 if d == 1 else d) * rows.size):
+            dW, u = _pair_draws(rng, paths[rows], k, k_hi, d, grid.dt)
+            dpos = np.arange(rows.size)  # row into this chunk's draws
             for kk in range(k, k_hi):
-                if not rows.size:
-                    break
-                t_rev = T - kk * dt
-                j = kk - k
-                dW = dW_chunk[dpos, j]
-                sx = sigma_batch(field, t_rev, xs[:, None])[:, 0, 0]
-                sz = sigma_batch(field, t_rev, zs[:, None])[:, 0, 0]
-                x_next = xs + sx * dW
-                z_next = zs - sz * dW
-                if has_drift:
-                    x_next = x_next + field.b(t_rev, xs[:, None])[:, 0] * dt
-                    z_next = z_next + field.b(t_rev, zs[:, None])[:, 0] * dt
-                bv = x_next - z_next
-                p_cross = np.exp((xs - zs) * bv * neg_inv / (sx + sz) ** 2)
-                hit = (np.abs(bv) <= couple_tol) | (bridge_chunk[dpos, j] < p_cross)
+                X, Z, hit = pair_step(field, grid, kk, X, Z, dW[dpos, kk - k],
+                                      None if u is None else u[dpos, kk - k],
+                                      couple_tol)
                 if hit.any():
                     tau_step[rows[hit]] = kk + 1
                     keep = ~hit
-                    rows, dpos = rows[keep], dpos[keep]
-                    xs, zs = x_next[keep], z_next[keep]
-                else:
-                    xs, zs = x_next, z_next
-            if not np.all(np.isfinite(xs - zs)):
-                raise SimulationDivergedError(k_hi)
-            k = k_hi
+                    rows, dpos, X, Z = rows[keep], dpos[keep], X[keep], Z[keep]
+                    if not rows.size:
+                        break
     return tau_step
 
 
-def _coupled_terminal_block(field, x, z, grid, rng, path_lo, path_hi,
-                            couple_tol):
-    """Coupled pairs carried to the horizon with their c-integrals."""
-    d = field.dim
-    n = path_hi - path_lo
-    dt, T = grid.dt, grid.horizon
-    sq_dt = np.sqrt(dt)
-    paths = np.arange(path_lo, path_hi, dtype=np.uint64)
-    tau_step = np.full(n, -1, dtype=np.int64)
-    X = np.tile(x, (n, 1))
-    Z = np.tile(z, (n, 1))
+def _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z):
+    """Pairs carried to the horizon with their c-integrals.  Every X leg
+    takes the single-leg step; the Z legs of uncoupled pairs take the pair
+    step, whose X update repeats the single-leg one bit for bit: that costs
+    less than gathering and scattering the coupled rows at every step."""
+    n, dt, T = len(paths), grid.dt, grid.horizon
     wx = np.zeros(n)
     wz = np.zeros(n)
     wz_off = np.zeros(n)
-    live = np.ones(n, dtype=bool)
-
-    if float(np.linalg.norm(x - z)) <= couple_tol:
-        tau_step[:] = 0
-        live[:] = False
-
-    draw_dim = 2 if d == 1 else d
-    for k_lo, k_hi in _chunk_edges(grid.steps, n, draw_dim):
-        if d == 1:
-            u_chunk = rng.uniforms(paths, k_lo, k_hi, 2)
-            dW_chunk = ndtri(u_chunk[:, :, :1] + 2.0**-54) * sq_dt
-            bridge_u = u_chunk[:, :, 1]
-        else:
-            dW_chunk = rng.normals(paths, k_lo, k_hi, d) * sq_dt
-        for k in range(k_lo, k_hi):
-            t_rev = T - k * dt
-            j = k - k_lo
-            sig_x = sigma_batch(field, t_rev, X)
-            wx += field.c(t_rev, X) * dt
-            X_new = X + np.einsum("nij,nj->ni", sig_x, dW_chunk[:, j]) \
-                + field.b(t_rev, X) * dt
-            if not np.all(np.isfinite(X_new)):
-                raise SimulationDivergedError(k + 1)
-            rows = np.nonzero(live)[0]
-            if len(rows):
-                dW = dW_chunk[rows, j]
+    rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
+    for k, k_hi in draw_chunks(grid.steps, _CHUNK_BUDGET,
+                               lambda: n * (2 if field.dim == 1 else field.dim)):
+        dW, u = _pair_draws(rng, paths, k, k_hi, field.dim, dt)
+        for kk in range(k, k_hi):
+            j, t = kk - k, T - kk * dt
+            wx += field.c(t, X) * dt
+            X_next = euler_step(field, grid, kk, X, dW[:, j])
+            if rows.size:
                 Zr = Z[rows]
-                X_next = X_new[rows]
-                sig_z = sigma_batch(field, t_rev, Zr)
-                wz[rows] += field.c(t_rev, Zr) * dt
-                if d == 1:
-                    hdw = -dW
-                else:
-                    v = np.linalg.solve(sig_z, (X[rows] - Zr)[..., None])[..., 0]
-                    hdw = _reflect_increments(v, dW)
-                Z_next = Zr + np.einsum("nij,nj->ni", sig_z, hdw) \
-                    + field.b(t_rev, Zr) * dt
-                if not np.all(np.isfinite(Z_next)):
-                    raise SimulationDivergedError(k + 1)
-                xi_new = X_next - Z_next
-                if d == 1:
-                    hit = _bridge_hit((X[rows] - Zr)[:, 0], xi_new[:, 0],
-                                      sig_x[rows][:, 0, 0] + sig_z[:, 0, 0],
-                                      dt, bridge_u[rows, j], couple_tol)
-                else:
-                    hit = np.linalg.norm(xi_new, axis=-1) <= couple_tol
-                Z[rows] = Z_next
-                if np.any(hit):
+                wz[rows] += field.c(t, Zr) * dt
+                _, Z[rows], hit = pair_step(
+                    field, grid, kk, X[rows], Zr, dW[rows, j],
+                    None if u is None else u[rows, j], couple_tol)
+                if hit.any():
                     gidx = rows[hit]
-                    tau_step[gidx] = k + 1
-                    live[gidx] = False
-                    # freeze the pre-coupling c-integral discrepancy;
-                    # both legs accrue identically afterwards
+                    tau_step[gidx] = kk + 1
+                    # freeze the pre-coupling c-integral discrepancy; both
+                    # legs accrue identically afterwards
                     wz_off[gidx] = wz[gidx] - wx[gidx]
-            X = X_new
-
+                    rows = rows[~hit]
+            X = X_next
     coupled = tau_step >= 0
     z_final = np.where(coupled[:, None], X, Z)
     wz_final = np.where(coupled, wx + wz_off, wz)
     return tau_step, X, wx, z_final, wz_final
 
 
-def simulate_coupled(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStream,
-                     couple_tol: float | None = None, path_index: int = 0) -> CoupledPath:
-    """Simulate one coupled pair, recording both trajectories node by node."""
+def _as_point(x, d: int) -> np.ndarray:
+    return np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)), (d,))
+
+
+def _resolve_tol(couple_tol: float | None, grid: TimeGrid,
+                 field: CoefficientField) -> float:
     if couple_tol is None:
-        couple_tol = default_couple_tol(grid, field)
+        return default_couple_tol(grid, field)
     if couple_tol < 0.0:
         raise ValidationError("couple_tol must be >= 0")
-    d = field.dim
-    dt, T = grid.dt, grid.horizon
-    x = np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)), (d,)).astype(float)
-    z = np.broadcast_to(np.atleast_1d(np.asarray(z, dtype=float)), (d,)).astype(float)
+    return couple_tol
 
-    if d == 1:
-        u = rng.uniforms([path_index], 0, grid.steps, 2)[0]
-        dB = ndtri(u[:, :1] + 2.0**-54) * np.sqrt(dt)
-        bridge_u = u[:, 1]
-    else:
-        dB = rng.normals([path_index], 0, grid.steps, d)[0] * np.sqrt(dt)
+
+def simulate_coupled(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStream,
+                     couple_tol: float | None = None, path_index: int = 0) -> CoupledPath:
+    """Simulate one coupled pair, recording both trajectories node by node:
+    a batch of one through the steps of the block drivers."""
+    couple_tol = _resolve_tol(couple_tol, grid, field)
+    d, dt, T = field.dim, grid.dt, grid.horizon
+    x, z = _as_point(x, d), _as_point(z, d)
+    dW, u = _pair_draws(rng, [path_index], 0, grid.steps, d, dt)
     states_x = np.empty((grid.steps + 1, d))
     states_z = np.empty((grid.steps + 1, d))
     wx = np.zeros(grid.steps + 1)
     wz = np.zeros(grid.steps + 1)
     states_x[0], states_z[0] = x, z
     tau_index = 0 if float(np.linalg.norm(x - z)) <= couple_tol else None
-
+    X, Z = x[None, :], z[None, :]
     for k in range(grid.steps):
-        t_rev = T - k * dt
-        Xk = states_x[k][None, :]
-        Zk = states_z[k][None, :]
-        sig_x = sigma_batch(field, t_rev, Xk)[0]
-        wx[k + 1] = wx[k] + float(field.c(t_rev, Xk)[0]) * dt
-        wz[k + 1] = wz[k] + float(field.c(t_rev, Zk)[0]) * dt
-        x_next = states_x[k] + sig_x @ dB[k] + field.b(t_rev, Xk)[0] * dt
-        if not np.all(np.isfinite(x_next)):
-            raise SimulationDivergedError(k + 1)
-        states_x[k + 1] = x_next
+        wx[k + 1] = wx[k] + field.c(T - k * dt, X)[0] * dt
+        wz[k + 1] = wz[k] + field.c(T - k * dt, Z)[0] * dt
+        if tau_index is None:
+            X, Z, hit = pair_step(field, grid, k, X, Z, dW[:, k],
+                                  None if u is None else u[:, k], couple_tol)
+            tau_index = k + 1 if hit[0] else None
+        else:
+            X = euler_step(field, grid, k, X, dW[:, k])
         if tau_index is not None:
-            states_z[k + 1] = x_next
-            continue
-        sig_z = sigma_batch(field, t_rev, Zk)[0]
-        H = reflection_matrix(sig_z, states_x[k] - states_z[k])
-        z_next = states_z[k] + sig_z @ (H @ dB[k]) + field.b(t_rev, Zk)[0] * dt
-        if not np.all(np.isfinite(z_next)):
-            raise SimulationDivergedError(k + 1)
-        xi_old = states_x[k] - states_z[k]
-        xi_new = x_next - z_next
-        hit = float(np.linalg.norm(xi_new)) <= couple_tol
-        if d == 1:
-            av, bv = float(xi_old[0]), float(xi_new[0])
-            s_loc = float(sig_x[0, 0]) + float(sig_z[0, 0])
-            p_cross = np.exp(min(0.0, -2.0 * av * bv / (s_loc**2 * dt)))
-            hit = hit or av * bv <= 0.0 or bridge_u[k] < p_cross
-        if hit:
-            tau_index = k + 1
-            z_next = x_next.copy()
-        states_z[k + 1] = z_next
+            Z = X
+        states_x[k + 1], states_z[k + 1] = X[0], Z[0]
 
     tau_time = min(tau_index * dt, T) if tau_index is not None else T
     return CoupledPath(
@@ -403,15 +300,11 @@ def coupling_times(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStream
                    path_offset: int = 0) -> np.ndarray:
     """Coupling node indices for n_paths independent pairs (-1 marks pairs
     not coupled before stop_step)."""
-    if couple_tol is None:
-        couple_tol = default_couple_tol(grid, field)
-    if couple_tol < 0.0:
-        raise ValidationError("couple_tol must be >= 0")
+    couple_tol = _resolve_tol(couple_tol, grid, field)
 
     def worker(lo, hi):
-        tau, _, _, _, _ = simulate_coupled_block(
-            field, x, z, grid, rng, lo, hi, couple_tol, stop_step=stop_step)
-        return tau
+        return simulate_coupled_block(field, x, z, grid, rng, lo, hi,
+                                      couple_tol, stop_step=stop_step)
 
     return run_path_blocks(n_paths, worker, n_workers=n_workers,
                            path_offset=path_offset, block_size=_TAUS_BLOCK)

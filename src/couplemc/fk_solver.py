@@ -23,8 +23,7 @@ class SolveRequest:
     """One pointwise Feynman-Kac evaluation."""
 
     field: CoefficientField
-    terminal: Callable  # (n, d) -> (n,), bounded with declared sup-norm
-    terminal_sup: float
+    terminal: Callable  # (n, d) -> (n,)
     eval_point: np.ndarray
     n_paths: int
     grid: TimeGrid
@@ -88,33 +87,17 @@ class ModulusExperimentConfig:
 
     field: CoefficientField
     terminal: Callable
-    terminal_sup: float
     base_point: np.ndarray
     direction: np.ndarray
     distances: tuple
     grid: TimeGrid
     n_paths: int
     couple_tol: float | None = None
-    intermediate_time: float | None = None  # reporting alignment only
-    p: float = 1.0
-    epsilon: float = 0.1
 
     def __post_init__(self):
         dist = np.asarray(self.distances, dtype=float)
         if np.any(dist <= 0) or np.any(np.diff(dist) >= 0):
             raise ValidationError("distances must be positive and strictly decreasing")
-        T = self.grid.horizon
-        s = self.intermediate_time
-        if s is not None and not 0.0 < s < T:
-            raise ValidationError("intermediate time must lie in (0, horizon)")
-        if self.p < 1.0:
-            raise ValidationError("p must be >= 1")
-        if self.epsilon <= 0.0:
-            raise ValidationError("epsilon must be positive")
-
-    @property
-    def conjugate_p(self) -> float:
-        return np.inf if self.p == 1.0 else self.p / (self.p - 1.0)
 
 
 @dataclass
@@ -173,8 +156,7 @@ def modulus_experiment(cfg: ModulusExperimentConfig, rng: RngStream,
         else default_couple_tol(cfg.grid, cfg.field)
     rows = []
     for i, r in enumerate(cfg.distances):
-        req = SolveRequest(field=cfg.field, terminal=cfg.terminal,
-                           terminal_sup=cfg.terminal_sup, eval_point=x,
+        req = SolveRequest(field=cfg.field, terminal=cfg.terminal, eval_point=x,
                            n_paths=cfg.n_paths, grid=cfg.grid)
         # disjoint path blocks per distance keep the rows independent
         offset = i * cfg.n_paths
@@ -191,23 +173,33 @@ def modulus_experiment(cfg: ModulusExperimentConfig, rng: RngStream,
     )
     fits = fit_result_table(table)
     fits["regime_expected"] = expected_regime(cfg.field)
-    fits["epsilon"] = cfg.epsilon
-    fits["p"] = cfg.p
     table.metadata.update(fits)
     return table
 
 
+# value column of a ladder table -> (fit key prefix, log-corrected fit too)
+_LADDER_FITS = {
+    "delta_u": ("delta_u", True),            # modulus tables
+    "tau_mean": ("tau", True),               # modulus tables
+    "mean_tau_capped": ("tau", False),       # couple tables
+}
+
+
 def fit_result_table(table: ResultTable) -> dict:
-    """Power-law and log-corrected fits of delta_u and tau_mean against the
-    distance column; tolerant of zero rows (they are dropped)."""
+    """Scaling fits of the value columns of a couple or modulus table
+    against its distance column: power law, and for modulus tables also
+    the log-corrected law when every distance is below 1.  Rows with a
+    non-positive value are dropped; a column needs 3 rows left."""
     r = table.column("distance").astype(float)
     out: dict = {}
-    for col, key in (("delta_u", "delta_u"), ("tau_mean", "tau")):
+    for col, (key, log_fit) in _LADDER_FITS.items():
+        if col not in table.columns:
+            continue
         v = table.column(col).astype(float)
         ok = v > 0
         if ok.sum() >= 3:
             pairs = list(zip(r[ok], v[ok]))
             out[f"{key}_power_fit"] = fit_power_law(pairs).as_dict()
-            if np.all(r[ok] < 1.0):
+            if log_fit and np.all(r[ok] < 1.0):
                 out[f"{key}_log_corrected_fit"] = fit_log_corrected(pairs).as_dict()
     return out

@@ -17,20 +17,6 @@ from scipy.special import erf, erfc, ndtr
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class SgnDriftQuery:
-    theta: float
-    t: float
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if self.t <= 0.0:
-            raise ValidationError("t must be positive")
-        if self.theta < 0.0:
-            raise ValidationError("theta must be nonnegative")
-
-
 def sgn_drift_density(theta: float, t: float, x: float, y) -> np.ndarray | float:
     """Fundamental solution p(0, x; t, y) of
     du/dt = (1/2) u'' - theta*sgn(x) u'.

@@ -179,10 +179,9 @@ FIELD_BUILDERS: dict[str, Callable[..., CoefficientField]] = {
 
 @dataclass(frozen=True)
 class TerminalFunction:
-    """Terminal datum f with its declared sup-norm (inf when unbounded)."""
+    """Terminal datum f, batched over points."""
 
     fn: Callable  # (n, d) -> (n,)
-    sup_norm: float
     name: str = ""
 
     def __call__(self, y):
@@ -197,7 +196,7 @@ def make_gaussian_bump(center=0.0, width: float = 1.0) -> TerminalFunction:
         ctr = _as_vector(center, y.shape[1])
         return np.exp(-np.sum((y - ctr) ** 2, axis=1) / (2.0 * width**2))
 
-    return TerminalFunction(fn=fn, sup_norm=1.0, name="gaussian-bump")
+    return TerminalFunction(fn=fn, name="gaussian-bump")
 
 
 def make_linear(coeffs=1.0) -> TerminalFunction:
@@ -205,14 +204,14 @@ def make_linear(coeffs=1.0) -> TerminalFunction:
         cv = _as_vector(coeffs, y.shape[1])
         return y @ cv
 
-    return TerminalFunction(fn=fn, sup_norm=np.inf, name="linear")
+    return TerminalFunction(fn=fn, name="linear")
 
 
 def make_constant_terminal(value: float = 1.0) -> TerminalFunction:
     def fn(y):
         return np.full(len(y), float(value))
 
-    return TerminalFunction(fn=fn, sup_norm=abs(float(value)), name="constant")
+    return TerminalFunction(fn=fn, name="constant")
 
 
 TERMINAL_BUILDERS: dict[str, Callable[..., TerminalFunction]] = {

@@ -5,7 +5,15 @@ The Gaussian increment used by path p at step k is a pure function of
 (master seed, p, k): each path owns a Philox stream keyed by (seed, p),
 and the doubles at positions [k*d, (k+1)*d) of that stream feed the
 inverse normal CDF.  Workers and block sizes therefore never change the
-numbers.
+numbers.  (Coupled pairs use their own layout; see ``coupling``.)
+
+The step kernel: ``euler_update`` is the one Euler update
+X + sigma dW (+ b dt) of a batch of legs, and ``euler_step`` is the
+single-leg step built on it, which evaluates sigma and stops the run on a
+non-finite state.  ``coupling.pair_step`` builds the reflection pair step
+on the same update.  The single-leg drivers here are ``simulate_terminal``
+(a block of paths to the horizon with their c-integrals, drawn in chunks)
+and ``simulate_path`` (a batch of one that records every node).
 """
 
 from __future__ import annotations
@@ -96,15 +104,44 @@ def sigma_batch(field: CoefficientField, t: float, x: np.ndarray) -> np.ndarray:
     return sqrt_spd(A)
 
 
-def _chunk_edges(steps: int, block: int, dim: int) -> list[tuple[int, int]]:
-    chunk = max(1, _CHUNK_BUDGET // max(1, block * dim))
-    edges = []
+def draw_chunks(stop: int, budget: int, per_step):
+    """Consecutive step ranges [k, k_hi) covering [0, stop) for chunked
+    draws: at least 16 steps, else about budget doubles at per_step()
+    doubles per step.  per_step is read again for every chunk, so a
+    shrinking batch draws further ahead; at 0 the iteration stops."""
     k = 0
-    while k < steps:
-        nxt = min(steps, k + chunk)
-        edges.append((k, nxt))
-        k = nxt
-    return edges
+    while k < stop and per_step():
+        k_hi = min(stop, k + max(16, budget // per_step()))
+        yield k, k_hi
+        k = k_hi
+
+
+def euler_update(field: CoefficientField, t: float, dt: float, X: np.ndarray,
+                 sig: np.ndarray, dW: np.ndarray) -> np.ndarray:
+    """X + sigma dW (+ b dt) for a batch of legs (n, d), with sigma(t, X)
+    already evaluated.  In one dimension sigma dW is a flat product; the
+    drift is skipped for fields that declare b = 0."""
+    if field.dim == 1:
+        X_next = X + sig[:, 0] * dW
+    else:
+        X_next = X + np.einsum("nij,nj->ni", sig, dW)
+    if field.b_sup > 0.0:
+        X_next += field.b(t, X) * dt
+    return X_next
+
+
+def euler_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
+               dW: np.ndarray) -> np.ndarray:
+    """Advance a batch of single legs from node k by the increments dW,
+    both of shape (n, d).
+
+    Raises SimulationDivergedError(k + 1) when a state is not finite.
+    """
+    t = grid.horizon - k * grid.dt
+    X_next = euler_update(field, t, grid.dt, X, sigma_batch(field, t, X), dW)
+    if not np.isfinite(X_next).all():
+        raise SimulationDivergedError(k + 1)
+    return X_next
 
 
 def simulate_terminal(field: CoefficientField, x0: np.ndarray, grid: TimeGrid,
@@ -117,28 +154,23 @@ def simulate_terminal(field: CoefficientField, x0: np.ndarray, grid: TimeGrid,
     d = field.dim
     n = path_hi - path_lo
     dt, T = grid.dt, grid.horizon
-    sq_dt = np.sqrt(dt)
     X = np.broadcast_to(np.asarray(x0, dtype=float), (n, d)).copy()
     w = np.zeros(n)
     paths = np.arange(path_lo, path_hi, dtype=np.uint64)
     # overflow is handled by the finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k_lo, k_hi in _chunk_edges(grid.steps, n, d):
-            dW = rng.normals(paths, k_lo, k_hi, d) * sq_dt
-            for k in range(k_lo, k_hi):
-                t_rev = T - k * dt
-                sig = sigma_batch(field, t_rev, X)
-                w += field.c(t_rev, X) * dt
-                X = X + np.einsum("nij,nj->ni", sig, dW[:, k - k_lo]) \
-                    + field.b(t_rev, X) * dt
-                if not np.all(np.isfinite(X)):
-                    raise SimulationDivergedError(k + 1)
+        for k, k_hi in draw_chunks(grid.steps, _CHUNK_BUDGET, lambda: n * d):
+            dW = rng.normals(paths, k, k_hi, d) * np.sqrt(dt)
+            for j in range(k_hi - k):
+                w += field.c(T - (k + j) * dt, X) * dt
+                X = euler_step(field, grid, k + j, X, dW[:, j])
     return X, w
 
 
 def simulate_path(field: CoefficientField, x0, grid: TimeGrid, rng: RngStream,
                   path_index: int = 0, increments: np.ndarray | None = None) -> SamplePath:
-    """Simulate a single path, recording every node.
+    """Simulate a single path, recording every node: a batch of one
+    through the same step as simulate_terminal.
 
     increments optionally supplies the Brownian increments Delta-B
     (shape (steps, d), distributed N(0, dt I)) directly, bypassing the
@@ -156,20 +188,13 @@ def simulate_path(field: CoefficientField, x0, grid: TimeGrid, rng: RngStream,
         if dB.shape != (grid.steps, d):
             raise ValidationError("increments must have shape (steps, dim)")
     states = np.empty((grid.steps + 1, d))
-    weight = np.empty(grid.steps + 1)
+    weight = np.zeros(grid.steps + 1)
     states[0] = x0
-    weight[0] = 0.0
-    X = x0[None, :].copy()
-    w = 0.0
+    X = x0[None, :]
     for k in range(grid.steps):
-        t_rev = T - k * dt
-        sig = sigma_batch(field, t_rev, X)
-        w += float(field.c(t_rev, X)[0]) * dt
-        X = X + sig[0] @ dB[k] + field.b(t_rev, X) * dt
-        if not np.all(np.isfinite(X)):
-            raise SimulationDivergedError(k + 1)
+        weight[k + 1] = weight[k] + field.c(T - k * dt, X)[0] * dt
+        X = euler_step(field, grid, k, X, dB[k][None, :])
         states[k + 1] = X[0]
-        weight[k + 1] = w
     return SamplePath(grid=grid, states=states, weight_log=weight)
 
 
@@ -192,10 +217,7 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
     paths = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
     run_max = np.zeros(n_paths)
     endpoint = np.zeros(n_paths)
-    chunk = max(1, _CHUNK_BUDGET // max(1, 2 * n_paths))
-    k = 0
-    while k < steps:
-        k_hi = min(steps, k + chunk)
+    for k, k_hi in draw_chunks(steps, _CHUNK_BUDGET, lambda: 2 * n_paths):
         u = rng.uniforms(paths, k, k_hi, 2) + 2.0**-54
         dB = ndtri(u[:, :, 0]) * np.sqrt(dt)
         for j in range(k_hi - k):
@@ -205,7 +227,6 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
             bridge = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 2.0 * dt * np.log(u[:, j, 1])))
             run_max = np.maximum(run_max, bridge)
             endpoint = b
-        k = k_hi
     return run_max
 
 

@@ -127,7 +127,7 @@ def test_criterion_05_feynman_kac_gaussian():
     field = make_constant_field(dim=1)
     term = make_gaussian_bump(0.0, 1.0)
     start = time.monotonic()
-    req = SolveRequest(field=field, terminal=term, terminal_sup=1.0,
+    req = SolveRequest(field=field, terminal=term,
                        eval_point=np.array([0.0]), n_paths=100_000,
                        grid=TimeGrid(1.0, 1000))  # dt = 1e-3
     est, se = solve_u(req, RngStream(5))
@@ -139,7 +139,7 @@ def test_criterion_05_feynman_kac_gaussian():
     # by exp(kappa * T) path by path at a fixed seed
     kappa = 0.5
     grid = TimeGrid(1.0, 1024)  # dt is a binary fraction: the sum is exact
-    kw = dict(terminal=term, terminal_sup=1.0, eval_point=np.array([0.0]),
+    kw = dict(terminal=term, eval_point=np.array([0.0]),
               n_paths=2000, grid=grid)
     e0, _ = solve_u(SolveRequest(field=make_constant_field(dim=1), **kw),
                     RngStream(9))
@@ -173,7 +173,7 @@ def test_criterion_06_sgn_drift_oracle():
     oracle = sgn_drift_solution(theta, t, x, lambda y: np.exp(-y * y / 2.0))
     field = make_sgn_drift_field(theta)
     req = SolveRequest(field=field, terminal=make_gaussian_bump(0.0, 1.0),
-                       terminal_sup=1.0, eval_point=np.array([x]),
+                       eval_point=np.array([x]),
                        n_paths=100_000, grid=TimeGrid(t, 1000))
     est, se = solve_u(req, RngStream(6))
     diff = abs(est - oracle)
@@ -221,7 +221,7 @@ def test_criterion_08_solution_modulus():
     n = 40_000
     grid = TimeGrid(1.0, 1000)  # dt = 1e-3
     cfg = ModulusExperimentConfig(
-        field=field, terminal=term, terminal_sup=1.0,
+        field=field, terminal=term,
         base_point=np.array([1.0]), direction=np.array([1.0]),
         distances=distances, grid=grid, n_paths=n)
     table = modulus_experiment(cfg, RngStream(11))
@@ -232,7 +232,7 @@ def test_criterion_08_solution_modulus():
     indep_rng = RngStream(12)
     se_indep = []
     for i, r in enumerate(distances):
-        kw = dict(field=field, terminal=term, terminal_sup=1.0, n_paths=n,
+        kw = dict(field=field, terminal=term, n_paths=n,
                   grid=grid)
         _, se_a = solve_u(SolveRequest(eval_point=np.array([1.0]), **kw),
                           indep_rng, path_offset=2 * i * n)

@@ -122,6 +122,9 @@ def test_report_emits_fits(tmp_path, capsys):
     fits = json.loads(capsys.readouterr().out)
     assert "tau_power_fit" in fits
     assert 0.5 < fits["tau_power_fit"]["slope"] < 1.5
+    # run and report share one fit path
+    summary = json.loads((d / "summary.json").read_text())
+    assert fits == {"tau_power_fit": summary["tau_power_fit"]}
 
 
 def test_diverged_exit_code(tmp_path, capsys):

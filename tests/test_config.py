@@ -73,6 +73,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match=match):
             validate_config(parse_config_text("\n".join(lines)))
 
+    @pytest.mark.parametrize("kind", ["solve", "modulus", "validate"])
+    def test_eval_horizon_only_for_couple(self, kind):
+        raw = parse_config_text(GOOD + "terminal.name = constant\n"
+                                "eval_horizon = 0.5\n")
+        raw["kind"] = kind
+        with pytest.raises(ConfigError, match="eval_horizon"):
+            validate_config(raw)
+
     def test_oracle_kind(self):
         raw = parse_config_text("kind = oracle\nseed = 0\noracle.name = sgn\n"
                                 "oracle.theta = 2.0")

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from couplemc import (LyapunovParams, ModulusOfContinuity, RngStream,
-                      TimeGrid, ZERO_MODULUS, bm_coupling_expectation,
+from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
+                      RngStream, TimeGrid, ZERO_MODULUS, bm_coupling_expectation,
                       coupling_time_expectation, coupling_times,
                       default_couple_tol, lyapunov_f, reflection_matrix,
                       simulate_coupled)
+from couplemc.coupling import simulate_coupled_block
 from couplemc.errors import (DegenerateDirectionError, DiniDivergenceError,
-                             ValidationError)
+                             SimulationDivergedError, ValidationError)
 from couplemc.registry import make_constant_field, make_sin_field
 
 
@@ -57,14 +58,25 @@ class TestCoupledPair:
         # before coupling the trajectories are distinct
         assert not np.array_equal(pair.path_x.states[:k], pair.path_z.states[:k])
 
-    def test_single_pair_matches_block(self):
-        f = make_sin_field(dim=1, amp=0.4)
+    @pytest.mark.parametrize("field,x,z,tol_factor", [
+        (make_sin_field(dim=1, amp=0.4), [0.0], [0.1], 1.0),
+        (make_constant_field(dim=2, a0=[[1.5, 0.3], [0.3, 1.0]]),
+         [0.0, 0.0], [0.1, 0.05], 10.0),
+        (make_sin_field(dim=2, amp=0.4), [0.0, 0.0], [0.1, 0.05], 10.0),
+    ], ids=["sin-1d", "anisotropic-2d", "sin-2d"])
+    def test_single_pair_matches_block(self, field, x, z, tol_factor):
+        # the tau-only driver, the terminal driver and the recorder give
+        # the same coupling step for every pair
         grid = TimeGrid(1.0, 300)
         rng = RngStream(6)
-        tol = default_couple_tol(grid, f)
-        taus = coupling_times(f, [0.0], [0.1], grid, rng, 12, couple_tol=tol)
+        tol = tol_factor * default_couple_tol(grid, field)
+        taus = coupling_times(field, x, z, grid, rng, 12, couple_tol=tol)
+        terminal = simulate_coupled_block(field, x, z, grid, rng, 0, 12, tol,
+                                          want_terminal=True)[0]
+        assert np.array_equal(taus, terminal)
+        assert np.any(taus >= 0)
         for p in range(12):
-            pair = simulate_coupled(f, [0.0], [0.1], grid, rng,
+            pair = simulate_coupled(field, x, z, grid, rng,
                                     couple_tol=tol, path_index=p)
             expected = -1 if pair.tau_index is None else pair.tau_index
             assert taus[p] == expected
@@ -104,6 +116,31 @@ class TestCoupledPair:
             coupling_time_expectation(f, [0.0], [0.1], 1.0, grid, 1, RngStream(0))
         with pytest.raises(ValidationError):
             coupling_times(f, [0.0], [0.1], grid, RngStream(0), 10, couple_tol=-1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_divergence_reports_the_step(self, dim):
+        # sigma = I and b(t, x) = 1e308 x: Z leaves 0.1 e_1 with a drift
+        # step of about 1.6e305 and overflows on the second step
+        eye = np.eye(dim)
+        f = CoefficientField(
+            dim=dim, a=lambda t, x: np.broadcast_to(eye, (len(x), dim, dim)),
+            b=lambda t, x: 1e308 * x, c=lambda t, x: np.zeros(len(x)),
+            lam=1.0, b_sup=np.inf, c_sup=0.0,
+            sigma=lambda t, x: np.broadcast_to(eye, (len(x), dim, dim)))
+        grid = TimeGrid(1.0, 64)
+        x, z = np.zeros(dim), 0.1 * eye[0]
+        tol = default_couple_tol(grid, f)
+        drivers = {
+            "tau": lambda: coupling_times(f, x, z, grid, RngStream(0), 4),
+            "terminal": lambda: simulate_coupled_block(
+                f, x, z, grid, RngStream(0), 0, 4, tol, want_terminal=True),
+            "recorder": lambda: simulate_coupled(f, x, z, grid, RngStream(0)),
+        }
+        for name, run in drivers.items():
+            with pytest.raises(SimulationDivergedError) as exc:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    run()
+            assert exc.value.step_index == 2, name
 
     def test_default_tolerance_formula(self):
         f = make_constant_field(dim=1, a0=4.0)

@@ -14,8 +14,7 @@ from couplemc.registry import (make_constant_field, make_constant_terminal,
 
 def _request(field, terminal, n_paths=64, steps=64, point=None):
     x = np.zeros(field.dim) if point is None else np.asarray(point, float)
-    return SolveRequest(field=field, terminal=terminal,
-                        terminal_sup=terminal.sup_norm, eval_point=x,
+    return SolveRequest(field=field, terminal=terminal, eval_point=x,
                         n_paths=n_paths, grid=TimeGrid(1.0, steps))
 
 
@@ -96,29 +95,19 @@ class TestRegimes:
     def test_config_validation(self):
         f = make_sin_field(dim=1)
         term = make_gaussian_bump(0.0, 1.0)
-        kw = dict(field=f, terminal=term, terminal_sup=1.0,
+        kw = dict(field=f, terminal=term,
                   base_point=np.array([0.0]), direction=np.array([1.0]),
                   grid=TimeGrid(1.0, 10), n_paths=100)
         with pytest.raises(ValidationError):
             ModulusExperimentConfig(distances=(0.1, 0.2), **kw)
-        with pytest.raises(ValidationError):
-            ModulusExperimentConfig(distances=(0.2, 0.1), p=0.5, **kw)
-        with pytest.raises(ValidationError):
-            ModulusExperimentConfig(distances=(0.2, 0.1), epsilon=0.0, **kw)
-        with pytest.raises(ValidationError):
-            ModulusExperimentConfig(distances=(0.2, 0.1),
-                                    intermediate_time=2.0, **kw)
-        cfg = ModulusExperimentConfig(distances=(0.2, 0.1), **kw)
-        assert cfg.conjugate_p == np.inf
-        cfg2 = ModulusExperimentConfig(distances=(0.2, 0.1), p=2.0, **kw)
-        assert cfg2.conjugate_p == 2.0
+        ModulusExperimentConfig(distances=(0.2, 0.1), **kw)
 
 
 class TestModulusExperiment:
     def test_table_schema_and_fits(self):
         f = make_sin_field(dim=1, amp=0.4)
         cfg = ModulusExperimentConfig(
-            field=f, terminal=make_gaussian_bump(0.0, 1.0), terminal_sup=1.0,
+            field=f, terminal=make_gaussian_bump(0.0, 1.0),
             base_point=np.array([1.0]), direction=np.array([1.0]),
             distances=(0.4, 0.2, 0.1), grid=TimeGrid(0.5, 100), n_paths=3000)
         table = modulus_experiment(cfg, RngStream(6))
@@ -147,7 +136,7 @@ def test_modulus_for_rough_field():
     f = make_power_modulus_field(height=0.5, alpha=0.5)
     assert f.modulus.alpha == rho.alpha
     cfg = ModulusExperimentConfig(
-        field=f, terminal=make_gaussian_bump(0.0, 1.0), terminal_sup=1.0,
+        field=f, terminal=make_gaussian_bump(0.0, 1.0),
         base_point=np.array([0.5]), direction=np.array([1.0]),
         distances=(0.4, 0.2, 0.1), grid=TimeGrid(0.5, 80), n_paths=1500)
     table = modulus_experiment(cfg, RngStream(7))

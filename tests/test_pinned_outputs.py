@@ -1,0 +1,88 @@
+"""Byte-level pins of every simulation driver at small size.
+
+Each case runs one driver on a fixed seed and hashes the raw bytes of its
+outputs.  Every path-p, step-k draw is a pure function of (seed, p, k), so
+a refactor of the step kernel must leave these hashes unchanged; a change
+that alters the stream on purpose updates them and says so.  The hashes
+were recorded with NumPy 2.4 and SciPy 1.17 on x86-64; another math
+library may round sin, exp or ndtri differently.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from couplemc import RngStream, TimeGrid, coupling_times, simulate_coupled
+from couplemc.coupling import simulate_coupled_block
+from couplemc.registry import make_constant_field, make_sin_field
+from couplemc.sde_engine import simulate_path, simulate_terminal
+
+GRID = TimeGrid(1.0, 200)
+N = 200
+ANISO = [[1.5, 0.3], [0.3, 1.0]]
+
+
+def _tau_1d_constant():
+    return [coupling_times(make_constant_field(dim=1), [0.0], [0.1], GRID,
+                           RngStream(101), N)]
+
+
+def _terminal_1d_sin():
+    f = make_sin_field(dim=1, amp=0.5, c0=0.3)
+    return list(simulate_coupled_block(f, [0.1], [0.2], GRID, RngStream(102),
+                                       0, N, 0.01, want_terminal=True))
+
+
+def _simulate_terminal_2d_constant():
+    f = make_constant_field(dim=2, a0=ANISO, b0=[0.2, -0.1], c0=0.1)
+    return list(simulate_terminal(f, np.array([0.1, -0.2]), GRID,
+                                  RngStream(103), 0, N))
+
+
+def _tau_2d_anisotropic():
+    return [coupling_times(make_constant_field(dim=2, a0=ANISO), [0.0, 0.0],
+                           [0.2, 0.0], GRID, RngStream(104), N,
+                           couple_tol=0.05)]
+
+
+def _terminal_2d_sin():
+    f = make_sin_field(dim=2, amp=0.5, c0=0.2)
+    return list(simulate_coupled_block(f, [0.1, 0.0], [0.3, 0.1], GRID,
+                                       RngStream(105), 0, N, 0.05,
+                                       want_terminal=True))
+
+
+def _path_1d_sin():
+    f = make_sin_field(dim=1, amp=0.5, c0=0.3)
+    path = simulate_path(f, [0.2], GRID, RngStream(106), path_index=3)
+    return [path.states, path.weight_log]
+
+
+def _coupled_1d_sin():
+    f = make_sin_field(dim=1, amp=0.5, c0=0.3)
+    pair = simulate_coupled(f, [0.0], [0.4], GRID, RngStream(107),
+                            path_index=5)
+    return [pair.path_x.states, pair.path_z.states, pair.path_x.weight_log,
+            pair.path_z.weight_log, np.array([pair.tau_index]),
+            np.array([pair.tau_time])]
+
+
+CASES = {
+    "tau-1d-constant": (_tau_1d_constant, "ee64ad276616f871"),
+    "terminal-1d-sin": (_terminal_1d_sin, "16986a20041e0e7c"),
+    "simulate-terminal-2d-constant": (_simulate_terminal_2d_constant, "15c443ccb7c979c3"),
+    "tau-2d-anisotropic": (_tau_2d_anisotropic, "d61dda4b8d9f7707"),
+    "terminal-2d-sin": (_terminal_2d_sin, "46774871bbe714dc"),
+    "path-1d-sin": (_path_1d_sin, "dd2574df97c94de5"),
+    "coupled-1d-sin": (_coupled_1d_sin, "560d6a397b6f21db"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_driver_output_bytes(case):
+    run, expected = CASES[case]
+    h = hashlib.sha256()
+    for arr in run():
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest()[:16] == expected
