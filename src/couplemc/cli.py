@@ -69,7 +69,7 @@ def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     for i, r in enumerate(cfg.ladder):
         est = coupling_time_expectation(
             field, x, x + r * e, t, grid, cfg.n_paths, rng, couple_tol=tol,
-            n_workers=cfg.workers, path_offset=i * cfg.n_paths)
+            path_offset=i * cfg.n_paths)
         rows.append((r, t, cfg.n_paths, est.mean, est.stderr,
                      est.fraction_coupled, tol))
     table = ResultTable(
@@ -86,7 +86,7 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     req = SolveRequest(field=field, terminal=terminal,
                        eval_point=np.asarray(cfg.base_point, dtype=float),
                        n_paths=cfg.n_paths, grid=grid)
-    est, se = solve_u(req, RngStream(cfg.seed), n_workers=cfg.workers)
+    est, se = solve_u(req, RngStream(cfg.seed))
     table = ResultTable(
         columns=["estimate", "stderr", "n_paths", "horizon", "dt"],
         rows=[(est, se, cfg.n_paths, cfg.horizon, grid.dt)])
@@ -103,7 +103,7 @@ def _run_modulus(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
         direction=np.asarray(cfg.direction, dtype=float),
         distances=cfg.ladder, grid=grid, n_paths=cfg.n_paths,
         couple_tol=cfg.couple_tol)
-    table = modulus_experiment(mcfg, RngStream(cfg.seed), n_workers=cfg.workers)
+    table = modulus_experiment(mcfg, RngStream(cfg.seed))
     return table, dict(table.metadata)
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DiniDivergenceError, EllipticityError, ValidationError
 
@@ -86,6 +85,8 @@ ZERO_MODULUS = ModulusOfContinuity("zero", scale=0.0)
 
 def dini_integral(rho: ModulusOfContinuity | Callable, eps0: float) -> float:
     """Integral of rho(r)/r over [eps0, 1] by adaptive quadrature."""
+    from scipy.integrate import quad
+
     if not 0.0 < eps0 < 1.0:
         raise ValidationError("eps0 must lie in (0, 1)")
     value, _ = quad(lambda r: rho(r) / r, eps0, 1.0, epsrel=1e-10, epsabs=0.0, limit=200)

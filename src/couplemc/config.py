@@ -107,7 +107,7 @@ class ExperimentConfig:
 
     kind: str
     seed: int
-    workers: int = 1
+    workers: int = 1  # accepted and validated; every run uses one thread
     field_name: str | None = None
     field_params: dict = dc_field(default_factory=dict)
     terminal_name: str | None = None

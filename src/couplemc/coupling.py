@@ -74,10 +74,6 @@ class CouplingEstimate:
     fraction_coupled: float
 
 
-# draw-buffer size (in doubles) for the compacted coupling loop; larger
-# buffers amortize per-path generator setup over more steps
-_TAUS_CHUNK_BUDGET = 40_000_000
-
 # tau-only runs use one big block: per-path results never depend on the
 # partition, and a single block minimizes Python-loop overhead
 _TAUS_BLOCK = 1 << 22
@@ -144,20 +140,29 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
         return X_next, Z_next, np.linalg.norm(xi_next, axis=-1) <= couple_tol
     # separations a -> b cross zero with probability exp(-2ab / (s^2 dt)),
     # s the summed sigmas; for opposite signs the exponent is >= 0, so the
-    # test fires surely
+    # test fires surely.  Below -700 exp is under 1e-304, which no nonzero
+    # uniform undercuts; clamping there keeps exp off its slow underflow path
     a, b = xi[:, 0], xi_next[:, 0]
     s = sig_x[:, 0, 0] + sig_z[:, 0, 0]
-    p_cross = np.exp(-2.0 * a * b / (s**2 * dt))
+    p_cross = np.exp(np.maximum(-2.0 * a * b / (s**2 * dt), -700.0))
     return X_next, Z_next, (np.abs(b) <= couple_tol) | (u_bridge < p_cross)
 
 
 def _pair_draws(rng: RngStream, paths, k_lo: int, k_hi: int, d: int, dt: float):
     """Increments (paths, steps, d) for steps [k_lo, k_hi) and, in 1D, the
-    bridge uniforms (paths, steps); None in d >= 2."""
+    bridge uniforms (paths, steps); None in d >= 2.  In 1D both are views
+    of one uniform buffer, whose first column is turned into increments
+    in place."""
     if d == 1:
         u = rng.uniforms(paths, k_lo, k_hi, 2)
-        return ndtri(u[:, :, :1] + 2.0**-54) * np.sqrt(dt), u[:, :, 1]
-    return rng.normals(paths, k_lo, k_hi, d) * np.sqrt(dt), None
+        dW = u[:, :, :1]
+        dW += 2.0**-54
+        ndtri(dW, out=dW)
+        dW *= np.sqrt(dt)
+        return dW, u[:, :, 1]
+    dW = rng.normals(paths, k_lo, k_hi, d)
+    dW *= np.sqrt(dt)
+    return dW, None
 
 
 def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
@@ -188,9 +193,8 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
             return _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z)
         stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
         rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
-        # adaptive chunking: the fewer survivors, the longer the lookahead,
-        # so the per-path generator setup cost stays sublinear in step count
-        for k, k_hi in draw_chunks(stop, _TAUS_CHUNK_BUDGET,
+        # the fewer survivors, the longer the chunk
+        for k, k_hi in draw_chunks(stop, _CHUNK_BUDGET,
                                    lambda: (2 if d == 1 else d) * rows.size):
             dW, u = _pair_draws(rng, paths[rows], k, k_hi, d, grid.dt)
             dpos = np.arange(rows.size)  # row into this chunk's draws
@@ -296,7 +300,7 @@ def simulate_coupled(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStre
 
 def coupling_times(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStream,
                    n_paths: int, couple_tol: float | None = None,
-                   stop_step: int | None = None, n_workers: int = 1,
+                   stop_step: int | None = None,
                    path_offset: int = 0) -> np.ndarray:
     """Coupling node indices for n_paths independent pairs (-1 marks pairs
     not coupled before stop_step)."""
@@ -306,13 +310,13 @@ def coupling_times(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStream
         return simulate_coupled_block(field, x, z, grid, rng, lo, hi,
                                       couple_tol, stop_step=stop_step)
 
-    return run_path_blocks(n_paths, worker, n_workers=n_workers,
-                           path_offset=path_offset, block_size=_TAUS_BLOCK)
+    return run_path_blocks(n_paths, worker, path_offset=path_offset,
+                           block_size=_TAUS_BLOCK)
 
 
 def coupling_time_expectation(field: CoefficientField, x, z, t: float,
                               grid: TimeGrid, n_paths: int, rng: RngStream,
-                              couple_tol: float | None = None, n_workers: int = 1,
+                              couple_tol: float | None = None,
                               path_offset: int = 0) -> CouplingEstimate:
     """Monte Carlo estimate of E[t ^ tau] with its standard error and the
     fraction of pairs coupled by t."""
@@ -323,7 +327,7 @@ def coupling_time_expectation(field: CoefficientField, x, z, t: float,
     n_t = min(grid.steps, int(round(t / grid.dt)))
     tau_steps = coupling_times(field, x, z, grid, rng, n_paths,
                                couple_tol=couple_tol, stop_step=n_t,
-                               n_workers=n_workers, path_offset=path_offset)
+                               path_offset=path_offset)
     capped = np.where(tau_steps >= 0, np.minimum(tau_steps * grid.dt, t), t)
     mean, se = mean_stderr(capped)
     frac = float(np.mean(tau_steps >= 0))

@@ -37,7 +37,7 @@ class SolveRequest:
         return self.grid.horizon
 
 
-def solve_u(req: SolveRequest, rng: RngStream, n_workers: int = 1,
+def solve_u(req: SolveRequest, rng: RngStream,
             path_offset: int = 0) -> tuple[float, float]:
     """Estimate u(T, x) = E[f(X_T) exp(int c)] with its standard error."""
 
@@ -45,15 +45,13 @@ def solve_u(req: SolveRequest, rng: RngStream, n_workers: int = 1,
         X, w = simulate_terminal(req.field, req.eval_point, req.grid, rng, lo, hi)
         return req.terminal(X) * np.exp(w)
 
-    vals = run_path_blocks(req.n_paths, worker, n_workers=n_workers,
-                           path_offset=path_offset)
+    vals = run_path_blocks(req.n_paths, worker, path_offset=path_offset)
     return mean_stderr(vals)
 
 
 def solve_difference_coupled(req: SolveRequest, z, rng: RngStream,
                              couple_tol: float | None = None,
-                             n_workers: int = 1, path_offset: int = 0,
-                             with_taus: bool = False):
+                             path_offset: int = 0, with_taus: bool = False):
     """Paired estimate of u(T, x) - u(T, z) over reflection-coupled pairs.
 
     Per-path differences vanish on paths that couple before the horizon
@@ -73,8 +71,7 @@ def solve_difference_coupled(req: SolveRequest, z, rng: RngStream,
                           req.horizon)
         return diff, capped
 
-    diffs, taus = run_path_blocks(req.n_paths, worker, n_workers=n_workers,
-                                  path_offset=path_offset)
+    diffs, taus = run_path_blocks(req.n_paths, worker, path_offset=path_offset)
     mean, se = mean_stderr(diffs)
     if with_taus:
         return mean, se, taus
@@ -145,8 +142,7 @@ def expected_regime(field: CoefficientField) -> str:
     return "lipschitz" if label == "Dini" else "holder"
 
 
-def modulus_experiment(cfg: ModulusExperimentConfig, rng: RngStream,
-                       n_workers: int = 1) -> ResultTable:
+def modulus_experiment(cfg: ModulusExperimentConfig, rng: RngStream) -> ResultTable:
     """Measure |u(T, x) - u(T, x + r e)| over the distance ladder with the
     coupled-pair estimator and fit the scaling exponent."""
     x = np.atleast_1d(np.asarray(cfg.base_point, dtype=float))
@@ -161,8 +157,8 @@ def modulus_experiment(cfg: ModulusExperimentConfig, rng: RngStream,
         # disjoint path blocks per distance keep the rows independent
         offset = i * cfg.n_paths
         mean, se, taus = solve_difference_coupled(
-            req, x + r * e, rng, couple_tol=tol, n_workers=n_workers,
-            path_offset=offset, with_taus=True)
+            req, x + r * e, rng, couple_tol=tol, path_offset=offset,
+            with_taus=True)
         tau_mean, tau_se = mean_stderr(taus)
         rows.append((float(r), abs(mean), se, tau_mean, tau_se,
                      cfg.n_paths, cfg.grid.dt, tol))

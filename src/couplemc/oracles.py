@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf, erfc, ndtr
 
 from .errors import ValidationError
@@ -52,6 +51,8 @@ def sgn_drift_density(theta: float, t: float, x: float, y) -> np.ndarray | float
 
 def sgn_drift_solution(theta: float, t: float, x: float, f, lo=-12.0, hi=12.0) -> float:
     """u(t, x) = Integral f(y) p(0, x; t, y) dy by adaptive quadrature."""
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda y: float(f(y)) * sgn_drift_density(theta, t, x, y),
         lo, hi, points=[0.0, x], limit=400, epsabs=1e-12, epsrel=1e-10,
@@ -123,6 +124,8 @@ def bm_coupling_expectation(d0: float, t: float) -> float:
     survival probability is P(tau > s) = 2*Phi(d0 / (2 sqrt(s))) - 1 and
     the answer is its integral over [0, t].
     """
+    from scipy.integrate import quad
+
     if d0 <= 0.0 or t <= 0.0:
         raise ValidationError("need d0 > 0 and t > 0")
 

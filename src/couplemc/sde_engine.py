@@ -2,10 +2,12 @@
 counter-based, partition-invariant randomness.
 
 The Gaussian increment used by path p at step k is a pure function of
-(master seed, p, k): each path owns a Philox stream keyed by (seed, p),
-and the doubles at positions [k*d, (k+1)*d) of that stream feed the
-inverse normal CDF.  Workers and block sizes therefore never change the
-numbers.  (Coupled pairs use their own layout; see ``coupling``.)
+(master seed, p, k): path p reads the Philox4x64 stream keyed by
+(seed, p), and the doubles at positions [k*d, (k+1)*d) of that stream
+feed the inverse normal CDF.  A draw call builds one Philox and re-keys
+it for each path at counter (step_lo*d)//4 (see ``RngStream``), so block
+sizes and chunk lengths never change the numbers.  (Coupled pairs use
+their own layout; see ``coupling``.)
 
 The step kernel: ``euler_update`` is the one Euler update
 X + sigma dW (+ b dt) of a batch of legs, and ``euler_step`` is the
@@ -18,7 +20,6 @@ and ``simulate_path`` (a batch of one that records every node).
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from scipy.special import ndtri
 from .coefficients import CoefficientField, sqrt_spd
 from .errors import SimulationDivergedError, ValidationError
 
-# keep per-chunk increment buffers around this many doubles
+# draws per chunk, in doubles, for every chunked driver
 _CHUNK_BUDGET = 4_000_000
 _DEFAULT_BLOCK = 16_384
 
@@ -64,34 +65,47 @@ class SamplePath:
 
 
 class RngStream:
-    """Counter-based Gaussian increments keyed by (seed, path, step)."""
+    """Counter-based uniforms and Gaussian increments keyed by
+    (seed, path, step).
+
+    Path p reads the Philox4x64 stream with key (seed, p).  A call builds
+    one bit generator and, for each path, sets its key and its counter
+    (step_lo*dim)//4 through ``state``, discards the (step_lo*dim) mod 4
+    leading doubles and fills the path's row, so a draw never depends on
+    how the steps are split between calls."""
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
 
-    def _raw_uniforms(self, path_index: int, lo: int, count: int) -> np.ndarray:
-        # one counter unit is one 4-double output block
-        blocks, rem = divmod(lo, 4)
-        key = np.array([self.seed, path_index], dtype=np.uint64)
-        u = Generator(Philox(key=key, counter=blocks)).random(rem + count)
-        return u[rem:]
-
     def uniforms(self, path_indices, step_lo: int, step_hi: int, dim: int) -> np.ndarray:
         """Uniform[0, 1) draws, shape (paths, steps, dim)."""
-        path_indices = np.asarray(path_indices, dtype=np.uint64)
+        paths = np.asarray(path_indices, dtype=np.uint64).tolist()
         n_steps = step_hi - step_lo
-        count = n_steps * dim
-        out = np.empty((len(path_indices), count))
-        lo = step_lo * dim
-        for i, p in enumerate(path_indices):
-            out[i] = self._raw_uniforms(int(p), lo, count)
-        return out.reshape(len(path_indices), n_steps, dim)
+        out = np.empty((len(paths), n_steps * dim))
+        blocks, rem = divmod(step_lo * dim, 4)
+        bg = Philox()
+        gen = Generator(bg)
+        # plain int lists: the state setter reads them element by element,
+        # which is several times slower on numpy arrays
+        key = [self.seed, 0]
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": [blocks, 0, 0, 0], "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for i, p in enumerate(paths):
+            key[1] = p
+            bg.state = state
+            if rem:
+                gen.random(rem)
+            gen.random(out=out[i])
+        return out.reshape(len(paths), n_steps, dim)
 
     def normals(self, path_indices, step_lo: int, step_hi: int, dim: int) -> np.ndarray:
         """Standard normal increments, shape (paths, steps, dim)."""
         u = self.uniforms(path_indices, step_lo, step_hi, dim)
         # shift into (0, 1) so ndtri never sees an endpoint
-        return ndtri(u + 2.0**-54)
+        u += 2.0**-54
+        return ndtri(u, out=u)
 
 
 def sigma_batch(field: CoefficientField, t: float, x: np.ndarray) -> np.ndarray:
@@ -107,8 +121,9 @@ def sigma_batch(field: CoefficientField, t: float, x: np.ndarray) -> np.ndarray:
 def draw_chunks(stop: int, budget: int, per_step):
     """Consecutive step ranges [k, k_hi) covering [0, stop) for chunked
     draws: at least 16 steps, else about budget doubles at per_step()
-    doubles per step.  per_step is read again for every chunk, so a
-    shrinking batch draws further ahead; at 0 the iteration stops."""
+    doubles per step, which bounds the memory of a chunk's draws.
+    per_step is read again for every chunk, so a shrinking batch takes
+    longer chunks; at 0 the iteration stops."""
     k = 0
     while k < stop and per_step():
         k_hi = min(stop, k + max(16, budget // per_step()))
@@ -160,7 +175,8 @@ def simulate_terminal(field: CoefficientField, x0: np.ndarray, grid: TimeGrid,
     # overflow is handled by the finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k, k_hi in draw_chunks(grid.steps, _CHUNK_BUDGET, lambda: n * d):
-            dW = rng.normals(paths, k, k_hi, d) * np.sqrt(dt)
+            dW = rng.normals(paths, k, k_hi, d)
+            dW *= np.sqrt(dt)
             for j in range(k_hi - k):
                 w += field.c(T - (k + j) * dt, X) * dt
                 X = euler_step(field, grid, k + j, X, dW[:, j])
@@ -218,7 +234,8 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
     run_max = np.zeros(n_paths)
     endpoint = np.zeros(n_paths)
     for k, k_hi in draw_chunks(steps, _CHUNK_BUDGET, lambda: 2 * n_paths):
-        u = rng.uniforms(paths, k, k_hi, 2) + 2.0**-54
+        u = rng.uniforms(paths, k, k_hi, 2)
+        u += 2.0**-54
         dB = ndtri(u[:, :, 0]) * np.sqrt(dt)
         for j in range(k_hi - k):
             a = endpoint
@@ -230,14 +247,14 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
     return run_max
 
 
-def run_path_blocks(n_paths: int, worker, n_workers: int = 1,
-                    path_offset: int = 0, block_size: int = _DEFAULT_BLOCK):
-    """Evaluate worker(path_lo, path_hi) over a fixed block partition and
-    concatenate the per-path result arrays in path order.
+def run_path_blocks(n_paths: int, worker, path_offset: int = 0,
+                    block_size: int = _DEFAULT_BLOCK):
+    """Evaluate worker(path_lo, path_hi) over consecutive blocks of
+    block_size paths and concatenate the per-path result arrays in path
+    order.
 
-    The partition depends only on block_size, never on n_workers, and the
-    worker must be a pure function of the path range, so results are
-    byte-identical for any worker count.
+    The worker must be a pure function of the path range, so results are
+    byte-identical for any block size.
     """
     edges = []
     lo = path_offset
@@ -245,11 +262,7 @@ def run_path_blocks(n_paths: int, worker, n_workers: int = 1,
         hi = min(path_offset + n_paths, lo + block_size)
         edges.append((lo, hi))
         lo = hi
-    if n_workers <= 1 or len(edges) == 1:
-        parts = [worker(lo, hi) for lo, hi in edges]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(lambda e: worker(*e), edges))
+    parts = [worker(lo, hi) for lo, hi in edges]
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate([p[i] for p in parts]) for i in range(len(parts[0])))
     return np.concatenate(parts)

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import couplemc
 from couplemc.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
 
 SOLVE = """
@@ -148,3 +151,15 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("couplemc ")
+
+
+def test_cli_import_leaves_out_quadrature():
+    # quad only serves oracles, Dini checks and the Lyapunov function, so
+    # a run does not pay for importing scipy.integrate
+    code = "import sys, couplemc.cli; print('scipy.integrate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(couplemc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -91,12 +91,15 @@ class TestCoupledPair:
         assert np.all(taus[taus >= 0] >= 1)
 
     def test_partition_invariance(self):
+        # a pair's coupling time depends on its path index only, not on the
+        # range of pairs simulated with it (which sets the chunk lengths)
         f = make_constant_field(dim=1)
         grid = TimeGrid(1.0, 200)
         rng = RngStream(8)
         one = coupling_times(f, [0.0], [0.1], grid, rng, 64)
-        w8 = coupling_times(f, [0.0], [0.1], grid, rng, 64, n_workers=8)
-        assert np.array_equal(one, w8)
+        head = coupling_times(f, [0.0], [0.1], grid, rng, 23)
+        tail = coupling_times(f, [0.0], [0.1], grid, rng, 41, path_offset=23)
+        assert np.array_equal(one, np.concatenate([head, tail]))
 
     def test_expectation_near_oracle(self):
         f = make_constant_field(dim=1)

@@ -13,7 +13,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from couplemc import RngStream, TimeGrid, coupling_times, simulate_coupled
+from couplemc import (RngStream, TimeGrid, coupling, coupling_times,
+                      sde_engine, simulate_coupled)
 from couplemc.coupling import simulate_coupled_block
 from couplemc.registry import make_constant_field, make_sin_field
 from couplemc.sde_engine import simulate_path, simulate_terminal
@@ -86,3 +87,32 @@ def test_driver_output_bytes(case):
     for arr in run():
         h.update(np.ascontiguousarray(arr).tobytes())
     assert h.hexdigest()[:16] == expected
+
+
+def _simulate_terminal_3d_sin():
+    f = make_sin_field(dim=3, amp=0.5, c0=0.2)
+    return list(simulate_terminal(f, np.array([0.1, 0.0, -0.1]), GRID,
+                                  RngStream(108), 0, 8))
+
+
+@pytest.mark.parametrize("run", [_simulate_terminal_3d_sin, _tau_1d_constant],
+                         ids=["simulate-terminal-3d-sin", "tau-1d-constant"])
+def test_chunk_boundaries_leave_bytes_unchanged(run, monkeypatch):
+    """A small draw budget splits the steps into many chunks, some starting
+    inside a four-double counter block; the output bytes stay the same."""
+    default = run()
+    starts = []
+    uniforms = RngStream.uniforms
+
+    def logged(self, paths, lo, hi, d):
+        starts.append(lo * d)
+        return uniforms(self, paths, lo, hi, d)
+
+    monkeypatch.setattr(RngStream, "uniforms", logged)
+    for mod in (sde_engine, coupling):
+        monkeypatch.setattr(mod, "_CHUNK_BUDGET", 450)
+    small = run()
+    assert len(starts) >= 3
+    assert any(lo % 4 for lo in starts)
+    for a, b in zip(default, small, strict=True):
+        assert a.tobytes() == b.tobytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.random import Generator, Philox
 
 from couplemc import RngStream, TimeGrid, mean_stderr, run_path_blocks
 from couplemc.errors import SimulationDivergedError, ValidationError
@@ -25,6 +27,26 @@ class TestRngStream:
         assert not np.array_equal(a[0], a[1])
         c = RngStream(100).uniforms([0], 3, 9, 2)
         assert not np.array_equal(a[0], c[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           paths=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+           dim=st.integers(1, 3),
+           lo=st.one_of(st.integers(0, 40), st.integers(0, 2**40)),
+           split=st.integers(0, 30), rest=st.integers(0, 30))
+    def test_stream_is_addressed_by_counter(self, seed, paths, dim, lo, split, rest):
+        """Any split of [lo, hi) into calls gives the same draws, and they
+        are the doubles of the (seed, p) Philox stream from position lo*dim."""
+        m, hi = lo + split, lo + split + rest
+        rng = RngStream(seed)
+        full = rng.uniforms(paths, lo, hi, dim)
+        parts = [rng.uniforms(paths, lo, m, dim), rng.uniforms(paths, m, hi, dim)]
+        assert np.array_equal(full, np.concatenate(parts, axis=1))
+        blocks, rem = divmod(lo * dim, 4)
+        for row, p in zip(full, paths):
+            key = np.array([seed, p], dtype=np.uint64)
+            ref = Generator(Philox(key=key, counter=blocks)).random(rem + (hi - lo) * dim)
+            assert np.array_equal(row.ravel(), ref[rem:])
 
     def test_normals_distribution(self):
         z = RngStream(1).normals(np.arange(200), 0, 50, 1).ravel()
@@ -134,8 +156,7 @@ class TestPathBlocks:
 
         out = run_path_blocks(100, worker, block_size=7)
         assert np.array_equal(out, np.arange(100.0))
-        out8 = run_path_blocks(100, worker, n_workers=8, block_size=7)
-        assert np.array_equal(out, out8)
+        assert np.array_equal(out, run_path_blocks(100, worker, block_size=100))
 
     def test_tuple_results(self):
         def worker(lo, hi):
@@ -155,10 +176,11 @@ class TestPathBlocks:
             X, w = simulate_terminal(f, np.array([0.0]), grid, rng, lo, hi)
             return X[:, 0], w
 
-        x1, w1 = run_path_blocks(300, worker, n_workers=1, block_size=64)
-        x8, w8 = run_path_blocks(300, worker, n_workers=8, block_size=64)
-        assert np.array_equal(x1, x8)
-        assert np.array_equal(w1, w8)
+        # the same paths in blocks of 64 and in one block
+        x1, w1 = run_path_blocks(300, worker, block_size=64)
+        x2, w2 = run_path_blocks(300, worker, block_size=300)
+        assert np.array_equal(x1, x2)
+        assert np.array_equal(w1, w2)
 
 
 def test_mean_stderr():
