@@ -55,6 +55,29 @@ def _run_validate(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     return table, {"passed": report.passed, "report": report.summary()}
 
 
+def _vector(cfg: ExperimentConfig, key: str, dim: int, default) -> np.ndarray:
+    value = getattr(cfg, key)
+    if value is None:
+        return default
+    v = np.asarray(value, dtype=float)
+    if v.shape != (dim,):
+        raise ConfigError(f"{key} has {v.size} entries but field.dim is {dim}")
+    if not np.isfinite(v).all():
+        raise ConfigError(f"{key} must be finite")
+    return v
+
+
+def _placement(cfg: ExperimentConfig, field) -> tuple[np.ndarray, np.ndarray]:
+    """base_point and direction as finite vectors of length field.dim (the
+    origin and e_1 when absent); the direction must have a nonzero,
+    finite length."""
+    x = _vector(cfg, "base_point", field.dim, np.zeros(field.dim))
+    e = _vector(cfg, "direction", field.dim, np.eye(field.dim)[0])
+    if not 0.0 < np.linalg.norm(e) < np.inf:
+        raise ConfigError("direction must have a nonzero, finite length")
+    return x, e
+
+
 def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     field = build_field(cfg.field_name, cfg.field_params)
     grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
@@ -62,8 +85,7 @@ def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     t = cfg.eval_horizon if cfg.eval_horizon is not None else cfg.horizon
     tol = cfg.couple_tol if cfg.couple_tol is not None \
         else default_couple_tol(grid, field)
-    x = np.asarray(cfg.base_point, dtype=float)
-    e = np.asarray(cfg.direction, dtype=float)
+    x, e = _placement(cfg, field)
     e = e / np.linalg.norm(e)
     rows = []
     for i, r in enumerate(cfg.ladder):
@@ -84,7 +106,7 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
     grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
     req = SolveRequest(field=field, terminal=terminal,
-                       eval_point=np.asarray(cfg.base_point, dtype=float),
+                       eval_point=_placement(cfg, field)[0],
                        n_paths=cfg.n_paths, grid=grid)
     est, se = solve_u(req, RngStream(cfg.seed))
     table = ResultTable(
@@ -97,10 +119,9 @@ def _run_modulus(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     field = build_field(cfg.field_name, cfg.field_params)
     terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
     grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
+    x, e = _placement(cfg, field)
     mcfg = ModulusExperimentConfig(
-        field=field, terminal=terminal,
-        base_point=np.asarray(cfg.base_point, dtype=float),
-        direction=np.asarray(cfg.direction, dtype=float),
+        field=field, terminal=terminal, base_point=x, direction=e,
         distances=cfg.ladder, grid=grid, n_paths=cfg.n_paths,
         couple_tol=cfg.couple_tol)
     table = modulus_experiment(mcfg, RngStream(cfg.seed))
@@ -268,6 +289,8 @@ def main(argv=None) -> int:
                 print(extras["report"])
                 if not extras["passed"]:
                     return EXIT_CONFIG
+            if cfg.kind in ("couple", "solve", "modulus"):
+                _placement(cfg, build_field(cfg.field_name, cfg.field_params))
             print(f"config ok: kind={cfg.kind} seed={cfg.seed}")
             return EXIT_OK
         if args.command == "oracle" and cfg.kind != "oracle":

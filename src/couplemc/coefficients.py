@@ -154,7 +154,14 @@ def require_dini(rho) -> None:
 @dataclass(frozen=True)
 class CoefficientField:
     """The PDE data (a, b, c) with its ellipticity constant and declared
-    bounds; the problem definition for all simulations."""
+    bounds; the problem definition for all simulations.
+
+    sigma_scalar, when set, declares sigma(t, x) = sigma_scalar * I for
+    every t and x, and must agree bit for bit with ``sigma`` (or with the
+    square root of ``a``).  The step kernel then multiplies the increments
+    by the scalar instead of evaluating sigma, and the 1D tau-only driver
+    scans whole blocks of steps (see ``coupling``).
+    """
 
     dim: int
     a: Callable  # (t, x[n,d]) -> (n, d, d)
@@ -167,6 +174,7 @@ class CoefficientField:
     # optional shortcut returning sigma(t, x) directly; when absent the
     # principal square root of a(t, x) is taken pointwise
     sigma: Callable | None = None
+    sigma_scalar: float | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -175,6 +183,9 @@ class CoefficientField:
             raise ValidationError("ellipticity constant must be positive")
         if self.b_sup < 0 or self.c_sup < 0:
             raise ValidationError("declared bounds must be nonnegative")
+        if self.sigma_scalar is not None and not (
+                np.isfinite(self.sigma_scalar) and self.sigma_scalar > 0):
+            raise ValidationError("sigma_scalar must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,9 @@ class ExperimentConfig:
     steps: int = 1000
     n_paths: int = 10_000
     ladder: tuple = ()
-    base_point: tuple = (0.0,)
-    direction: tuple = (1.0,)
+    # None: the origin and e_1 in field.dim dimensions (see cli)
+    base_point: tuple | None = None
+    direction: tuple | None = None
     eval_horizon: float | None = None
     couple_tol: float | None = None
     oracle_name: str | None = None
@@ -183,8 +184,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("ladder must be positive and strictly decreasing")
     cfg.ladder = tuple(ladder)
 
-    cfg.base_point = tuple(float(v) for v in _as_list(raw.get("base_point", [0.0])))
-    cfg.direction = tuple(float(v) for v in _as_list(raw.get("direction", [1.0])))
+    for key in ("base_point", "direction"):
+        if raw.get(key) is not None:
+            setattr(cfg, key, tuple(float(v) for v in _as_list(raw[key])))
     if raw.get("eval_horizon") is not None:
         if kind != "couple":
             raise ConfigError("eval_horizon applies only to kind = couple")

@@ -14,7 +14,11 @@ Three drivers run these steps:
 
 * the tau-only driver (``simulate_coupled_block``, ``coupling_times``)
   keeps the uncoupled pairs compacted and draws in chunks that grow as
-  the pairs couple;
+  the pairs couple.  For a 1D field that declares a constant sigma
+  (``CoefficientField.sigma_scalar``) and b = 0 it scans each chunk a
+  sub-block of steps at a time (``_scan_chunk``) instead of taking one
+  ``pair_step`` per node, with the same nodes, hits and divergence steps
+  bit for bit; every other field takes the step loop;
 * the terminal driver (``simulate_coupled_block(want_terminal=True)``)
   carries every pair to the horizon with the c-integrals of both legs;
 * the recorder ``simulate_coupled`` is a batch of one that stores every
@@ -193,22 +197,83 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
             return _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z)
         stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
         rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
+        scan = d == 1 and field.sigma_scalar is not None and field.b_sup == 0.0
         # the fewer survivors, the longer the chunk
         for k, k_hi in draw_chunks(stop, _CHUNK_BUDGET,
                                    lambda: (2 if d == 1 else d) * rows.size):
             dW, u = _pair_draws(rng, paths[rows], k, k_hi, d, grid.dt)
-            dpos = np.arange(rows.size)  # row into this chunk's draws
-            for kk in range(k, k_hi):
-                X, Z, hit = pair_step(field, grid, kk, X, Z, dW[dpos, kk - k],
-                                      None if u is None else u[dpos, kk - k],
-                                      couple_tol)
-                if hit.any():
-                    tau_step[rows[hit]] = kk + 1
-                    keep = ~hit
-                    rows, dpos, X, Z = rows[keep], dpos[keep], X[keep], Z[keep]
-                    if not rows.size:
-                        break
+            if scan:
+                rows, X, Z = _scan_chunk(field.sigma_scalar, grid.dt, couple_tol,
+                                         k, dW, u, rows, X, Z, tau_step)
+            else:
+                dpos = np.arange(rows.size)  # row into this chunk's draws
+                for kk in range(k, k_hi):
+                    X, Z, hit = pair_step(field, grid, kk, X, Z, dW[dpos, kk - k],
+                                          None if u is None else u[dpos, kk - k],
+                                          couple_tol)
+                    if hit.any():
+                        tau_step[rows[hit]] = kk + 1
+                        keep = ~hit
+                        rows, dpos, X, Z = rows[keep], dpos[keep], X[keep], Z[keep]
+                        if not rows.size:
+                            break
+            # free this chunk's draws before the next chunk is drawn, so
+            # that two chunks are never held at once
+            del dW, u
     return tau_step
+
+
+def _scan_steps(n_pairs: int) -> int:
+    """Steps per sub-block of ``_scan_chunk``: at least 16, else about
+    _CHUNK_BUDGET / 64 doubles per (pairs, steps) temporary."""
+    return max(16, _CHUNK_BUDGET // (64 * n_pairs))
+
+
+def _scan_chunk(s, dt, couple_tol, k, dW, u, rows, X, Z, tau_step):
+    """The tau-only steps of a chunk for a 1D field with sigma = s and
+    b = 0, a sub-block of steps at a time; returns the survivors
+    (rows, X, Z) and writes the coupling steps into tau_step.
+
+    Each sub-block repeats ``pair_step`` on every node of every pair:
+    np.add.accumulate sums the legs X + s dW and Z - s dW strictly in
+    step order, and the meeting test runs with the same operations, so
+    every node, hit and divergence step equals the step loop's bit for
+    bit.  A pair's first hit is its coupling step; the survivors are
+    compacted between sub-blocks."""
+    denom = (s + s) * (s + s) * dt  # (sig_x + sig_z)**2 * dt of pair_step
+    dpos = np.arange(rows.size)  # row into this chunk's draws
+    j, n_steps = 0, dW.shape[1]
+    while j < n_steps and rows.size:
+        m = min(n_steps - j, _scan_steps(rows.size))
+        xs = np.empty((rows.size, m + 1))
+        xs[:, 0] = X[:, 0]
+        np.multiply(dW[dpos, j:j + m, 0], s, out=xs[:, 1:])
+        zs = np.negative(xs)
+        zs[:, 0] = Z[:, 0]
+        np.add.accumulate(xs, axis=1, out=xs)
+        np.add.accumulate(zs, axis=1, out=zs)
+        xi = xs - zs
+        a, b = xi[:, :-1], xi[:, 1:]
+        p_cross = -2.0 * a * b / denom
+        np.maximum(p_cross, -700.0, out=p_cross)
+        np.exp(p_cross, out=p_cross)
+        hit = (np.abs(b) <= couple_tol) | (u[dpos, j:j + m] < p_cross)
+        met = hit.any(axis=1)
+        first = np.where(met, hit.argmax(axis=1), m)
+        bad = ~np.isfinite(b)
+        if bad.any():
+            # the loop stops at the first non-finite node of a pair that
+            # has not met before it
+            first_bad = bad.argmax(axis=1)
+            stuck = bad.any(axis=1) & (first_bad <= first)
+            if stuck.any():
+                raise SimulationDivergedError(k + j + int(first_bad[stuck].min()) + 1)
+        tau_step[rows[met]] = k + j + first[met] + 1
+        keep = ~met
+        rows, dpos = rows[keep], dpos[keep]
+        X, Z = xs[keep, m:], zs[keep, m:]
+        j += m
+    return rows, X, Z
 
 
 def _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z):

@@ -42,6 +42,9 @@ def make_constant_field(dim: int = 1, a0=1.0, b0=0.0, c0: float = 0.0,
     if lam is None:
         lam = float(max(w.max(), 1.0 / w.min()))
     sig = sqrt_spd(A)
+    # declared only when s * I reproduces sig bit for bit
+    s = float(sig[0, 0])
+    scalar = s if sig.tobytes() == (s * np.eye(dim)).tobytes() else None
 
     def a(t, x):
         return np.broadcast_to(A, (len(x), dim, dim))
@@ -57,7 +60,7 @@ def make_constant_field(dim: int = 1, a0=1.0, b0=0.0, c0: float = 0.0,
 
     return CoefficientField(dim=dim, a=a, b=b, c=c, lam=lam,
                             b_sup=float(np.linalg.norm(bvec)), c_sup=abs(float(c0)),
-                            modulus=ZERO_MODULUS, sigma=sigma)
+                            modulus=ZERO_MODULUS, sigma=sigma, sigma_scalar=scalar)
 
 
 def make_sin_field(dim: int = 1, amp: float = 0.5, c0: float = 0.0) -> CoefficientField:
@@ -165,7 +168,8 @@ def make_sgn_drift_field(theta: float = 1.0) -> CoefficientField:
         return np.zeros(len(x))
 
     return CoefficientField(dim=1, a=a, b=b, c=c, lam=1.0, b_sup=theta,
-                            c_sup=0.0, modulus=ZERO_MODULUS, sigma=sigma)
+                            c_sup=0.0, modulus=ZERO_MODULUS, sigma=sigma,
+                            sigma_scalar=1.0)
 
 
 FIELD_BUILDERS: dict[str, Callable[..., CoefficientField]] = {

@@ -132,11 +132,14 @@ def draw_chunks(stop: int, budget: int, per_step):
 
 
 def euler_update(field: CoefficientField, t: float, dt: float, X: np.ndarray,
-                 sig: np.ndarray, dW: np.ndarray) -> np.ndarray:
+                 sig, dW: np.ndarray) -> np.ndarray:
     """X + sigma dW (+ b dt) for a batch of legs (n, d), with sigma(t, X)
-    already evaluated.  In one dimension sigma dW is a flat product; the
-    drift is skipped for fields that declare b = 0."""
-    if field.dim == 1:
+    already evaluated: (n, d, d), or the field's declared scalar.  A
+    scalar or a one-dimensional sigma dW is a flat product; the drift is
+    skipped for fields that declare b = 0."""
+    if not isinstance(sig, np.ndarray):
+        X_next = X + sig * dW
+    elif field.dim == 1:
         X_next = X + sig[:, 0] * dW
     else:
         X_next = X + np.einsum("nij,nj->ni", sig, dW)
@@ -153,7 +156,10 @@ def euler_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     Raises SimulationDivergedError(k + 1) when a state is not finite.
     """
     t = grid.horizon - k * grid.dt
-    X_next = euler_update(field, t, grid.dt, X, sigma_batch(field, t, X), dW)
+    sig = field.sigma_scalar
+    if sig is None:
+        sig = sigma_batch(field, t, X)
+    X_next = euler_update(field, t, grid.dt, X, sig, dW)
     if not np.isfinite(X_next).all():
         raise SimulationDivergedError(k + 1)
     return X_next

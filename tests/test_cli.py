@@ -138,6 +138,45 @@ def test_diverged_exit_code(tmp_path, capsys):
     assert "simulation-diverged" in capsys.readouterr().err
 
 
+COUPLE_2D = COUPLE.replace("field.dim = 1", "field.dim = 2").replace(
+    "n_paths = 600", "n_paths = 100").replace("grid.steps = 200", "grid.steps = 50")
+
+
+@pytest.mark.parametrize("text,key", [
+    (COUPLE_2D + "base_point = 0.5\n", "base_point"),
+    (COUPLE_2D + "direction = 1.0\n", "direction"),
+    (COUPLE_2D + "direction = 1.0, 0.0, 0.0\n", "direction"),
+    (COUPLE + "direction = 0.0\n", "direction"),
+    (COUPLE_2D + "direction = 0.0, 0.0\n", "direction"),
+    (COUPLE + "direction = inf\n", "direction"),
+    (COUPLE + "base_point = nan\n", "base_point"),
+    (SOLVE.replace("base_point = 0.0", "base_point = 0.0, 0.0"), "base_point"),
+], ids=["short-point-2d", "short-direction-2d", "long-direction-2d",
+        "zero-direction-1d", "zero-direction-2d", "inf-direction",
+        "nan-point", "long-point-solve"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
+    # a point or direction that does not fit field.dim is not broadcast,
+    # and a zero direction is not reported as a divergence
+    run_dir = ["--run-dir", str(tmp_path / "d")] if command == "run" else []
+    rc = main([command, _cfg(tmp_path, text)] + run_dir)
+    assert rc == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-error"
+    assert key in err["message"]
+    assert not (tmp_path / "d").exists()
+
+
+def test_placement_defaults_to_origin_and_first_axis(tmp_path, capsys):
+    explicit = COUPLE_2D + "base_point = 0.0, 0.0\ndirection = 1.0, 0.0\n"
+    d1, d2 = tmp_path / "default", tmp_path / "explicit"
+    assert main(["run", _cfg(tmp_path, COUPLE_2D, "a.cfg"),
+                 "--run-dir", str(d1)]) == EXIT_OK
+    assert main(["run", _cfg(tmp_path, explicit, "b.cfg"),
+                 "--run-dir", str(d2)]) == EXIT_OK
+    assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")

@@ -7,7 +7,8 @@ from couplemc import (CoefficientField, ModulusOfContinuity, ZERO_MODULUS,
 from couplemc.coefficients import require_dini
 from couplemc.errors import (DiniDivergenceError, EllipticityError,
                              ValidationError)
-from couplemc.registry import make_constant_field, make_sin_field
+from couplemc.registry import (make_constant_field, make_sgn_drift_field,
+                               make_sin_field)
 
 
 class TestModulus:
@@ -149,6 +150,35 @@ class TestFieldValidation:
         with pytest.raises(ValidationError):
             CoefficientField(dim=1, a=f.a, b=f.b, c=f.c, lam=-1.0,
                              b_sup=0.0, c_sup=0.0)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, np.inf, np.nan])
+    def test_sigma_scalar_must_be_finite_and_positive(self, s):
+        f = make_constant_field(dim=1)
+        with pytest.raises(ValidationError, match="sigma_scalar"):
+            CoefficientField(dim=1, a=f.a, b=f.b, c=f.c, lam=1.0,
+                             b_sup=0.0, c_sup=0.0, sigma_scalar=s)
+
+    @pytest.mark.parametrize("dim,a0,declared", [
+        (1, 1.0, 1.0), (1, 4.0, 2.0), (1, 0.3, float(np.sqrt(0.3))),
+        (2, 1.0, 1.0), (3, 2.0, float(np.sqrt(2.0))), (2, [2.0, 2.0], float(np.sqrt(2.0))),
+        (2, [1.0, 2.0], None), (2, [[1.5, 0.3], [0.3, 1.0]], None),
+    ])
+    def test_constant_field_declares_sigma_exactly(self, dim, a0, declared):
+        # declared exactly when sigma(t, x) is s * I bit for bit
+        f = make_constant_field(dim=dim, a0=a0)
+        sig = f.sigma(0.0, np.zeros((3, dim)))
+        if declared is None:
+            assert f.sigma_scalar is None
+            assert np.any(sig != sig[0, 0, 0] * np.eye(dim))
+        else:
+            assert f.sigma_scalar == declared
+            assert sig.tobytes() == np.broadcast_to(
+                declared * np.eye(dim), (3, dim, dim)).tobytes()
+
+    def test_sgn_drift_field_declares_unit_sigma(self):
+        f = make_sgn_drift_field(theta=0.5)
+        assert f.sigma_scalar == 1.0
+        assert np.all(f.sigma(0.0, np.zeros((4, 1))) == 1.0)
 
     def test_sample_points_shapes(self):
         pts1 = default_sample_points(1)

@@ -1,9 +1,13 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
                       RngStream, TimeGrid, ZERO_MODULUS, bm_coupling_expectation,
-                      coupling_time_expectation, coupling_times,
+                      coupling, coupling_time_expectation, coupling_times,
                       default_couple_tol, lyapunov_f, reflection_matrix,
                       simulate_coupled)
 from couplemc.coupling import simulate_coupled_block
@@ -144,6 +148,78 @@ class TestCoupledPair:
                 with np.errstate(over="ignore", invalid="ignore"):
                     run()
             assert exc.value.step_index == 2, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 300),
+           steps=st.integers(16, 400), a0=st.floats(0.05, 20.0),
+           d0=st.sampled_from([0.0, 1e-3, 0.05, 0.2, 1.0]),
+           tol_factor=st.sampled_from([0.0, 0.5, 1.0, 10.0]),
+           stop=st.one_of(st.none(), st.integers(1, 400)),
+           budget=st.sampled_from([None, 450, 5000]),
+           short_blocks=st.booleans())
+    def test_scan_matches_step_loop(self, seed, n, steps, a0, d0, tol_factor,
+                                    stop, budget, short_blocks):
+        # the constant-sigma scan and the per-node loop it replaces (the
+        # same field without the declaration) give the same coupling steps;
+        # a small budget and 16-step sub-blocks put hits next to chunk and
+        # sub-block boundaries
+        f = make_constant_field(dim=1, a0=a0)
+        assert f.sigma_scalar is not None
+        loop_f = dataclasses.replace(f, sigma_scalar=None)
+        grid = TimeGrid(1.0, steps)
+        tol = tol_factor * default_couple_tol(grid, f)
+        with mock.patch.object(coupling, "_CHUNK_BUDGET",
+                               budget or coupling._CHUNK_BUDGET), \
+                mock.patch.object(coupling, "_scan_steps",
+                                  (lambda n_pairs: 16) if short_blocks
+                                  else coupling._scan_steps):
+            runs = [coupling_times(field, [0.3], [0.3 + d0], grid,
+                                   RngStream(seed), n, couple_tol=tol,
+                                   stop_step=stop)
+                    for field in (f, loop_f)]
+        assert np.array_equal(runs[0], runs[1])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_scan_divergence_matches_step_loop(self, bad, monkeypatch):
+        # a non-finite increment stops both drivers at the same step while
+        # its pair is uncoupled, and nowhere once the pair has met
+        f = make_constant_field(dim=1)
+        loop_f = dataclasses.replace(f, sigma_scalar=None)
+        grid = TimeGrid(1.0, 300)
+        taus = coupling_times(f, [0.0], [0.1], grid, RngStream(11), 40)
+        # `early` meets at node t_e < 20; `late` is uncoupled at node 21
+        early = int(np.flatnonzero((taus >= 2) & (taus < 20))[0])
+        late = int(np.flatnonzero((taus < 0) | (taus > 21))[0])
+        t_e = int(taus[early])
+        inject = {}  # path -> step whose increment is replaced
+        pair_draws = coupling._pair_draws
+
+        def spoiled(rng, paths, k_lo, k_hi, d, dt):
+            dW, u = pair_draws(rng, paths, k_lo, k_hi, d, dt)
+            for p, k in inject.items():
+                row = np.flatnonzero(np.asarray(paths) == p)
+                if row.size and k_lo <= k < k_hi:
+                    dW[row[0], k - k_lo, 0] = bad
+            return dW, u
+
+        monkeypatch.setattr(coupling, "_pair_draws", spoiled)
+
+        def step_index(field):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    coupling_times(field, [0.0], [0.1], grid, RngStream(11), 40)
+                except SimulationDivergedError as exc:
+                    return exc.step_index
+            return None
+
+        # step t_e of `early` is drawn but never used: the pair has met
+        inject.update({early: t_e, late: 20})
+        assert step_index(f) == step_index(loop_f) == 21
+        inject[early] = t_e - 1  # the step in which `early` meets
+        assert step_index(f) == step_index(loop_f) == t_e
+        del inject[late]
+        inject[early] = t_e
+        assert step_index(f) is None and step_index(loop_f) is None
 
     def test_default_tolerance_formula(self):
         f = make_constant_field(dim=1, a0=4.0)

@@ -9,12 +9,15 @@ library may round sin, exp or ndtri differently.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from couplemc import (RngStream, TimeGrid, coupling, coupling_times,
                       sde_engine, simulate_coupled)
+from couplemc.cli import run_experiment
+from couplemc.config import load_config
 from couplemc.coupling import simulate_coupled_block
 from couplemc.registry import make_constant_field, make_sin_field
 from couplemc.sde_engine import simulate_path, simulate_terminal
@@ -116,3 +119,23 @@ def test_chunk_boundaries_leave_bytes_unchanged(run, monkeypatch):
     assert any(lo % 4 for lo in starts)
     for a, b in zip(default, small, strict=True):
         assert a.tobytes() == b.tobytes()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# sha256 of each shipped config's results.csv; the first 12 hex digits are
+# the ones ROADMAP.md lists
+SHIPPED = {
+    "couple_bm": "e5de34dc890a79225d88a095d591bc890ce2ce271d480551cbd3280d1dc99b1a",
+    "modulus_smooth": "755d7b9afa59a9fe023ca713d0ba4004b5a0f4647b7956f6382a6a1f1869a25f",
+    "oracle_sgn": "e01ecb53d04daa960d9ce976997ae04deef73d46214cacaa28c85b52fa0b173b",
+    "solve_gaussian": "3f8f638abcf85954510ac4075c0219019a94bf64cc0ba8d761e72bed19cf8af5",
+    "validate_sin": "6a798465fef54590d740b972661e5929a379340fb987f9db58abb37f94c6a7e6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_config_results(name, tmp_path):
+    run_dir = run_experiment(load_config(CONFIGS / f"{name}.cfg"), tmp_path,
+                             run_dir=tmp_path / "run")
+    digest = hashlib.sha256((Path(run_dir) / "results.csv").read_bytes())
+    assert digest.hexdigest() == SHIPPED[name]
