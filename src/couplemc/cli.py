@@ -26,7 +26,7 @@ from .fk_solver import (ModulusExperimentConfig, ResultTable, fit_result_table,
 from .oracles import (RunningMaxQuery, bm_coupling_expectation, heat_kernel,
                       running_max_bounds, sgn_drift_density)
 from .registry import build_field, build_terminal
-from .sde_engine import RngStream, TimeGrid
+from .sde_engine import RngStream, TimeGrid, as_point
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,9 +59,10 @@ def _vector(cfg: ExperimentConfig, key: str, dim: int, default) -> np.ndarray:
     value = getattr(cfg, key)
     if value is None:
         return default
-    v = np.asarray(value, dtype=float)
-    if v.shape != (dim,):
-        raise ConfigError(f"{key} has {v.size} entries but field.dim is {dim}")
+    try:
+        v = as_point(value, dim, key)
+    except ValidationError as e:
+        raise ConfigError(str(e)) from None
     if not np.isfinite(v).all():
         raise ConfigError(f"{key} must be finite")
     return v

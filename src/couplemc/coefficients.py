@@ -161,6 +161,10 @@ class CoefficientField:
     square root of ``a``).  The step kernel then multiplies the increments
     by the scalar instead of evaluating sigma, and the 1D tau-only driver
     scans whole blocks of steps (see ``coupling``).
+
+    b_sup == 0 declares b = 0 and c_sup == 0 declares c = 0: the step
+    kernel and the block drivers trust these declarations and skip
+    evaluating b or c.
     """
 
     dim: int

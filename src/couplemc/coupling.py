@@ -40,8 +40,9 @@ from scipy.special import ndtri
 from .coefficients import CoefficientField, ModulusOfContinuity, require_dini
 from .errors import DegenerateDirectionError, SimulationDivergedError, ValidationError
 from .sde_engine import (_CHUNK_BUDGET, RngStream, SamplePath, TimeGrid,
-                         draw_chunks, euler_step, euler_update, mean_stderr,
-                         run_path_blocks, sigma_batch)
+                         as_point, draw_chunks, euler_step, euler_update,
+                         mean_stderr, raise_first_nonfinite, run_path_blocks,
+                         sigma_batch)
 
 
 @dataclass
@@ -186,7 +187,7 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     never on block boundaries, so any partitioning reproduces them.
     """
     d, n = field.dim, path_hi - path_lo
-    x, z = _as_point(x, d), _as_point(z, d)
+    x, z = as_point(x, d), as_point(z, d)
     paths = np.arange(path_lo, path_hi, dtype=np.uint64)
     met = float(np.linalg.norm(x - z)) <= couple_tol
     tau_step = np.full(n, 0 if met else -1, dtype=np.int64)
@@ -264,10 +265,7 @@ def _scan_chunk(s, dt, couple_tol, k, dW, u, rows, X, Z, tau_step):
         if bad.any():
             # the loop stops at the first non-finite node of a pair that
             # has not met before it
-            first_bad = bad.argmax(axis=1)
-            stuck = bad.any(axis=1) & (first_bad <= first)
-            if stuck.any():
-                raise SimulationDivergedError(k + j + int(first_bad[stuck].min()) + 1)
+            raise_first_nonfinite(bad, k + j, first)
         tau_step[rows[met]] = k + j + first[met] + 1
         keep = ~met
         rows, dpos = rows[keep], dpos[keep]
@@ -280,8 +278,11 @@ def _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z):
     """Pairs carried to the horizon with their c-integrals.  Every X leg
     takes the single-leg step; the Z legs of uncoupled pairs take the pair
     step, whose X update repeats the single-leg one bit for bit: that costs
-    less than gathering and scattering the coupled rows at every step."""
+    less than gathering and scattering the coupled rows at every step.
+    The c-integrals are skipped when c = 0, as adding 0.0 to the +0.0 sums
+    is exact."""
     n, dt, T = len(paths), grid.dt, grid.horizon
+    with_c = field.c_sup > 0.0
     wx = np.zeros(n)
     wz = np.zeros(n)
     wz_off = np.zeros(n)
@@ -291,11 +292,13 @@ def _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z):
         dW, u = _pair_draws(rng, paths, k, k_hi, field.dim, dt)
         for kk in range(k, k_hi):
             j, t = kk - k, T - kk * dt
-            wx += field.c(t, X) * dt
+            if with_c:
+                wx += field.c(t, X) * dt
             X_next = euler_step(field, grid, kk, X, dW[:, j])
             if rows.size:
                 Zr = Z[rows]
-                wz[rows] += field.c(t, Zr) * dt
+                if with_c:
+                    wz[rows] += field.c(t, Zr) * dt
                 _, Z[rows], hit = pair_step(
                     field, grid, kk, X[rows], Zr, dW[rows, j],
                     None if u is None else u[rows, j], couple_tol)
@@ -307,14 +310,12 @@ def _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z):
                     wz_off[gidx] = wz[gidx] - wx[gidx]
                     rows = rows[~hit]
             X = X_next
+        # free this chunk's draws before the next chunk is drawn
+        del dW, u
     coupled = tau_step >= 0
     z_final = np.where(coupled[:, None], X, Z)
     wz_final = np.where(coupled, wx + wz_off, wz)
     return tau_step, X, wx, z_final, wz_final
-
-
-def _as_point(x, d: int) -> np.ndarray:
-    return np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)), (d,))
 
 
 def _resolve_tol(couple_tol: float | None, grid: TimeGrid,
@@ -332,7 +333,7 @@ def simulate_coupled(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStre
     a batch of one through the steps of the block drivers."""
     couple_tol = _resolve_tol(couple_tol, grid, field)
     d, dt, T = field.dim, grid.dt, grid.horizon
-    x, z = _as_point(x, d), _as_point(z, d)
+    x, z = as_point(x, d), as_point(z, d)
     dW, u = _pair_draws(rng, [path_index], 0, grid.steps, d, dt)
     states_x = np.empty((grid.steps + 1, d))
     states_z = np.empty((grid.steps + 1, d))

@@ -14,8 +14,8 @@ from .analysis import fit_log_corrected, fit_power_law
 from .coefficients import CoefficientField, classify_dini
 from .coupling import default_couple_tol, simulate_coupled_block
 from .errors import ValidationError
-from .sde_engine import (RngStream, TimeGrid, mean_stderr, run_path_blocks,
-                         simulate_terminal)
+from .sde_engine import (RngStream, TimeGrid, mean_stderr, path_tile,
+                         run_path_blocks, simulate_terminal)
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,15 @@ class SolveRequest:
 
 def solve_u(req: SolveRequest, rng: RngStream,
             path_offset: int = 0) -> tuple[float, float]:
-    """Estimate u(T, x) = E[f(X_T) exp(int c)] with its standard error."""
+    """Estimate u(T, x) = E[f(X_T) exp(int c)] with its standard error,
+    simulating the paths in tiles of ``sde_engine.path_tile`` paths."""
 
     def worker(lo, hi):
         X, w = simulate_terminal(req.field, req.eval_point, req.grid, rng, lo, hi)
         return req.terminal(X) * np.exp(w)
 
-    vals = run_path_blocks(req.n_paths, worker, path_offset=path_offset)
+    vals = run_path_blocks(req.n_paths, worker, path_offset=path_offset,
+                           block_size=path_tile(req.grid, req.field.dim))
     return mean_stderr(vals)
 
 

@@ -17,9 +17,12 @@ def _as_matrix(a0, dim: int) -> np.ndarray:
     A = np.asarray(a0, dtype=float)
     if A.ndim == 0:
         return float(A) * np.eye(dim)
-    if A.ndim == 1:
+    if A.shape == (dim,):
         return np.diag(A)
-    return A
+    if A.shape == (dim, dim):
+        return A
+    raise ValidationError(f"a0 must be a scalar, {dim} entries or a {dim}x{dim} "
+                          f"matrix for dim = {dim}; got shape {A.shape}")
 
 
 def _as_vector(b0, dim: int) -> np.ndarray:
@@ -34,8 +37,13 @@ def make_constant_field(dim: int = 1, a0=1.0, b0=0.0, c0: float = 0.0,
     """Constant coefficients: a0 (scalar, diagonal, or full matrix), drift
     b0 and potential c0."""
     dim = int(dim)
+    if dim < 1:
+        raise ValidationError("dim must be >= 1")
     A = _as_matrix(a0, dim)
     bvec = _as_vector(b0, dim)
+    if bvec.shape != (dim,):
+        raise ValidationError(f"b0 must be a scalar or {dim} entries for dim = {dim}; "
+                              f"got shape {bvec.shape}")
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
     if w.min() <= 0:
         raise ValidationError("a0 must be positive definite")

@@ -16,6 +16,17 @@ non-finite state.  ``coupling.pair_step`` builds the reflection pair step
 on the same update.  The single-leg drivers here are ``simulate_terminal``
 (a block of paths to the horizon with their c-integrals, drawn in chunks)
 and ``simulate_path`` (a batch of one that records every node).
+
+``solve_u`` runs ``simulate_terminal`` over path tiles (``path_tile``):
+as many paths as have the draws of the whole horizon fit the draw
+budget, so one draw call fills each path's full row.  Where that is
+fewer than 2048 or more than 16,384 paths (grids longer than 1953 or
+shorter than 244 doubles per path), a solve keeps the fixed
+16,384-path block, its horizon drawn in chunks when it does not fit.  For a
+field that declares a constant sigma (``sigma_scalar``) with b = 0 and
+c = 0, ``simulate_terminal`` does not step node by node: it scans each
+chunk in place with running sums (``_scan_terminal``), with the same
+nodes and divergence steps bit for bit.
 """
 
 from __future__ import annotations
@@ -131,6 +142,40 @@ def draw_chunks(stop: int, budget: int, per_step):
         k = k_hi
 
 
+def path_tile(grid: TimeGrid, dim: int) -> int:
+    """Paths per ``simulate_terminal`` call of a solve: as many as have
+    their draws for the whole horizon fit _CHUNK_BUDGET, when that is
+    between 2048 and _DEFAULT_BLOCK paths; otherwise _DEFAULT_BLOCK, with
+    the horizon drawn in chunks when it does not fit.  Below 2048 paths
+    the per-step overhead outweighs the longer rows (a 2D step-loop
+    solve in 1024-path tiles is slower than in the fixed block)."""
+    tile = _CHUNK_BUDGET // (grid.steps * dim)
+    return tile if 2048 <= tile <= _DEFAULT_BLOCK else _DEFAULT_BLOCK
+
+
+def as_point(x, d: int, name: str = "a point") -> np.ndarray:
+    """x as a point of R^d; a point of another length is an error, not
+    broadcast."""
+    p = np.atleast_1d(np.asarray(x, dtype=float))
+    if p.shape != (d,):
+        raise ValidationError(f"{name} of this field needs {d} entries, got shape {p.shape}")
+    return p
+
+
+def raise_first_nonfinite(bad: np.ndarray, k: int, until=None) -> None:
+    """Raise SimulationDivergedError(k + j + 1) for the earliest column j
+    set in any row of bad (rows, steps), the non-finite nodes k + 1,
+    k + 2, ... of a scan, as the step loop from node k would.  With
+    until, row r counts only columns <= until[r]: past them its loop has
+    stopped stepping it."""
+    first = bad.argmax(axis=1)
+    stuck = bad.any(axis=1)
+    if until is not None:
+        stuck &= first <= until
+    if stuck.any():
+        raise SimulationDivergedError(k + int(first[stuck].min()) + 1)
+
+
 def euler_update(field: CoefficientField, t: float, dt: float, X: np.ndarray,
                  sig, dW: np.ndarray) -> np.ndarray:
     """X + sigma dW (+ b dt) for a batch of legs (n, d), with sigma(t, X)
@@ -170,23 +215,52 @@ def simulate_terminal(field: CoefficientField, x0: np.ndarray, grid: TimeGrid,
     """Vectorized Euler-Maruyama over a block of paths.
 
     Returns (X_T, weight_log) with shapes (n, d) and (n,).  States are not
-    recorded; use simulate_path for full trajectories.
+    recorded; use simulate_path for full trajectories.  A field with a
+    declared sigma, b = 0 and c = 0 is scanned a chunk at a time
+    (``_scan_terminal``); the c-integral is skipped when c = 0, as adding
+    0.0 to the +0.0 sum is exact.
     """
     d = field.dim
     n = path_hi - path_lo
     dt, T = grid.dt, grid.horizon
-    X = np.broadcast_to(np.asarray(x0, dtype=float), (n, d)).copy()
+    X = np.tile(as_point(x0, d, "x0"), (n, 1))
     w = np.zeros(n)
     paths = np.arange(path_lo, path_hi, dtype=np.uint64)
+    s = field.sigma_scalar
+    with_c = field.c_sup > 0.0
+    scan = s is not None and field.b_sup == 0.0 and not with_c
     # overflow is handled by the finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k, k_hi in draw_chunks(grid.steps, _CHUNK_BUDGET, lambda: n * d):
             dW = rng.normals(paths, k, k_hi, d)
             dW *= np.sqrt(dt)
-            for j in range(k_hi - k):
-                w += field.c(T - (k + j) * dt, X) * dt
-                X = euler_step(field, grid, k + j, X, dW[:, j])
+            if scan:
+                X = _scan_terminal(s, k, X, dW)
+            else:
+                for j in range(k_hi - k):
+                    if with_c:
+                        w += field.c(T - (k + j) * dt, X) * dt
+                    X = euler_step(field, grid, k + j, X, dW[:, j])
+            # free this chunk's draws before the next chunk is drawn, so
+            # that two chunks are never held at once
+            del dW
     return X, w
+
+
+def _scan_terminal(s: float, k: int, X: np.ndarray, dW: np.ndarray) -> np.ndarray:
+    """The nodes after X over a chunk of increments dW (n, m, d) from node
+    k, for sigma = s and b = 0; returns the last node.
+
+    dW becomes the nodes in place: s dW, plus X on the first step, summed
+    strictly in step order by np.add.accumulate, which is the step
+    X + s dW of ``euler_update`` node by node.  A non-finite node stays
+    non-finite, so the last node tells whether any step diverged."""
+    dW *= s
+    dW[:, 0] += X
+    np.add.accumulate(dW, axis=1, out=dW)
+    if not np.isfinite(dW[:, -1]).all():
+        raise_first_nonfinite(~np.isfinite(dW).all(axis=2), k)
+    return dW[:, -1].copy()
 
 
 def simulate_path(field: CoefficientField, x0, grid: TimeGrid, rng: RngStream,
@@ -200,9 +274,7 @@ def simulate_path(field: CoefficientField, x0, grid: TimeGrid, rng: RngStream,
     """
     d = field.dim
     dt, T = grid.dt, grid.horizon
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (d,):
-        raise ValidationError(f"x0 must have shape ({d},)")
+    x0 = as_point(x0, d, "x0")
     if increments is None:
         dB = rng.normals([path_index], 0, grid.steps, d)[0] * np.sqrt(dt)
     else:
@@ -250,6 +322,8 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
             bridge = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 2.0 * dt * np.log(u[:, j, 1])))
             run_max = np.maximum(run_max, bridge)
             endpoint = b
+        # free this chunk's draws before the next chunk is drawn
+        del u, dB
     return run_max
 
 

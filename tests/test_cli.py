@@ -167,6 +167,25 @@ def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
     assert not (tmp_path / "d").exists()
 
 
+SOLVE_2D = SOLVE.replace("field.dim = 1", "field.dim = 2").replace(
+    "base_point = 0.0", "base_point = 0.0, 0.0")
+
+
+@pytest.mark.parametrize("text,key", [
+    (SOLVE_2D + "field.a0 = 1.0, 2.0, 3.0\n", "a0"),
+    (SOLVE_2D + "field.b0 = 0.1, 0.2, 0.3\n", "b0"),
+], ids=["a0-3-entries", "b0-3-entries"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_constant_field_must_fit_dim(tmp_path, capsys, text, key, command):
+    run_dir = ["--run-dir", str(tmp_path / "d")] if command == "run" else []
+    rc = main([command, _cfg(tmp_path, text)] + run_dir)
+    assert rc == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-error"
+    assert key in err["message"]
+    assert not (tmp_path / "d").exists()
+
+
 def test_placement_defaults_to_origin_and_first_axis(tmp_path, capsys):
     explicit = COUPLE_2D + "base_point = 0.0, 0.0\ndirection = 1.0, 0.0\n"
     d1, d2 = tmp_path / "default", tmp_path / "explicit"

@@ -175,6 +175,22 @@ class TestFieldValidation:
             assert sig.tobytes() == np.broadcast_to(
                 declared * np.eye(dim), (3, dim, dim)).tobytes()
 
+    @pytest.mark.parametrize("kw,key", [
+        (dict(dim=2, a0=[1.0, 2.0, 3.0]), "a0"),
+        (dict(dim=1, a0=[1.0, 2.0]), "a0"),
+        (dict(dim=2, a0=np.eye(3)), "a0"),
+        (dict(dim=2, a0=np.ones((2, 3))), "a0"),
+        (dict(dim=2, b0=[0.1, 0.2, 0.3]), "b0"),
+        (dict(dim=2, b0=[[0.1, 0.2]]), "b0"),
+        (dict(dim=0), "dim"),
+    ], ids=["a0-3-entries-2d", "a0-2-entries-1d", "a0-3x3-2d", "a0-2x3-2d",
+            "b0-3-entries-2d", "b0-matrix-2d", "dim-0"])
+    def test_constant_field_shapes_must_fit_dim(self, kw, key):
+        # a0 is a scalar, dim entries or dim x dim; b0 a scalar or dim
+        # entries; anything else is rejected, not broadcast or cropped
+        with pytest.raises(ValidationError, match=key):
+            make_constant_field(**kw)
+
     def test_sgn_drift_field_declares_unit_sigma(self):
         f = make_sgn_drift_field(theta=0.5)
         assert f.sigma_scalar == 1.0

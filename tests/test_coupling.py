@@ -9,11 +9,12 @@ from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
                       RngStream, TimeGrid, ZERO_MODULUS, bm_coupling_expectation,
                       coupling, coupling_time_expectation, coupling_times,
                       default_couple_tol, lyapunov_f, reflection_matrix,
-                      simulate_coupled)
+                      SolveRequest, simulate_coupled, simulate_path, solve_u)
 from couplemc.coupling import simulate_coupled_block
 from couplemc.errors import (DegenerateDirectionError, DiniDivergenceError,
                              SimulationDivergedError, ValidationError)
-from couplemc.registry import make_constant_field, make_sin_field
+from couplemc.registry import (make_constant_field, make_constant_terminal,
+                               make_sin_field)
 
 
 class TestReflector:
@@ -220,6 +221,28 @@ class TestCoupledPair:
         del inject[late]
         inject[early] = t_e
         assert step_index(f) is None and step_index(loop_f) is None
+
+    @pytest.mark.parametrize("x,z", [([0.0], [0.1]), ([0.0, 0.0], [0.1]),
+                                     ([0.0, 0.0, 0.0], [0.1, 0.0, 0.0])],
+                             ids=["short-points", "short-z", "long-points"])
+    def test_points_must_fit_the_field(self, x, z):
+        # a point of another length than field.dim is not broadcast, by
+        # the coupling drivers or the single-leg ones (z never fits)
+        f = make_constant_field(dim=2)
+        grid = TimeGrid(1.0, 20)
+        solve = SolveRequest(field=f, terminal=make_constant_terminal(1.0),
+                             eval_point=z, n_paths=4, grid=grid)
+        drivers = {
+            "tau": lambda: coupling_times(f, x, z, grid, RngStream(0), 4),
+            "terminal": lambda: simulate_coupled_block(
+                f, x, z, grid, RngStream(0), 0, 4, 0.01, want_terminal=True),
+            "recorder": lambda: simulate_coupled(f, x, z, grid, RngStream(0)),
+            "solve": lambda: solve_u(solve, RngStream(0)),
+            "path": lambda: simulate_path(f, z, grid, RngStream(0)),
+        }
+        for name, run in drivers.items():
+            with pytest.raises(ValidationError, match="2 entries"):
+                run()
 
     def test_default_tolerance_formula(self):
         f = make_constant_field(dim=1, a0=4.0)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from couplemc import (ModulusExperimentConfig, ResultTable, RngStream,
-                      SolveRequest, TimeGrid, expected_regime,
+                      SolveRequest, TimeGrid, expected_regime, fk_solver,
                       fit_result_table, mean_stderr, modulus_experiment,
-                      solve_difference_coupled, solve_u)
+                      sde_engine, solve_difference_coupled, solve_u)
 from couplemc.coefficients import ModulusOfContinuity
 from couplemc.errors import ValidationError
 from couplemc.registry import (make_constant_field, make_constant_terminal,
@@ -45,6 +45,34 @@ class TestSolve:
             X, w = simulate_terminal(f, req.eval_point, req.grid, rng, lo, hi)
             parts.append(req.terminal(X) * np.exp(w))
         assert solve_u(req, rng) == mean_stderr(np.concatenate(parts))
+
+    @pytest.mark.parametrize("field", [make_constant_field(dim=1),
+                                       make_sin_field(dim=1, amp=0.3)],
+                             ids=["scan", "step-loop"])
+    def test_tile_size_leaves_estimate_unchanged(self, field, monkeypatch):
+        # one tile of every path, tiles of 2048 paths, and the fixed block
+        # when the budget holds fewer than 2048 paths' horizons (drawn in
+        # chunks of 24 or 16 steps) give the same bytes
+        req = _request(field, make_gaussian_bump(0.0, 1.0), n_paths=2500,
+                       steps=40)
+        tiles = []
+        simulate = fk_solver.simulate_terminal
+
+        def logged(f, x0, grid, rng, lo, hi):
+            tiles.append(hi - lo)
+            return simulate(f, x0, grid, rng, lo, hi)
+
+        monkeypatch.setattr(fk_solver, "simulate_terminal", logged)
+        results = []
+        for budget, expected in ((sde_engine._CHUNK_BUDGET, [2500]),
+                                 (40 * 2048, [2048, 452]),
+                                 (40 * 1500, [2500]),
+                                 (450, [2500])):
+            monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", budget)
+            tiles.clear()
+            results.append(solve_u(req, RngStream(9)))
+            assert tiles == expected
+        assert results.count(results[0]) == len(results)
 
     def test_request_validation(self):
         f = make_constant_field(dim=1)

@@ -44,6 +44,12 @@ def _simulate_terminal_2d_constant():
                                   RngStream(103), 0, N))
 
 
+def _simulate_terminal_2d_scalar():
+    f = make_constant_field(dim=2, a0=2.0)
+    return list(simulate_terminal(f, np.array([0.1, -0.2]), GRID,
+                                  RngStream(109), 0, N))
+
+
 def _tau_2d_anisotropic():
     return [coupling_times(make_constant_field(dim=2, a0=ANISO), [0.0, 0.0],
                            [0.2, 0.0], GRID, RngStream(104), N,
@@ -76,6 +82,7 @@ CASES = {
     "tau-1d-constant": (_tau_1d_constant, "ee64ad276616f871"),
     "terminal-1d-sin": (_terminal_1d_sin, "16986a20041e0e7c"),
     "simulate-terminal-2d-constant": (_simulate_terminal_2d_constant, "15c443ccb7c979c3"),
+    "simulate-terminal-2d-scalar": (_simulate_terminal_2d_scalar, "d02c05a40166fe48"),
     "tau-2d-anisotropic": (_tau_2d_anisotropic, "d61dda4b8d9f7707"),
     "terminal-2d-sin": (_terminal_2d_sin, "46774871bbe714dc"),
     "path-1d-sin": (_path_1d_sin, "dd2574df97c94de5"),
@@ -98,8 +105,17 @@ def _simulate_terminal_3d_sin():
                                   RngStream(108), 0, 8))
 
 
-@pytest.mark.parametrize("run", [_simulate_terminal_3d_sin, _tau_1d_constant],
-                         ids=["simulate-terminal-3d-sin", "tau-1d-constant"])
+def _simulate_terminal_3d_scalar():
+    # a declared scalar sigma with b = c = 0: the chunks are scanned
+    f = make_constant_field(dim=3, a0=2.0)
+    return list(simulate_terminal(f, np.array([0.1, 0.0, -0.1]), GRID,
+                                  RngStream(110), 0, 8))
+
+
+@pytest.mark.parametrize("run", [_simulate_terminal_3d_sin,
+                                 _simulate_terminal_3d_scalar, _tau_1d_constant],
+                         ids=["simulate-terminal-3d-sin",
+                              "simulate-terminal-3d-scalar", "tau-1d-constant"])
 def test_chunk_boundaries_leave_bytes_unchanged(run, monkeypatch):
     """A small draw budget splits the steps into many chunks, some starting
     inside a four-double counter block; the output bytes stay the same."""

@@ -1,12 +1,15 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
-from couplemc import RngStream, TimeGrid, mean_stderr, run_path_blocks
+from couplemc import RngStream, TimeGrid, mean_stderr, run_path_blocks, sde_engine
 from couplemc.errors import SimulationDivergedError, ValidationError
 from couplemc.registry import make_constant_field, make_sin_field
-from couplemc.sde_engine import (feynman_kac_weight,
+from couplemc.sde_engine import (feynman_kac_weight, path_tile,
                                  simulate_brownian_running_max, simulate_path,
                                  simulate_terminal)
 
@@ -127,6 +130,91 @@ class TestSimulation:
         f = make_constant_field(dim=2)
         with pytest.raises(ValidationError):
             simulate_path(f, [0.0], TimeGrid(1.0, 4), RngStream(0))
+
+
+class TestTerminalScan:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), dim=st.integers(1, 3),
+           n=st.integers(1, 60), path_lo=st.integers(0, 2**40),
+           steps=st.integers(1, 200), a0=st.floats(0.05, 20.0),
+           x0=st.floats(-2.0, 2.0), budget=st.sampled_from([None, 450, 5000]))
+    def test_terminal_scan_matches_step_loop(self, seed, dim, n, path_lo, steps,
+                                             a0, x0, budget):
+        # the scan of a declared constant sigma and the per-node loop it
+        # replaces (the same field without the declaration) give the same
+        # bytes; a small budget puts chunk edges inside the horizon, some
+        # of them inside a four-double counter block
+        f = make_constant_field(dim=dim, a0=a0)
+        assert f.sigma_scalar is not None
+        loop_f = dataclasses.replace(f, sigma_scalar=None)
+        grid = TimeGrid(1.0, steps)
+        scanned = []
+        scan = sde_engine._scan_terminal
+
+        def counted(*args):
+            scanned.append(args[-1].shape[1])
+            return scan(*args)
+
+        with mock.patch.object(sde_engine, "_CHUNK_BUDGET",
+                               budget or sde_engine._CHUNK_BUDGET), \
+                mock.patch.object(sde_engine, "_scan_terminal", counted):
+            runs = [simulate_terminal(field, np.full(dim, x0), grid,
+                                      RngStream(seed), path_lo, path_lo + n)
+                    for field in (f, loop_f)]
+        assert sum(scanned) == steps  # the declared field scans every step
+        for a, b in zip(*runs, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_terminal_scan_divergence_matches_step_loop(self, bad, monkeypatch):
+        # a non-finite increment stops the scan and the loop at the same
+        # step, the earliest over paths, in any chunk
+        f = make_constant_field(dim=2)
+        loop_f = dataclasses.replace(f, sigma_scalar=None)
+        grid = TimeGrid(1.0, 100)
+        inject = {}  # path -> step whose increment is replaced
+        normals = RngStream.normals
+
+        def spoiled(self, paths, lo, hi, d):
+            z = normals(self, paths, lo, hi, d)
+            for p, k in inject.items():
+                row = np.flatnonzero(np.asarray(paths) == p)
+                if row.size and lo <= k < hi:
+                    z[row[0], k - lo, d - 1] = bad
+            return z
+
+        monkeypatch.setattr(RngStream, "normals", spoiled)
+        monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", 450)  # 16-step chunks
+
+        def step_index(field):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    simulate_terminal(field, np.zeros(2), grid, RngStream(3), 0, 20)
+                except SimulationDivergedError as exc:
+                    return exc.step_index
+            return None
+
+        inject.update({5: 40, 12: 37})
+        assert step_index(f) == step_index(loop_f) == 38
+        inject[12] = 15  # the last step of the first chunk
+        assert step_index(f) == step_index(loop_f) == 16
+        inject.clear()
+        inject[19] = 99  # the last step of the horizon
+        assert step_index(f) == step_index(loop_f) == 100
+        inject.clear()
+        assert step_index(f) is None and step_index(loop_f) is None
+
+    def test_path_tile_holds_the_horizon_in_the_budget(self):
+        budget = sde_engine._CHUNK_BUDGET
+        assert path_tile(TimeGrid(0.5, 500), 2) == budget // 1000
+        assert path_tile(TimeGrid(1.0, 1000), 1) == budget // 1000
+        assert path_tile(TimeGrid(1.0, 1953), 1) == 2048
+        # outside [2048, _DEFAULT_BLOCK] paths a solve keeps the fixed block
+        block = sde_engine._DEFAULT_BLOCK
+        assert path_tile(TimeGrid(1.0, 1954), 1) == block
+        assert path_tile(TimeGrid(1.0, 10**6), 3) == block
+        assert path_tile(TimeGrid(1.0, budget // block), 1) == block
+        assert path_tile(TimeGrid(1.0, 10), 1) == block
 
 
 class TestRunningMaxSampler:
