@@ -65,9 +65,10 @@ def _prepare(pairs, weights):
     w = None if weights is None else np.asarray(weights, dtype=float)
     if w is not None and w.shape != (arr.shape[0],):
         raise ValidationError("weights must match the number of pairs")
-    # sort by abscissa (carrying weights along) so the result is
+    # sort by abscissa, then value and weight, so the result is
     # independent of input order
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
+    keys = (arr[:, 1], arr[:, 0]) if w is None else (w, arr[:, 1], arr[:, 0])
+    order = np.lexsort(keys)
     arr = arr[order]
     if w is not None:
         w = w[order]

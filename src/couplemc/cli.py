@@ -102,9 +102,17 @@ def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     return table, fit_result_table(table)
 
 
+def _terminal(cfg: ExperimentConfig, field):
+    """The config's terminal, evaluated once at the origin so that a center
+    or coeffs of the wrong length stops the run before any path is drawn."""
+    terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
+    terminal(np.zeros(field.dim))
+    return terminal
+
+
 def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     field = build_field(cfg.field_name, cfg.field_params)
-    terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
+    terminal = _terminal(cfg, field)
     grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
     req = SolveRequest(field=field, terminal=terminal,
                        eval_point=_placement(cfg, field)[0],
@@ -118,7 +126,7 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 
 def _run_modulus(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     field = build_field(cfg.field_name, cfg.field_params)
-    terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
+    terminal = _terminal(cfg, field)
     grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
     x, e = _placement(cfg, field)
     mcfg = ModulusExperimentConfig(
@@ -291,7 +299,10 @@ def main(argv=None) -> int:
                 if not extras["passed"]:
                     return EXIT_CONFIG
             if cfg.kind in ("couple", "solve", "modulus"):
-                _placement(cfg, build_field(cfg.field_name, cfg.field_params))
+                field = build_field(cfg.field_name, cfg.field_params)
+                _placement(cfg, field)
+                if cfg.kind != "couple":
+                    _terminal(cfg, field)
             print(f"config ok: kind={cfg.kind} seed={cfg.seed}")
             return EXIT_OK
         if args.command == "oracle" and cfg.kind != "oracle":

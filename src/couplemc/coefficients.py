@@ -156,6 +156,10 @@ class CoefficientField:
     """The PDE data (a, b, c) with its ellipticity constant and declared
     bounds; the problem definition for all simulations.
 
+    sigma, when set, returns sigma(t, x) instead of the square root of a:
+    matrices (n, d, d), or the scale s (n,) to declare sigma = s I, which
+    the step kernels apply with no matrix product and no linear solve.
+
     sigma_scalar, when set, declares sigma(t, x) = sigma_scalar * I for
     every t and x, and must agree bit for bit with ``sigma`` (or with the
     square root of ``a``).  The step kernel then multiplies the increments
@@ -175,7 +179,7 @@ class CoefficientField:
     b_sup: float
     c_sup: float
     modulus: ModulusOfContinuity = field(default=ZERO_MODULUS)
-    # optional shortcut returning sigma(t, x) directly; when absent the
+    # (t, x[n,d]) -> (n, d, d), or (n,) for sigma = s I; when absent the
     # principal square root of a(t, x) is taken pointwise
     sigma: Callable | None = None
     sigma_scalar: float | None = None

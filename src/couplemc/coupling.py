@@ -1,7 +1,9 @@
 """Reflection coupling of two diffusions started at nearby points.
 
 The second process Z is driven by the Brownian increments of X reflected
-across sigma(Z)^-1 (X - Z) until the pair meets, then fused with X.  On a
+across sigma(Z)^-1 (X - Z) until the pair meets, then fused with X.  For a
+field that declares sigma = s I (its ``sigma`` returns the scale s) that
+direction is (X - Z) / s(Z), and no linear system is solved.  On a
 discrete grid the meeting is declared when |X - Z| falls below a tolerance
 or, in one dimension, when the separation changes sign between nodes or a
 Brownian-bridge test says it crossed zero inside the step.  The bridge
@@ -42,7 +44,7 @@ from .errors import DegenerateDirectionError, SimulationDivergedError, Validatio
 from .sde_engine import (_CHUNK_BUDGET, RngStream, SamplePath, TimeGrid,
                          as_point, draw_chunks, euler_step, euler_update,
                          mean_stderr, raise_first_nonfinite, run_path_blocks,
-                         sigma_batch)
+                         sigma_batch, to_open_unit)
 
 
 @dataclass
@@ -120,11 +122,12 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     (X_next, Z_next, hit).
 
     Both legs take the Euler update, Z with the increments reflected
-    across sigma(Z)^-1 (X - Z) (in 1D simply -dW).  hit marks the pairs
-    that meet in the step: |X - Z| <= couple_tol at the new node or, in
-    1D, a zero crossing of the separation's Brownian bridge, tested with
-    the uniforms u_bridge (None in d >= 2).  Raises
-    SimulationDivergedError(k + 1) when a state is not finite.
+    across sigma(Z)^-1 (X - Z): (X - Z) / s for sigma = s I, and simply
+    -dW in 1D.  hit marks the pairs that meet in the step: |X - Z| <=
+    couple_tol at the new node or, in 1D, a zero crossing of the
+    separation's Brownian bridge, tested with the uniforms u_bridge (None
+    in d >= 2).  Raises SimulationDivergedError(k + 1) when a state is not
+    finite.
     """
     t, dt = grid.horizon - k * grid.dt, grid.dt
     xi = X - Z
@@ -133,7 +136,8 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     if field.dim == 1:
         hdw = -dW
     else:
-        v = np.linalg.solve(sig_z, xi[..., None])[..., 0]
+        # for sigma = s I, xi / s rounds as solve(s I, xi) does
+        v = xi / sig_z if sig_z.ndim == 2 else np.linalg.solve(sig_z, xi[..., None])[..., 0]
         hdw = _reflect_increments(v, dW)
     X_next = euler_update(field, t, dt, X, sig_x, dW)
     Z_next = euler_update(field, t, dt, Z, sig_z, hdw)
@@ -148,7 +152,7 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     # test fires surely.  Below -700 exp is under 1e-304, which no nonzero
     # uniform undercuts; clamping there keeps exp off its slow underflow path
     a, b = xi[:, 0], xi_next[:, 0]
-    s = sig_x[:, 0, 0] + sig_z[:, 0, 0]
+    s = sig_x[:, 0] + sig_z[:, 0]
     p_cross = np.exp(np.maximum(-2.0 * a * b / (s**2 * dt), -700.0))
     return X_next, Z_next, (np.abs(b) <= couple_tol) | (u_bridge < p_cross)
 
@@ -160,8 +164,7 @@ def _pair_draws(rng: RngStream, paths, k_lo: int, k_hi: int, d: int, dt: float):
     in place."""
     if d == 1:
         u = rng.uniforms(paths, k_lo, k_hi, 2)
-        dW = u[:, :, :1]
-        dW += 2.0**-54
+        dW = to_open_unit(u[:, :, :1])
         ndtri(dW, out=dW)
         dW *= np.sqrt(dt)
         return dW, u[:, :, 1]

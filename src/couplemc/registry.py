@@ -3,7 +3,7 @@ from experiment configs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -25,10 +25,14 @@ def _as_matrix(a0, dim: int) -> np.ndarray:
                           f"matrix for dim = {dim}; got shape {A.shape}")
 
 
-def _as_vector(b0, dim: int) -> np.ndarray:
-    v = np.asarray(b0, dtype=float)
+def _as_vector(v, dim: int, name: str) -> np.ndarray:
+    """A scalar repeated dim times, or exactly dim entries."""
+    v = np.asarray(v, dtype=float)
     if v.ndim == 0:
         return np.full(dim, float(v))
+    if v.shape != (dim,):
+        raise ValidationError(f"{name} must be a scalar or {dim} entries for dim = {dim}; "
+                              f"got shape {v.shape}")
     return v
 
 
@@ -40,10 +44,7 @@ def make_constant_field(dim: int = 1, a0=1.0, b0=0.0, c0: float = 0.0,
     if dim < 1:
         raise ValidationError("dim must be >= 1")
     A = _as_matrix(a0, dim)
-    bvec = _as_vector(b0, dim)
-    if bvec.shape != (dim,):
-        raise ValidationError(f"b0 must be a scalar or {dim} entries for dim = {dim}; "
-                              f"got shape {bvec.shape}")
+    bvec = _as_vector(b0, dim, "b0")
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
     if w.min() <= 0:
         raise ValidationError("a0 must be positive definite")
@@ -71,22 +72,17 @@ def make_constant_field(dim: int = 1, a0=1.0, b0=0.0, c0: float = 0.0,
                             modulus=ZERO_MODULUS, sigma=sigma, sigma_scalar=scalar)
 
 
-def make_sin_field(dim: int = 1, amp: float = 0.5, c0: float = 0.0) -> CoefficientField:
-    """Smooth 1D-structured field a(x) = (1 + amp*sin(x_1))^2 * I."""
-    dim = int(dim)
-    if not 0.0 <= amp < 1.0:
-        raise ValidationError("amp must lie in [0, 1)")
+def _scale_field(dim: int, s: Callable, modulus: ModulusOfContinuity, lam: float,
+                 c0: float = 0.0) -> CoefficientField:
+    """The field sigma = s(x) I: a = s(x)^2 I, sigma given as the scale
+    s(x) (n,), b = 0 and c = c0."""
     eye = np.eye(dim)
-    lam = float(max((1.0 + amp) ** 2, (1.0 - amp) ** -2))
-
-    def root(x):
-        return 1.0 + amp * np.sin(x[:, 0])
 
     def a(t, x):
-        return root(x)[:, None, None] ** 2 * eye
+        return s(x)[:, None, None] ** 2 * eye
 
     def sigma(t, x):
-        return root(x)[:, None, None] * eye
+        return s(x)
 
     def b(t, x):
         return np.zeros((len(x), dim))
@@ -94,67 +90,49 @@ def make_sin_field(dim: int = 1, amp: float = 0.5, c0: float = 0.0) -> Coefficie
     def c(t, x):
         return np.full(len(x), float(c0))
 
-    # |d a/dx| <= 2 amp (1 + amp): Lipschitz modulus
-    modulus = ModulusOfContinuity("power", scale=2.0 * amp * (1.0 + amp), alpha=1.0)
     return CoefficientField(dim=dim, a=a, b=b, c=c, lam=lam, b_sup=0.0,
                             c_sup=abs(float(c0)), modulus=modulus, sigma=sigma)
+
+
+def make_sin_field(dim: int = 1, amp: float = 0.5, c0: float = 0.0) -> CoefficientField:
+    """Smooth 1D-structured field a(x) = (1 + amp*sin(x_1))^2 * I."""
+    if not 0.0 <= amp < 1.0:
+        raise ValidationError("amp must lie in [0, 1)")
+
+    def s(x):
+        return 1.0 + amp * np.sin(x[:, 0])
+
+    # |d a/dx| <= 2 amp (1 + amp): Lipschitz modulus
+    modulus = ModulusOfContinuity("power", scale=2.0 * amp * (1.0 + amp), alpha=1.0)
+    lam = float(max((1.0 + amp) ** 2, (1.0 - amp) ** -2))
+    return _scale_field(int(dim), s, modulus, lam, c0)
 
 
 def make_power_modulus_field(dim: int = 1, height: float = 0.5,
                              alpha: float = 0.5) -> CoefficientField:
     """Holder-alpha field a(x) = (1 + height * min(|x_1|, 1)^alpha) * I."""
-    dim = int(dim)
     if height <= 0 or not 0.0 < alpha <= 1.0:
         raise ValidationError("need height > 0 and alpha in (0, 1]")
-    eye = np.eye(dim)
 
-    def g(x):
-        return 1.0 + height * np.minimum(np.abs(x[:, 0]), 1.0) ** alpha
-
-    def a(t, x):
-        return g(x)[:, None, None] * eye
-
-    def sigma(t, x):
-        return np.sqrt(g(x))[:, None, None] * eye
-
-    def b(t, x):
-        return np.zeros((len(x), dim))
-
-    def c(t, x):
-        return np.zeros(len(x))
+    def s(x):
+        return np.sqrt(1.0 + height * np.minimum(np.abs(x[:, 0]), 1.0) ** alpha)
 
     modulus = ModulusOfContinuity("power", scale=height, alpha=alpha)
-    return CoefficientField(dim=dim, a=a, b=b, c=c, lam=1.0 + height,
-                            b_sup=0.0, c_sup=0.0, modulus=modulus, sigma=sigma)
+    return _scale_field(int(dim), s, modulus, 1.0 + height)
 
 
 def make_log_modulus_field(dim: int = 1, height: float = 0.5,
                            alpha: float = 2.0) -> CoefficientField:
     """Field with the logarithmic modulus min(1, (-log r)^(-alpha)); Dini
     for alpha > 1, merely continuous for alpha <= 1."""
-    dim = int(dim)
     if height <= 0 or alpha <= 0:
         raise ValidationError("need height > 0 and alpha > 0")
-    eye = np.eye(dim)
     modulus = ModulusOfContinuity("log_power", scale=height, alpha=alpha)
 
-    def g(x):
-        return 1.0 + modulus(np.abs(x[:, 0]))
+    def s(x):
+        return np.sqrt(1.0 + modulus(np.abs(x[:, 0])))
 
-    def a(t, x):
-        return g(x)[:, None, None] * eye
-
-    def sigma(t, x):
-        return np.sqrt(g(x))[:, None, None] * eye
-
-    def b(t, x):
-        return np.zeros((len(x), dim))
-
-    def c(t, x):
-        return np.zeros(len(x))
-
-    return CoefficientField(dim=dim, a=a, b=b, c=c, lam=1.0 + height,
-                            b_sup=0.0, c_sup=0.0, modulus=modulus, sigma=sigma)
+    return _scale_field(int(dim), s, modulus, 1.0 + height)
 
 
 def make_sgn_drift_field(theta: float = 1.0) -> CoefficientField:
@@ -163,21 +141,11 @@ def make_sgn_drift_field(theta: float = 1.0) -> CoefficientField:
     if theta < 0:
         raise ValidationError("theta must be nonnegative")
 
-    def a(t, x):
-        return np.ones((len(x), 1, 1))
-
-    def sigma(t, x):
-        return np.ones((len(x), 1, 1))
-
     def b(t, x):
         return -theta * np.sign(x)
 
-    def c(t, x):
-        return np.zeros(len(x))
-
-    return CoefficientField(dim=1, a=a, b=b, c=c, lam=1.0, b_sup=theta,
-                            c_sup=0.0, modulus=ZERO_MODULUS, sigma=sigma,
-                            sigma_scalar=1.0)
+    unit = _scale_field(1, lambda x: np.ones(len(x)), ZERO_MODULUS, 1.0)
+    return replace(unit, b=b, b_sup=theta, sigma_scalar=1.0)
 
 
 FIELD_BUILDERS: dict[str, Callable[..., CoefficientField]] = {
@@ -205,7 +173,7 @@ def make_gaussian_bump(center=0.0, width: float = 1.0) -> TerminalFunction:
         raise ValidationError("width must be positive")
 
     def fn(y):
-        ctr = _as_vector(center, y.shape[1])
+        ctr = _as_vector(center, y.shape[1], "terminal center")
         return np.exp(-np.sum((y - ctr) ** 2, axis=1) / (2.0 * width**2))
 
     return TerminalFunction(fn=fn, name="gaussian-bump")
@@ -213,7 +181,7 @@ def make_gaussian_bump(center=0.0, width: float = 1.0) -> TerminalFunction:
 
 def make_linear(coeffs=1.0) -> TerminalFunction:
     def fn(y):
-        cv = _as_vector(coeffs, y.shape[1])
+        cv = _as_vector(coeffs, y.shape[1], "terminal coeffs")
         return y @ cv
 
     return TerminalFunction(fn=fn, name="linear")

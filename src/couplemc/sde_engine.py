@@ -12,7 +12,9 @@ their own layout; see ``coupling``.)
 The step kernel: ``euler_update`` is the one Euler update
 X + sigma dW (+ b dt) of a batch of legs, and ``euler_step`` is the
 single-leg step built on it, which evaluates sigma and stops the run on a
-non-finite state.  ``coupling.pair_step`` builds the reflection pair step
+non-finite state.  A field declares sigma = s I when its ``sigma``
+returns the scale s (n,), and every 1D sigma is one; the update is s dW.
+``coupling.pair_step`` builds the reflection pair step
 on the same update.  The single-leg drivers here are ``simulate_terminal``
 (a block of paths to the horizon with their c-integrals, drawn in chunks)
 and ``simulate_path`` (a batch of one that records every node).
@@ -113,20 +115,28 @@ class RngStream:
 
     def normals(self, path_indices, step_lo: int, step_hi: int, dim: int) -> np.ndarray:
         """Standard normal increments, shape (paths, steps, dim)."""
-        u = self.uniforms(path_indices, step_lo, step_hi, dim)
-        # shift into (0, 1) so ndtri never sees an endpoint
-        u += 2.0**-54
+        u = to_open_unit(self.uniforms(path_indices, step_lo, step_hi, dim))
         return ndtri(u, out=u)
 
 
+def to_open_unit(u: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) shifted by 2^-54 into (0, 1) in place, for ndtri;
+    the top value 1 - 2^-53, which the shift rounds to 1.0, is clamped."""
+    u += 2.0**-54
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
+
+
 def sigma_batch(field: CoefficientField, t: float, x: np.ndarray) -> np.ndarray:
-    """sigma(t, x) for a batch of points, shape (n, d, d)."""
+    """sigma(t, x) for a batch of points: the scale s as (n, 1) for
+    sigma = s I and always in 1D, else the matrices (n, d, d)."""
     if field.sigma is not None:
-        return np.asarray(field.sigma(t, x), dtype=float)
-    A = np.asarray(field.a(t, x), dtype=float)
-    if field.dim == 1:
-        return np.sqrt(A)
-    return sqrt_spd(A)
+        sig = np.asarray(field.sigma(t, x), dtype=float)
+    else:
+        A = np.asarray(field.a(t, x), dtype=float)
+        sig = np.sqrt(A) if field.dim == 1 else sqrt_spd(A)
+    if field.dim == 1 or sig.ndim == 1:
+        return sig.reshape(len(x), 1)
+    return sig
 
 
 def draw_chunks(stop: int, budget: int, per_step):
@@ -179,15 +189,13 @@ def raise_first_nonfinite(bad: np.ndarray, k: int, until=None) -> None:
 def euler_update(field: CoefficientField, t: float, dt: float, X: np.ndarray,
                  sig, dW: np.ndarray) -> np.ndarray:
     """X + sigma dW (+ b dt) for a batch of legs (n, d), with sigma(t, X)
-    already evaluated: (n, d, d), or the field's declared scalar.  A
-    scalar or a one-dimensional sigma dW is a flat product; the drift is
-    skipped for fields that declare b = 0."""
-    if not isinstance(sig, np.ndarray):
-        X_next = X + sig * dW
-    elif field.dim == 1:
-        X_next = X + sig[:, 0] * dW
-    else:
+    already evaluated: a scale (the field's declared scalar, or (n, 1)
+    from ``sigma_batch``) multiplies dW, matrices (n, d, d) are applied
+    row by row.  The drift is skipped for fields that declare b = 0."""
+    if np.ndim(sig) == 3:
         X_next = X + np.einsum("nij,nj->ni", sig, dW)
+    else:
+        X_next = X + sig * dW
     if field.b_sup > 0.0:
         X_next += field.b(t, X) * dt
     return X_next
@@ -312,8 +320,7 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
     run_max = np.zeros(n_paths)
     endpoint = np.zeros(n_paths)
     for k, k_hi in draw_chunks(steps, _CHUNK_BUDGET, lambda: 2 * n_paths):
-        u = rng.uniforms(paths, k, k_hi, 2)
-        u += 2.0**-54
+        u = to_open_unit(rng.uniforms(paths, k, k_hi, 2))
         dB = ndtri(u[:, :, 0]) * np.sqrt(dt)
         for j in range(k_hi - k):
             a = endpoint

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from couplemc import fit_log_corrected, fit_power_law
 from couplemc.errors import ValidationError
@@ -27,6 +28,21 @@ def test_permutation_gives_identical_bits():
         assert fit.slope == base.slope
         assert fit.intercept == base.intercept
         assert fit.slope_stderr == base.slope_stderr
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(1e-4, 10.0), st.floats(1e-6, 1e3),
+                                 st.floats(0.1, 10.0)), min_size=3, max_size=12),
+       data=st.data())
+def test_fit_does_not_depend_on_input_order(points, data):
+    # any (r, v, weight) list and any reordering of it give the same bits
+    assume(len({r for r, _, _ in points}) > 1)
+    shuffled = data.draw(st.permutations(points))
+    for weighted in (False, True):
+        fits = [fit_power_law([(r, v) for r, v, _ in pts],
+                              [w for _, _, w in pts] if weighted else None)
+                for pts in (points, shuffled)]
+        assert fits[0] == fits[1]
 
 
 def test_slope_invariant_under_value_scaling():

@@ -186,6 +186,28 @@ def test_constant_field_must_fit_dim(tmp_path, capsys, text, key, command):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("text", [
+    SOLVE_2D + "terminal.center = 0.5, 0.5, 0.5\n",
+    SOLVE_2D + "terminal.center = 0.5,\n",
+    SOLVE_2D.replace("kind = solve", "kind = modulus").replace(
+        "n_paths = 400", "n_paths = 40") + "ladder = 0.2, 0.1\nterminal.center = 0.5,\n",
+], ids=["center-3-entries", "center-1-entry", "center-1-entry-modulus"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_terminal_must_fit_the_field(tmp_path, capsys, monkeypatch, text, command):
+    # a terminal center of the wrong length stops before any path is drawn
+    def no_draws(*args):
+        raise AssertionError("paths were simulated")
+
+    monkeypatch.setattr(couplemc.RngStream, "uniforms", no_draws)
+    run_dir = ["--run-dir", str(tmp_path / "d")] if command == "run" else []
+    rc = main([command, _cfg(tmp_path, text)] + run_dir)
+    assert rc == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-error"
+    assert "terminal center" in err["message"]
+    assert not (tmp_path / "d").exists()
+
+
 def test_placement_defaults_to_origin_and_first_axis(tmp_path, capsys):
     explicit = COUPLE_2D + "base_point = 0.0, 0.0\ndirection = 1.0, 0.0\n"
     d1, d2 = tmp_path / "default", tmp_path / "explicit"

@@ -7,8 +7,8 @@ from couplemc import (CoefficientField, ModulusOfContinuity, ZERO_MODULUS,
 from couplemc.coefficients import require_dini
 from couplemc.errors import (DiniDivergenceError, EllipticityError,
                              ValidationError)
-from couplemc.registry import (make_constant_field, make_sgn_drift_field,
-                               make_sin_field)
+from couplemc.registry import (make_constant_field, make_gaussian_bump, make_linear,
+                               make_sgn_drift_field, make_sin_field)
 
 
 class TestModulus:
@@ -190,6 +190,21 @@ class TestFieldValidation:
         # entries; anything else is rejected, not broadcast or cropped
         with pytest.raises(ValidationError, match=key):
             make_constant_field(**kw)
+
+    @pytest.mark.parametrize("terminal,key", [
+        (make_gaussian_bump(center=[0.5, 0.5, 0.5]), "center"),
+        (make_gaussian_bump(center=[0.5]), "center"),
+        (make_linear(coeffs=[1.0, 2.0, 3.0]), "coeffs"),
+        (make_linear(coeffs=[1.0]), "coeffs"),
+    ], ids=["center-3-entries", "center-1-entry", "coeffs-3-entries",
+            "coeffs-1-entry"])
+    def test_terminal_vectors_must_fit_the_points(self, terminal, key):
+        # a center or coeffs of another length than the points is
+        # rejected, not broadcast or left to fail inside numpy
+        with pytest.raises(ValidationError, match=key):
+            terminal(np.zeros((4, 2)))
+        # a scalar still stands for the same value in every coordinate
+        assert make_linear(2.0)(np.ones((4, 2))).tolist() == [4.0] * 4
 
     def test_sgn_drift_field_declares_unit_sigma(self):
         f = make_sgn_drift_field(theta=0.5)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from couplemc import parse_config_text, validate_config
 from couplemc.config import load_config
@@ -15,6 +16,51 @@ grid.steps = 100
 n_paths = 500
 ladder = 0.2, 0.1, 0.05
 """
+
+
+def _render(resolved: dict) -> str:
+    """A resolved config as config text; a one-entry list keeps a trailing
+    comma so that it parses back as a list."""
+    def value(v):
+        if isinstance(v, list):
+            return ", ".join(map(value, v)) + ("," if len(v) == 1 else "")
+        return str(v).lower() if isinstance(v, bool) else str(v)
+
+    return "".join(f"{k} = {value(v)}\n" for k, v in resolved.items())
+
+
+_FLOATS = st.floats(-1e6, 1e6, allow_subnormal=False)
+_PARAM_VALUES = st.one_of(st.integers(-10**6, 10**6), _FLOATS, st.booleans(),
+                          st.sampled_from(["gaussian-bump", "x", "on"]),
+                          st.lists(_FLOATS, min_size=1, max_size=3))
+_PARAMS = st.dictionaries(st.sampled_from(["dim", "a0", "b0", "amp", "alpha",
+                                           "center", "width", "coeffs"]),
+                          _PARAM_VALUES, max_size=4)
+
+
+@st.composite
+def _config_texts(draw):
+    kind = draw(st.sampled_from(["couple", "solve", "modulus", "validate"]))
+    horizon = draw(st.floats(1e-3, 10.0))
+    ladder = sorted(draw(st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=4,
+                                  unique=True)), reverse=True)
+    raw = {"kind": kind, "seed": draw(st.integers(0, 2**63)),
+           "workers": draw(st.integers(1, 8)), "grid.horizon": horizon,
+           "grid.steps": draw(st.integers(1, 10**5)),
+           "n_paths": draw(st.integers(2, 10**6)), "ladder": ladder}
+    for key in ("base_point", "direction"):
+        if draw(st.booleans()):
+            raw[key] = draw(st.lists(_FLOATS, min_size=1, max_size=3))
+    if kind == "couple" and draw(st.booleans()):
+        raw["eval_horizon"] = draw(st.floats(0.01, 1.0)) * horizon
+    if draw(st.booleans()):
+        raw["couple_tol"] = draw(st.floats(0.0, 1.0))
+    raw["field.name"] = draw(st.sampled_from(["constant", "sin", "log-modulus"]))
+    raw.update({f"field.{k}": v for k, v in draw(_PARAMS).items()})
+    if kind in ("solve", "modulus") or draw(st.booleans()):
+        raw["terminal.name"] = draw(st.sampled_from(["gaussian-bump", "linear"]))
+        raw.update({f"terminal.{k}": v for k, v in draw(_PARAMS).items()})
+    return _render(raw)
 
 
 class TestParser:
@@ -51,6 +97,13 @@ class TestValidation:
         # the echo is itself a valid raw config with identical content
         cfg2 = validate_config(echo)
         assert cfg2 == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_config_texts())
+    def test_resolved_text_round_trips(self, text):
+        # config text -> resolved() -> config text gives the same config
+        cfg = validate_config(parse_config_text(text))
+        assert validate_config(parse_config_text(_render(cfg.resolved()))) == cfg
 
     @pytest.mark.parametrize("mutation,match", [
         ("kind = dance", "kind"),
@@ -105,3 +158,4 @@ class TestValidation:
         p.write_text(GOOD)
         cfg = load_config(p)
         assert cfg.kind == "couple"
+

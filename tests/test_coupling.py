@@ -3,7 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
                       RngStream, TimeGrid, ZERO_MODULUS, bm_coupling_expectation,
@@ -13,8 +14,9 @@ from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
 from couplemc.coupling import simulate_coupled_block
 from couplemc.errors import (DegenerateDirectionError, DiniDivergenceError,
                              SimulationDivergedError, ValidationError)
-from couplemc.registry import (make_constant_field, make_constant_terminal,
-                               make_sin_field)
+from couplemc.registry import (build_field, make_constant_field,
+                               make_constant_terminal, make_sin_field)
+from couplemc.sde_engine import simulate_terminal
 
 
 class TestReflector:
@@ -29,6 +31,23 @@ class TestReflector:
             assert np.allclose(H, H.T, atol=1e-12)
             v = np.linalg.solve(sig, xi)
             assert np.allclose(H @ v, -v, atol=1e-12 * np.linalg.norm(v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 5), data=st.data())
+    def test_properties_for_random_spd_sigma(self, d, data):
+        # orthogonal, symmetric, and maps sigma^-1 xi to its negative for
+        # any SPD sigma = M M^T + eps I and nonzero xi
+        entries = st.floats(-2.0, 2.0)
+        M = data.draw(arrays(float, (d, d), elements=entries))
+        eps = data.draw(st.floats(0.05, 2.0))
+        xi = data.draw(arrays(float, d, elements=entries))
+        assume(np.linalg.norm(xi) > 1e-3)
+        sig = M @ M.T + eps * np.eye(d)
+        H = reflection_matrix(sig, xi)
+        assert np.allclose(H @ H.T, np.eye(d), atol=1e-12)
+        assert np.allclose(H, H.T, atol=1e-12)
+        v = np.linalg.solve(sig, xi)
+        assert np.allclose(H @ v, -v, atol=1e-12 * np.linalg.norm(v))
 
     def test_batched(self):
         rng = np.random.default_rng(1)
@@ -284,3 +303,47 @@ class TestLyapunov:
             LyapunovParams(gamma=0.0, rho=ZERO_MODULUS)
         with pytest.raises(ValidationError):
             lyapunov_f(LyapunovParams(gamma=1.0, rho=ZERO_MODULUS), -1.0)
+
+
+# every built-in field whose sigma is declared as a scale, with the
+# dimensions it supports
+SCALE_FIELDS = {"sin": (1, 2, 3), "power-modulus": (1, 2, 3),
+                "log-modulus": (1, 2, 3), "sgn-drift": (1,)}
+SCALE_PARAMS = {"sin": {"c0": 0.2}, "log-modulus": {"alpha": 0.5}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from([(name, d) for name, dims in sorted(SCALE_FIELDS.items())
+                             for d in dims]),
+       seed=st.integers(0, 2**64 - 1), n=st.integers(1, 30),
+       steps=st.integers(1, 60), x0=st.floats(-1.0, 1.0),
+       d0=st.floats(0.0, 0.5), tol_factor=st.sampled_from([0.0, 1.0, 10.0]))
+def test_scale_sigma_matches_matrix_sigma(case, seed, n, steps, x0, d0, tol_factor):
+    # sigma declared as the scale s (n,) and the same field with sigma given
+    # as the matrices s I drive every simulation to the same bytes: s dW is
+    # the matrix product, and xi / s the solve the pair step reflects with
+    name, dim = case
+    params = {"dim": dim, **SCALE_PARAMS.get(name, {})} if name != "sgn-drift" else {}
+    f = build_field(name, params)
+    assert f.sigma(0.0, np.zeros((3, dim))).shape == (3,)
+    eye = np.eye(dim)
+    m = dataclasses.replace(f, sigma=lambda t, x: f.sigma(t, x)[:, None, None] * eye)
+    grid = TimeGrid(1.0, steps)
+    tol = tol_factor * default_couple_tol(grid, f)
+    x = np.full(dim, x0)
+    z = x + d0 * np.linspace(1.0, 0.5, dim)
+
+    def run(field):
+        rng = RngStream(seed)
+        out = list(simulate_terminal(field, x, grid, rng, 0, n))
+        out.append(simulate_coupled_block(field, x, z, grid, rng, 0, n, tol))
+        out += simulate_coupled_block(field, x, z, grid, rng, 0, n, tol,
+                                      want_terminal=True)
+        pair = simulate_coupled(field, x, z, grid, rng, couple_tol=tol,
+                                path_index=n)
+        return out + [pair.path_x.states, pair.path_z.states,
+                      pair.path_x.weight_log, pair.path_z.weight_log,
+                      np.array([pair.tau_time])]
+
+    for a, b in zip(run(f), run(m), strict=True):
+        assert a.tobytes() == b.tobytes()

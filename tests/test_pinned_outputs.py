@@ -19,7 +19,8 @@ from couplemc import (RngStream, TimeGrid, coupling, coupling_times,
 from couplemc.cli import run_experiment
 from couplemc.config import load_config
 from couplemc.coupling import simulate_coupled_block
-from couplemc.registry import make_constant_field, make_sin_field
+from couplemc.registry import (make_constant_field, make_log_modulus_field,
+                               make_power_modulus_field, make_sin_field)
 from couplemc.sde_engine import simulate_path, simulate_terminal
 
 GRID = TimeGrid(1.0, 200)
@@ -78,6 +79,19 @@ def _coupled_1d_sin():
             np.array([pair.tau_time])]
 
 
+def _terminal_2d_power_modulus():
+    f = make_power_modulus_field(dim=2, height=0.5, alpha=0.5)
+    return list(simulate_coupled_block(f, [0.05, 0.0], [0.25, 0.1], GRID,
+                                       RngStream(111), 0, N, 0.05,
+                                       want_terminal=True))
+
+
+def _simulate_terminal_2d_log_modulus():
+    f = make_log_modulus_field(dim=2, height=0.5, alpha=2.0)
+    return list(simulate_terminal(f, np.array([0.05, -0.1]), GRID,
+                                  RngStream(112), 0, N))
+
+
 CASES = {
     "tau-1d-constant": (_tau_1d_constant, "ee64ad276616f871"),
     "terminal-1d-sin": (_terminal_1d_sin, "16986a20041e0e7c"),
@@ -87,6 +101,8 @@ CASES = {
     "terminal-2d-sin": (_terminal_2d_sin, "46774871bbe714dc"),
     "path-1d-sin": (_path_1d_sin, "dd2574df97c94de5"),
     "coupled-1d-sin": (_coupled_1d_sin, "560d6a397b6f21db"),
+    "terminal-2d-power-modulus": (_terminal_2d_power_modulus, "a83a049f4b1d3abe"),
+    "simulate-terminal-2d-log-modulus": (_simulate_terminal_2d_log_modulus, "a13cd60140626efb"),
 }
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
-from couplemc import RngStream, TimeGrid, mean_stderr, run_path_blocks, sde_engine
+from couplemc import (RngStream, TimeGrid, coupling, mean_stderr, run_path_blocks,
+                      sde_engine)
 from couplemc.errors import SimulationDivergedError, ValidationError
 from couplemc.registry import make_constant_field, make_sin_field
 from couplemc.sde_engine import (feynman_kac_weight, path_tile,
@@ -56,6 +57,19 @@ class TestRngStream:
         assert np.all(np.isfinite(z))
         assert abs(z.mean()) < 0.03
         assert abs(z.std() - 1.0) < 0.02
+
+    def test_top_uniform_gives_a_finite_normal(self, monkeypatch):
+        # the shift into (0, 1) rounds the largest uniform, 1 - 2^-53, up
+        # to 1.0 unless it is clamped, and ndtri(1.0) = inf would read as
+        # a divergence; every driver's draws map it to a finite normal
+        top = 1.0 - 2.0**-53
+        monkeypatch.setattr(RngStream, "uniforms", lambda self, paths, lo, hi, d:
+                            np.full((len(paths), hi - lo, d), top))
+        rng = RngStream(0)
+        assert np.isfinite(rng.normals([0, 1], 0, 4, 2)).all()
+        dW, _ = coupling._pair_draws(rng, [0, 1], 0, 4, 1, 0.01)
+        assert np.isfinite(dW).all()
+        assert np.isfinite(simulate_brownian_running_max(1.0, 2, 4, rng)).all()
 
 
 class TestTimeGrid:
