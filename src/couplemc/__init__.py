@@ -27,7 +27,7 @@ from .fk_solver import (ModulusExperimentConfig, ResultTable, SolveRequest,
                         expected_regime, fit_result_table, modulus_experiment,
                         solve_difference_coupled, solve_u)
 from .oracles import (RunningMaxBounds, RunningMaxQuery,
-                      bm_coupling_expectation, heat_kernel,
+                      bm_coupling_expectation, bm_coupling_survival, heat_kernel,
                       running_max_bounds, sgn_drift_density,
                       sgn_drift_solution)
 from .registry import (FIELD_BUILDERS, TERMINAL_BUILDERS, TerminalFunction,

@@ -15,12 +15,16 @@ test runs.  Legs of pairs that have met take ``sde_engine.euler_step``.
 Three drivers run these steps:
 
 * the tau-only driver (``simulate_coupled_block``, ``coupling_times``)
-  keeps the uncoupled pairs compacted and draws in chunks that grow as
-  the pairs couple.  For a 1D field that declares a constant sigma
+  runs the survivor loop ``_unmet_pairs``: it keeps the unmet pairs
+  compacted, steps nothing else, and draws in chunks that grow as the
+  pairs couple.  For a 1D field that declares a constant sigma
   (``CoefficientField.sigma_scalar``) and b = 0 it scans each chunk a
   sub-block of steps at a time (``_scan_chunk``) instead of taking one
   ``pair_step`` per node, with the same nodes, hits and divergence steps
-  bit for bit; every other field takes the step loop;
+  bit for bit; every other field takes the step loop.  The coupled
+  difference ``fk_solver.solve_difference_coupled`` runs the same loop up
+  to the horizon for a field with c = 0, where a pair that has met adds
+  exactly nothing: the states of the unmet pairs are all it needs;
 * the terminal driver (``simulate_coupled_block(want_terminal=True)``)
   carries every pair to the horizon with the c-integrals of both legs;
 * the recorder ``simulate_coupled`` is a batch of one that stores every
@@ -123,21 +127,24 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
 
     Both legs take the Euler update, Z with the increments reflected
     across sigma(Z)^-1 (X - Z): (X - Z) / s for sigma = s I, and simply
-    -dW in 1D.  hit marks the pairs that meet in the step: |X - Z| <=
-    couple_tol at the new node or, in 1D, a zero crossing of the
-    separation's Brownian bridge, tested with the uniforms u_bridge (None
-    in d >= 2).  Raises SimulationDivergedError(k + 1) when a state is not
-    finite.
+    -dW in 1D.  A field's declared constant scale ``sigma_scalar`` is used
+    as it is, without evaluating sigma.  hit marks the pairs that meet in
+    the step: |X - Z| <= couple_tol at the new node or, in 1D, a zero
+    crossing of the separation's Brownian bridge, tested with the uniforms
+    u_bridge (None in d >= 2).  Raises SimulationDivergedError(k + 1) when
+    a state is not finite.
     """
     t, dt = grid.horizon - k * grid.dt, grid.dt
     xi = X - Z
-    sig_x = sigma_batch(field, t, X)
-    sig_z = sigma_batch(field, t, Z)
+    sig_x = sig_z = field.sigma_scalar
+    if sig_x is None:
+        sig_x = sigma_batch(field, t, X)
+        sig_z = sigma_batch(field, t, Z)
     if field.dim == 1:
         hdw = -dW
     else:
         # for sigma = s I, xi / s rounds as solve(s I, xi) does
-        v = xi / sig_z if sig_z.ndim == 2 else np.linalg.solve(sig_z, xi[..., None])[..., 0]
+        v = xi / sig_z if np.ndim(sig_z) < 3 else np.linalg.solve(sig_z, xi[..., None])[..., 0]
         hdw = _reflect_increments(v, dW)
     X_next = euler_update(field, t, dt, X, sig_x, dW)
     Z_next = euler_update(field, t, dt, Z, sig_z, hdw)
@@ -152,8 +159,8 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     # test fires surely.  Below -700 exp is under 1e-304, which no nonzero
     # uniform undercuts; clamping there keeps exp off its slow underflow path
     a, b = xi[:, 0], xi_next[:, 0]
-    s = sig_x[:, 0] + sig_z[:, 0]
-    p_cross = np.exp(np.maximum(-2.0 * a * b / (s**2 * dt), -700.0))
+    s = np.ravel(sig_x + sig_z)  # (n,), or the declared s + s as (1,)
+    p_cross = np.exp(np.maximum(-2.0 * a * b / (s * s * dt), -700.0))
     return X_next, Z_next, (np.abs(b) <= couple_tol) | (u_bridge < p_cross)
 
 
@@ -189,19 +196,43 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     Per-path results depend only on (seed, path index) and the arguments,
     never on block boundaries, so any partitioning reproduces them.
     """
+    if want_terminal:
+        paths, tau_step, X, Z = _start_pairs(field, x, z, path_lo, path_hi, couple_tol)
+        # overflow is handled by the finite checks, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z)
+    stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
+    return _unmet_pairs(field, x, z, grid, rng, path_lo, path_hi, couple_tol, stop)[0]
+
+
+def _start_pairs(field, x, z, path_lo, path_hi, couple_tol):
+    """The path indices, the coupling steps (0 if x and z already meet,
+    else -1) and the start states X, Z of a block of pairs."""
     d, n = field.dim, path_hi - path_lo
     x, z = as_point(x, d), as_point(z, d)
     paths = np.arange(path_lo, path_hi, dtype=np.uint64)
     met = float(np.linalg.norm(x - z)) <= couple_tol
     tau_step = np.full(n, 0 if met else -1, dtype=np.int64)
-    X, Z = np.tile(x, (n, 1)), np.tile(z, (n, 1))
+    return paths, tau_step, np.tile(x, (n, 1)), np.tile(z, (n, 1))
+
+
+def _unmet_pairs(field, x, z, grid, rng, path_lo, path_hi, couple_tol, stop):
+    """Pairs of [path_lo, path_hi) stepped only until they meet or reach
+    node stop; returns (tau_step, rows, X, Z): the coupling steps (-1 for
+    pairs unmet at stop), and the local ids and states at stop of the
+    unmet pairs, in path order.
+
+    The unmet pairs are kept compacted and drawn in chunks that grow as
+    the pairs meet.  A 1D field that declares a constant sigma and b = 0
+    is scanned a sub-block of steps at a time (``_scan_chunk``); every
+    other field takes one ``pair_step`` per node."""
+    d = field.dim
+    paths, tau_step, X, Z = _start_pairs(field, x, z, path_lo, path_hi, couple_tol)
+    rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
+    X, Z = X[rows], Z[rows]
+    scan = d == 1 and field.sigma_scalar is not None and field.b_sup == 0.0
     # overflow is handled by the finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if want_terminal:
-            return _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z)
-        stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
-        rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
-        scan = d == 1 and field.sigma_scalar is not None and field.b_sup == 0.0
         # the fewer survivors, the longer the chunk
         for k, k_hi in draw_chunks(stop, _CHUNK_BUDGET,
                                    lambda: (2 if d == 1 else d) * rows.size):
@@ -224,7 +255,7 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
             # free this chunk's draws before the next chunk is drawn, so
             # that two chunks are never held at once
             del dW, u
-    return tau_step
+    return tau_step, rows, X, Z
 
 
 def _scan_steps(n_pairs: int) -> int:
@@ -244,7 +275,7 @@ def _scan_chunk(s, dt, couple_tol, k, dW, u, rows, X, Z, tau_step):
     every node, hit and divergence step equals the step loop's bit for
     bit.  A pair's first hit is its coupling step; the survivors are
     compacted between sub-blocks."""
-    denom = (s + s) * (s + s) * dt  # (sig_x + sig_z)**2 * dt of pair_step
+    denom = (s + s) * (s + s) * dt  # s * s * dt of pair_step, s = sig_x + sig_z
     dpos = np.arange(rows.size)  # row into this chunk's draws
     j, n_steps = 0, dW.shape[1]
     while j < n_steps and rows.size:

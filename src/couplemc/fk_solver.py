@@ -12,9 +12,9 @@ import numpy as np
 
 from .analysis import fit_log_corrected, fit_power_law
 from .coefficients import CoefficientField, classify_dini
-from .coupling import default_couple_tol, simulate_coupled_block
+from .coupling import _unmet_pairs, default_couple_tol, simulate_coupled_block
 from .errors import ValidationError
-from .sde_engine import (RngStream, TimeGrid, mean_stderr, path_tile,
+from .sde_engine import (RngStream, TimeGrid, as_point, mean_stderr, path_tile,
                          run_path_blocks, simulate_terminal)
 
 
@@ -60,16 +60,32 @@ def solve_difference_coupled(req: SolveRequest, z, rng: RngStream,
     (up to the pre-coupling c-integral discrepancy), so the variance
     shrinks with |x - z|.  With with_taus=True also returns the per-path
     capped coupling times.
+
+    For a field that declares c = 0 (``c_sup == 0``) a pair that meets
+    adds exactly 0.0, so only the unmet pairs are stepped, up to the
+    horizon, and a leg is not stepped after its pair meets (a blow-up
+    after the meeting is therefore not reported; bounded coefficients
+    and the clamped uniforms cannot produce one).  The unmet pairs give
+    f(X_T) - f(Z_T), the bytes of the terminal driver's
+    f(X_T) exp(0) - f(Z_T) exp(0).  Other fields carry both legs with
+    their c-integrals to the horizon.
     """
     if couple_tol is None:
         couple_tol = default_couple_tol(req.grid, req.field)
+    x, f, grid = req.eval_point, req.terminal, req.grid
 
     def worker(lo, hi):
-        tau, X, wx, Z, wz = simulate_coupled_block(
-            req.field, req.eval_point, z, req.grid, rng, lo, hi,
-            couple_tol, want_terminal=True)
-        diff = req.terminal(X) * np.exp(wx) - req.terminal(Z) * np.exp(wz)
-        capped = np.where(tau >= 0, np.minimum(tau * req.grid.dt, req.horizon),
+        if req.field.c_sup == 0.0:
+            tau, rows, X, Z = _unmet_pairs(req.field, x, z, grid, rng, lo, hi,
+                                           couple_tol, grid.steps)
+            diff = np.zeros(hi - lo)
+            if rows.size:
+                diff[rows] = f(X) - f(Z)
+        else:
+            tau, X, wx, Z, wz = simulate_coupled_block(
+                req.field, x, z, grid, rng, lo, hi, couple_tol, want_terminal=True)
+            diff = f(X) * np.exp(wx) - f(Z) * np.exp(wz)
+        capped = np.where(tau >= 0, np.minimum(tau * grid.dt, req.horizon),
                           req.horizon)
         return diff, capped
 
@@ -97,6 +113,13 @@ class ModulusExperimentConfig:
         dist = np.asarray(self.distances, dtype=float)
         if np.any(dist <= 0) or np.any(np.diff(dist) >= 0):
             raise ValidationError("distances must be positive and strictly decreasing")
+        d = self.field.dim
+        if not np.isfinite(as_point(self.base_point, d, "base_point")).all():
+            raise ValidationError("base_point must be finite")
+        e = as_point(self.direction, d, "direction")
+        with np.errstate(over="ignore"):
+            if not 0.0 < np.linalg.norm(e) < np.inf:
+                raise ValidationError("direction must have a nonzero, finite length")
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Includes the explicit fundamental solution for the 1D equation with drift
 -theta*sgn(x), constant-coefficient Gaussian kernels, Brownian
-running-maximum laws, and the exact mean capped coupling time of the 1D
-reflection-coupled Brownian pair.
+running-maximum laws, and the exact survival curve and mean capped
+coupling time of the 1D reflection-coupled Brownian pair.
 """
 
 from __future__ import annotations
@@ -116,22 +116,28 @@ def running_max_bounds(q: RunningMaxQuery) -> RunningMaxBounds:
                             exact=float(exact))
 
 
+def bm_coupling_survival(d0: float, t):
+    """Exact P(tau > t) for the 1D reflection-coupled Brownian pair started
+    a distance d0 apart: 2*Phi(d0 / (2 sqrt(t))) - 1, vectorized over t.
+
+    The separation is a martingale with quadratic variation 4s, so tau is
+    the first time a Brownian motion of variance 4s travels d0.
+    """
+    if d0 <= 0.0 or np.any(np.asarray(t) <= 0.0):
+        raise ValidationError("need d0 > 0 and t > 0")
+    # 2*Phi(u) - 1 = erf(u / sqrt(2))
+    return erf(d0 / (2.0 * np.sqrt(t)) / np.sqrt(2.0))
+
+
 def bm_coupling_expectation(d0: float, t: float) -> float:
     """Exact E[t ^ tau] for the 1D reflection-coupled Brownian pair started
-    a distance d0 apart.
-
-    The separation is a martingale with quadratic variation 4s, so the
-    survival probability is P(tau > s) = 2*Phi(d0 / (2 sqrt(s))) - 1 and
-    the answer is its integral over [0, t].
+    a distance d0 apart: the integral of ``bm_coupling_survival`` over
+    [0, t].
     """
     from scipy.integrate import quad
 
     if d0 <= 0.0 or t <= 0.0:
         raise ValidationError("need d0 > 0 and t > 0")
-
-    def survival(s):
-        # 2*Phi(u) - 1 = erf(u / sqrt(2))
-        return erf(d0 / (2.0 * np.sqrt(s)) / np.sqrt(2.0))
-
-    val, _ = quad(survival, 0.0, t, epsrel=1e-10, epsabs=0.0, limit=200)
+    val, _ = quad(lambda s: bm_coupling_survival(d0, s), 0.0, t,
+                  epsrel=1e-10, epsabs=0.0, limit=200)
     return val

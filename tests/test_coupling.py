@@ -8,9 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
                       RngStream, TimeGrid, ZERO_MODULUS, bm_coupling_expectation,
-                      coupling, coupling_time_expectation, coupling_times,
-                      default_couple_tol, lyapunov_f, reflection_matrix,
-                      SolveRequest, simulate_coupled, simulate_path, solve_u)
+                      bm_coupling_survival, coupling, coupling_time_expectation,
+                      coupling_times, default_couple_tol, lyapunov_f,
+                      reflection_matrix, SolveRequest, simulate_coupled,
+                      simulate_path, solve_difference_coupled, solve_u)
 from couplemc.coupling import simulate_coupled_block
 from couplemc.errors import (DegenerateDirectionError, DiniDivergenceError,
                              SimulationDivergedError, ValidationError)
@@ -168,6 +169,98 @@ class TestCoupledPair:
                 with np.errstate(over="ignore", invalid="ignore"):
                     run()
             assert exc.value.step_index == 2, name
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_difference_divergence_reports_the_step(self, dim):
+        # the field of test_divergence_reports_the_step has c = 0, so the
+        # coupled difference steps only the unmet pairs; Z overflows on
+        # the second step, before the pair meets
+        eye = np.eye(dim)
+        f = CoefficientField(
+            dim=dim, a=lambda t, x: np.broadcast_to(eye, (len(x), dim, dim)),
+            b=lambda t, x: 1e308 * x, c=lambda t, x: np.zeros(len(x)),
+            lam=1.0, b_sup=np.inf, c_sup=0.0,
+            sigma=lambda t, x: np.broadcast_to(eye, (len(x), dim, dim)))
+        req = SolveRequest(field=f, terminal=make_constant_terminal(1.0),
+                           eval_point=np.zeros(dim), n_paths=4, grid=TimeGrid(1.0, 64))
+        with pytest.raises(SimulationDivergedError) as exc:
+            with np.errstate(over="ignore", invalid="ignore"):
+                solve_difference_coupled(req, 0.1 * eye[0], RngStream(0))
+        assert exc.value.step_index == 2
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_declared_scale_needs_no_solve(self, dim, monkeypatch):
+        # the pair step of an isotropic constant field reads sigma_scalar
+        # and reflects across xi / s: no linear system is solved
+        f = make_constant_field(dim=dim, a0=2.0)
+        assert f.sigma_scalar is not None
+        grid = TimeGrid(1.0, 50)
+        x, z = np.zeros(dim), 0.1 * np.eye(dim)[0]
+        tol = default_couple_tol(grid, f)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        coupling_times(f, x, z, grid, RngStream(0), 20)
+        simulate_coupled_block(f, x, z, grid, RngStream(0), 0, 20, tol,
+                               want_terminal=True)
+        simulate_coupled(f, x, z, grid, RngStream(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 3), seed=st.integers(0, 2**64 - 1),
+           n=st.integers(1, 30), steps=st.integers(1, 80),
+           a0=st.floats(0.05, 20.0), c0=st.sampled_from([0.0, 0.3]),
+           d0=st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
+           tol_factor=st.sampled_from([0.0, 1.0, 10.0]))
+    def test_declared_scale_matches_sigma_matrices(self, dim, seed, n, steps, a0,
+                                                   c0, d0, tol_factor):
+        # an isotropic constant field's pair step with the declared scale s
+        # and the same field stepped through its sigma matrices s I (solve
+        # and einsum) give the same bytes on every coupled driver
+        f = make_constant_field(dim=dim, a0=a0, c0=c0)
+        assume(f.sigma_scalar is not None)
+        m = dataclasses.replace(f, sigma_scalar=None)
+        grid = TimeGrid(1.0, steps)
+        tol = tol_factor * default_couple_tol(grid, f)
+        x = np.full(dim, 0.2)
+        z = x + d0 * np.linspace(1.0, 0.5, dim)
+
+        def run(field):
+            rng = RngStream(seed)
+            out = [simulate_coupled_block(field, x, z, grid, rng, 0, n, tol)]
+            out += simulate_coupled_block(field, x, z, grid, rng, 0, n, tol,
+                                          want_terminal=True)
+            pair = simulate_coupled(field, x, z, grid, rng, couple_tol=tol,
+                                    path_index=n)
+            return out + [pair.path_x.states, pair.path_z.states]
+
+        for a, b in zip(run(f), run(m), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("a0", [1.0, 2.0])
+    @pytest.mark.parametrize("declared", [True, False], ids=["scan", "step-loop"])
+    def test_survival_curve_matches_exact_law(self, a0, declared):
+        # the empirical P(tau > t_k) of the 1D tau driver against the exact
+        # law of the reflection-coupled Brownian pair at 20 nodes, inside a
+        # Bonferroni-corrected binomial band of total level 1e-3.  With
+        # couple_tol = 0 only the bridge test declares a meeting, which is
+        # exact in law for constant sigma; the coarse grid makes the bridge
+        # test carry most of the meetings (a bridge variance 10% off leaves
+        # the band), and a0 = 2 checks the scaling d0 |sigma^-1 e|
+        from scipy.stats import binom
+
+        f = make_constant_field(dim=1, a0=a0)
+        if not declared:
+            f = dataclasses.replace(f, sigma_scalar=None)
+        grid = TimeGrid(1.0, 100)
+        n, d0, alpha = 50_000, 0.2, 1e-3
+        ks = np.arange(5, 101, 5)
+        taus = coupling_times(f, [0.0], [d0], grid, RngStream(13), n, couple_tol=0.0)
+        alive = np.array([np.sum((taus < 0) | (taus > k)) for k in ks])
+        p = bm_coupling_survival(d0 / np.sqrt(a0), ks * grid.dt)
+        lo, hi = binom.interval(1.0 - alpha / len(ks), n, p)
+        assert np.all((lo <= alive) & (alive <= hi)), (alive / n, p)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 300),

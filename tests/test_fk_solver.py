@@ -1,13 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from couplemc import (ModulusExperimentConfig, ResultTable, RngStream,
-                      SolveRequest, TimeGrid, expected_regime, fk_solver,
+                      SolveRequest, TimeGrid, coupling, expected_regime, fk_solver,
                       fit_result_table, mean_stderr, modulus_experiment,
                       sde_engine, solve_difference_coupled, solve_u)
 from couplemc.coefficients import ModulusOfContinuity
+from couplemc.coupling import simulate_coupled_block
 from couplemc.errors import ValidationError
-from couplemc.registry import (make_constant_field, make_constant_terminal,
+from couplemc.registry import (build_field, make_constant_field, make_constant_terminal,
                                make_gaussian_bump, make_log_modulus_field,
                                make_power_modulus_field, make_sin_field)
 from couplemc.sde_engine import simulate_terminal
@@ -101,6 +105,86 @@ class TestCoupledDifference:
         assert se_c < np.hypot(se_a, se_b)
 
 
+# fields with c = 0 and the dimensions they support; "constant" takes a
+# drawn scalar a0 (a declared scale), "anisotropic" a full matrix
+ZERO_C_FIELDS = [(name, d) for name in ("sin", "power-modulus", "log-modulus",
+                                        "constant") for d in (1, 2, 3)]
+ZERO_C_FIELDS += [("anisotropic", 2), ("anisotropic", 3)]
+
+
+def _zero_c_field(name, dim, a0):
+    if name == "constant":
+        return make_constant_field(dim=dim, a0=a0)
+    if name == "anisotropic":
+        A = np.diag(np.linspace(a0, 1.0, dim))
+        A[0, 1] = A[1, 0] = 0.2
+        return make_constant_field(dim=dim, a0=A)
+    return build_field(name, {"dim": dim, **({"alpha": 0.5} if name == "log-modulus" else {})})
+
+
+class TestZeroPotentialDifference:
+    @settings(max_examples=120, deadline=None)
+    @given(case=st.sampled_from(ZERO_C_FIELDS), seed=st.integers(0, 2**64 - 1),
+           n=st.integers(2, 40), steps=st.integers(1, 80),
+           offset=st.sampled_from([0, 7, 2**40]), a0=st.floats(0.5, 4.0),
+           x0=st.floats(-1.0, 1.0), d0=st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
+           tol_factor=st.sampled_from([0.0, 1.0, 10.0]),
+           budget=st.sampled_from([None, 450]))
+    def test_matches_terminal_driver(self, case, seed, n, steps, offset, a0, x0,
+                                     d0, tol_factor, budget):
+        # with c = 0 only the unmet pairs are stepped; mean, standard error
+        # and capped taus are the bytes of the terminal driver's
+        # f(X) exp(wx) - f(Z) exp(wz), the estimator used for every field
+        # before, applied to the same pairs
+        name, dim = case
+        f = _zero_c_field(name, dim, a0)
+        assert f.c_sup == 0.0
+        term = make_gaussian_bump(0.3, 0.8)
+        grid = TimeGrid(1.0, steps)
+        tol = tol_factor * coupling.default_couple_tol(grid, f)
+        x = np.full(dim, x0)
+        z = x + d0 * np.linspace(1.0, 0.5, dim)
+        req = SolveRequest(field=f, terminal=term, eval_point=x, n_paths=n, grid=grid)
+        with mock.patch.object(coupling, "_CHUNK_BUDGET",
+                               budget or coupling._CHUNK_BUDGET):
+            mean, se, taus = solve_difference_coupled(
+                req, z, RngStream(seed), couple_tol=tol, path_offset=offset,
+                with_taus=True)
+            tau, X, wx, Z, wz = simulate_coupled_block(
+                f, x, z, grid, RngStream(seed), offset, offset + n, tol,
+                want_terminal=True)
+        diff = term(X) * np.exp(wx) - term(Z) * np.exp(wz)
+        capped = np.where(tau >= 0, np.minimum(tau * grid.dt, grid.horizon),
+                          grid.horizon)
+        assert np.array([mean, se]).tobytes() == np.array(mean_stderr(diff)).tobytes()
+        assert taus.tobytes() == capped.tobytes()
+
+    @pytest.mark.parametrize("c0", [0.0, 0.2])
+    def test_met_legs_are_not_stepped(self, c0, monkeypatch):
+        # with c = 0 a leg is updated only while its pair is unmet: two leg
+        # updates per unmet pair-step; with c > 0 every X leg runs to the
+        # horizon
+        f = make_sin_field(dim=1, amp=0.4, c0=c0)
+        req = _request(f, make_gaussian_bump(0.0, 1.0), n_paths=300, steps=100)
+        rows = []
+        update = sde_engine.euler_update
+
+        def counted(field, t, dt, X, sig, dW):
+            rows.append(len(X))
+            return update(field, t, dt, X, sig, dW)
+
+        for mod in (sde_engine, coupling):
+            monkeypatch.setattr(mod, "euler_update", counted)
+        _, _, taus = solve_difference_coupled(req, np.array([0.05]), RngStream(3),
+                                              with_taus=True)
+        unmet_steps = int(np.round(taus / req.grid.dt).sum())
+        assert 0 < unmet_steps < 300 * 100
+        if c0 == 0.0:
+            assert sum(rows) == 2 * unmet_steps
+        else:
+            assert sum(rows) == 300 * 100 + 2 * unmet_steps
+
+
 class TestResultTable:
     def test_csv_shortest_roundtrip(self):
         t = ResultTable(columns=["a", "b"], rows=[(0.1, 3), (1.0 / 3.0, True)])
@@ -135,6 +219,24 @@ class TestRegimes:
         with pytest.raises(ValidationError):
             ModulusExperimentConfig(distances=(0.1, 0.2), **kw)
         ModulusExperimentConfig(distances=(0.2, 0.1), **kw)
+
+    @pytest.mark.parametrize("key,value", [
+        ("base_point", [np.nan]), ("base_point", [np.inf]),
+        ("direction", [0.0]), ("direction", [np.inf]), ("direction", [np.nan]),
+        ("direction", [1e308, 1e308]), ("direction", [1.0]),
+        ("base_point", [0.0]), ("base_point", [0.0, 0.0, 0.0])],
+        ids=["nan-point", "inf-point", "zero-direction", "inf-direction",
+             "nan-direction", "overflowing-direction", "short-direction",
+             "short-point", "long-point"])
+    def test_placement_validation(self, key, value):
+        # a point or direction that does not fit the 2D field is rejected
+        # when the config is built, not broadcast or reported as diverged
+        kw = dict(field=make_sin_field(dim=2), terminal=make_gaussian_bump(0.0, 1.0),
+                  base_point=np.zeros(2), direction=np.array([1.0, 0.0]),
+                  distances=(0.2, 0.1), grid=TimeGrid(1.0, 10), n_paths=10)
+        kw[key] = np.array(value)
+        with pytest.raises(ValidationError, match=key):
+            ModulusExperimentConfig(**kw)
 
 
 class TestModulusExperiment:

@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
-from couplemc import (RunningMaxQuery, bm_coupling_expectation, heat_kernel,
+from couplemc import (RunningMaxQuery, bm_coupling_expectation,
+                      bm_coupling_survival, heat_kernel,
                       running_max_bounds, sgn_drift_density,
                       sgn_drift_solution)
 from couplemc.errors import ValidationError
@@ -134,3 +135,26 @@ class TestCouplingExpectation:
             bm_coupling_expectation(0.0, 1.0)
         with pytest.raises(ValidationError):
             bm_coupling_expectation(0.1, 0.0)
+
+
+class TestCouplingSurvival:
+    def test_against_first_passage_law(self):
+        # tau is the first time a Brownian motion of variance 4s travels
+        # d0, so P(tau > t) = 1 - 2 P(N(0, 4t) > d0) by reflection
+        d0, t = 0.3, np.array([0.01, 0.2, 1.0, 5.0])
+        exact = 1.0 - 2.0 * norm.sf(d0 / (2.0 * np.sqrt(t)))
+        assert np.allclose(bm_coupling_survival(d0, t), exact, rtol=1e-12, atol=1e-15)
+        assert np.all(np.diff(bm_coupling_survival(d0, t)) < 0)
+
+    def test_expectation_integrates_it(self):
+        # the expectation is the quadrature of this survival function
+        d0, t = 0.15, 0.8
+        val, _ = quad(lambda s: bm_coupling_survival(d0, s), 0.0, t,
+                      epsrel=1e-10, epsabs=0.0, limit=200)
+        assert bm_coupling_expectation(d0, t) == val
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValidationError):
+            bm_coupling_survival(0.0, 1.0)
+        with pytest.raises(ValidationError):
+            bm_coupling_survival(0.1, np.array([0.5, 0.0]))
