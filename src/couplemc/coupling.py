@@ -17,7 +17,8 @@ Three drivers run these steps:
 * the tau-only driver (``simulate_coupled_block``, ``coupling_times``)
   runs the survivor loop ``_unmet_pairs``: it keeps the unmet pairs
   compacted, steps nothing else, and draws in chunks that grow as the
-  pairs couple.  For a 1D field that declares a constant sigma
+  pairs couple, all into one buffer that each thread keeps
+  (``_draw_buffer``).  For a 1D field that declares a constant sigma
   (``CoefficientField.sigma_scalar``) and b = 0 it scans each chunk a
   sub-block of steps at a time (``_scan_chunk``) instead of taking one
   ``pair_step`` per node, with the same nodes, hits and divergence steps
@@ -38,6 +39,7 @@ the coupling step of a pair does not depend on the driver.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +90,8 @@ class CouplingEstimate:
 # tau-only runs use one big block: per-path results never depend on the
 # partition, and a single block minimizes Python-loop overhead
 _TAUS_BLOCK = 1 << 22
+# the survivor loop's draw buffer, one per thread (_draw_buffer)
+_draws = threading.local()
 
 
 def default_couple_tol(grid: TimeGrid, field: CoefficientField) -> float:
@@ -164,18 +168,19 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     return X_next, Z_next, (np.abs(b) <= couple_tol) | (u_bridge < p_cross)
 
 
-def _pair_draws(rng: RngStream, paths, k_lo: int, k_hi: int, d: int, dt: float):
+def _pair_draws(rng: RngStream, paths, k_lo: int, k_hi: int, d: int, dt: float,
+                buf: np.ndarray | None = None):
     """Increments (paths, steps, d) for steps [k_lo, k_hi) and, in 1D, the
     bridge uniforms (paths, steps); None in d >= 2.  In 1D both are views
     of one uniform buffer, whose first column is turned into increments
-    in place."""
+    in place.  With buf the draws are written into it (``RngStream.uniforms``)."""
     if d == 1:
-        u = rng.uniforms(paths, k_lo, k_hi, 2)
+        u = rng.uniforms(paths, k_lo, k_hi, 2, buf)
         dW = to_open_unit(u[:, :, :1])
         ndtri(dW, out=dW)
         dW *= np.sqrt(dt)
         return dW, u[:, :, 1]
-    dW = rng.normals(paths, k_lo, k_hi, d)
+    dW = rng.normals(paths, k_lo, k_hi, d, buf)
     dW *= np.sqrt(dt)
     return dW, None
 
@@ -231,12 +236,16 @@ def _unmet_pairs(field, x, z, grid, rng, path_lo, path_hi, couple_tol, stop):
     rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
     X, Z = X[rows], Z[rows]
     scan = d == 1 and field.sigma_scalar is not None and field.b_sup == 0.0
+    per_pair = 2 if d == 1 else d  # doubles drawn per pair and step
+    # every chunk is drawn into one buffer, which holds the largest chunk
+    # draw_chunks can make
+    buf = _draw_buffer(min(per_pair * rows.size * stop,
+                           max(_CHUNK_BUDGET, 16 * per_pair * rows.size)))
     # overflow is handled by the finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         # the fewer survivors, the longer the chunk
-        for k, k_hi in draw_chunks(stop, _CHUNK_BUDGET,
-                                   lambda: (2 if d == 1 else d) * rows.size):
-            dW, u = _pair_draws(rng, paths[rows], k, k_hi, d, grid.dt)
+        for k, k_hi in draw_chunks(stop, _CHUNK_BUDGET, lambda: per_pair * rows.size):
+            dW, u = _pair_draws(rng, paths[rows], k, k_hi, d, grid.dt, buf)
             if scan:
                 rows, X, Z = _scan_chunk(field.sigma_scalar, grid.dt, couple_tol,
                                          k, dW, u, rows, X, Z, tau_step)
@@ -252,10 +261,25 @@ def _unmet_pairs(field, x, z, grid, rng, path_lo, path_hi, couple_tol, stop):
                         rows, dpos, X, Z = rows[keep], dpos[keep], X[keep], Z[keep]
                         if not rows.size:
                             break
-            # free this chunk's draws before the next chunk is drawn, so
-            # that two chunks are never held at once
-            del dW, u
     return tau_step, rows, X, Z
+
+
+def _draw_buffer(n: int) -> np.ndarray:
+    """A float64 array of at least n entries for the draws of the survivor
+    loop.  Up to _CHUNK_BUDGET entries it is the calling thread's buffer of
+    that size, kept between calls.
+
+    The loop's chunks change size as pairs meet.  A fresh array per chunk
+    or per call leaves it to malloc whether a freed chunk is reused or the
+    heap grows by another one, which made the peak memory of identical
+    runs differ by a chunk; a fresh mapping per call instead costs its page
+    faults, about 15 ms per 32 MB on a 2-core VM."""
+    if n > _CHUNK_BUDGET:
+        return np.empty(n)
+    buf = getattr(_draws, "buf", None)
+    if buf is None or buf.size != _CHUNK_BUDGET:
+        buf = _draws.buf = np.empty(_CHUNK_BUDGET)
+    return buf
 
 
 def _scan_steps(n_pairs: int) -> int:

@@ -90,11 +90,16 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
 
-    def uniforms(self, path_indices, step_lo: int, step_hi: int, dim: int) -> np.ndarray:
-        """Uniform[0, 1) draws, shape (paths, steps, dim)."""
+    def uniforms(self, path_indices, step_lo: int, step_hi: int, dim: int,
+                 buf: np.ndarray | None = None) -> np.ndarray:
+        """Uniform[0, 1) draws, shape (paths, steps, dim).  With buf, a flat
+        float64 array of at least paths * steps * dim entries, the draws
+        are written to its leading entries and returned as a view of it."""
         paths = np.asarray(path_indices, dtype=np.uint64).tolist()
         n_steps = step_hi - step_lo
-        out = np.empty((len(paths), n_steps * dim))
+        shape = (len(paths), n_steps * dim)
+        # a buf too short fails the reshape
+        out = np.empty(shape) if buf is None else buf[:shape[0] * shape[1]].reshape(shape)
         blocks, rem = divmod(step_lo * dim, 4)
         bg = Philox()
         gen = Generator(bg)
@@ -113,9 +118,11 @@ class RngStream:
             gen.random(out=out[i])
         return out.reshape(len(paths), n_steps, dim)
 
-    def normals(self, path_indices, step_lo: int, step_hi: int, dim: int) -> np.ndarray:
-        """Standard normal increments, shape (paths, steps, dim)."""
-        u = to_open_unit(self.uniforms(path_indices, step_lo, step_hi, dim))
+    def normals(self, path_indices, step_lo: int, step_hi: int, dim: int,
+                buf: np.ndarray | None = None) -> np.ndarray:
+        """Standard normal increments, shape (paths, steps, dim), written
+        into buf as by ``uniforms``."""
+        u = to_open_unit(self.uniforms(path_indices, step_lo, step_hi, dim, buf))
         return ndtri(u, out=u)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 from unittest import mock
 
 import numpy as np
@@ -307,8 +308,8 @@ class TestCoupledPair:
         inject = {}  # path -> step whose increment is replaced
         pair_draws = coupling._pair_draws
 
-        def spoiled(rng, paths, k_lo, k_hi, d, dt):
-            dW, u = pair_draws(rng, paths, k_lo, k_hi, d, dt)
+        def spoiled(rng, paths, k_lo, k_hi, d, dt, buf=None):
+            dW, u = pair_draws(rng, paths, k_lo, k_hi, d, dt, buf)
             for p, k in inject.items():
                 row = np.flatnonzero(np.asarray(paths) == p)
                 if row.size and k_lo <= k < k_hi:
@@ -333,6 +334,42 @@ class TestCoupledPair:
         del inject[late]
         inject[early] = t_e
         assert step_index(f) is None and step_index(loop_f) is None
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_survivor_loop_draws_into_one_buffer(self, dim, monkeypatch):
+        # every chunk of the tau-only driver, whatever its size, is drawn
+        # into one buffer allocated once per call, with unchanged bytes
+        f = make_constant_field(dim=dim)
+        grid = TimeGrid(1.0, 300)
+        x, z = [0.0] * dim, [0.3] + [0.0] * (dim - 1)
+        default = coupling_times(f, x, z, grid, RngStream(5), 60)
+        calls = []
+        uniforms = RngStream.uniforms
+
+        def logged(self, paths, lo, hi, d, buf=None):
+            calls.append((buf, len(paths) * (hi - lo) * d))
+            return uniforms(self, paths, lo, hi, d, buf)
+
+        monkeypatch.setattr(RngStream, "uniforms", logged)
+        monkeypatch.setattr(coupling, "_CHUNK_BUDGET", 450)
+        small = coupling_times(f, x, z, grid, RngStream(5), 60)
+        assert np.array_equal(default, small)
+        assert len({size for _, size in calls}) >= 3
+        buf = calls[0][0]
+        assert all(b is buf for b, _ in calls)
+        assert max(size for _, size in calls) <= buf.size
+
+    def test_draw_buffer_is_kept_per_thread(self):
+        # up to the budget every call of a thread gets that thread's buffer
+        buf = coupling._draw_buffer(10)
+        assert buf.size == coupling._CHUNK_BUDGET
+        assert coupling._draw_buffer(coupling._CHUNK_BUDGET) is buf
+        assert coupling._draw_buffer(coupling._CHUNK_BUDGET + 1) is not buf
+        other = []
+        t = threading.Thread(target=lambda: other.append(coupling._draw_buffer(10)))
+        t.start()
+        t.join()
+        assert other[0] is not buf and other[0].size == buf.size
 
     @pytest.mark.parametrize("x,z", [([0.0], [0.1]), ([0.0, 0.0], [0.1]),
                                      ([0.0, 0.0, 0.0], [0.1, 0.0, 0.0])],

@@ -139,9 +139,9 @@ def test_chunk_boundaries_leave_bytes_unchanged(run, monkeypatch):
     starts = []
     uniforms = RngStream.uniforms
 
-    def logged(self, paths, lo, hi, d):
+    def logged(self, paths, lo, hi, d, buf=None):
         starts.append(lo * d)
-        return uniforms(self, paths, lo, hi, d)
+        return uniforms(self, paths, lo, hi, d, buf)
 
     monkeypatch.setattr(RngStream, "uniforms", logged)
     for mod in (sde_engine, coupling):

@@ -52,6 +52,19 @@ class TestRngStream:
             ref = Generator(Philox(key=key, counter=blocks)).random(rem + (hi - lo) * dim)
             assert np.array_equal(row.ravel(), ref[rem:])
 
+    def test_draws_into_a_buffer(self):
+        # with buf the draws fill its leading entries and equal fresh ones
+        rng = RngStream(3)
+        buf = np.full(100, -1.0)
+        u = rng.uniforms([2, 9], 5, 17, 3, buf)
+        assert np.shares_memory(u, buf) and np.all(buf[72:] == -1.0)
+        assert np.array_equal(u, rng.uniforms([2, 9], 5, 17, 3))
+        z = rng.normals([2, 9], 5, 17, 3, buf)
+        assert np.shares_memory(z, buf)
+        assert np.array_equal(z, rng.normals([2, 9], 5, 17, 3))
+        with pytest.raises(ValueError):
+            rng.uniforms([2, 9], 5, 17, 3, buf[:71])
+
     def test_normals_distribution(self):
         z = RngStream(1).normals(np.arange(200), 0, 50, 1).ravel()
         assert np.all(np.isfinite(z))
@@ -63,7 +76,7 @@ class TestRngStream:
         # to 1.0 unless it is clamped, and ndtri(1.0) = inf would read as
         # a divergence; every driver's draws map it to a finite normal
         top = 1.0 - 2.0**-53
-        monkeypatch.setattr(RngStream, "uniforms", lambda self, paths, lo, hi, d:
+        monkeypatch.setattr(RngStream, "uniforms", lambda self, paths, lo, hi, d, buf=None:
                             np.full((len(paths), hi - lo, d), top))
         rng = RngStream(0)
         assert np.isfinite(rng.normals([0, 1], 0, 4, 2)).all()
