@@ -19,8 +19,10 @@ from couplemc import (RngStream, TimeGrid, coupling, coupling_times,
 from couplemc.cli import run_experiment
 from couplemc.config import load_config
 from couplemc.coupling import simulate_coupled_block
-from couplemc.registry import (make_constant_field, make_log_modulus_field,
-                               make_power_modulus_field, make_sin_field)
+from couplemc.fk_solver import SolveRequest, solve_difference_coupled
+from couplemc.registry import (make_constant_field, make_gaussian_bump,
+                               make_log_modulus_field, make_power_modulus_field,
+                               make_sin_field)
 from couplemc.sde_engine import simulate_path, simulate_terminal
 
 GRID = TimeGrid(1.0, 200)
@@ -92,6 +94,33 @@ def _simulate_terminal_2d_log_modulus():
                                   RngStream(112), 0, N))
 
 
+def _tau_1d_sin():
+    # a non-constant sigma: the survivor loop steps pair by pair
+    return [coupling_times(make_sin_field(dim=1, amp=0.5), [0.0], [0.1], GRID,
+                           RngStream(113), N)]
+
+
+def _difference_sin(dim, seed):
+    # c = 0: only the unmet pairs are stepped, by the survivor loop
+    x = np.zeros(dim)
+    req = SolveRequest(field=make_sin_field(dim=dim, amp=0.5),
+                       terminal=make_gaussian_bump(center=x, width=0.5),
+                       eval_point=x, n_paths=N, grid=GRID)
+    z = x.copy()
+    z[0] = 0.1
+    mean, se, taus = solve_difference_coupled(req, z, RngStream(seed),
+                                              with_taus=True)
+    return [np.array([mean, se]), taus]
+
+
+def _difference_1d_sin():
+    return _difference_sin(1, 117)
+
+
+def _difference_2d_sin():
+    return _difference_sin(2, 118)
+
+
 CASES = {
     "tau-1d-constant": (_tau_1d_constant, "ee64ad276616f871"),
     "terminal-1d-sin": (_terminal_1d_sin, "16986a20041e0e7c"),
@@ -103,6 +132,9 @@ CASES = {
     "coupled-1d-sin": (_coupled_1d_sin, "560d6a397b6f21db"),
     "terminal-2d-power-modulus": (_terminal_2d_power_modulus, "a83a049f4b1d3abe"),
     "simulate-terminal-2d-log-modulus": (_simulate_terminal_2d_log_modulus, "a13cd60140626efb"),
+    "tau-1d-sin": (_tau_1d_sin, "9c4733769bb731a7"),
+    "difference-1d-sin": (_difference_1d_sin, "15f29533f733449f"),
+    "difference-2d-sin": (_difference_2d_sin, "0a641f384e469445"),
 }
 
 
@@ -129,9 +161,11 @@ def _simulate_terminal_3d_scalar():
 
 
 @pytest.mark.parametrize("run", [_simulate_terminal_3d_sin,
-                                 _simulate_terminal_3d_scalar, _tau_1d_constant],
+                                 _simulate_terminal_3d_scalar, _tau_1d_constant,
+                                 _difference_1d_sin],
                          ids=["simulate-terminal-3d-sin",
-                              "simulate-terminal-3d-scalar", "tau-1d-constant"])
+                              "simulate-terminal-3d-scalar", "tau-1d-constant",
+                              "difference-1d-sin"])
 def test_chunk_boundaries_leave_bytes_unchanged(run, monkeypatch):
     """A small draw budget splits the steps into many chunks, some starting
     inside a four-double counter block; the output bytes stay the same."""
