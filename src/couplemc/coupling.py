@@ -16,16 +16,19 @@ Three drivers run these steps:
 
 * the tau-only driver (``simulate_coupled_block``, ``coupling_times``)
   runs the survivor loop ``_unmet_pairs``: it keeps the unmet pairs
-  compacted, steps nothing else, and draws in chunks that grow as the
-  pairs couple, all into one buffer that each thread keeps
-  (``_draw_buffer``).  For a 1D field that declares a constant sigma
-  (``CoefficientField.sigma_scalar``) and b = 0 it scans each chunk a
-  sub-block of steps at a time (``_scan_chunk``) instead of taking one
-  ``pair_step`` per node, with the same nodes, hits and divergence steps
-  bit for bit; every other field takes the step loop.  The coupled
-  difference ``fk_solver.solve_difference_coupled`` runs the same loop up
-  to the horizon for a field with c = 0, where a pair that has met adds
-  exactly nothing: the states of the unmet pairs are all it needs;
+  compacted, steps nothing else, and draws raw uniforms in chunks that
+  grow as the pairs couple, all into one buffer that each thread keeps
+  (``_draw_buffer``).  It maps uniforms to increments lazily, only for
+  the pairs it is about to step, so a pair that meets inside a chunk
+  leaves the rest of its draws unmapped.  For a 1D field that declares a
+  constant sigma (``CoefficientField.sigma_scalar``) and b = 0 it scans
+  each chunk a sub-block of steps at a time (``_scan_chunk``) instead of
+  taking one ``pair_step`` per node, with the same nodes, hits and
+  divergence steps bit for bit; every other field takes the step loop.
+  The coupled difference ``fk_solver.solve_difference_coupled`` runs the
+  same loop up to the horizon for a field with c = 0, where a pair that
+  has met adds exactly nothing: the states of the unmet pairs are all it
+  needs;
 * the terminal driver (``simulate_coupled_block(want_terminal=True)``)
   carries every pair to the horizon with the c-integrals of both legs;
 * the recorder ``simulate_coupled`` is a batch of one that stores every
@@ -33,8 +36,11 @@ Three drivers run these steps:
 
 Draw layout per step of pair p (stream of ``RngStream``): in 1D two
 uniforms, the increment (through the inverse normal CDF) and the bridge
-uniform; in d >= 2, d normals.  Every driver consumes the same draws, so
-the coupling step of a pair does not depend on the driver.
+uniform; in d >= 2, d normals.  Every driver consumes the same draws and
+maps them with one element-wise helper (``_increments``), the terminal
+driver and the recorder a chunk at a time, the survivor loop step by
+step or sub-block by sub-block; so the coupling step of a pair does not
+depend on the driver.
 """
 
 from __future__ import annotations
@@ -168,21 +174,26 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     return X_next, Z_next, (np.abs(b) <= couple_tol) | (u_bridge < p_cross)
 
 
-def _pair_draws(rng: RngStream, paths, k_lo: int, k_hi: int, d: int, dt: float,
-                buf: np.ndarray | None = None):
+def _pair_draws(rng: RngStream, paths, k_lo: int, k_hi: int, d: int, dt: float):
     """Increments (paths, steps, d) for steps [k_lo, k_hi) and, in 1D, the
     bridge uniforms (paths, steps); None in d >= 2.  In 1D both are views
     of one uniform buffer, whose first column is turned into increments
-    in place.  With buf the draws are written into it (``RngStream.uniforms``)."""
+    in place (``_increments``)."""
+    u = rng.uniforms(paths, k_lo, k_hi, 2 if d == 1 else d)
     if d == 1:
-        u = rng.uniforms(paths, k_lo, k_hi, 2, buf)
-        dW = to_open_unit(u[:, :, :1])
-        ndtri(dW, out=dW)
-        dW *= np.sqrt(dt)
-        return dW, u[:, :, 1]
-    dW = rng.normals(paths, k_lo, k_hi, d, buf)
-    dW *= np.sqrt(dt)
-    return dW, None
+        return _increments(u[:, :, :1], dt), u[:, :, 1]
+    return _increments(u, dt), None
+
+
+def _increments(u: np.ndarray, dt: float) -> np.ndarray:
+    """Uniforms turned into Brownian increments sqrt(dt) ndtri(u) in place,
+    element by element; returns u.  Every pair driver maps its uniforms
+    here, so an increment has the same bytes whichever driver maps it and
+    whether it is mapped with its chunk or alone."""
+    to_open_unit(u)
+    ndtri(u, out=u)
+    u *= np.sqrt(dt)
+    return u
 
 
 def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
@@ -227,10 +238,13 @@ def _unmet_pairs(field, x, z, grid, rng, path_lo, path_hi, couple_tol, stop):
     pairs unmet at stop), and the local ids and states at stop of the
     unmet pairs, in path order.
 
-    The unmet pairs are kept compacted and drawn in chunks that grow as
-    the pairs meet.  A 1D field that declares a constant sigma and b = 0
-    is scanned a sub-block of steps at a time (``_scan_chunk``); every
-    other field takes one ``pair_step`` per node."""
+    The unmet pairs are kept compacted and drawn in chunks of raw uniforms
+    that grow as the pairs meet.  Uniforms become increments
+    (``_increments``) only for the pairs about to be stepped, on a gathered
+    copy: a pair that meets inside a chunk leaves the rest of its row
+    unmapped.  A 1D field that declares a constant sigma and b = 0 is
+    scanned a sub-block of steps at a time (``_scan_chunk``); every other
+    field takes one ``pair_step`` per node."""
     d = field.dim
     paths, tau_step, X, Z = _start_pairs(field, x, z, path_lo, path_hi, couple_tol)
     rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
@@ -245,15 +259,17 @@ def _unmet_pairs(field, x, z, grid, rng, path_lo, path_hi, couple_tol, stop):
     with np.errstate(over="ignore", invalid="ignore"):
         # the fewer survivors, the longer the chunk
         for k, k_hi in draw_chunks(stop, _CHUNK_BUDGET, lambda: per_pair * rows.size):
-            dW, u = _pair_draws(rng, paths[rows], k, k_hi, d, grid.dt, buf)
+            u = rng.uniforms(paths[rows], k, k_hi, per_pair, buf)
             if scan:
                 rows, X, Z = _scan_chunk(field.sigma_scalar, grid.dt, couple_tol,
-                                         k, dW, u, rows, X, Z, tau_step)
+                                         k, u, rows, X, Z, tau_step)
             else:
                 dpos = np.arange(rows.size)  # row into this chunk's draws
                 for kk in range(k, k_hi):
-                    X, Z, hit = pair_step(field, grid, kk, X, Z, dW[dpos, kk - k],
-                                          None if u is None else u[dpos, kk - k],
+                    # the index gathers a copy: buf keeps the raw uniforms
+                    dW = _increments(u[dpos, kk - k, :d], grid.dt)
+                    X, Z, hit = pair_step(field, grid, kk, X, Z, dW,
+                                          u[dpos, kk - k, 1] if d == 1 else None,
                                           couple_tol)
                     if hit.any():
                         tau_step[rows[hit]] = kk + 1
@@ -288,38 +304,50 @@ def _scan_steps(n_pairs: int) -> int:
     return max(16, _CHUNK_BUDGET // (64 * n_pairs))
 
 
-def _scan_chunk(s, dt, couple_tol, k, dW, u, rows, X, Z, tau_step):
-    """The tau-only steps of a chunk for a 1D field with sigma = s and
-    b = 0, a sub-block of steps at a time; returns the survivors
-    (rows, X, Z) and writes the coupling steps into tau_step.
+def _scan_chunk(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
+    """The tau-only steps of a chunk of uniforms u (pairs, steps, 2) for a
+    1D field with sigma = s and b = 0, a sub-block of steps at a time;
+    returns the survivors (rows, X, Z) and writes the coupling steps into
+    tau_step.
 
-    Each sub-block repeats ``pair_step`` on every node of every pair:
-    np.add.accumulate sums the legs X + s dW and Z - s dW strictly in
-    step order, and the meeting test runs with the same operations, so
-    every node, hit and divergence step equals the step loop's bit for
-    bit.  A pair's first hit is its coupling step; the survivors are
-    compacted between sub-blocks."""
+    Each sub-block gathers the survivors' uniforms, turns them into
+    increments (``_increments``) and repeats ``pair_step`` on every node of
+    every pair: np.add.accumulate sums the legs X + s dW and Z - s dW
+    strictly in step order, and the meeting test runs with the same
+    operations, so every node, hit and divergence step equals the step
+    loop's bit for bit.  A pair's first hit is its coupling step; the
+    survivors are compacted between sub-blocks, so a pair's uniforms past
+    the sub-block in which it meets are never mapped."""
     denom = (s + s) * (s + s) * dt  # s * s * dt of pair_step, s = sig_x + sig_z
     dpos = np.arange(rows.size)  # row into this chunk's draws
-    j, n_steps = 0, dW.shape[1]
+    j, n_steps = 0, u.shape[1]
     while j < n_steps and rows.size:
         m = min(n_steps - j, _scan_steps(rows.size))
+        # one (pairs, m) gather holds the increments, then the crossing
+        # probabilities
+        p_cross = _increments(u[dpos, j:j + m, 0], dt)
         xs = np.empty((rows.size, m + 1))
         xs[:, 0] = X[:, 0]
-        np.multiply(dW[dpos, j:j + m, 0], s, out=xs[:, 1:])
+        np.multiply(p_cross, s, out=xs[:, 1:])
         zs = np.negative(xs)
         zs[:, 0] = Z[:, 0]
         np.add.accumulate(xs, axis=1, out=xs)
         np.add.accumulate(zs, axis=1, out=zs)
-        xi = xs - zs
+        # the separations overwrite zs: keep its last node first
+        Z = zs[:, m:].copy()
+        xi = np.subtract(xs, zs, out=zs)
         a, b = xi[:, :-1], xi[:, 1:]
-        p_cross = -2.0 * a * b / denom
+        # -2 a b / denom, in pair_step's order
+        np.multiply(a, -2.0, out=p_cross)
+        np.multiply(p_cross, b, out=p_cross)
+        np.divide(p_cross, denom, out=p_cross)
         np.maximum(p_cross, -700.0, out=p_cross)
         np.exp(p_cross, out=p_cross)
-        hit = (np.abs(b) <= couple_tol) | (u[dpos, j:j + m] < p_cross)
+        hit = np.abs(b, out=b) <= couple_tol
+        hit |= u[dpos, j:j + m, 1] < p_cross
         met = hit.any(axis=1)
         first = np.where(met, hit.argmax(axis=1), m)
-        bad = ~np.isfinite(b)
+        bad = ~np.isfinite(b)  # |b|: the same nodes are finite
         if bad.any():
             # the loop stops at the first non-finite node of a pair that
             # has not met before it
@@ -327,7 +355,7 @@ def _scan_chunk(s, dt, couple_tol, k, dW, u, rows, X, Z, tau_step):
         tau_step[rows[met]] = k + j + first[met] + 1
         keep = ~met
         rows, dpos = rows[keep], dpos[keep]
-        X, Z = xs[keep, m:], zs[keep, m:]
+        X, Z = xs[keep, m:], Z[keep]
         j += m
     return rows, X, Z
 

@@ -118,11 +118,9 @@ class RngStream:
             gen.random(out=out[i])
         return out.reshape(len(paths), n_steps, dim)
 
-    def normals(self, path_indices, step_lo: int, step_hi: int, dim: int,
-                buf: np.ndarray | None = None) -> np.ndarray:
-        """Standard normal increments, shape (paths, steps, dim), written
-        into buf as by ``uniforms``."""
-        u = to_open_unit(self.uniforms(path_indices, step_lo, step_hi, dim, buf))
+    def normals(self, path_indices, step_lo: int, step_hi: int, dim: int) -> np.ndarray:
+        """Standard normal increments, shape (paths, steps, dim)."""
+        u = to_open_unit(self.uniforms(path_indices, step_lo, step_hi, dim))
         return ndtri(u, out=u)
 
 

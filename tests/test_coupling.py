@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import ndtri
 
 from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
                       RngStream, TimeGrid, ZERO_MODULUS, bm_coupling_expectation,
@@ -306,17 +307,27 @@ class TestCoupledPair:
         late = int(np.flatnonzero((taus < 0) | (taus > 21))[0])
         t_e = int(taus[early])
         inject = {}  # path -> step whose increment is replaced
-        pair_draws = coupling._pair_draws
+        # the drawn uniform of each injected step is marked with a value no
+        # uniform takes, and the map to increments replaces its increment
+        mark = 2.0
+        uniforms, increments = RngStream.uniforms, coupling._increments
 
-        def spoiled(rng, paths, k_lo, k_hi, d, dt, buf=None):
-            dW, u = pair_draws(rng, paths, k_lo, k_hi, d, dt, buf)
+        def marked(self, paths, lo, hi, d, buf=None):
+            u = uniforms(self, paths, lo, hi, d, buf)
             for p, k in inject.items():
                 row = np.flatnonzero(np.asarray(paths) == p)
-                if row.size and k_lo <= k < k_hi:
-                    dW[row[0], k - k_lo, 0] = bad
-            return dW, u
+                if row.size and lo <= k < hi:
+                    u[row[0], k - lo, 0] = mark
+            return u
 
-        monkeypatch.setattr(coupling, "_pair_draws", spoiled)
+        def spoiled(u, dt):
+            at = u == mark
+            dW = increments(u, dt)
+            dW[at] = bad
+            return dW
+
+        monkeypatch.setattr(RngStream, "uniforms", marked)
+        monkeypatch.setattr(coupling, "_increments", spoiled)
 
         def step_index(field):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -334,6 +345,51 @@ class TestCoupledPair:
         del inject[late]
         inject[early] = t_e
         assert step_index(f) is None and step_index(loop_f) is None
+
+    @pytest.mark.parametrize("budget", [None, 450])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_step_loop_maps_only_the_steps_it_takes(self, dim, budget, monkeypatch):
+        # the survivor loop turns uniforms into increments only for the
+        # pairs it steps: d normals per pair-step taken, none past a
+        # pair's meeting step, in any chunk
+        f = make_sin_field(dim=dim, amp=0.5)  # a sigma that is not declared
+        grid = TimeGrid(1.0, 300)
+        stop = 250
+        mapped = []
+
+        def counting(u, out=None):
+            mapped.append(u.size)
+            return ndtri(u, out=out)
+
+        monkeypatch.setattr(coupling, "ndtri", counting)
+        if budget:
+            monkeypatch.setattr(coupling, "_CHUNK_BUDGET", budget)
+        taus = coupling_times(f, [0.0] * dim, [0.1] + [0.0] * (dim - 1), grid,
+                              RngStream(17), 200, couple_tol=0.05, stop_step=stop)
+        taken = int(np.where(taus >= 0, taus, stop).sum())
+        assert 0 < np.sum(taus > 0) < taus.size
+        assert sum(mapped) == dim * taken
+
+    def test_scan_maps_at_most_one_sub_block_past_a_meeting(self, monkeypatch):
+        # the 1D scan maps a sub-block of steps for each survivor, so a
+        # pair leaves unmapped every step after the sub-block it meets in
+        f = make_constant_field(dim=1)
+        grid = TimeGrid(1.0, 2000)
+        stop = 1500
+        mapped = []
+
+        def counting(u, out=None):
+            mapped.append(u.size)
+            return ndtri(u, out=out)
+
+        monkeypatch.setattr(coupling, "ndtri", counting)
+        monkeypatch.setattr(coupling, "_scan_steps", lambda n_pairs: 16)
+        taus = coupling_times(f, [0.0], [0.1], grid, RngStream(17), 300,
+                              stop_step=stop)
+        taken = int(np.where(taus >= 0, taus, stop).sum())
+        met = int(np.sum(taus > 0))
+        assert 0 < met < taus.size
+        assert taken <= sum(mapped) <= taken + 15 * met
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_survivor_loop_draws_into_one_buffer(self, dim, monkeypatch):

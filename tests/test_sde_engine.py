@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
-from couplemc import (RngStream, TimeGrid, coupling, mean_stderr, run_path_blocks,
-                      sde_engine)
+from couplemc import (RngStream, SolveRequest, TimeGrid, coupling, coupling_times,
+                      mean_stderr, run_path_blocks, sde_engine,
+                      solve_difference_coupled)
 from couplemc.errors import SimulationDivergedError, ValidationError
-from couplemc.registry import make_constant_field, make_sin_field
+from couplemc.registry import (make_constant_field, make_constant_terminal,
+                               make_sin_field)
 from couplemc.sde_engine import (feynman_kac_weight, path_tile,
                                  simulate_brownian_running_max, simulate_path,
                                  simulate_terminal)
@@ -59,9 +61,6 @@ class TestRngStream:
         u = rng.uniforms([2, 9], 5, 17, 3, buf)
         assert np.shares_memory(u, buf) and np.all(buf[72:] == -1.0)
         assert np.array_equal(u, rng.uniforms([2, 9], 5, 17, 3))
-        z = rng.normals([2, 9], 5, 17, 3, buf)
-        assert np.shares_memory(z, buf)
-        assert np.array_equal(z, rng.normals([2, 9], 5, 17, 3))
         with pytest.raises(ValueError):
             rng.uniforms([2, 9], 5, 17, 3, buf[:71])
 
@@ -83,6 +82,17 @@ class TestRngStream:
         dW, _ = coupling._pair_draws(rng, [0, 1], 0, 4, 1, 0.01)
         assert np.isfinite(dW).all()
         assert np.isfinite(simulate_brownian_running_max(1.0, 2, 4, rng)).all()
+        # the survivor loop maps the uniforms of the pairs it steps itself:
+        # in the 1D scan, in the step loop and in the c = 0 difference
+        grid = TimeGrid(1.0, 4)
+        f = make_constant_field(dim=1)
+        for field, x, z in [(f, [0.0], [0.5]),
+                            (dataclasses.replace(f, sigma_scalar=None), [0.0], [0.5]),
+                            (make_constant_field(dim=2), [0.0, 0.0], [0.5, 0.0])]:
+            coupling_times(field, x, z, grid, rng, 2)
+        req = SolveRequest(field=make_sin_field(dim=1), terminal=make_constant_terminal(),
+                           eval_point=[0.0], n_paths=2, grid=grid)
+        solve_difference_coupled(req, [0.5], rng)
 
 
 class TestTimeGrid:
