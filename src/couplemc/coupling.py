@@ -323,12 +323,10 @@ def _scan_chunk(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
     j, n_steps = 0, u.shape[1]
     while j < n_steps and rows.size:
         m = min(n_steps - j, _scan_steps(rows.size))
-        # one (pairs, m) gather holds the increments, then the crossing
-        # probabilities
-        p_cross = _increments(u[dpos, j:j + m, 0], dt)
+        dW = _increments(u[dpos, j:j + m, 0], dt)
         xs = np.empty((rows.size, m + 1))
         xs[:, 0] = X[:, 0]
-        np.multiply(p_cross, s, out=xs[:, 1:])
+        np.multiply(dW, s, out=xs[:, 1:])
         zs = np.negative(xs)
         zs[:, 0] = Z[:, 0]
         np.add.accumulate(xs, axis=1, out=xs)
@@ -337,7 +335,8 @@ def _scan_chunk(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
         Z = zs[:, m:].copy()
         xi = np.subtract(xs, zs, out=zs)
         a, b = xi[:, :-1], xi[:, 1:]
-        # -2 a b / denom, in pair_step's order
+        # -2 a b / denom in pair_step's order, in the spent increments' array
+        p_cross = dW
         np.multiply(a, -2.0, out=p_cross)
         np.multiply(p_cross, b, out=p_cross)
         np.divide(p_cross, denom, out=p_cross)
