@@ -65,6 +65,19 @@ class TestReflector:
             reflection_matrix(np.eye(2), np.zeros(2))
 
 
+@pytest.fixture
+def mapped(monkeypatch):
+    """The sizes of the arrays the coupling drivers pass to ndtri."""
+    sizes = []
+
+    def counting(u, out=None):
+        sizes.append(u.size)
+        return ndtri(u, out=out)
+
+    monkeypatch.setattr(coupling, "ndtri", counting)
+    return sizes
+
+
 class TestCoupledPair:
     def test_immediate_coupling(self):
         f = make_constant_field(dim=1)
@@ -348,20 +361,14 @@ class TestCoupledPair:
 
     @pytest.mark.parametrize("budget", [None, 450])
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_step_loop_maps_only_the_steps_it_takes(self, dim, budget, monkeypatch):
+    def test_step_loop_maps_only_the_steps_it_takes(self, dim, budget, mapped,
+                                                    monkeypatch):
         # the survivor loop turns uniforms into increments only for the
         # pairs it steps: d normals per pair-step taken, none past a
         # pair's meeting step, in any chunk
         f = make_sin_field(dim=dim, amp=0.5)  # a sigma that is not declared
         grid = TimeGrid(1.0, 300)
         stop = 250
-        mapped = []
-
-        def counting(u, out=None):
-            mapped.append(u.size)
-            return ndtri(u, out=out)
-
-        monkeypatch.setattr(coupling, "ndtri", counting)
         if budget:
             monkeypatch.setattr(coupling, "_CHUNK_BUDGET", budget)
         taus = coupling_times(f, [0.0] * dim, [0.1] + [0.0] * (dim - 1), grid,
@@ -370,19 +377,13 @@ class TestCoupledPair:
         assert 0 < np.sum(taus > 0) < taus.size
         assert sum(mapped) == dim * taken
 
-    def test_scan_maps_at_most_one_sub_block_past_a_meeting(self, monkeypatch):
+    def test_scan_maps_at_most_one_sub_block_past_a_meeting(self, mapped,
+                                                            monkeypatch):
         # the 1D scan maps a sub-block of steps for each survivor, so a
         # pair leaves unmapped every step after the sub-block it meets in
         f = make_constant_field(dim=1)
         grid = TimeGrid(1.0, 2000)
         stop = 1500
-        mapped = []
-
-        def counting(u, out=None):
-            mapped.append(u.size)
-            return ndtri(u, out=out)
-
-        monkeypatch.setattr(coupling, "ndtri", counting)
         monkeypatch.setattr(coupling, "_scan_steps", lambda n_pairs: 16)
         taus = coupling_times(f, [0.0], [0.1], grid, RngStream(17), 300,
                               stop_step=stop)
