@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .coefficients import default_sample_points, validate_field
 from .config import ExperimentConfig, load_config
-from .coupling import coupling_time_expectation, default_couple_tol
+from .coupling import _resolve_tol, coupling_time_expectation
 from .errors import ConfigError, CoupleMCError, SimulationDivergedError, ValidationError
 from .fk_solver import (ModulusExperimentConfig, ResultTable, fit_result_table,
                         modulus_experiment, solve_u, SolveRequest)
@@ -84,8 +84,7 @@ def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
     rng = RngStream(cfg.seed)
     t = cfg.eval_horizon if cfg.eval_horizon is not None else cfg.horizon
-    tol = cfg.couple_tol if cfg.couple_tol is not None \
-        else default_couple_tol(grid, field)
+    tol = _resolve_tol(cfg.couple_tol, grid, field)
     x, e = _placement(cfg, field)
     e = e / np.linalg.norm(e)
     rows = []

@@ -29,9 +29,9 @@ ORACLES = ("sgn", "heat", "running-max", "bm-coupling")
 # top-level config keys; each sets the ExperimentConfig attribute named by
 # its last dotted part (grid.steps -> steps).  The sections field.*,
 # terminal.* and oracle.* set <section>_name and <section>_params.
-TOP_LEVEL_KEYS = ("kind", "seed", "workers", "grid.horizon", "grid.steps",
-                  "n_paths", "ladder", "base_point", "direction",
-                  "eval_horizon", "couple_tol")
+TOP_LEVEL_KEYS = ("kind", "seed", "grid.horizon", "grid.steps", "n_paths",
+                  "ladder", "base_point", "direction", "eval_horizon",
+                  "couple_tol")
 SECTIONS = ("field", "terminal", "oracle")
 
 
@@ -107,7 +107,6 @@ class ExperimentConfig:
 
     kind: str
     seed: int
-    workers: int = 1  # accepted and validated; every run uses one thread
     field_name: str | None = None
     field_params: dict = dc_field(default_factory=dict)
     terminal_name: str | None = None
@@ -158,9 +157,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("an explicit integer seed is required")
 
     cfg = ExperimentConfig(kind=kind, seed=raw["seed"])
-    cfg.workers = int(raw.get("workers", 1))
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
+    # retired: every run uses one thread; configs may still say workers = 1
+    workers = raw.get("workers", 1)
+    if type(workers) is not int or workers != 1:
+        raise ConfigError("workers is retired: only workers = 1 is accepted, "
+                          f"got {workers!r}")
 
     cfg.field_name, cfg.field_params = _named_section(
         raw, "field", FIELD_BUILDERS, required=kind != "oracle")
@@ -169,8 +170,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     cfg.horizon = float(raw.get("grid.horizon", 1.0))
     cfg.steps = int(raw.get("grid.steps", 1000))
-    if cfg.horizon <= 0 or cfg.steps < 1:
-        raise ConfigError("grid.horizon must be > 0 and grid.steps >= 1")
+    if not 0.0 < cfg.horizon < np.inf or cfg.steps < 1:
+        raise ConfigError("grid.horizon must be finite and > 0 and grid.steps >= 1")
     cfg.n_paths = int(raw.get("n_paths", 10_000))
     if cfg.n_paths < 2:
         raise ConfigError("n_paths must be >= 2")
@@ -195,8 +196,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("eval_horizon must lie in (0, grid.horizon]")
     if raw.get("couple_tol") is not None:
         cfg.couple_tol = float(raw["couple_tol"])
-        if cfg.couple_tol < 0:
-            raise ConfigError("couple_tol must be >= 0")
+        if not 0.0 <= cfg.couple_tol < np.inf:
+            raise ConfigError("couple_tol must be finite and >= 0")
 
     osec = _section(raw, "oracle")
     if kind == "oracle":
@@ -208,7 +209,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     known_prefixes = tuple(f"{sec}." for sec in SECTIONS)
     for key in raw:
-        if key in TOP_LEVEL_KEYS or key.startswith(known_prefixes):
+        if key in (*TOP_LEVEL_KEYS, "workers") or key.startswith(known_prefixes):
             continue
         raise ConfigError(f"unknown config key {key!r}")
     return cfg

@@ -17,9 +17,8 @@ Three drivers run these steps:
 * the tau-only driver (``simulate_coupled_block``, ``coupling_times``)
   runs the survivor loop ``_unmet_pairs``: it keeps the unmet pairs
   compacted, steps nothing else, and draws raw uniforms in chunks that
-  grow as the pairs couple, all into one buffer that each thread keeps
-  (``_draw_buffer``).  It maps uniforms to increments lazily, only for
-  the pairs it is about to step, so a pair that meets inside a chunk
+  grow as the pairs couple.  It maps uniforms to increments lazily, only
+  for the pairs it is about to step, so a pair that meets inside a chunk
   leaves the rest of its draws unmapped.  For a 1D field that declares a
   constant sigma (``CoefficientField.sigma_scalar``) and b = 0 it scans
   each chunk a sub-block of steps at a time (``_scan_chunk``) instead of
@@ -34,29 +33,26 @@ Three drivers run these steps:
 * the recorder ``simulate_coupled`` is a batch of one that stores every
   node.
 
-Draw layout per step of pair p (stream of ``RngStream``): in 1D two
-uniforms, the increment (through the inverse normal CDF) and the bridge
-uniform; in d >= 2, d normals.  Every driver consumes the same draws and
-maps them with one element-wise helper (``_increments``), the terminal
-driver and the recorder a chunk at a time, the survivor loop step by
-step or sub-block by sub-block; so the coupling step of a pair does not
-depend on the driver.
+Draw layout per step of pair p (``_pair_layout``): in 1D two uniforms,
+the increment's and the bridge uniform; in d >= 2, d increments.  Every
+driver consumes the same draws and maps them with
+``sde_engine.to_increments``, the terminal driver and the recorder a
+chunk at a time, the survivor loop step by step or sub-block by
+sub-block; so the coupling step of a pair does not depend on the driver.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .coefficients import CoefficientField, ModulusOfContinuity, require_dini
 from .errors import DegenerateDirectionError, SimulationDivergedError, ValidationError
-from .sde_engine import (_CHUNK_BUDGET, RngStream, SamplePath, TimeGrid,
-                         as_point, draw_chunks, euler_step, euler_update,
-                         mean_stderr, raise_first_nonfinite, run_path_blocks,
-                         sigma_batch, to_open_unit)
+from .sde_engine import (RngStream, SamplePath, TimeGrid, as_point, chunk_steps,
+                         draw_chunks, euler_step, euler_update, mean_stderr,
+                         raise_first_nonfinite, run_path_blocks, sigma_batch,
+                         to_increments)
 
 
 @dataclass
@@ -96,8 +92,6 @@ class CouplingEstimate:
 # tau-only runs use one big block: per-path results never depend on the
 # partition, and a single block minimizes Python-loop overhead
 _TAUS_BLOCK = 1 << 22
-# the survivor loop's draw buffer, one per thread (_draw_buffer)
-_draws = threading.local()
 
 
 def default_couple_tol(grid: TimeGrid, field: CoefficientField) -> float:
@@ -174,26 +168,11 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     return X_next, Z_next, (np.abs(b) <= couple_tol) | (u_bridge < p_cross)
 
 
-def _pair_draws(rng: RngStream, paths, k_lo: int, k_hi: int, d: int, dt: float):
-    """Increments (paths, steps, d) for steps [k_lo, k_hi) and, in 1D, the
-    bridge uniforms (paths, steps); None in d >= 2.  In 1D both are views
-    of one uniform buffer, whose first column is turned into increments
-    in place (``_increments``)."""
-    u = rng.uniforms(paths, k_lo, k_hi, 2 if d == 1 else d)
-    if d == 1:
-        return _increments(u[:, :, :1], dt), u[:, :, 1]
-    return _increments(u, dt), None
-
-
-def _increments(u: np.ndarray, dt: float) -> np.ndarray:
-    """Uniforms turned into Brownian increments sqrt(dt) ndtri(u) in place,
-    element by element; returns u.  Every pair driver maps its uniforms
-    here, so an increment has the same bytes whichever driver maps it and
-    whether it is mapped with its chunk or alone."""
-    to_open_unit(u)
-    ndtri(u, out=u)
-    u *= np.sqrt(dt)
-    return u
+def _pair_layout(d: int) -> tuple[int, int | None]:
+    """The draws of a pair-step: (doubles per pair-step, bridge column).
+    The increments' uniforms take columns [0, d); in 1D the bridge
+    uniform follows in column 1, and d >= 2 has no bridge test (None)."""
+    return (2, 1) if d == 1 else (d, None)
 
 
 def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
@@ -239,80 +218,57 @@ def _unmet_pairs(field, x, z, grid, rng, path_lo, path_hi, couple_tol, stop):
     unmet pairs, in path order.
 
     The unmet pairs are kept compacted and drawn in chunks of raw uniforms
-    that grow as the pairs meet.  Uniforms become increments
-    (``_increments``) only for the pairs about to be stepped, on a gathered
-    copy: a pair that meets inside a chunk leaves the rest of its row
-    unmapped.  A 1D field that declares a constant sigma and b = 0 is
-    scanned a sub-block of steps at a time (``_scan_chunk``); every other
-    field takes one ``pair_step`` per node."""
+    that grow as the pairs meet (``draw_chunks``).  Uniforms become
+    increments (``to_increments``) only for the pairs about to be stepped,
+    on a gathered copy: a pair that meets inside a chunk leaves the rest of
+    its row unmapped.  A 1D field that declares a constant sigma and b = 0
+    is scanned a sub-block of steps at a time (``_scan_chunk``); every
+    other field takes one ``pair_step`` per node."""
     d = field.dim
+    per_pair, bridge = _pair_layout(d)
     paths, tau_step, X, Z = _start_pairs(field, x, z, path_lo, path_hi, couple_tol)
     rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
     X, Z = X[rows], Z[rows]
     scan = d == 1 and field.sigma_scalar is not None and field.b_sup == 0.0
-    per_pair = 2 if d == 1 else d  # doubles drawn per pair and step
-    # every chunk is drawn into one buffer, which holds the largest chunk
-    # draw_chunks can make
-    buf = _draw_buffer(min(per_pair * rows.size * stop,
-                           max(_CHUNK_BUDGET, 16 * per_pair * rows.size)))
     # overflow is handled by the finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         # the fewer survivors, the longer the chunk
-        for k, k_hi in draw_chunks(stop, _CHUNK_BUDGET, lambda: per_pair * rows.size):
-            u = rng.uniforms(paths[rows], k, k_hi, per_pair, buf)
+        for k, k_hi, u in draw_chunks(rng, lambda: paths[rows], stop, per_pair):
             if scan:
                 rows, X, Z = _scan_chunk(field.sigma_scalar, grid.dt, couple_tol,
                                          k, u, rows, X, Z, tau_step)
-            else:
-                dpos = np.arange(rows.size)  # row into this chunk's draws
-                for kk in range(k, k_hi):
-                    # the index gathers a copy: buf keeps the raw uniforms
-                    dW = _increments(u[dpos, kk - k, :d], grid.dt)
-                    X, Z, hit = pair_step(field, grid, kk, X, Z, dW,
-                                          u[dpos, kk - k, 1] if d == 1 else None,
-                                          couple_tol)
-                    if hit.any():
-                        tau_step[rows[hit]] = kk + 1
-                        keep = ~hit
-                        rows, dpos, X, Z = rows[keep], dpos[keep], X[keep], Z[keep]
-                        if not rows.size:
-                            break
+                continue
+            dpos = np.arange(rows.size)  # row into this chunk's draws
+            for kk in range(k, k_hi):
+                # the index gathers a copy: the chunk keeps the raw uniforms
+                dW = to_increments(u[dpos, kk - k, :d], grid.dt)
+                X, Z, hit = pair_step(field, grid, kk, X, Z, dW,
+                                      None if bridge is None else u[dpos, kk - k, bridge],
+                                      couple_tol)
+                if hit.any():
+                    tau_step[rows[hit]] = kk + 1
+                    keep = ~hit
+                    rows, dpos, X, Z = rows[keep], dpos[keep], X[keep], Z[keep]
+                    if not rows.size:
+                        break
     return tau_step, rows, X, Z
 
 
-def _draw_buffer(n: int) -> np.ndarray:
-    """A float64 array of at least n entries for the draws of the survivor
-    loop.  Up to _CHUNK_BUDGET entries it is the calling thread's buffer of
-    that size, kept between calls.
-
-    The loop's chunks change size as pairs meet.  A fresh array per chunk
-    or per call leaves it to malloc whether a freed chunk is reused or the
-    heap grows by another one, which made the peak memory of identical
-    runs differ by a chunk; a fresh mapping per call instead costs its page
-    faults, about 15 ms per 32 MB on a 2-core VM."""
-    if n > _CHUNK_BUDGET:
-        return np.empty(n)
-    buf = getattr(_draws, "buf", None)
-    if buf is None or buf.size != _CHUNK_BUDGET:
-        buf = _draws.buf = np.empty(_CHUNK_BUDGET)
-    return buf
-
-
 def _scan_steps(n_pairs: int) -> int:
-    """Steps per sub-block of ``_scan_chunk``: at least 16, else about
-    _CHUNK_BUDGET / 64 doubles per (pairs, steps) temporary."""
-    return max(16, _CHUNK_BUDGET // (64 * n_pairs))
+    """Steps per sub-block of ``_scan_chunk``: at least 16, else about a
+    chunk's draw budget / 64 doubles per (pairs, steps) temporary."""
+    return chunk_steps(64 * n_pairs)
 
 
 def _scan_chunk(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
-    """The tau-only steps of a chunk of uniforms u (pairs, steps, 2) for a
-    1D field with sigma = s and b = 0, a sub-block of steps at a time;
-    returns the survivors (rows, X, Z) and writes the coupling steps into
-    tau_step.
+    """The tau-only steps of a chunk of uniforms u (pairs, steps, 2) in the
+    1D pair layout, for a field with sigma = s and b = 0, a sub-block of
+    steps at a time; returns the survivors (rows, X, Z) and writes the
+    coupling steps into tau_step.
 
     Each sub-block gathers the survivors' uniforms, turns them into
-    increments (``_increments``) and repeats ``pair_step`` on every node of
-    every pair: np.add.accumulate sums the legs X + s dW and Z - s dW
+    increments (``to_increments``) and repeats ``pair_step`` on every node
+    of every pair: np.add.accumulate sums the legs X + s dW and Z - s dW
     strictly in step order, and the meeting test runs with the same
     operations, so every node, hit and divergence step equals the step
     loop's bit for bit.  A pair's first hit is its coupling step; the
@@ -323,7 +279,7 @@ def _scan_chunk(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
     j, n_steps = 0, u.shape[1]
     while j < n_steps and rows.size:
         m = min(n_steps - j, _scan_steps(rows.size))
-        dW = _increments(u[dpos, j:j + m, 0], dt)
+        dW = to_increments(u[dpos, j:j + m, 0], dt)
         xs = np.empty((rows.size, m + 1))
         xs[:, 0] = X[:, 0]
         np.multiply(dW, s, out=xs[:, 1:])
@@ -367,14 +323,14 @@ def _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z):
     The c-integrals are skipped when c = 0, as adding 0.0 to the +0.0 sums
     is exact."""
     n, dt, T = len(paths), grid.dt, grid.horizon
+    per_pair, bridge = _pair_layout(field.dim)
     with_c = field.c_sup > 0.0
     wx = np.zeros(n)
     wz = np.zeros(n)
     wz_off = np.zeros(n)
     rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
-    for k, k_hi in draw_chunks(grid.steps, _CHUNK_BUDGET,
-                               lambda: n * (2 if field.dim == 1 else field.dim)):
-        dW, u = _pair_draws(rng, paths, k, k_hi, field.dim, dt)
+    for k, k_hi, u in draw_chunks(rng, lambda: paths, grid.steps, per_pair):
+        dW = to_increments(u[:, :, :field.dim], dt)
         for kk in range(k, k_hi):
             j, t = kk - k, T - kk * dt
             if with_c:
@@ -386,7 +342,7 @@ def _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z):
                     wz[rows] += field.c(t, Zr) * dt
                 _, Z[rows], hit = pair_step(
                     field, grid, kk, X[rows], Zr, dW[rows, j],
-                    None if u is None else u[rows, j], couple_tol)
+                    None if bridge is None else u[rows, j, bridge], couple_tol)
                 if hit.any():
                     gidx = rows[hit]
                     tau_step[gidx] = kk + 1
@@ -395,8 +351,6 @@ def _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z):
                     wz_off[gidx] = wz[gidx] - wx[gidx]
                     rows = rows[~hit]
             X = X_next
-        # free this chunk's draws before the next chunk is drawn
-        del dW, u
     coupled = tau_step >= 0
     z_final = np.where(coupled[:, None], X, Z)
     wz_final = np.where(coupled, wx + wz_off, wz)
@@ -405,10 +359,12 @@ def _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z):
 
 def _resolve_tol(couple_tol: float | None, grid: TimeGrid,
                  field: CoefficientField) -> float:
+    """couple_tol, or the default tolerance when it is None; a negative or
+    non-finite tolerance is an error."""
     if couple_tol is None:
         return default_couple_tol(grid, field)
-    if couple_tol < 0.0:
-        raise ValidationError("couple_tol must be >= 0")
+    if not 0.0 <= couple_tol < np.inf:
+        raise ValidationError("couple_tol must be finite and >= 0")
     return couple_tol
 
 
@@ -419,7 +375,9 @@ def simulate_coupled(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStre
     couple_tol = _resolve_tol(couple_tol, grid, field)
     d, dt, T = field.dim, grid.dt, grid.horizon
     x, z = as_point(x, d), as_point(z, d)
-    dW, u = _pair_draws(rng, [path_index], 0, grid.steps, d, dt)
+    per_pair, bridge = _pair_layout(d)
+    u = rng.uniforms([path_index], 0, grid.steps, per_pair)
+    dW = to_increments(u[:, :, :d], dt)
     states_x = np.empty((grid.steps + 1, d))
     states_z = np.empty((grid.steps + 1, d))
     wx = np.zeros(grid.steps + 1)
@@ -432,7 +390,8 @@ def simulate_coupled(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStre
         wz[k + 1] = wz[k] + field.c(T - k * dt, Z)[0] * dt
         if tau_index is None:
             X, Z, hit = pair_step(field, grid, k, X, Z, dW[:, k],
-                                  None if u is None else u[:, k], couple_tol)
+                                  None if bridge is None else u[:, k, bridge],
+                                  couple_tol)
             tau_index = k + 1 if hit[0] else None
         else:
             X = euler_step(field, grid, k, X, dW[:, k])

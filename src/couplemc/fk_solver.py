@@ -12,7 +12,7 @@ import numpy as np
 
 from .analysis import fit_log_corrected, fit_power_law
 from .coefficients import CoefficientField, classify_dini
-from .coupling import _unmet_pairs, default_couple_tol, simulate_coupled_block
+from .coupling import _resolve_tol, _unmet_pairs, simulate_coupled_block
 from .errors import ValidationError
 from .sde_engine import (RngStream, TimeGrid, as_point, mean_stderr, path_tile,
                          run_path_blocks, simulate_terminal)
@@ -70,8 +70,7 @@ def solve_difference_coupled(req: SolveRequest, z, rng: RngStream,
     f(X_T) exp(0) - f(Z_T) exp(0).  Other fields carry both legs with
     their c-integrals to the horizon.
     """
-    if couple_tol is None:
-        couple_tol = default_couple_tol(req.grid, req.field)
+    couple_tol = _resolve_tol(couple_tol, req.grid, req.field)
     x, f, grid = req.eval_point, req.terminal, req.grid
 
     def worker(lo, hi):
@@ -173,8 +172,7 @@ def modulus_experiment(cfg: ModulusExperimentConfig, rng: RngStream) -> ResultTa
     x = np.atleast_1d(np.asarray(cfg.base_point, dtype=float))
     e = np.atleast_1d(np.asarray(cfg.direction, dtype=float))
     e = e / np.linalg.norm(e)
-    tol = cfg.couple_tol if cfg.couple_tol is not None \
-        else default_couple_tol(cfg.grid, cfg.field)
+    tol = _resolve_tol(cfg.couple_tol, cfg.grid, cfg.field)
     rows = []
     for i, r in enumerate(cfg.distances):
         req = SolveRequest(field=cfg.field, terminal=cfg.terminal, eval_point=x,

@@ -7,7 +7,10 @@ The Gaussian increment used by path p at step k is a pure function of
 feed the inverse normal CDF.  A draw call builds one Philox and re-keys
 it for each path at counter (step_lo*d)//4 (see ``RngStream``), so block
 sizes and chunk lengths never change the numbers.  (Coupled pairs use
-their own layout; see ``coupling``.)
+their own layout; see ``coupling``.)  ``draw_chunks`` is the chunk loop
+of every chunked driver, here and in ``coupling``, and every driver and
+recorder maps its uniforms to increments with ``to_increments``, element
+by element, so an increment has the same bytes whichever driver maps it.
 
 The step kernel: ``euler_update`` is the one Euler update
 X + sigma dW (+ b dt) of a batch of legs, and ``euler_step`` is the
@@ -33,6 +36,7 @@ nodes and divergence steps bit for bit.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,8 @@ from .errors import SimulationDivergedError, ValidationError
 # draws per chunk, in doubles, for every chunked driver
 _CHUNK_BUDGET = 4_000_000
 _DEFAULT_BLOCK = 16_384
+# the chunk loop's draw buffer, one per thread (_draw_buffer)
+_draws = threading.local()
 
 
 @dataclass(frozen=True)
@@ -55,8 +61,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValidationError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValidationError("grid.horizon must be finite and > 0")
         if self.steps < 1:
             raise ValidationError("need at least one step")
 
@@ -78,8 +84,7 @@ class SamplePath:
 
 
 class RngStream:
-    """Counter-based uniforms and Gaussian increments keyed by
-    (seed, path, step).
+    """Counter-based uniforms keyed by (seed, path, step).
 
     Path p reads the Philox4x64 stream with key (seed, p).  A call builds
     one bit generator and, for each path, sets its key and its counter
@@ -118,17 +123,22 @@ class RngStream:
             gen.random(out=out[i])
         return out.reshape(len(paths), n_steps, dim)
 
-    def normals(self, path_indices, step_lo: int, step_hi: int, dim: int) -> np.ndarray:
-        """Standard normal increments, shape (paths, steps, dim)."""
-        u = to_open_unit(self.uniforms(path_indices, step_lo, step_hi, dim))
-        return ndtri(u, out=u)
-
 
 def to_open_unit(u: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) shifted by 2^-54 into (0, 1) in place, for ndtri;
     the top value 1 - 2^-53, which the shift rounds to 1.0, is clamped."""
     u += 2.0**-54
     return np.minimum(u, 1.0 - 2.0**-53, out=u)
+
+
+def to_increments(u: np.ndarray, dt: float) -> np.ndarray:
+    """Uniforms turned into Brownian increments sqrt(dt) ndtri(u) in place,
+    element by element; returns u.  Every driver and recorder maps its
+    uniforms here."""
+    to_open_unit(u)
+    ndtri(u, out=u)
+    u *= np.sqrt(dt)
+    return u
 
 
 def sigma_batch(field: CoefficientField, t: float, x: np.ndarray) -> np.ndarray:
@@ -144,17 +154,48 @@ def sigma_batch(field: CoefficientField, t: float, x: np.ndarray) -> np.ndarray:
     return sig
 
 
-def draw_chunks(stop: int, budget: int, per_step):
-    """Consecutive step ranges [k, k_hi) covering [0, stop) for chunked
-    draws: at least 16 steps, else about budget doubles at per_step()
-    doubles per step, which bounds the memory of a chunk's draws.
-    per_step is read again for every chunk, so a shrinking batch takes
-    longer chunks; at 0 the iteration stops."""
+def draw_chunks(rng: RngStream, paths, stop: int, dim: int):
+    """Yields (k, k_hi, u) for consecutive step ranges [k, k_hi) covering
+    [0, stop), u the raw uniforms (len(paths()), k_hi - k, dim) of the
+    paths paths() returns.  paths() is read again for every chunk, so a
+    shrinking batch takes longer chunks (``chunk_steps``); when it is empty
+    the iteration stops.  Every chunk of a call is drawn into one buffer
+    (``_draw_buffer``), which the next chunk overwrites."""
+    buf = None
     k = 0
-    while k < stop and per_step():
-        k_hi = min(stop, k + max(16, budget // per_step()))
-        yield k, k_hi
+    while k < stop:
+        p = paths()
+        per_step = len(p) * dim
+        if not per_step:
+            return
+        if buf is None:
+            buf = _draw_buffer(min(per_step * stop, max(_CHUNK_BUDGET, 16 * per_step)))
+        k_hi = min(stop, k + chunk_steps(per_step))
+        yield k, k_hi, rng.uniforms(p, k, k_hi, dim, buf)
         k = k_hi
+
+
+def chunk_steps(per_step: int) -> int:
+    """At least 16 steps, else about _CHUNK_BUDGET doubles at per_step a step."""
+    return max(16, _CHUNK_BUDGET // per_step)
+
+
+def _draw_buffer(n: int) -> np.ndarray:
+    """A float64 array of at least n entries for a call's chunks of draws.
+    Up to _CHUNK_BUDGET entries it is the calling thread's buffer of that
+    size, kept between calls, so chunked drivers must not nest in a thread.
+
+    The survivor loop's chunks change size as pairs meet.  A fresh array
+    per chunk or per call leaves it to malloc whether a freed chunk is
+    reused or the heap grows by another one, which made the peak memory
+    of identical runs differ by a chunk; a fresh mapping per call instead
+    costs its page faults, about 15 ms per 32 MB on a 2-core VM."""
+    if n > _CHUNK_BUDGET:
+        return np.empty(n)
+    buf = getattr(_draws, "buf", None)
+    if buf is None or buf.size != _CHUNK_BUDGET:
+        buf = _draws.buf = np.empty(_CHUNK_BUDGET)
+    return buf
 
 
 def path_tile(grid: TimeGrid, dim: int) -> int:
@@ -244,9 +285,8 @@ def simulate_terminal(field: CoefficientField, x0: np.ndarray, grid: TimeGrid,
     scan = s is not None and field.b_sup == 0.0 and not with_c
     # overflow is handled by the finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, k_hi in draw_chunks(grid.steps, _CHUNK_BUDGET, lambda: n * d):
-            dW = rng.normals(paths, k, k_hi, d)
-            dW *= np.sqrt(dt)
+        for k, k_hi, u in draw_chunks(rng, lambda: paths, grid.steps, d):
+            dW = to_increments(u, dt)
             if scan:
                 X = _scan_terminal(s, k, X, dW)
             else:
@@ -254,9 +294,6 @@ def simulate_terminal(field: CoefficientField, x0: np.ndarray, grid: TimeGrid,
                     if with_c:
                         w += field.c(T - (k + j) * dt, X) * dt
                     X = euler_step(field, grid, k + j, X, dW[:, j])
-            # free this chunk's draws before the next chunk is drawn, so
-            # that two chunks are never held at once
-            del dW
     return X, w
 
 
@@ -289,7 +326,7 @@ def simulate_path(field: CoefficientField, x0, grid: TimeGrid, rng: RngStream,
     dt, T = grid.dt, grid.horizon
     x0 = as_point(x0, d, "x0")
     if increments is None:
-        dB = rng.normals([path_index], 0, grid.steps, d)[0] * np.sqrt(dt)
+        dB = to_increments(rng.uniforms([path_index], 0, grid.steps, d)[0], dt)
     else:
         dB = np.asarray(increments, dtype=float)
         if dB.shape != (grid.steps, d):
@@ -316,7 +353,7 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
     motion, via per-step Brownian-bridge maxima.
 
     Consumes two uniforms per (path, step): one for the endpoint increment
-    and one for the bridge maximum.
+    and one, shifted into (0, 1), for the bridge maximum.
     """
     if t <= 0.0 or steps < 1 or n_paths < 1:
         raise ValidationError("need t > 0, steps >= 1, n_paths >= 1")
@@ -324,9 +361,9 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
     paths = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
     run_max = np.zeros(n_paths)
     endpoint = np.zeros(n_paths)
-    for k, k_hi in draw_chunks(steps, _CHUNK_BUDGET, lambda: 2 * n_paths):
-        u = to_open_unit(rng.uniforms(paths, k, k_hi, 2))
-        dB = ndtri(u[:, :, 0]) * np.sqrt(dt)
+    for k, k_hi, u in draw_chunks(rng, lambda: paths, steps, 2):
+        dB = to_increments(u[:, :, 0], dt)
+        to_open_unit(u[:, :, 1])
         for j in range(k_hi - k):
             a = endpoint
             b = endpoint + dB[:, j]
@@ -334,8 +371,6 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
             bridge = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 2.0 * dt * np.log(u[:, j, 1])))
             run_max = np.maximum(run_max, bridge)
             endpoint = b
-        # free this chunk's draws before the next chunk is drawn
-        del u, dB
     return run_max
 
 

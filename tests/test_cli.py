@@ -167,6 +167,27 @@ def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("text,key", [
+    (SOLVE.replace("grid.horizon = 0.5", "grid.horizon = inf"), "grid.horizon"),
+    (COUPLE.replace("grid.horizon = 1.0", "grid.horizon = nan"), "grid.horizon"),
+    (COUPLE + "couple_tol = nan\n", "couple_tol"),
+    (COUPLE + "couple_tol = -1\n", "couple_tol"),
+    (COUPLE + "workers = 2\n", "workers"),
+], ids=["inf-horizon-solve", "nan-horizon-couple", "nan-tol", "negative-tol",
+        "two-workers"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_scalars_out_of_range_are_config_errors(tmp_path, capsys, text, key, command):
+    # a horizon or tolerance that is not finite is neither a divergence nor
+    # a value in the table, and workers takes no value but 1
+    run_dir = ["--run-dir", str(tmp_path / "d")] if command == "run" else []
+    rc = main([command, _cfg(tmp_path, text)] + run_dir)
+    assert rc == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-error"
+    assert key in err["message"]
+    assert not (tmp_path / "d").exists()
+
+
 SOLVE_2D = SOLVE.replace("field.dim = 1", "field.dim = 2").replace(
     "base_point = 0.0", "base_point = 0.0, 0.0")
 

@@ -45,9 +45,10 @@ def _config_texts(draw):
     ladder = sorted(draw(st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=4,
                                   unique=True)), reverse=True)
     raw = {"kind": kind, "seed": draw(st.integers(0, 2**63)),
-           "workers": draw(st.integers(1, 8)), "grid.horizon": horizon,
-           "grid.steps": draw(st.integers(1, 10**5)),
+           "grid.horizon": horizon, "grid.steps": draw(st.integers(1, 10**5)),
            "n_paths": draw(st.integers(2, 10**6)), "ladder": ladder}
+    if draw(st.booleans()):
+        raw["workers"] = 1  # the one value the retired key still takes
     for key in ("base_point", "direction"):
         if draw(st.booleans()):
             raw[key] = draw(st.lists(_FLOATS, min_size=1, max_size=3))
@@ -112,10 +113,16 @@ class TestValidation:
         ("ladder = 0.1, 0.2", "decreasing"),
         ("ladder =", "ladder"),
         ("workers = 0", "workers"),
+        ("workers = 2", "workers"),
+        ("workers = 1.5", "workers"),
         ("grid.steps = 0", "grid"),
+        ("grid.horizon = inf", "grid.horizon"),
+        ("grid.horizon = nan", "grid.horizon"),
         ("n_paths = 1", "n_paths"),
         ("eval_horizon = 5.0", "eval_horizon"),
         ("couple_tol = -1", "couple_tol"),
+        ("couple_tol = nan", "couple_tol"),
+        ("couple_tol = inf", "couple_tol"),
         ("surprise = 1", "unknown config key"),
     ])
     def test_rejections(self, mutation, match):
@@ -148,6 +155,11 @@ class TestValidation:
         raw = parse_config_text("kind = solve\nseed = 1\nfield.name = constant")
         with pytest.raises(ConfigError, match="terminal"):
             validate_config(raw)
+
+    def test_workers_one_is_accepted_and_not_echoed(self):
+        cfg = validate_config(parse_config_text(GOOD + "workers = 1\n"))
+        assert cfg == validate_config(parse_config_text(GOOD))
+        assert "workers" not in cfg.resolved()
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

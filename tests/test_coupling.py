@@ -12,8 +12,9 @@ from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
                       RngStream, TimeGrid, ZERO_MODULUS, bm_coupling_expectation,
                       bm_coupling_survival, coupling, coupling_time_expectation,
                       coupling_times, default_couple_tol, lyapunov_f,
-                      reflection_matrix, SolveRequest, simulate_coupled,
-                      simulate_path, solve_difference_coupled, solve_u)
+                      reflection_matrix, sde_engine, SolveRequest,
+                      simulate_coupled, simulate_path, solve_difference_coupled,
+                      solve_u)
 from couplemc.coupling import simulate_coupled_block
 from couplemc.errors import (DegenerateDirectionError, DiniDivergenceError,
                              SimulationDivergedError, ValidationError)
@@ -74,7 +75,7 @@ def mapped(monkeypatch):
         sizes.append(u.size)
         return ndtri(u, out=out)
 
-    monkeypatch.setattr(coupling, "ndtri", counting)
+    monkeypatch.setattr(sde_engine, "ndtri", counting)
     return sizes
 
 
@@ -296,8 +297,8 @@ class TestCoupledPair:
         loop_f = dataclasses.replace(f, sigma_scalar=None)
         grid = TimeGrid(1.0, steps)
         tol = tol_factor * default_couple_tol(grid, f)
-        with mock.patch.object(coupling, "_CHUNK_BUDGET",
-                               budget or coupling._CHUNK_BUDGET), \
+        with mock.patch.object(sde_engine, "_CHUNK_BUDGET",
+                               budget or sde_engine._CHUNK_BUDGET), \
                 mock.patch.object(coupling, "_scan_steps",
                                   (lambda n_pairs: 16) if short_blocks
                                   else coupling._scan_steps):
@@ -323,7 +324,7 @@ class TestCoupledPair:
         # the drawn uniform of each injected step is marked with a value no
         # uniform takes, and the map to increments replaces its increment
         mark = 2.0
-        uniforms, increments = RngStream.uniforms, coupling._increments
+        uniforms, increments = RngStream.uniforms, coupling.to_increments
 
         def marked(self, paths, lo, hi, d, buf=None):
             u = uniforms(self, paths, lo, hi, d, buf)
@@ -340,7 +341,7 @@ class TestCoupledPair:
             return dW
 
         monkeypatch.setattr(RngStream, "uniforms", marked)
-        monkeypatch.setattr(coupling, "_increments", spoiled)
+        monkeypatch.setattr(coupling, "to_increments", spoiled)
 
         def step_index(field):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -370,7 +371,7 @@ class TestCoupledPair:
         grid = TimeGrid(1.0, 300)
         stop = 250
         if budget:
-            monkeypatch.setattr(coupling, "_CHUNK_BUDGET", budget)
+            monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", budget)
         taus = coupling_times(f, [0.0] * dim, [0.1] + [0.0] * (dim - 1), grid,
                               RngStream(17), 200, couple_tol=0.05, stop_step=stop)
         taken = int(np.where(taus >= 0, taus, stop).sum())
@@ -408,7 +409,7 @@ class TestCoupledPair:
             return uniforms(self, paths, lo, hi, d, buf)
 
         monkeypatch.setattr(RngStream, "uniforms", logged)
-        monkeypatch.setattr(coupling, "_CHUNK_BUDGET", 450)
+        monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", 450)
         small = coupling_times(f, x, z, grid, RngStream(5), 60)
         assert np.array_equal(default, small)
         assert len({size for _, size in calls}) >= 3
@@ -418,12 +419,12 @@ class TestCoupledPair:
 
     def test_draw_buffer_is_kept_per_thread(self):
         # up to the budget every call of a thread gets that thread's buffer
-        buf = coupling._draw_buffer(10)
-        assert buf.size == coupling._CHUNK_BUDGET
-        assert coupling._draw_buffer(coupling._CHUNK_BUDGET) is buf
-        assert coupling._draw_buffer(coupling._CHUNK_BUDGET + 1) is not buf
+        buf = sde_engine._draw_buffer(10)
+        assert buf.size == sde_engine._CHUNK_BUDGET
+        assert sde_engine._draw_buffer(sde_engine._CHUNK_BUDGET) is buf
+        assert sde_engine._draw_buffer(sde_engine._CHUNK_BUDGET + 1) is not buf
         other = []
-        t = threading.Thread(target=lambda: other.append(coupling._draw_buffer(10)))
+        t = threading.Thread(target=lambda: other.append(sde_engine._draw_buffer(10)))
         t.start()
         t.join()
         assert other[0] is not buf and other[0].size == buf.size

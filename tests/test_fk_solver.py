@@ -145,8 +145,8 @@ class TestZeroPotentialDifference:
         x = np.full(dim, x0)
         z = x + d0 * np.linspace(1.0, 0.5, dim)
         req = SolveRequest(field=f, terminal=term, eval_point=x, n_paths=n, grid=grid)
-        with mock.patch.object(coupling, "_CHUNK_BUDGET",
-                               budget or coupling._CHUNK_BUDGET):
+        with mock.patch.object(sde_engine, "_CHUNK_BUDGET",
+                               budget or sde_engine._CHUNK_BUDGET):
             mean, se, taus = solve_difference_coupled(
                 req, z, RngStream(seed), couple_tol=tol, path_offset=offset,
                 with_taus=True)
@@ -253,6 +253,31 @@ class TestModulusExperiment:
         assert table.metadata["regime_expected"] == "lipschitz"
         assert "delta_u_power_fit" in table.metadata
         assert "tau_power_fit" in table.metadata
+
+    @pytest.mark.parametrize("tol", [-1.0, np.inf, np.nan])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # every entry resolves couple_tol in one place: a negative or
+        # non-finite tolerance is an error, not a value in the table
+        f = make_sin_field(dim=1, amp=0.4)
+        term = make_gaussian_bump(0.0, 1.0)
+        grid = TimeGrid(0.5, 10)
+        cfg = ModulusExperimentConfig(
+            field=f, terminal=term, base_point=np.array([0.0]),
+            direction=np.array([1.0]), distances=(0.2, 0.1), grid=grid,
+            n_paths=10, couple_tol=tol)
+        req = _request(f, term, n_paths=10, steps=10)
+        runs = {
+            "modulus": lambda: modulus_experiment(cfg, RngStream(0)),
+            "difference": lambda: solve_difference_coupled(
+                req, [0.1], RngStream(0), couple_tol=tol),
+            "tau": lambda: coupling.coupling_times(
+                f, [0.0], [0.1], grid, RngStream(0), 10, couple_tol=tol),
+            "recorder": lambda: coupling.simulate_coupled(
+                f, [0.0], [0.1], grid, RngStream(0), couple_tol=tol),
+        }
+        for name, run in runs.items():
+            with pytest.raises(ValidationError, match="couple_tol"):
+                run()
 
     def test_fit_tolerates_zero_rows(self):
         table = ResultTable(

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from couplemc import (RngStream, TimeGrid, coupling, coupling_times,
-                      sde_engine, simulate_coupled)
+from couplemc import (RngStream, TimeGrid, coupling_times, sde_engine,
+                      simulate_coupled)
 from couplemc.cli import run_experiment
 from couplemc.config import load_config
 from couplemc.coupling import simulate_coupled_block
@@ -23,7 +23,8 @@ from couplemc.fk_solver import SolveRequest, solve_difference_coupled
 from couplemc.registry import (make_constant_field, make_gaussian_bump,
                                make_log_modulus_field, make_power_modulus_field,
                                make_sin_field)
-from couplemc.sde_engine import simulate_path, simulate_terminal
+from couplemc.sde_engine import (simulate_brownian_running_max, simulate_path,
+                                 simulate_terminal)
 
 GRID = TimeGrid(1.0, 200)
 N = 200
@@ -160,13 +161,19 @@ def _simulate_terminal_3d_scalar():
                                   RngStream(110), 0, 8))
 
 
-@pytest.mark.parametrize("run", [_simulate_terminal_3d_sin,
-                                 _simulate_terminal_3d_scalar, _tau_1d_constant,
-                                 _difference_1d_sin],
-                         ids=["simulate-terminal-3d-sin",
-                              "simulate-terminal-3d-scalar", "tau-1d-constant",
-                              "difference-1d-sin"])
-def test_chunk_boundaries_leave_bytes_unchanged(run, monkeypatch):
+def _running_max():
+    # 13 paths take 17-step chunks at the small budget
+    return [simulate_brownian_running_max(1.0, 13, 200, RngStream(114))]
+
+
+@pytest.mark.parametrize("run,budget", [
+    (_simulate_terminal_3d_sin, 450), (_simulate_terminal_3d_scalar, 450),
+    (_tau_1d_constant, 450), (_difference_1d_sin, 450),
+    # 17-step chunks of the 200 pairs' two doubles a step
+    (_terminal_1d_sin, 17 * 2 * N), (_running_max, 450),
+], ids=["simulate-terminal-3d-sin", "simulate-terminal-3d-scalar",
+        "tau-1d-constant", "difference-1d-sin", "terminal-1d-sin", "running-max"])
+def test_chunk_boundaries_leave_bytes_unchanged(run, budget, monkeypatch):
     """A small draw budget splits the steps into many chunks, some starting
     inside a four-double counter block; the output bytes stay the same."""
     default = run()
@@ -178,8 +185,7 @@ def test_chunk_boundaries_leave_bytes_unchanged(run, monkeypatch):
         return uniforms(self, paths, lo, hi, d, buf)
 
     monkeypatch.setattr(RngStream, "uniforms", logged)
-    for mod in (sde_engine, coupling):
-        monkeypatch.setattr(mod, "_CHUNK_BUDGET", 450)
+    monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", budget)
     small = run()
     assert len(starts) >= 3
     assert any(lo % 4 for lo in starts)

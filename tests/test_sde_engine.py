@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from couplemc.registry import (make_constant_field, make_constant_terminal,
                                make_sin_field)
 from couplemc.sde_engine import (feynman_kac_weight, path_tile,
                                  simulate_brownian_running_max, simulate_path,
-                                 simulate_terminal)
+                                 simulate_terminal, to_increments)
 
 
 class TestRngStream:
@@ -65,7 +66,7 @@ class TestRngStream:
             rng.uniforms([2, 9], 5, 17, 3, buf[:71])
 
     def test_normals_distribution(self):
-        z = RngStream(1).normals(np.arange(200), 0, 50, 1).ravel()
+        z = to_increments(RngStream(1).uniforms(np.arange(200), 0, 50, 1), 1.0).ravel()
         assert np.all(np.isfinite(z))
         assert abs(z.mean()) < 0.03
         assert abs(z.std() - 1.0) < 0.02
@@ -78,14 +79,19 @@ class TestRngStream:
         monkeypatch.setattr(RngStream, "uniforms", lambda self, paths, lo, hi, d, buf=None:
                             np.full((len(paths), hi - lo, d), top))
         rng = RngStream(0)
-        assert np.isfinite(rng.normals([0, 1], 0, 4, 2)).all()
-        dW, _ = coupling._pair_draws(rng, [0, 1], 0, 4, 1, 0.01)
-        assert np.isfinite(dW).all()
+        assert np.isfinite(to_increments(rng.uniforms([0, 1], 0, 4, 2), 0.01)).all()
+        grid = TimeGrid(1.0, 4)
+        f = make_constant_field(dim=1)
+        assert np.isfinite(simulate_terminal(f, [0.0], grid, rng, 0, 2)[0]).all()
+        assert np.isfinite(simulate_path(f, [0.0], grid, rng).states).all()
+        _, *legs = coupling.simulate_coupled_block(f, [0.0], [0.5], grid, rng, 0, 2,
+                                                   0.01, want_terminal=True)
+        assert all(np.isfinite(leg).all() for leg in legs)
+        pair = coupling.simulate_coupled(f, [0.0], [0.5], grid, rng)
+        assert np.isfinite(pair.path_z.states).all()
         assert np.isfinite(simulate_brownian_running_max(1.0, 2, 4, rng)).all()
         # the survivor loop maps the uniforms of the pairs it steps itself:
         # in the 1D scan, in the step loop and in the c = 0 difference
-        grid = TimeGrid(1.0, 4)
-        f = make_constant_field(dim=1)
         for field, x, z in [(f, [0.0], [0.5]),
                             (dataclasses.replace(f, sigma_scalar=None), [0.0], [0.5]),
                             (make_constant_field(dim=2), [0.0, 0.0], [0.5, 0.0])]:
@@ -106,6 +112,11 @@ class TestTimeGrid:
             TimeGrid(horizon=0.0, steps=10)
         with pytest.raises(ValidationError):
             TimeGrid(horizon=1.0, steps=0)
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_rejects_non_finite_horizon(self, horizon):
+        with pytest.raises(ValidationError, match="grid.horizon"):
+            TimeGrid(horizon=horizon, steps=10)
 
 
 class TestSimulation:
@@ -145,7 +156,7 @@ class TestSimulation:
         f = make_sin_field(dim=1, amp=0.4)
         grid = TimeGrid(0.5, 40)
         rng = RngStream(5)
-        dB = rng.normals([3], 0, 40, 1)[0] * np.sqrt(grid.dt)
+        dB = to_increments(rng.uniforms([3], 0, 40, 1)[0], grid.dt)
         a = simulate_path(f, [0.2], grid, rng, path_index=3)
         b = simulate_path(f, [0.2], grid, rng, increments=dB)
         assert np.array_equal(a.states, b.states)
@@ -210,17 +221,27 @@ class TestTerminalScan:
         loop_f = dataclasses.replace(f, sigma_scalar=None)
         grid = TimeGrid(1.0, 100)
         inject = {}  # path -> step whose increment is replaced
-        normals = RngStream.normals
+        # the drawn uniform of each injected step is marked with a value no
+        # uniform takes, and the map to increments replaces its increment
+        mark = 2.0
+        uniforms, increments = RngStream.uniforms, sde_engine.to_increments
 
-        def spoiled(self, paths, lo, hi, d):
-            z = normals(self, paths, lo, hi, d)
+        def marked(self, paths, lo, hi, d, buf=None):
+            u = uniforms(self, paths, lo, hi, d, buf)
             for p, k in inject.items():
                 row = np.flatnonzero(np.asarray(paths) == p)
                 if row.size and lo <= k < hi:
-                    z[row[0], k - lo, d - 1] = bad
-            return z
+                    u[row[0], k - lo, d - 1] = mark
+            return u
 
-        monkeypatch.setattr(RngStream, "normals", spoiled)
+        def spoiled(u, dt):
+            at = u == mark
+            dW = increments(u, dt)
+            dW[at] = bad
+            return dW
+
+        monkeypatch.setattr(RngStream, "uniforms", marked)
+        monkeypatch.setattr(sde_engine, "to_increments", spoiled)
         monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", 450)  # 16-step chunks
 
         def step_index(field):
@@ -252,6 +273,53 @@ class TestTerminalScan:
         assert path_tile(TimeGrid(1.0, 10**6), 3) == block
         assert path_tile(TimeGrid(1.0, budget // block), 1) == block
         assert path_tile(TimeGrid(1.0, 10), 1) == block
+
+
+class TestDrawChunks:
+    def test_chunked_drivers_draw_into_the_thread_buffer(self, monkeypatch):
+        # simulate_terminal, the running max, the terminal pair driver and
+        # the survivor loop draw every chunk into the calling thread's kept
+        # buffer; another thread draws into its own
+        bufs = []
+        uniforms = RngStream.uniforms
+
+        def logged(self, paths, lo, hi, d, buf=None):
+            bufs.append(buf)
+            return uniforms(self, paths, lo, hi, d, buf)
+
+        monkeypatch.setattr(RngStream, "uniforms", logged)
+        # 16-step chunks of the 30 pairs fill the budget exactly
+        monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", 16 * 2 * 30)
+        f = make_sin_field(dim=1, amp=0.5, c0=0.2)
+        grid = TimeGrid(1.0, 50)
+        rng = RngStream(4)
+        drivers = {
+            "terminal": lambda: simulate_terminal(f, [0.0], grid, rng, 0, 30),
+            "running-max": lambda: simulate_brownian_running_max(1.0, 30, 50, rng),
+            "pairs": lambda: coupling.simulate_coupled_block(
+                f, [0.0], [0.1], grid, rng, 0, 30, 0.01, want_terminal=True),
+            "survivors": lambda: coupling_times(f, [0.0], [0.1], grid, rng, 30),
+        }
+
+        def run_all():
+            drawn = {}
+            for name, run in drivers.items():
+                bufs.clear()
+                run()
+                drawn[name] = list(bufs)
+            return drawn
+
+        buf = sde_engine._draw_buffer(0)
+        for name, drawn in run_all().items():
+            assert len(drawn) >= 2 and all(b is buf for b in drawn), name
+        other = []
+        t = threading.Thread(target=lambda: other.append(run_all()))
+        t.start()
+        t.join()
+        theirs = other[0]["terminal"][0]
+        assert theirs is not buf and theirs.size == buf.size
+        for name, drawn in other[0].items():
+            assert all(b is theirs for b in drawn), name
 
 
 class TestRunningMaxSampler:
