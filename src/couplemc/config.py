@@ -95,6 +95,16 @@ def _named_section(raw: dict, sec: str, known, required: bool) -> tuple:
     return name, params
 
 
+def _count(raw: dict, key: str, default: int) -> int:
+    """raw[key] as an int: an integer, or a float with an integral value;
+    anything else (2.5, inf, nan, a word) is a config error naming key."""
+    v = raw.get(key, default)
+    if isinstance(v, bool) or not (isinstance(v, int)
+                                   or isinstance(v, float) and v.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _as_list(v) -> list:
     if v is None:
         return []
@@ -169,10 +179,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raw, "terminal", TERMINAL_BUILDERS, required=kind in ("solve", "modulus"))
 
     cfg.horizon = float(raw.get("grid.horizon", 1.0))
-    cfg.steps = int(raw.get("grid.steps", 1000))
+    cfg.steps = _count(raw, "grid.steps", 1000)
     if not 0.0 < cfg.horizon < np.inf or cfg.steps < 1:
         raise ConfigError("grid.horizon must be finite and > 0 and grid.steps >= 1")
-    cfg.n_paths = int(raw.get("n_paths", 10_000))
+    cfg.n_paths = _count(raw, "n_paths", 10_000)
     if cfg.n_paths < 2:
         raise ConfigError("n_paths must be >= 2")
 
@@ -181,8 +191,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if not ladder:
             raise ConfigError("a distance ladder is required for this kind")
         arr = np.asarray(ladder)
-        if np.any(arr <= 0) or np.any(np.diff(arr) >= 0):
-            raise ConfigError("ladder must be positive and strictly decreasing")
+        if not np.isfinite(arr).all() or np.any(arr <= 0) or np.any(np.diff(arr) >= 0):
+            raise ConfigError("ladder must be finite, positive and strictly decreasing")
     cfg.ladder = tuple(ladder)
 
     for key in ("base_point", "direction"):

@@ -110,8 +110,8 @@ class ModulusExperimentConfig:
 
     def __post_init__(self):
         dist = np.asarray(self.distances, dtype=float)
-        if np.any(dist <= 0) or np.any(np.diff(dist) >= 0):
-            raise ValidationError("distances must be positive and strictly decreasing")
+        if not np.isfinite(dist).all() or np.any(dist <= 0) or np.any(np.diff(dist) >= 0):
+            raise ValidationError("distances must be finite, positive and strictly decreasing")
         d = self.field.dim
         if not np.isfinite(as_point(self.base_point, d, "base_point")).all():
             raise ValidationError("base_point must be finite")

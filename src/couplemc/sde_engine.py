@@ -12,6 +12,12 @@ of every chunked driver, here and in ``coupling``, and every driver and
 recorder maps its uniforms to increments with ``to_increments``, element
 by element, so an increment has the same bytes whichever driver maps it.
 
+A map of at least _SPLIT_MIN elements, and the terminal scan of such a
+chunk, runs in row blocks on every core (``_on_row_blocks``); NumPy and
+SciPy ufuncs release the GIL.  Each row is worked on by one thread with
+the serial operations, so the bytes do not depend on the split, and the
+per-node maps of the step loops stay below the threshold.
+
 The step kernel: ``euler_update`` is the one Euler update
 X + sigma dW (+ b dt) of a batch of legs, and ``euler_step`` is the
 single-leg step built on it, which evaluates sigma and stops the run on a
@@ -36,7 +42,10 @@ nodes and divergence steps bit for bit.
 
 from __future__ import annotations
 
+import contextvars
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +60,16 @@ _CHUNK_BUDGET = 4_000_000
 _DEFAULT_BLOCK = 16_384
 # the chunk loop's draw buffer, one per thread (_draw_buffer)
 _draws = threading.local()
+# a map or terminal scan of fewer elements runs in the calling thread:
+# about 5 ms of ndtri, below which waking a pool thread, and waiting for
+# one the host has descheduled, cost more than half the map saves
+_SPLIT_MIN = 1 << 18
+# threads that share a map or scan, the calling one included, at most
+_MAX_THREADS = 4
+# row blocks cut per thread (_on_row_blocks)
+_BLOCKS_PER_THREAD = 4
+# (pid, threads, executor or None) of the row-block pool (_row_pool)
+_pool = None
 
 
 @dataclass(frozen=True)
@@ -134,11 +153,77 @@ def to_open_unit(u: np.ndarray) -> np.ndarray:
 def to_increments(u: np.ndarray, dt: float) -> np.ndarray:
     """Uniforms turned into Brownian increments sqrt(dt) ndtri(u) in place,
     element by element; returns u.  Every driver and recorder maps its
-    uniforms here."""
-    to_open_unit(u)
-    ndtri(u, out=u)
-    u *= np.sqrt(dt)
+    uniforms here, a large array a row block at a time on every core
+    (``_on_row_blocks``)."""
+    scale = np.sqrt(dt)
+
+    def increments(lo, hi):
+        block = u[lo:hi]
+        to_open_unit(block)
+        ndtri(block, out=block)
+        block *= scale
+
+    _on_row_blocks(increments, u)
     return u
+
+
+def _on_row_blocks(fn, a: np.ndarray) -> None:
+    """fn(lo, hi) over the row blocks [lo, hi) of a's first axis, for an fn
+    that works on each row of a on its own.  Below _SPLIT_MIN elements, or
+    with one CPU, the calling thread runs fn(0, len(a)); otherwise it and
+    the pool's threads (``_row_pool``) pull more blocks than there are
+    threads, in order, so a pool thread that is not scheduled stalls no
+    one: a helper that has not started when the blocks run out is
+    cancelled.  The helpers run in a copy of the caller's context, with
+    its NumPy error state."""
+    rows = len(a)
+    threads, pool = (1, None) if a.size < _SPLIT_MIN or rows < 2 else _row_pool()
+    if pool is None:
+        fn(0, rows)
+        return
+    n_blocks = min(rows, _BLOCKS_PER_THREAD * threads)
+    edges = [rows * i // n_blocks for i in range(n_blocks + 1)]
+    blocks = zip(edges[:-1], edges[1:])
+    lock = threading.Lock()
+
+    def pull():
+        while True:
+            with lock:
+                block = next(blocks, None)
+            if block is None:
+                return
+            fn(*block)
+
+    helpers = [pool.submit(contextvars.copy_context().run, pull)
+               for _ in range(threads - 1)]
+    try:
+        pull()
+    finally:
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
+
+
+def _row_pool():
+    """(threads, executor) that share a large map or scan: as many threads
+    as CPUs this process may run on, at most _MAX_THREADS, the calling one
+    included, so the executor has one thread fewer; None with one CPU.
+    Made on first use and again in a forked child, whose copy of the
+    parent's executor has no threads.  Its idle threads block without
+    spinning and are joined at interpreter exit."""
+    global _pool
+    pid = os.getpid()
+    if _pool is None or _pool[0] != pid:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # not on every platform
+            cpus = os.cpu_count() or 1
+        threads = min(cpus, _MAX_THREADS)
+        executor = None
+        if threads > 1:
+            executor = ThreadPoolExecutor(threads - 1, thread_name_prefix="couplemc-rows")
+        _pool = (pid, threads, executor)
+    return _pool[1], _pool[2]
 
 
 def sigma_batch(field: CoefficientField, t: float, x: np.ndarray) -> np.ndarray:
@@ -301,13 +386,19 @@ def _scan_terminal(s: float, k: int, X: np.ndarray, dW: np.ndarray) -> np.ndarra
     """The nodes after X over a chunk of increments dW (n, m, d) from node
     k, for sigma = s and b = 0; returns the last node.
 
-    dW becomes the nodes in place: s dW, plus X on the first step, summed
-    strictly in step order by np.add.accumulate, which is the step
-    X + s dW of ``euler_update`` node by node.  A non-finite node stays
-    non-finite, so the last node tells whether any step diverged."""
-    dW *= s
-    dW[:, 0] += X
-    np.add.accumulate(dW, axis=1, out=dW)
+    dW becomes the nodes in place, a row block at a time on every core
+    (``_on_row_blocks``): s dW, plus X on the first step, summed strictly
+    in step order by np.add.accumulate, which is the step X + s dW of
+    ``euler_update`` node by node.  A non-finite node stays non-finite,
+    so the last node tells whether any step diverged; the check runs over
+    all rows after the blocks, so it names the earliest step of any."""
+    def scan(lo, hi):
+        block = dW[lo:hi]
+        block *= s
+        block[:, 0] += X[lo:hi]
+        np.add.accumulate(block, axis=1, out=block)
+
+    _on_row_blocks(scan, dW)
     if not np.isfinite(dW[:, -1]).all():
         raise_first_nonfinite(~np.isfinite(dW).all(axis=2), k)
     return dW[:, -1].copy()

@@ -173,8 +173,14 @@ def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
     (COUPLE + "couple_tol = nan\n", "couple_tol"),
     (COUPLE + "couple_tol = -1\n", "couple_tol"),
     (COUPLE + "workers = 2\n", "workers"),
+    (COUPLE.replace("grid.steps = 200", "grid.steps = inf"), "grid.steps"),
+    (COUPLE.replace("grid.steps = 200", "grid.steps = 2.5"), "grid.steps"),
+    (COUPLE.replace("n_paths = 600", "n_paths = nan"), "n_paths"),
+    (COUPLE.replace("ladder = 0.2, 0.1, 0.05", "ladder = nan"), "ladder"),
+    (COUPLE.replace("ladder = 0.2, 0.1, 0.05", "ladder = inf, 0.1"), "ladder"),
 ], ids=["inf-horizon-solve", "nan-horizon-couple", "nan-tol", "negative-tol",
-        "two-workers"])
+        "two-workers", "inf-steps", "fractional-steps", "nan-paths", "nan-ladder",
+        "inf-ladder"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_scalars_out_of_range_are_config_errors(tmp_path, capsys, text, key, command):
     # a horizon or tolerance that is not finite is neither a divergence nor

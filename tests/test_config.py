@@ -116,6 +116,17 @@ class TestValidation:
         ("workers = 2", "workers"),
         ("workers = 1.5", "workers"),
         ("grid.steps = 0", "grid"),
+        ("grid.steps = 2.5", "grid.steps"),
+        ("grid.steps = inf", "grid.steps"),
+        ("grid.steps = nan", "grid.steps"),
+        ("grid.steps = many", "grid.steps"),
+        ("n_paths = nan", "n_paths"),
+        ("n_paths = inf", "n_paths"),
+        ("n_paths = 100.5", "n_paths"),
+        ("n_paths = true", "n_paths"),
+        ("ladder = nan", "ladder"),
+        ("ladder = inf, 0.1", "ladder"),
+        ("ladder = 0.2, nan", "ladder"),
         ("grid.horizon = inf", "grid.horizon"),
         ("grid.horizon = nan", "grid.horizon"),
         ("n_paths = 1", "n_paths"),
@@ -155,6 +166,13 @@ class TestValidation:
         raw = parse_config_text("kind = solve\nseed = 1\nfield.name = constant")
         with pytest.raises(ConfigError, match="terminal"):
             validate_config(raw)
+
+    def test_integral_float_counts_are_accepted(self):
+        raw = parse_config_text(GOOD)
+        raw.update({"grid.steps": 200.0, "n_paths": 1e3})
+        cfg = validate_config(raw)
+        assert (cfg.steps, cfg.n_paths) == (200, 1000)
+        assert type(cfg.steps) is int and type(cfg.n_paths) is int
 
     def test_workers_one_is_accepted_and_not_echoed(self):
         cfg = validate_config(parse_config_text(GOOD + "workers = 1\n"))

@@ -220,6 +220,15 @@ class TestRegimes:
             ModulusExperimentConfig(distances=(0.1, 0.2), **kw)
         ModulusExperimentConfig(distances=(0.2, 0.1), **kw)
 
+    @pytest.mark.parametrize("distances", [(np.nan,), (np.inf, 0.1), (0.2, np.nan)],
+                             ids=["nan", "inf-first", "nan-last"])
+    def test_distances_must_be_finite(self, distances):
+        kw = dict(field=make_sin_field(dim=1), terminal=make_gaussian_bump(0.0, 1.0),
+                  base_point=np.array([0.0]), direction=np.array([1.0]),
+                  grid=TimeGrid(1.0, 10), n_paths=100)
+        with pytest.raises(ValidationError, match="distances"):
+            ModulusExperimentConfig(distances=distances, **kw)
+
     @pytest.mark.parametrize("key,value", [
         ("base_point", [np.nan]), ("base_point", [np.inf]),
         ("direction", [0.0]), ("direction", [np.inf]), ("direction", [np.nan]),

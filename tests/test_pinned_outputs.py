@@ -148,6 +148,13 @@ def test_driver_output_bytes(case):
     assert h.hexdigest()[:16] == expected
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_driver_output_bytes_in_row_blocks(case, threaded):
+    """The same pins with every map and terminal scan of two or more rows
+    shared by three threads."""
+    test_driver_output_bytes(case)
+
+
 def _simulate_terminal_3d_sin():
     f = make_sin_field(dim=3, amp=0.5, c0=0.2)
     return list(simulate_terminal(f, np.array([0.1, 0.0, -0.1]), GRID,

@@ -1,5 +1,10 @@
 import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -374,6 +379,191 @@ class TestPathBlocks:
         x2, w2 = run_path_blocks(300, worker, block_size=300)
         assert np.array_equal(x1, x2)
         assert np.array_equal(w1, w2)
+
+
+TOP = 1.0 - 2.0**-53  # the largest uniform
+
+
+def _serial(fn, *args):
+    """fn(*args) with every map and scan in the calling thread."""
+    with mock.patch.object(sde_engine, "_SPLIT_MIN", sys.maxsize):
+        return fn(*args)
+
+
+def _with_top_rows(shape, seed=0):
+    """Uniforms of the given shape whose rows each start with the largest
+    uniform, so every row block holds one."""
+    u = np.random.default_rng(seed).random(shape)
+    u.reshape(len(u), -1)[:, 0] = TOP
+    return u
+
+
+class TestRowBlocks:
+    """Maps and terminal scans cut into row blocks that threads share
+    (``sde_engine._on_row_blocks``) give the bytes of the serial ones."""
+
+    @pytest.mark.parametrize("shape,view", [
+        ((1, 300, 2), lambda u: u),
+        ((37, 11, 3), lambda u: u),
+        ((101, 7), lambda u: u),
+        ((37, 11, 3), lambda u: u[:, :, :1]),
+        ((37, 11, 2), lambda u: u[:, :, 0]),
+    ], ids=["one-row", "odd-rows", "2d", "first-column-kept", "first-column"])
+    def test_map_matches_serial(self, shape, view, threaded):
+        # in place on the view, leaving the other columns as they were
+        u = _with_top_rows(shape)
+        expected = u.copy()
+        _serial(to_increments, view(expected), 0.01)
+        out = to_increments(view(u), 0.01)
+        assert np.shares_memory(out, u) and np.isfinite(out).all()
+        assert u.tobytes() == expected.tobytes()
+
+    def test_pool_threads_share_the_blocks(self, threaded, monkeypatch):
+        # more blocks than threads, each mapped once; blocks that take a
+        # while are pulled by more than one thread
+        names, sizes = set(), []
+        ndtri = sde_engine.ndtri
+
+        def slow(u, out=None):
+            threading.Event().wait(0.005)
+            names.add(threading.current_thread().name)
+            sizes.append(u.size)
+            return ndtri(u, out=out)
+
+        u = _with_top_rows((40, 50))
+        expected = _serial(to_increments, u.copy(), 0.01)
+        monkeypatch.setattr(sde_engine, "ndtri", slow)
+        assert to_increments(u, 0.01).tobytes() == expected.tobytes()
+        assert len(sizes) == 12 and sum(sizes) == u.size
+        assert len(names) >= 2
+
+    def test_blocks_are_pulled_once_under_thread_switching(self, threaded, monkeypatch):
+        # eight threads switching every microsecond: a block pulled twice
+        # maps its rows twice, a block lost leaves them unmapped
+        monkeypatch.setattr(sde_engine, "_MAX_THREADS", 8)
+        monkeypatch.setattr(sde_engine.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(100):
+                u = _with_top_rows((200, 30), seed)
+                expected = _serial(to_increments, u.copy(), 0.01)
+                assert to_increments(u, 0.01).tobytes() == expected.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sde_engine._pool[1] == 8
+
+    def test_scan_matches_serial(self, threaded):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(37, 2))
+        dW = rng.normal(size=(37, 13, 2))
+        expected = dW.copy()
+        last = _serial(sde_engine._scan_terminal, 0.7, 0, X, expected)
+        assert sde_engine._scan_terminal(0.7, 0, X, dW).tobytes() == last.tobytes()
+        assert dW.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("first,last", [(60, 30), (30, 60)],
+                             ids=["later-in-first-block", "earlier-in-first-block"])
+    def test_scan_names_the_earliest_step_across_blocks(self, first, last, threaded):
+        # the first row sits in the first block, the last row in the last
+        rng = np.random.default_rng(2)
+        dW = rng.normal(size=(20, 100, 2))
+        dW[0, first, 1] = np.inf
+        dW[-1, last, 0] = np.nan
+        for scan in (sde_engine._scan_terminal,
+                     lambda *args: _serial(sde_engine._scan_terminal, *args)):
+            with pytest.raises(SimulationDivergedError) as exc:
+                scan(1.0, 5, np.zeros((20, 2)), dW.copy())
+            assert exc.value.step_index == 5 + 30 + 1
+
+    def test_helpers_keep_the_callers_error_state(self, threaded):
+        # every block overflows; ignored, no thread warns, and raised, the
+        # error reaches the caller from whichever thread met it
+        dW = np.full((40, 8, 1), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"), pytest.raises(SimulationDivergedError):
+                sde_engine._scan_terminal(1.0, 0, np.zeros((40, 1)), dW.copy())
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                sde_engine._scan_terminal(1.0, 0, np.zeros((40, 1)), dW.copy())
+
+    @pytest.mark.parametrize("dim,n,steps,budget", [
+        (1, 1, 200, None), (1, 37, 200, 450), (2, 60, 17, 5000), (3, 7, 200, None),
+        (2, 13, 1, 450)])
+    def test_terminal_scan_matches_step_loop_in_row_blocks(self, dim, n, steps, budget,
+                                                           threaded):
+        matches = TestTerminalScan.test_terminal_scan_matches_step_loop.hypothesis.inner_test
+        matches(self, seed=2**63 + n, dim=dim, n=n, path_lo=2**40 - n, steps=steps,
+                a0=2.5, x0=-0.3, budget=budget)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_terminal_scan_divergence_in_row_blocks(self, bad, threaded, monkeypatch):
+        TestTerminalScan().test_terminal_scan_divergence_matches_step_loop(bad, monkeypatch)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(sde_engine, "_SPLIT_MIN", 2)
+        monkeypatch.setattr(sde_engine.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(sde_engine.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(sde_engine, "_pool", None)
+        before = set(threading.enumerate())
+        u = _with_top_rows((64, 100, 2))
+        expected = _serial(to_increments, u.copy(), 0.01)
+        assert to_increments(u, 0.01).tobytes() == expected.tobytes()
+        last = _serial(sde_engine._scan_terminal, 1.0, 0, np.zeros((64, 2)), expected)
+        assert sde_engine._scan_terminal(1.0, 0, np.zeros((64, 2)), u).tobytes() \
+            == last.tobytes()
+        assert sde_engine._pool[1:] == (1, None)
+        assert set(threading.enumerate()) == before
+
+    def test_only_large_arrays_are_split(self, monkeypatch):
+        # a solve chunk of _SPLIT_MIN draws is split; the survivor loop of
+        # a few thousand pairs, scan or step loop, never asks for the pool
+        asked = []
+        monkeypatch.setattr(sde_engine, "_row_pool", lambda: asked.append(1) or (1, None))
+        grid = TimeGrid(1.0, 128)
+        f = make_constant_field(dim=1)
+        for field in (f, dataclasses.replace(f, sigma_scalar=None)):
+            coupling_times(field, [0.0], [0.2], grid, RngStream(1), 6000)
+        assert not asked
+        n = sde_engine._SPLIT_MIN // grid.steps
+        simulate_terminal(f, [0.0], grid, RngStream(1), 0, n - 1)
+        assert not asked
+        simulate_terminal(f, [0.0], grid, RngStream(1), 0, n)
+        assert len(asked) == 2  # the map and the scan
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_maps_with_its_own_pool(self, threaded):
+        # the child's copy of the parent's pool has no threads: the child
+        # makes its own and maps the same bytes
+        u = _with_top_rows((64, 100, 2))
+        expected = to_increments(u.copy(), 0.01)
+        parent_pool = sde_engine._pool
+
+        def child():
+            ok = to_increments(u.copy(), 0.01).tobytes() == expected.tobytes()
+            fresh = sde_engine._pool[0] == os.getpid() and sde_engine._pool is not parent_pool
+            os._exit(0 if ok and fresh else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(60)
+        if proc.exitcode is None:
+            proc.kill()
+        assert proc.exitcode == 0
+
+    def test_pool_does_not_hold_up_exit(self):
+        # a process whose pool has mapped a large array exits at once
+        code = ("import os, numpy as np; from couplemc import sde_engine; "
+                "os.sched_getaffinity = lambda pid: {0, 1}; "
+                "assert sde_engine._pool is None; "
+                "sde_engine.to_increments(np.random.random((64, 8192)), 0.01); "
+                "assert sde_engine._pool[2] is not None")
+        src = os.path.dirname(os.path.dirname(sde_engine.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 def test_mean_stderr():
