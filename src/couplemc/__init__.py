@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 from .analysis import ScalingFit, fit_log_corrected, fit_power_law
 from .coefficients import (CoefficientField, ModulusOfContinuity,
                            ValidationReport, ZERO_MODULUS, classify_dini,
-                           default_sample_points, dini_integral, sqrt_spd,
-                           validate_field)
+                           default_sample_points, sqrt_spd, validate_field)
 from .config import ExperimentConfig, load_config, parse_config_text, validate_config
 from .coupling import (CoupledPath, CouplingEstimate, LyapunovParams,
                        coupling_time_expectation, coupling_times,

@@ -28,25 +28,20 @@ class ScalingFit:
         }
 
 
-def _ols(x: np.ndarray, y: np.ndarray, weights=None) -> ScalingFit:
+def _ols(x: np.ndarray, y: np.ndarray) -> ScalingFit:
     n = len(x)
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-    wsum = w.sum()
-    xbar = (w * x).sum() / wsum
-    ybar = (w * y).sum() / wsum
-    sxx = (w * (x - xbar) ** 2).sum()
+    xbar = x.sum() / n
+    ybar = y.sum() / n
+    sxx = ((x - xbar) ** 2).sum()
     if sxx == 0.0:
         raise ValidationError("degenerate abscissae: all x equal")
-    slope = (w * (x - xbar) * (y - ybar)).sum() / sxx
+    slope = ((x - xbar) * (y - ybar)).sum() / sxx
     intercept = ybar - slope * xbar
     resid = y - intercept - slope * x
     dof = n - 2
-    s2 = (w * resid**2).sum() / dof if dof > 0 else 0.0
-    syy = (w * (y - ybar) ** 2).sum()
-    r2 = 1.0 - (w * resid**2).sum() / syy if syy > 0 else 1.0
+    s2 = (resid**2).sum() / dof if dof > 0 else 0.0
+    syy = ((y - ybar) ** 2).sum()
+    r2 = 1.0 - (resid**2).sum() / syy if syy > 0 else 1.0
     return ScalingFit(
         slope=float(slope),
         intercept=float(intercept),
@@ -56,37 +51,30 @@ def _ols(x: np.ndarray, y: np.ndarray, weights=None) -> ScalingFit:
     )
 
 
-def _prepare(pairs, weights):
+def _prepare(pairs):
     arr = np.asarray([(float(r), float(v)) for r, v in pairs], dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 3:
         raise ValidationError("need at least 3 (r, v) pairs")
     if np.any(arr <= 0.0):
         raise ValidationError("all pairs must be strictly positive")
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    if w is not None and w.shape != (arr.shape[0],):
-        raise ValidationError("weights must match the number of pairs")
-    # sort by abscissa, then value and weight, so the result is
-    # independent of input order
-    keys = (arr[:, 1], arr[:, 0]) if w is None else (w, arr[:, 1], arr[:, 0])
-    order = np.lexsort(keys)
-    arr = arr[order]
-    if w is not None:
-        w = w[order]
-    return arr[:, 0], arr[:, 1], w
+    # sort by abscissa, then value, so the result is independent of input
+    # order
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    return arr[:, 0], arr[:, 1]
 
 
-def fit_power_law(pairs, weights=None) -> ScalingFit:
+def fit_power_law(pairs) -> ScalingFit:
     """Least squares of log v on log r.  Pairs are sorted before fitting so
     the result is independent of input order."""
-    r, v, w = _prepare(pairs, weights)
-    return _ols(np.log(r), np.log(v), w)
+    r, v = _prepare(pairs)
+    return _ols(np.log(r), np.log(v))
 
 
-def fit_log_corrected(pairs, weights=None) -> ScalingFit:
+def fit_log_corrected(pairs) -> ScalingFit:
     """Least squares of log v on log(r * max(1, -log r)); a slope near 1
     flags the r*log(1/r) modulus rather than a plain power law."""
-    r, v, w = _prepare(pairs, weights)
+    r, v = _prepare(pairs)
     if np.any(r >= 1.0):
         raise ValidationError("log-corrected fit needs all r < 1")
     regressor = np.log(r * np.maximum(1.0, -np.log(r)))
-    return _ols(regressor, np.log(v), w)
+    return _ols(regressor, np.log(v))

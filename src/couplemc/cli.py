@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .coefficients import default_sample_points, validate_field
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _count, _real, _reals, load_config
 from .coupling import _resolve_tol, coupling_time_expectation
 from .errors import ConfigError, CoupleMCError, SimulationDivergedError, ValidationError
 from .fk_solver import (ModulusExperimentConfig, ResultTable, fit_result_table,
@@ -136,45 +136,42 @@ def _run_modulus(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     return table, dict(table.metadata)
 
 
-def _oracle_y_grid(params: dict) -> np.ndarray:
-    lo = float(params.get("y_min", -8.0))
-    hi = float(params.get("y_max", 8.0))
-    n = int(params.get("y_count", 161))
-    return np.linspace(lo, hi, n)
+def _oracle_y_grid(p: dict) -> np.ndarray:
+    n = _count(p, "oracle.y_count", 161)
+    if n < 1:
+        raise ConfigError("oracle.y_count must be >= 1")
+    return np.linspace(_real(p, "oracle.y_min", -8.0), _real(p, "oracle.y_max", 8.0), n)
 
 
 def _run_oracle(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    p = cfg.oracle_params
+    # keyed as in the config file, so that a bad value is named oracle.<key>
+    p = {f"oracle.{k}": v for k, v in cfg.oracle_params.items()}
     name = cfg.oracle_name
+    t = _real(p, "oracle.t", 1.0)
     if name == "sgn":
-        theta = float(p.get("theta", 1.0))
-        t = float(p.get("t", 1.0))
-        x = float(p.get("x", 0.0))
+        theta = _real(p, "oracle.theta", 1.0)
+        x = _real(p, "oracle.x", 0.0)
         ys = _oracle_y_grid(p)
         rows = [(float(y), float(sgn_drift_density(theta, t, x, y))) for y in ys]
         return ResultTable(columns=["y", "density"], rows=rows), {}
     if name == "heat":
-        a0 = float(p.get("a0", 1.0))
-        b0 = float(p.get("b0", 0.0))
-        t = float(p.get("t", 1.0))
-        x = float(p.get("x", 0.0))
+        a0 = _real(p, "oracle.a0", 1.0)
+        b0 = _real(p, "oracle.b0", 0.0)
+        x = _real(p, "oracle.x", 0.0)
         ys = _oracle_y_grid(p)
         rows = [(float(y), heat_kernel([[a0]], [b0], t, [x], [y])) for y in ys]
         return ResultTable(columns=["y", "density"], rows=rows), {}
     if name == "running-max":
-        t = float(p.get("t", 1.0))
-        c1 = float(p.get("c1", 1.0))
-        c2 = float(p.get("c2", 1.0))
-        xs = [float(v) for v in np.atleast_1d(p.get("x_values", [0.5, 1.0, 2.0]))]
+        c1 = _real(p, "oracle.c1", 1.0)
+        c2 = _real(p, "oracle.c2", 1.0)
         rows = []
-        for x in xs:
+        for x in _reals(p, "oracle.x_values", [0.5, 1.0, 2.0]):
             b = running_max_bounds(RunningMaxQuery(t=t, x=x, c1=c1, c2=c2))
             rows.append((x, b.upper_tail, b.lower_level, b.exact))
         return ResultTable(
             columns=["x", "upper_tail", "lower_level", "exact"], rows=rows), {}
     # bm-coupling
-    t = float(p.get("t", 1.0))
-    d0s = [float(v) for v in np.atleast_1d(p.get("d0_values", [0.2, 0.1, 0.05]))]
+    d0s = _reals(p, "oracle.d0_values", [0.2, 0.1, 0.05])
     rows = [(d0, bm_coupling_expectation(d0, t)) for d0 in d0s]
     return ResultTable(columns=["d0", "expectation"], rows=rows), {}
 

@@ -26,17 +26,16 @@ class ModulusOfContinuity:
       * ``zero``      -- identically zero (constant coefficients)
       * ``power``     -- scale * r**alpha, alpha in (0, 1]
       * ``log_power`` -- scale * min(1, (-log r)**(-alpha)), alpha > 0
-      * ``tabulated`` -- linear interpolation of (r, value) samples
+
+    Each kind has a closed-form Dini answer (see ``classify_dini``).
     """
 
     kind: str
     scale: float = 1.0
     alpha: float | None = None
-    table_r: tuple = ()
-    table_v: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("zero", "power", "log_power", "tabulated"):
+        if self.kind not in ("zero", "power", "log_power"):
             raise ValidationError(f"unknown modulus kind {self.kind!r}")
         if self.scale < 0:
             raise ValidationError("modulus scale must be >= 0")
@@ -46,15 +45,6 @@ class ModulusOfContinuity:
         if self.kind == "log_power":
             if self.alpha is None or self.alpha <= 0.0:
                 raise ValidationError("log_power modulus needs alpha > 0")
-        if self.kind == "tabulated":
-            r = np.asarray(self.table_r, dtype=float)
-            v = np.asarray(self.table_v, dtype=float)
-            if r.size < 2 or r.size != v.size:
-                raise ValidationError("tabulated modulus needs matching r/value samples")
-            if r[0] != 0.0 or v[0] != 0.0:
-                raise ValidationError("tabulated modulus must start at (0, 0)")
-            if np.any(np.diff(r) <= 0) or np.any(np.diff(v) < 0):
-                raise ValidationError("tabulated modulus must be nondecreasing")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -62,7 +52,7 @@ class ModulusOfContinuity:
             out = np.zeros_like(r)
         elif self.kind == "power":
             out = self.scale * np.power(r, self.alpha)
-        elif self.kind == "log_power":
+        else:
             out = np.empty_like(r)
             inside = (r > 0.0) & (r < 1.0)
             with np.errstate(divide="ignore"):
@@ -71,60 +61,27 @@ class ModulusOfContinuity:
                 )
             out[r <= 0.0] = 0.0
             out[r >= 1.0] = self.scale
-        else:
-            out = np.interp(
-                r,
-                np.asarray(self.table_r, dtype=float),
-                np.asarray(self.table_v, dtype=float),
-            )
         return out if out.ndim else float(out)
 
 
 ZERO_MODULUS = ModulusOfContinuity("zero", scale=0.0)
 
 
-def dini_integral(rho: ModulusOfContinuity | Callable, eps0: float) -> float:
-    """Integral of rho(r)/r over [eps0, 1] by adaptive quadrature."""
-    from scipy.integrate import quad
-
-    if not 0.0 < eps0 < 1.0:
-        raise ValidationError("eps0 must lie in (0, 1)")
-    value, _ = quad(lambda r: rho(r) / r, eps0, 1.0, epsrel=1e-10, epsabs=0.0, limit=200)
-    return value
-
-
-def classify_dini(rho: ModulusOfContinuity | Callable) -> tuple[str, float]:
-    """Classify a modulus as Dini (rho(r)/r integrable at 0) or not.
-
-    The parametric families have closed-form answers: power moduli always
-    integrate (value scale/alpha), the logarithmic family integrates
-    exactly when alpha > 1 (value scale*alpha/(alpha-1)); the logarithmic
-    tail decays like 1/log(1/eps), far too slowly for a numeric cutoff to
-    resolve.  Tabulated moduli and plain callables fall back to a numeric
-    check: the cutoff is halved from 1e-4 down to 1e-8 and the modulus
-    passes when the integral has stabilized (relative change <= 1e-3 on
-    the last halving).  Returns the label and the integral value (the
-    numeric lower-cutoff value in the fallback case).
+def classify_dini(rho: ModulusOfContinuity) -> tuple[str, float]:
+    """Classify a modulus as Dini (rho(r)/r integrable at 0) or not, in
+    closed form: power moduli always integrate (value scale/alpha), the
+    logarithmic family integrates exactly when alpha > 1 (value
+    scale*alpha/(alpha-1)).  Returns the label and the integral of
+    rho(r)/r over (0, 1] (inf when it diverges).
     """
-    if isinstance(rho, ModulusOfContinuity):
-        if rho.kind == "zero" or rho.scale == 0.0:
-            return "Dini", 0.0
-        if rho.kind == "power":
-            return "Dini", rho.scale / rho.alpha
-        if rho.kind == "log_power":
-            if rho.alpha > 1.0:
-                # scale * (1 + Integral_0^1/e (-log r)^-alpha dr/r)
-                return "Dini", rho.scale * rho.alpha / (rho.alpha - 1.0)
-            return "not Dini", np.inf
-    eps = 1e-4
-    prev = dini_integral(rho, eps)
-    while eps > 1e-8:
-        eps *= 0.5
-        cur = dini_integral(rho, eps)
-        prev, last_change = cur, abs(cur - prev) / max(abs(cur), 1e-300)
-    if last_change <= 1e-3:
-        return "Dini", prev
-    return "not Dini at this resolution", prev
+    if rho.kind == "zero" or rho.scale == 0.0:
+        return "Dini", 0.0
+    if rho.kind == "power":
+        return "Dini", rho.scale / rho.alpha
+    if rho.alpha > 1.0:
+        # scale * (1 + Integral_0^1/e (-log r)^-alpha dr/r)
+        return "Dini", rho.scale * rho.alpha / (rho.alpha - 1.0)
+    return "not Dini", np.inf
 
 
 def sqrt_spd(A: np.ndarray) -> np.ndarray:
@@ -144,8 +101,8 @@ def sqrt_spd(A: np.ndarray) -> np.ndarray:
     return 0.5 * (root + np.swapaxes(root, -1, -2))
 
 
-def require_dini(rho) -> None:
-    """Raise DiniDivergenceError unless rho passes the numeric Dini check."""
+def require_dini(rho: ModulusOfContinuity) -> None:
+    """Raise DiniDivergenceError unless ``classify_dini`` labels rho Dini."""
     label, _ = classify_dini(rho)
     if label != "Dini":
         raise DiniDivergenceError("modulus fails the Dini integrability check")
@@ -187,10 +144,11 @@ class CoefficientField:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("dim must be a positive integer")
-        if self.lam <= 0:
-            raise ValidationError("ellipticity constant must be positive")
-        if self.b_sup < 0 or self.c_sup < 0:
-            raise ValidationError("declared bounds must be nonnegative")
+        if not 0.0 < self.lam < np.inf:
+            raise ValidationError("ellipticity constant must be finite and positive")
+        # an unbounded drift may declare b_sup = inf; nan compares false
+        if not (self.b_sup >= 0.0 and self.c_sup >= 0.0):
+            raise ValidationError("declared bounds must be nonnegative, not nan")
         if self.sigma_scalar is not None and not (
                 np.isfinite(self.sigma_scalar) and self.sigma_scalar > 0):
             raise ValidationError("sigma_scalar must be finite and positive")
@@ -267,37 +225,42 @@ def validate_field(field_: CoefficientField, points: np.ndarray,
     )
 
 
-def default_sample_points(dim: int, box_half_width: float = 2.0,
-                          grid_per_axis: int = 101, n_random: int = 1000,
-                          seed: int = 0) -> np.ndarray:
-    """Default validation sample set: an axis grid plus quasi-random points."""
-    axis = np.linspace(-box_half_width, box_half_width, grid_per_axis)
+_BOX_HALF_WIDTH = 2.0
+_GRID_PER_AXIS = 101
+_N_RANDOM = 1000
+
+
+def default_sample_points(dim: int) -> np.ndarray:
+    """Default validation sample set in the box [-2, 2]^dim: a grid of 101
+    points along each axis through 0, plus 1000 Halton points."""
+    axis = np.linspace(-_BOX_HALF_WIDTH, _BOX_HALF_WIDTH, _GRID_PER_AXIS)
     if dim == 1:
         grid = axis[:, None]
     else:
         # full tensor grids blow up with dim; take per-axis slices through 0
         cols = []
         for j in range(dim):
-            pts = np.zeros((grid_per_axis, dim))
+            pts = np.zeros((_GRID_PER_AXIS, dim))
             pts[:, j] = axis
             cols.append(pts)
         grid = np.concatenate(cols, axis=0)
-    sob = _halton(n_random, dim, seed)
-    rand = (2.0 * sob - 1.0) * box_half_width
+    sob = _halton(_N_RANDOM, dim)
+    rand = (2.0 * sob - 1.0) * _BOX_HALF_WIDTH
     return np.concatenate([grid, rand], axis=0)
 
 
-def _halton(n: int, dim: int, seed: int) -> np.ndarray:
+def _halton(n: int, dim: int) -> np.ndarray:
+    """The first n points of the Halton sequence in dim <= 12 dimensions;
+    seeded pseudo-random points beyond that."""
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     if dim > len(primes):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         return rng.random((n, dim))
     out = np.empty((n, dim))
     for j in range(dim):
         base = primes[j]
         seq = np.zeros(n)
-        f, idx = 1.0, np.arange(1, n + 1) + seed
-        work = idx.astype(float)
+        work = np.arange(1, n + 1).astype(float)
         denom = float(base)
         while np.any(work > 0):
             seq += (work % base) / denom

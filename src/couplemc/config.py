@@ -105,6 +105,28 @@ def _count(raw: dict, key: str, default: int) -> int:
     return int(v)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _real(raw: dict, key: str, default: float) -> float:
+    """raw[key] as a float; anything but a number (a word, a list, true)
+    is a config error naming key.  Range checks are the caller's."""
+    v = raw.get(key, default)
+    if not _is_number(v):
+        raise ConfigError(f"{key} must be a number, got {v!r}")
+    return float(v)
+
+
+def _reals(raw: dict, key: str, default=None) -> tuple:
+    """raw[key], one number or a comma list of them, as a tuple of floats
+    (empty when unset); a word among them is a config error naming key."""
+    vals = _as_list(raw.get(key, default))
+    if not all(map(_is_number, vals)):
+        raise ConfigError(f"{key} must be a list of numbers, got {vals!r}")
+    return tuple(float(v) for v in vals)
+
+
 def _as_list(v) -> list:
     if v is None:
         return []
@@ -178,7 +200,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     cfg.terminal_name, cfg.terminal_params = _named_section(
         raw, "terminal", TERMINAL_BUILDERS, required=kind in ("solve", "modulus"))
 
-    cfg.horizon = float(raw.get("grid.horizon", 1.0))
+    cfg.horizon = _real(raw, "grid.horizon", 1.0)
     cfg.steps = _count(raw, "grid.steps", 1000)
     if not 0.0 < cfg.horizon < np.inf or cfg.steps < 1:
         raise ConfigError("grid.horizon must be finite and > 0 and grid.steps >= 1")
@@ -186,26 +208,25 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if cfg.n_paths < 2:
         raise ConfigError("n_paths must be >= 2")
 
-    ladder = [float(v) for v in _as_list(raw.get("ladder"))]
+    cfg.ladder = _reals(raw, "ladder")
     if kind in ("couple", "modulus"):
-        if not ladder:
+        if not cfg.ladder:
             raise ConfigError("a distance ladder is required for this kind")
-        arr = np.asarray(ladder)
+        arr = np.asarray(cfg.ladder)
         if not np.isfinite(arr).all() or np.any(arr <= 0) or np.any(np.diff(arr) >= 0):
             raise ConfigError("ladder must be finite, positive and strictly decreasing")
-    cfg.ladder = tuple(ladder)
 
     for key in ("base_point", "direction"):
         if raw.get(key) is not None:
-            setattr(cfg, key, tuple(float(v) for v in _as_list(raw[key])))
+            setattr(cfg, key, _reals(raw, key))
     if raw.get("eval_horizon") is not None:
         if kind != "couple":
             raise ConfigError("eval_horizon applies only to kind = couple")
-        cfg.eval_horizon = float(raw["eval_horizon"])
+        cfg.eval_horizon = _real(raw, "eval_horizon", None)
         if not 0.0 < cfg.eval_horizon <= cfg.horizon:
             raise ConfigError("eval_horizon must lie in (0, grid.horizon]")
     if raw.get("couple_tol") is not None:
-        cfg.couple_tol = float(raw["couple_tol"])
+        cfg.couple_tol = _real(raw, "couple_tol", None)
         if not 0.0 <= cfg.couple_tol < np.inf:
             raise ConfigError("couple_tol must be finite and >= 0")
 

@@ -458,7 +458,7 @@ def lyapunov_f(params: LyapunovParams, eta: float) -> float:
         return 0.0
     rho = params.rho
     g = 2.0 * params.gamma**3
-    if getattr(rho, "kind", None) == "zero":
+    if rho.kind == "zero":
         return float(eta)
     require_dini(rho)
 

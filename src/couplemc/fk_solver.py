@@ -159,9 +159,6 @@ def _format_cell(v) -> str:
 
 def expected_regime(field: CoefficientField) -> str:
     """Expected continuity regime implied by the declared modulus of a."""
-    kind = getattr(field.modulus, "kind", None)
-    if kind in ("zero", "power"):
-        return "lipschitz"
     label, _ = classify_dini(field.modulus)
     return "lipschitz" if label == "Dini" else "holder"
 

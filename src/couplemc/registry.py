@@ -3,6 +3,7 @@ from experiment configs."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -13,8 +14,16 @@ from .coefficients import (CoefficientField, ModulusOfContinuity, ZERO_MODULUS,
 from .errors import ConfigError, ValidationError
 
 
+def _floats(v, name: str) -> np.ndarray:
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number or a list of numbers, "
+                              f"got {v!r}") from None
+
+
 def _as_matrix(a0, dim: int) -> np.ndarray:
-    A = np.asarray(a0, dtype=float)
+    A = _floats(a0, "a0")
     if A.ndim == 0:
         return float(A) * np.eye(dim)
     if A.shape == (dim,):
@@ -27,7 +36,7 @@ def _as_matrix(a0, dim: int) -> np.ndarray:
 
 def _as_vector(v, dim: int, name: str) -> np.ndarray:
     """A scalar repeated dim times, or exactly dim entries."""
-    v = np.asarray(v, dtype=float)
+    v = _floats(v, name)
     if v.ndim == 0:
         return np.full(dim, float(v))
     if v.shape != (dim,):
@@ -68,7 +77,7 @@ def make_constant_field(dim: int = 1, a0=1.0, b0=0.0, c0: float = 0.0,
         return np.full(len(x), float(c0))
 
     return CoefficientField(dim=dim, a=a, b=b, c=c, lam=lam,
-                            b_sup=float(np.linalg.norm(bvec)), c_sup=abs(float(c0)),
+                            b_sup=math.hypot(*bvec), c_sup=abs(float(c0)),
                             modulus=ZERO_MODULUS, sigma=sigma, sigma_scalar=scalar)
 
 
@@ -206,7 +215,7 @@ def build_field(name: str, params: dict | None = None) -> CoefficientField:
         raise ConfigError(f"unknown field {name!r}; known: {sorted(FIELD_BUILDERS)}")
     try:
         return FIELD_BUILDERS[name](**(params or {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for field {name!r}: {exc}") from exc
 
 
@@ -215,5 +224,5 @@ def build_terminal(name: str, params: dict | None = None) -> TerminalFunction:
         raise ConfigError(f"unknown terminal {name!r}; known: {sorted(TERMINAL_BUILDERS)}")
     try:
         return TERMINAL_BUILDERS[name](**(params or {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for terminal {name!r}: {exc}") from exc

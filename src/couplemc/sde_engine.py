@@ -405,23 +405,14 @@ def _scan_terminal(s: float, k: int, X: np.ndarray, dW: np.ndarray) -> np.ndarra
 
 
 def simulate_path(field: CoefficientField, x0, grid: TimeGrid, rng: RngStream,
-                  path_index: int = 0, increments: np.ndarray | None = None) -> SamplePath:
-    """Simulate a single path, recording every node: a batch of one
-    through the same step as simulate_terminal.
-
-    increments optionally supplies the Brownian increments Delta-B
-    (shape (steps, d), distributed N(0, dt I)) directly, bypassing the
-    rng; used for grid-refinement checks.
-    """
+                  path_index: int = 0) -> SamplePath:
+    """Simulate path ``path_index`` of ``rng``, recording every node: a
+    batch of one through the same step and the same increments as
+    simulate_terminal, so its last node is that path's terminal state."""
     d = field.dim
     dt, T = grid.dt, grid.horizon
     x0 = as_point(x0, d, "x0")
-    if increments is None:
-        dB = to_increments(rng.uniforms([path_index], 0, grid.steps, d)[0], dt)
-    else:
-        dB = np.asarray(increments, dtype=float)
-        if dB.shape != (grid.steps, d):
-            raise ValidationError("increments must have shape (steps, dim)")
+    dB = to_increments(rng.uniforms([path_index], 0, grid.steps, d)[0], dt)
     states = np.empty((grid.steps + 1, d))
     weight = np.zeros(grid.steps + 1)
     states[0] = x0

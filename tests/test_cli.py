@@ -111,6 +111,27 @@ def test_oracle_zero_drift_matches_heat_kernel(tmp_path, capsys):
         assert da == pytest.approx(db, abs=1e-12)
 
 
+@pytest.mark.parametrize("name,param,key", [
+    ("sgn", "oracle.theta = abc", "oracle.theta"),
+    ("sgn", "oracle.y_count = 2.5", "oracle.y_count"),
+    ("sgn", "oracle.y_count = -3", "oracle.y_count"),
+    ("heat", "oracle.y_min = low", "oracle.y_min"),
+    ("heat", "oracle.a0 = 1.0, 2.0", "oracle.a0"),
+    ("running-max", "oracle.x_values = 0.5, abc", "oracle.x_values"),
+    ("bm-coupling", "oracle.t = abc", "oracle.t"),
+])
+def test_oracle_parameters_are_config_errors(tmp_path, capsys, name, param, key):
+    # a word, a list or a fractional count is not read as a number: the
+    # table is not written
+    text = f"kind = oracle\nseed = 0\noracle.name = {name}\n{param}\n"
+    rc = main(["oracle", _cfg(tmp_path, text), "--run-dir", str(tmp_path / "d")])
+    assert rc == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-error"
+    assert key in err["message"]
+    assert not (tmp_path / "d").exists()
+
+
 def test_oracle_subcommand_requires_oracle_kind(tmp_path, capsys):
     rc = main(["oracle", _cfg(tmp_path, SOLVE)])
     assert rc == EXIT_CONFIG
@@ -178,9 +199,19 @@ def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
     (COUPLE.replace("n_paths = 600", "n_paths = nan"), "n_paths"),
     (COUPLE.replace("ladder = 0.2, 0.1, 0.05", "ladder = nan"), "ladder"),
     (COUPLE.replace("ladder = 0.2, 0.1, 0.05", "ladder = inf, 0.1"), "ladder"),
+    (COUPLE.replace("grid.horizon = 1.0", "grid.horizon = abc"), "grid.horizon"),
+    (COUPLE.replace("ladder = 0.2, 0.1, 0.05", "ladder = 0.2, abc"), "ladder"),
+    (COUPLE + "base_point = abc\n", "base_point"),
+    (COUPLE + "direction = abc\n", "direction"),
+    (COUPLE + "eval_horizon = abc\n", "eval_horizon"),
+    (COUPLE + "couple_tol = abc\n", "couple_tol"),
+    (COUPLE + "field.a0 = abc\n", "a0"),
+    (COUPLE + "field.c0 = abc\n", "field 'constant'"),
+    (SOLVE + "terminal.center = abc\n", "terminal center"),
 ], ids=["inf-horizon-solve", "nan-horizon-couple", "nan-tol", "negative-tol",
         "two-workers", "inf-steps", "fractional-steps", "nan-paths", "nan-ladder",
-        "inf-ladder"])
+        "inf-ladder", "word-horizon", "word-ladder", "word-point", "word-direction",
+        "word-eval-horizon", "word-tol", "word-a0", "word-c0", "word-center"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_scalars_out_of_range_are_config_errors(tmp_path, capsys, text, key, command):
     # a horizon or tolerance that is not finite is neither a divergence nor

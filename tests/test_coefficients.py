@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from couplemc import (CoefficientField, ModulusOfContinuity, ZERO_MODULUS,
-                      classify_dini, default_sample_points, dini_integral,
-                      sqrt_spd, validate_field)
+                      classify_dini, default_sample_points, sqrt_spd,
+                      validate_field)
 from couplemc.coefficients import require_dini
 from couplemc.errors import (DiniDivergenceError, EllipticityError,
                              ValidationError)
@@ -31,20 +31,12 @@ class TestModulus:
         grid = np.linspace(0.0, 1.5, 400)
         assert np.all(np.diff(rho(grid)) >= -1e-15)
 
-    def test_tabulated_interpolates(self):
-        rho = ModulusOfContinuity("tabulated", table_r=(0.0, 0.5, 1.0),
-                                  table_v=(0.0, 0.2, 0.6))
-        assert rho(0.25) == pytest.approx(0.1)
-        assert rho(2.0) == pytest.approx(0.6)
-
     @pytest.mark.parametrize("bad", [
         dict(kind="nope"),
         dict(kind="power", alpha=1.5),
         dict(kind="power", alpha=None),
         dict(kind="log_power", alpha=0.0),
         dict(kind="zero", scale=-1.0),
-        dict(kind="tabulated", table_r=(0.0, 1.0), table_v=(0.1, 0.2)),
-        dict(kind="tabulated", table_r=(0.0, 1.0, 0.5), table_v=(0.0, 0.1, 0.2)),
     ])
     def test_rejects_bad_parameters(self, bad):
         with pytest.raises(ValidationError):
@@ -52,20 +44,6 @@ class TestModulus:
 
 
 class TestDini:
-    def test_power_integral_closed_form(self):
-        # Integral of scale * r^(alpha-1) over [eps, 1] = scale (1 - eps^a)/a
-        for alpha in (0.3, 0.5, 1.0):
-            rho = ModulusOfContinuity("power", scale=1.7, alpha=alpha)
-            eps = 1e-5
-            expected = 1.7 * (1.0 - eps**alpha) / alpha
-            assert dini_integral(rho, eps) == pytest.approx(expected, rel=1e-8)
-
-    def test_integral_rejects_bad_cutoff(self):
-        with pytest.raises(ValidationError):
-            dini_integral(ZERO_MODULUS, 0.0)
-        with pytest.raises(ValidationError):
-            dini_integral(ZERO_MODULUS, 1.5)
-
     def test_classification(self):
         label, _ = classify_dini(ModulusOfContinuity("power", scale=1.0, alpha=0.5))
         assert label == "Dini"
@@ -150,6 +128,27 @@ class TestFieldValidation:
         with pytest.raises(ValidationError):
             CoefficientField(dim=1, a=f.a, b=f.b, c=f.c, lam=-1.0,
                              b_sup=0.0, c_sup=0.0)
+
+    @pytest.mark.parametrize("bounds", [
+        dict(lam=np.nan), dict(lam=np.inf), dict(b_sup=np.nan), dict(c_sup=np.nan),
+    ], ids=["nan-lam", "inf-lam", "nan-b", "nan-c"])
+    def test_declared_bounds_must_not_be_nan(self, bounds):
+        # nan compares false with every bound, so it would pass a plain
+        # sign check: a nan b_sup skips the drift, a nan lam makes the
+        # default meeting tolerance nan
+        f = make_constant_field(dim=1)
+        with pytest.raises(ValidationError):
+            CoefficientField(dim=1, a=f.a, b=f.b, c=f.c,
+                             **{"lam": 1.0, "b_sup": 0.0, "c_sup": 0.0, **bounds})
+
+    @pytest.mark.parametrize("dim,b0,declared", [
+        (1, 1e308, 1e308), (1, -1e308, 1e308), (2, [3e200, 4e200], 5e200),
+    ])
+    def test_constant_drift_bound_does_not_overflow(self, dim, b0, declared):
+        # |b0| is declared without squaring the entries, so a finite drift
+        # never declares b_sup = inf
+        assert make_constant_field(dim=dim, b0=b0).b_sup == pytest.approx(
+            declared, rel=1e-15)
 
     @pytest.mark.parametrize("s", [0.0, -1.0, np.inf, np.nan])
     def test_sigma_scalar_must_be_finite_and_positive(self, s):

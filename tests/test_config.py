@@ -134,6 +134,13 @@ class TestValidation:
         ("couple_tol = -1", "couple_tol"),
         ("couple_tol = nan", "couple_tol"),
         ("couple_tol = inf", "couple_tol"),
+        ("grid.horizon = abc", "grid.horizon"),
+        ("grid.horizon = true", "grid.horizon"),
+        ("ladder = 0.2, abc", "ladder"),
+        ("base_point = abc", "base_point"),
+        ("direction = 1.0, abc", "direction"),
+        ("eval_horizon = abc", "eval_horizon"),
+        ("couple_tol = abc", "couple_tol"),
         ("surprise = 1", "unknown config key"),
     ])
     def test_rejections(self, mutation, match):

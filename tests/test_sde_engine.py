@@ -157,15 +157,6 @@ class TestSimulation:
             assert np.array_equal(path.states[-1], X[p])
             assert path.weight_log[-1] == w[p]
 
-    def test_explicit_increments_reproduce_rng(self):
-        f = make_sin_field(dim=1, amp=0.4)
-        grid = TimeGrid(0.5, 40)
-        rng = RngStream(5)
-        dB = to_increments(rng.uniforms([3], 0, 40, 1)[0], grid.dt)
-        a = simulate_path(f, [0.2], grid, rng, path_index=3)
-        b = simulate_path(f, [0.2], grid, rng, increments=dB)
-        assert np.array_equal(a.states, b.states)
-
     def test_weight_exponential(self):
         f = make_constant_field(dim=1, c0=1.0)
         grid = TimeGrid(1.0, 64)
