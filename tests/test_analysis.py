@@ -35,10 +35,22 @@ def test_permutation_gives_identical_bits():
                        min_size=3, max_size=12),
        data=st.data())
 def test_fit_does_not_depend_on_input_order(points, data):
-    # any (r, v) list and any reordering of it give the same bits
+    # any (r, v) list and any reordering of it give the same bits; distinct
+    # r can still share one log r near 1e-4, and then both orders must be
+    # rejected alike
     assume(len({r for r, _ in points}) > 1)
     shuffled = data.draw(st.permutations(points))
-    assert fit_power_law(points) == fit_power_law(shuffled)
+
+    def outcome(pairs):
+        try:
+            return fit_power_law(pairs)
+        except ValidationError as exc:
+            return str(exc)
+
+    fit = outcome(points)
+    assert fit == outcome(shuffled)
+    if len({float(np.log(r)) for r, _ in points}) > 1:
+        assert not isinstance(fit, str)
 
 
 def test_slope_invariant_under_value_scaling():
