@@ -31,7 +31,6 @@ from .oracles import (RunningMaxBounds, RunningMaxQuery,
                       sgn_drift_solution)
 from .registry import (FIELD_BUILDERS, TERMINAL_BUILDERS, TerminalFunction,
                        build_field, build_terminal)
-from .sde_engine import (RngStream, SamplePath, TimeGrid, feynman_kac_weight,
-                         mean_stderr, run_path_blocks,
-                         simulate_brownian_running_max, simulate_path,
-                         simulate_terminal)
+from .sde_engine import (RngStream, SamplePath, TimeGrid, mean_stderr,
+                         run_path_blocks, simulate_brownian_running_max,
+                         simulate_path, simulate_terminal)

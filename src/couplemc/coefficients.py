@@ -120,7 +120,7 @@ class CoefficientField:
     sigma_scalar, when set, declares sigma(t, x) = sigma_scalar * I for
     every t and x, and must agree bit for bit with ``sigma`` (or with the
     square root of ``a``).  The step kernel then multiplies the increments
-    by the scalar instead of evaluating sigma, and the 1D tau-only driver
+    by the scalar instead of evaluating sigma, and the 1D block driver
     scans whole blocks of steps (see ``coupling``).
 
     b_sup == 0 declares b = 0 and c_sup == 0 declares c = 0: the step

@@ -24,7 +24,13 @@ from .errors import ConfigError
 from .registry import FIELD_BUILDERS, TERMINAL_BUILDERS
 
 KINDS = ("couple", "solve", "modulus", "oracle", "validate")
-ORACLES = ("sgn", "heat", "running-max", "bm-coupling")
+# each oracle and the oracle.* keys it reads (see cli._run_oracle)
+ORACLES = {
+    "sgn": ("t", "theta", "x", "y_min", "y_max", "y_count"),
+    "heat": ("t", "a0", "b0", "x", "y_min", "y_max", "y_count"),
+    "running-max": ("t", "c1", "c2", "x_values"),
+    "bm-coupling": ("t", "d0_values"),
+}
 
 # top-level config keys; each sets the ExperimentConfig attribute named by
 # its last dotted part (grid.steps -> steps).  The sections field.*,
@@ -234,9 +240,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if kind == "oracle":
         name = osec.pop("name", None)
         if name not in ORACLES:
-            raise ConfigError(f"oracle.name must be one of {ORACLES}, got {name!r}")
+            raise ConfigError(f"oracle.name must be one of {tuple(ORACLES)}, "
+                              f"got {name!r}")
+        for key in osec:
+            if key not in ORACLES[name]:
+                raise ConfigError(f"unknown config key 'oracle.{key}' for oracle "
+                                  f"{name!r}; known: {list(ORACLES[name])}")
         cfg.oracle_name = name
         cfg.oracle_params = osec
+    elif osec:
+        raise ConfigError(f"oracle.{next(iter(osec))} applies only to kind = oracle")
 
     known_prefixes = tuple(f"{sec}." for sec in SECTIONS)
     for key in raw:

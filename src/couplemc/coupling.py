@@ -14,8 +14,7 @@ take the Euler update of ``sde_engine.euler_update``, then the meeting
 test runs.  Legs of pairs that have met take ``sde_engine.euler_step``.
 Three drivers run these steps:
 
-* the tau-only driver (``simulate_coupled_block``, ``coupling_times``)
-  runs the survivor loop ``_unmet_pairs``: it keeps the unmet pairs
+* the block driver ``simulate_coupled_block`` keeps the unmet pairs
   compacted, steps nothing else, and draws raw uniforms in chunks that
   grow as the pairs couple.  It maps uniforms to increments lazily, only
   for the pairs it is about to step, so a pair that meets inside a chunk
@@ -23,13 +22,12 @@ Three drivers run these steps:
   constant sigma (``CoefficientField.sigma_scalar``) and b = 0 it scans
   each chunk a sub-block of steps at a time (``_scan_chunk``) instead of
   taking one ``pair_step`` per node, with the same nodes, hits and
-  divergence steps bit for bit; every other field takes the step loop.
-  The coupled difference ``fk_solver.solve_difference_coupled`` runs the
-  same loop up to the horizon for a field with c = 0, where a pair that
-  has met adds exactly nothing: the states of the unmet pairs are all it
-  needs;
-* the terminal driver (``simulate_coupled_block(want_terminal=True)``)
-  carries every pair to the horizon with the c-integrals of both legs;
+  divergence steps bit for bit.  ``coupling_times`` reads its coupling
+  steps; the coupled difference ``fk_solver.solve_difference_coupled`` of
+  a field with c = 0 runs it to the horizon and reads the states of the
+  unmet pairs, as a pair that has met adds exactly nothing;
+* the terminal driver ``simulate_coupled_terminal`` carries every pair to
+  the horizon with the c-integrals of both legs;
 * the recorder ``simulate_coupled`` is a batch of one that stores every
   node.
 
@@ -37,8 +35,9 @@ Draw layout per step of pair p (``_pair_layout``): in 1D two uniforms,
 the increment's and the bridge uniform; in d >= 2, d increments.  Every
 driver consumes the same draws and maps them with
 ``sde_engine.to_increments``, the terminal driver and the recorder a
-chunk at a time, the survivor loop step by step or sub-block by
-sub-block; so the coupling step of a pair does not depend on the driver.
+chunk at a time, the block driver step by step or sub-block by
+sub-block; so the coupling step of a pair depends neither on the driver
+nor on the block of path indices it runs in.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ from .coefficients import CoefficientField, ModulusOfContinuity, require_dini
 from .errors import DegenerateDirectionError, SimulationDivergedError, ValidationError
 from .sde_engine import (RngStream, SamplePath, TimeGrid, as_point, chunk_steps,
                          draw_chunks, euler_step, euler_update, mean_stderr,
-                         raise_first_nonfinite, run_path_blocks, sigma_batch,
-                         to_increments)
+                         raise_first_nonfinite, sigma_batch, to_increments)
 
 
 @dataclass
@@ -87,11 +85,6 @@ class CouplingEstimate:
     mean: float
     stderr: float
     fraction_coupled: float
-
-
-# tau-only runs use one big block: per-path results never depend on the
-# partition, and a single block minimizes Python-loop overhead
-_TAUS_BLOCK = 1 << 22
 
 
 def default_couple_tol(grid: TimeGrid, field: CoefficientField) -> float:
@@ -175,31 +168,6 @@ def _pair_layout(d: int) -> tuple[int, int | None]:
     return (2, 1) if d == 1 else (d, None)
 
 
-def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
-                           rng: RngStream, path_lo: int, path_hi: int,
-                           couple_tol: float, stop_step: int | None = None,
-                           want_terminal: bool = False):
-    """Vectorized coupled pairs over the path-index range [path_lo, path_hi).
-
-    Returns tau_step, the node index at which coupling was declared (-1 if
-    the pair did not couple before ``stop_step``).  With want_terminal the
-    pairs run over the full grid and the result is (tau_step, x_final, wx,
-    z_final, wz): state and c-integral of each leg at the horizon; after
-    coupling the Z leg equals the X leg and its c-integral differs by the
-    discrepancy accumulated before the coupling time.
-
-    Per-path results depend only on (seed, path index) and the arguments,
-    never on block boundaries, so any partitioning reproduces them.
-    """
-    if want_terminal:
-        paths, tau_step, X, Z = _start_pairs(field, x, z, path_lo, path_hi, couple_tol)
-        # overflow is handled by the finite checks, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z)
-    stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
-    return _unmet_pairs(field, x, z, grid, rng, path_lo, path_hi, couple_tol, stop)[0]
-
-
 def _start_pairs(field, x, z, path_lo, path_hi, couple_tol):
     """The path indices, the coupling steps (0 if x and z already meet,
     else -1) and the start states X, Z of a block of pairs."""
@@ -211,11 +179,13 @@ def _start_pairs(field, x, z, path_lo, path_hi, couple_tol):
     return paths, tau_step, np.tile(x, (n, 1)), np.tile(z, (n, 1))
 
 
-def _unmet_pairs(field, x, z, grid, rng, path_lo, path_hi, couple_tol, stop):
+def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
+                           rng: RngStream, path_lo: int, path_hi: int,
+                           couple_tol: float, stop_step: int | None = None):
     """Pairs of [path_lo, path_hi) stepped only until they meet or reach
-    node stop; returns (tau_step, rows, X, Z): the coupling steps (-1 for
-    pairs unmet at stop), and the local ids and states at stop of the
-    unmet pairs, in path order.
+    node stop_step (None: the horizon); returns (tau_step, rows, X, Z): the
+    coupling steps (-1 for pairs unmet at the stop node), and the local ids
+    and states at the stop node of the unmet pairs, in path order.
 
     The unmet pairs are kept compacted and drawn in chunks of raw uniforms
     that grow as the pairs meet (``draw_chunks``).  Uniforms become
@@ -224,6 +194,7 @@ def _unmet_pairs(field, x, z, grid, rng, path_lo, path_hi, couple_tol, stop):
     its row unmapped.  A 1D field that declares a constant sigma and b = 0
     is scanned a sub-block of steps at a time (``_scan_chunk``); every
     other field takes one ``pair_step`` per node."""
+    stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
     d = field.dim
     per_pair, bridge = _pair_layout(d)
     paths, tau_step, X, Z = _start_pairs(field, x, z, path_lo, path_hi, couple_tol)
@@ -261,7 +232,7 @@ def _scan_steps(n_pairs: int) -> int:
 
 
 def _scan_chunk(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
-    """The tau-only steps of a chunk of uniforms u (pairs, steps, 2) in the
+    """The block driver's steps of a chunk of uniforms u (pairs, steps, 2) in the
     1D pair layout, for a field with sigma = s and b = 0, a sub-block of
     steps at a time; returns the survivors (rows, X, Z) and writes the
     coupling steps into tau_step.
@@ -315,13 +286,23 @@ def _scan_chunk(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
     return rows, X, Z
 
 
-def _terminal_pairs(field, grid, rng, paths, couple_tol, tau_step, X, Z):
-    """Pairs carried to the horizon with their c-integrals.  Every X leg
-    takes the single-leg step; the Z legs of uncoupled pairs take the pair
-    step, whose X update repeats the single-leg one bit for bit: that costs
-    less than gathering and scattering the coupled rows at every step.
-    The c-integrals are skipped when c = 0, as adding 0.0 to the +0.0 sums
-    is exact."""
+# overflow is handled by the finite checks, not a warning
+@np.errstate(over="ignore", invalid="ignore")
+def simulate_coupled_terminal(field: CoefficientField, x, z, grid: TimeGrid,
+                              rng: RngStream, path_lo: int, path_hi: int,
+                              couple_tol: float):
+    """Coupled pairs of [path_lo, path_hi) carried to the horizon; returns
+    (tau_step, x_final, wx, z_final, wz): the coupling steps (-1 if unmet),
+    and state and c-integral of each leg at the horizon.  After coupling
+    the Z leg equals the X leg and its c-integral differs by the
+    discrepancy accumulated before the coupling time.
+
+    Every X leg takes the single-leg step; the Z legs of uncoupled pairs
+    take the pair step, whose X update repeats the single-leg one bit for
+    bit: that costs less than gathering and scattering the coupled rows at
+    every step.  The c-integrals are skipped when c = 0, as adding 0.0 to
+    the +0.0 sums is exact."""
+    paths, tau_step, X, Z = _start_pairs(field, x, z, path_lo, path_hi, couple_tol)
     n, dt, T = len(paths), grid.dt, grid.horizon
     per_pair, bridge = _pair_layout(field.dim)
     with_c = field.c_sup > 0.0
@@ -415,13 +396,15 @@ def coupling_times(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStream
     """Coupling node indices for n_paths independent pairs (-1 marks pairs
     not coupled before stop_step)."""
     couple_tol = _resolve_tol(couple_tol, grid, field)
+    return simulate_coupled_block(field, x, z, grid, rng, path_offset,
+                                  path_offset + n_paths, couple_tol,
+                                  stop_step=stop_step)[0]
 
-    def worker(lo, hi):
-        return simulate_coupled_block(field, x, z, grid, rng, lo, hi,
-                                      couple_tol, stop_step=stop_step)
 
-    return run_path_blocks(n_paths, worker, path_offset=path_offset,
-                           block_size=_TAUS_BLOCK)
+def capped_times(tau_step: np.ndarray, dt: float, t: float) -> np.ndarray:
+    """The coupling times t ^ tau of coupling node indices tau_step, t for
+    the pairs that did not couple (-1)."""
+    return np.where(tau_step >= 0, np.minimum(tau_step * dt, t), t)
 
 
 def coupling_time_expectation(field: CoefficientField, x, z, t: float,
@@ -438,8 +421,7 @@ def coupling_time_expectation(field: CoefficientField, x, z, t: float,
     tau_steps = coupling_times(field, x, z, grid, rng, n_paths,
                                couple_tol=couple_tol, stop_step=n_t,
                                path_offset=path_offset)
-    capped = np.where(tau_steps >= 0, np.minimum(tau_steps * grid.dt, t), t)
-    mean, se = mean_stderr(capped)
+    mean, se = mean_stderr(capped_times(tau_steps, grid.dt, t))
     frac = float(np.mean(tau_steps >= 0))
     return CouplingEstimate(mean=mean, stderr=se, fraction_coupled=frac)
 

@@ -12,7 +12,8 @@ import numpy as np
 
 from .analysis import fit_log_corrected, fit_power_law
 from .coefficients import CoefficientField, classify_dini
-from .coupling import _resolve_tol, _unmet_pairs, simulate_coupled_block
+from .coupling import (_resolve_tol, capped_times, simulate_coupled_block,
+                       simulate_coupled_terminal)
 from .errors import ValidationError
 from .sde_engine import (RngStream, TimeGrid, as_point, mean_stderr, path_tile,
                          run_path_blocks, simulate_terminal)
@@ -53,46 +54,41 @@ def solve_u(req: SolveRequest, rng: RngStream,
 
 def solve_difference_coupled(req: SolveRequest, z, rng: RngStream,
                              couple_tol: float | None = None,
-                             path_offset: int = 0, with_taus: bool = False):
-    """Paired estimate of u(T, x) - u(T, z) over reflection-coupled pairs.
-
-    Per-path differences vanish on paths that couple before the horizon
-    (up to the pre-coupling c-integral discrepancy), so the variance
-    shrinks with |x - z|.  With with_taus=True also returns the per-path
-    capped coupling times.
+                             path_offset: int = 0):
+    """Paired estimate of u(T, x) - u(T, z) over reflection-coupled pairs;
+    returns (mean, stderr, taus), taus the per-path coupling times capped
+    at the horizon.  Per-path differences vanish on paths that couple
+    before the horizon (up to the pre-coupling c-integral discrepancy), so
+    the variance shrinks with |x - z|.
 
     For a field that declares c = 0 (``c_sup == 0``) a pair that meets
-    adds exactly 0.0, so only the unmet pairs are stepped, up to the
-    horizon, and a leg is not stepped after its pair meets (a blow-up
-    after the meeting is therefore not reported; bounded coefficients
-    and the clamped uniforms cannot produce one).  The unmet pairs give
-    f(X_T) - f(Z_T), the bytes of the terminal driver's
-    f(X_T) exp(0) - f(Z_T) exp(0).  Other fields carry both legs with
-    their c-integrals to the horizon.
+    adds exactly 0.0, so the block driver ``simulate_coupled_block`` steps
+    only the unmet pairs, up to the horizon, and a leg is not stepped
+    after its pair meets (a blow-up after the meeting is therefore not
+    reported; bounded coefficients and the clamped uniforms cannot produce
+    one).  The unmet pairs give f(X_T) - f(Z_T), the bytes of the terminal
+    driver's f(X_T) exp(0) - f(Z_T) exp(0).  Other fields take the
+    terminal driver ``simulate_coupled_terminal``, which carries both legs
+    with their c-integrals to the horizon.
     """
     couple_tol = _resolve_tol(couple_tol, req.grid, req.field)
     x, f, grid = req.eval_point, req.terminal, req.grid
 
     def worker(lo, hi):
         if req.field.c_sup == 0.0:
-            tau, rows, X, Z = _unmet_pairs(req.field, x, z, grid, rng, lo, hi,
-                                           couple_tol, grid.steps)
+            tau, rows, X, Z = simulate_coupled_block(req.field, x, z, grid, rng,
+                                                     lo, hi, couple_tol)
             diff = np.zeros(hi - lo)
             if rows.size:
                 diff[rows] = f(X) - f(Z)
         else:
-            tau, X, wx, Z, wz = simulate_coupled_block(
-                req.field, x, z, grid, rng, lo, hi, couple_tol, want_terminal=True)
+            tau, X, wx, Z, wz = simulate_coupled_terminal(req.field, x, z, grid,
+                                                          rng, lo, hi, couple_tol)
             diff = f(X) * np.exp(wx) - f(Z) * np.exp(wz)
-        capped = np.where(tau >= 0, np.minimum(tau * grid.dt, req.horizon),
-                          req.horizon)
-        return diff, capped
+        return diff, capped_times(tau, grid.dt, req.horizon)
 
     diffs, taus = run_path_blocks(req.n_paths, worker, path_offset=path_offset)
-    mean, se = mean_stderr(diffs)
-    if with_taus:
-        return mean, se, taus
-    return mean, se
+    return (*mean_stderr(diffs), taus)
 
 
 @dataclass(frozen=True)
@@ -177,8 +173,7 @@ def modulus_experiment(cfg: ModulusExperimentConfig, rng: RngStream) -> ResultTa
         # disjoint path blocks per distance keep the rows independent
         offset = i * cfg.n_paths
         mean, se, taus = solve_difference_coupled(
-            req, x + r * e, rng, couple_tol=tol, path_offset=offset,
-            with_taus=True)
+            req, x + r * e, rng, couple_tol=tol, path_offset=offset)
         tau_mean, tau_se = mean_stderr(taus)
         rows.append((float(r), abs(mean), se, tau_mean, tau_se,
                      cfg.n_paths, cfg.grid.dt, tol))

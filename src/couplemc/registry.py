@@ -210,9 +210,21 @@ TERMINAL_BUILDERS: dict[str, Callable[..., TerminalFunction]] = {
 }
 
 
+def _check_numbers(section: str, name: str, params: dict) -> None:
+    """No builder takes a string or a bool: a word or true/false in a
+    parameter, or among its list entries, is a config error naming the
+    config key <section>.<key>."""
+    for key, v in params.items():
+        if any(isinstance(e, (str, bool)) for e in (v if isinstance(v, list) else [v])):
+            raise ConfigError(f"bad parameters for {section} {name!r}: {section} {key} "
+                              f"must be a number or a list of numbers, got {v!r} "
+                              f"(config key {section}.{key})")
+
+
 def build_field(name: str, params: dict | None = None) -> CoefficientField:
     if name not in FIELD_BUILDERS:
         raise ConfigError(f"unknown field {name!r}; known: {sorted(FIELD_BUILDERS)}")
+    _check_numbers("field", name, params or {})
     try:
         return FIELD_BUILDERS[name](**(params or {}))
     except (TypeError, ValueError) as exc:
@@ -222,6 +234,7 @@ def build_field(name: str, params: dict | None = None) -> CoefficientField:
 def build_terminal(name: str, params: dict | None = None) -> TerminalFunction:
     if name not in TERMINAL_BUILDERS:
         raise ConfigError(f"unknown terminal {name!r}; known: {sorted(TERMINAL_BUILDERS)}")
+    _check_numbers("terminal", name, params or {})
     try:
         return TERMINAL_BUILDERS[name](**(params or {}))
     except (TypeError, ValueError) as exc:

@@ -270,7 +270,7 @@ def _draw_buffer(n: int) -> np.ndarray:
     Up to _CHUNK_BUDGET entries it is the calling thread's buffer of that
     size, kept between calls, so chunked drivers must not nest in a thread.
 
-    The survivor loop's chunks change size as pairs meet.  A fresh array
+    The block driver's chunks change size as pairs meet.  A fresh array
     per chunk or per call leaves it to malloc whether a freed chunk is
     reused or the heap grows by another one, which made the peak memory
     of identical runs differ by a chunk; a fresh mapping per call instead
@@ -422,11 +422,6 @@ def simulate_path(field: CoefficientField, x0, grid: TimeGrid, rng: RngStream,
         X = euler_step(field, grid, k, X, dB[k][None, :])
         states[k + 1] = X[0]
     return SamplePath(grid=grid, states=states, weight_log=weight)
-
-
-def feynman_kac_weight(path: SamplePath) -> float:
-    """exp of the accumulated c-integral at the final node."""
-    return float(np.exp(path.weight_log[-1]))
 
 
 def simulate_brownian_running_max(t: float, n_paths: int, steps: int,

@@ -132,6 +132,47 @@ def test_oracle_parameters_are_config_errors(tmp_path, capsys, name, param, key)
     assert not (tmp_path / "d").exists()
 
 
+# every key each oracle reads, with a value it accepts
+ORACLE_KEYS = {
+    "sgn": "oracle.t = 0.5\noracle.theta = 1.0\noracle.x = 0.1\noracle.y_min = -2\n"
+           "oracle.y_max = 2\noracle.y_count = 5\n",
+    "heat": "oracle.t = 0.5\noracle.a0 = 1.5\noracle.b0 = 0.1\noracle.x = 0.1\n"
+            "oracle.y_min = -2\noracle.y_max = 2\noracle.y_count = 5\n",
+    "running-max": "oracle.t = 0.5\noracle.c1 = 1.0\noracle.c2 = 2.0\n"
+                   "oracle.x_values = 0.5, 1.0\n",
+    "bm-coupling": "oracle.t = 0.5\noracle.d0_values = 0.2, 0.1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_KEYS))
+def test_oracle_reads_every_key_it_accepts(tmp_path, capsys, name):
+    text = f"kind = oracle\nseed = 0\noracle.name = {name}\n{ORACLE_KEYS[name]}"
+    cfg = _cfg(tmp_path, text)
+    assert main(["validate", cfg]) == EXIT_OK
+    assert main(["oracle", cfg, "--run-dir", str(tmp_path / "d")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("name,param,key", [
+    ("sgn", "oracle.thetta = 5", "oracle.thetta"),
+    ("sgn", "oracle.a0 = 2.0", "oracle.a0"),
+    ("heat", "oracle.theta = 1.0", "oracle.theta"),
+    ("running-max", "oracle.x = 0.5", "oracle.x"),
+    ("bm-coupling", "oracle.d0 = 0.1", "oracle.d0"),
+])
+@pytest.mark.parametrize("command", ["validate", "oracle"])
+def test_oracle_keys_it_does_not_read_are_config_errors(tmp_path, capsys, name, param,
+                                                        key, command):
+    # a misspelled or foreign key is not ignored: the table is not written
+    text = f"kind = oracle\nseed = 0\noracle.name = {name}\n{param}\n"
+    run_dir = ["--run-dir", str(tmp_path / "d")] if command == "oracle" else []
+    rc = main([command, _cfg(tmp_path, text)] + run_dir)
+    assert rc == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-error"
+    assert key in err["message"]
+    assert not (tmp_path / "d").exists()
+
+
 def test_oracle_subcommand_requires_oracle_kind(tmp_path, capsys):
     rc = main(["oracle", _cfg(tmp_path, SOLVE)])
     assert rc == EXIT_CONFIG
@@ -208,14 +249,29 @@ def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
     (COUPLE + "field.a0 = abc\n", "a0"),
     (COUPLE + "field.c0 = abc\n", "field 'constant'"),
     (SOLVE + "terminal.center = abc\n", "terminal center"),
+    (COUPLE + "field.c0 = abc\n", "field.c0"),
+    (COUPLE + "field.a0 = 1.0, abc\n", "field.a0"),
+    (COUPLE.replace("field.dim = 1", "field.dim = true"), "field.dim"),
+    (COUPLE.replace("field.name = constant", "field.name = sin") + "field.amp = abc\n",
+     "field.amp"),
+    (SOLVE.replace("terminal.width = 1.0", "terminal.width = abc"), "terminal.width"),
+    (SOLVE.replace("terminal.width = 1.0", "terminal.width = false"), "terminal.width"),
+    (SOLVE + "terminal.center = abc\n", "terminal.center"),
+    (COUPLE + "oracle.t = 0.5\n", "oracle.t"),
+    (COUPLE + "oracle.name = sgn\n", "oracle.name"),
 ], ids=["inf-horizon-solve", "nan-horizon-couple", "nan-tol", "negative-tol",
         "two-workers", "inf-steps", "fractional-steps", "nan-paths", "nan-ladder",
         "inf-ladder", "word-horizon", "word-ladder", "word-point", "word-direction",
-        "word-eval-horizon", "word-tol", "word-a0", "word-c0", "word-center"])
+        "word-eval-horizon", "word-tol", "word-a0", "word-c0", "word-center",
+        "word-c0-key", "word-in-a0-list-key", "bool-dim-key", "word-amp-key",
+        "word-width-key", "bool-width-key", "word-center-key", "oracle-key-in-couple",
+        "oracle-name-in-couple"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_scalars_out_of_range_are_config_errors(tmp_path, capsys, text, key, command):
     # a horizon or tolerance that is not finite is neither a divergence nor
-    # a value in the table, and workers takes no value but 1
+    # a value in the table, and workers takes no value but 1; a word or a
+    # bool in a field or terminal parameter (no builder takes one), or an
+    # oracle key outside kind = oracle, names its config key
     run_dir = ["--run-dir", str(tmp_path / "d")] if command == "run" else []
     rc = main([command, _cfg(tmp_path, text)] + run_dir)
     assert rc == EXIT_CONFIG

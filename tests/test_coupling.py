@@ -15,7 +15,7 @@ from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
                       reflection_matrix, sde_engine, SolveRequest,
                       simulate_coupled, simulate_path, solve_difference_coupled,
                       solve_u)
-from couplemc.coupling import simulate_coupled_block
+from couplemc.coupling import simulate_coupled_block, simulate_coupled_terminal
 from couplemc.errors import (DegenerateDirectionError, DiniDivergenceError,
                              SimulationDivergedError, ValidationError)
 from couplemc.registry import (build_field, make_constant_field,
@@ -106,14 +106,13 @@ class TestCoupledPair:
         (make_sin_field(dim=2, amp=0.4), [0.0, 0.0], [0.1, 0.05], 10.0),
     ], ids=["sin-1d", "anisotropic-2d", "sin-2d"])
     def test_single_pair_matches_block(self, field, x, z, tol_factor):
-        # the tau-only driver, the terminal driver and the recorder give
+        # the block driver, the terminal driver and the recorder give
         # the same coupling step for every pair
         grid = TimeGrid(1.0, 300)
         rng = RngStream(6)
         tol = tol_factor * default_couple_tol(grid, field)
         taus = coupling_times(field, x, z, grid, rng, 12, couple_tol=tol)
-        terminal = simulate_coupled_block(field, x, z, grid, rng, 0, 12, tol,
-                                          want_terminal=True)[0]
+        terminal = simulate_coupled_terminal(field, x, z, grid, rng, 0, 12, tol)[0]
         assert np.array_equal(taus, terminal)
         assert np.any(taus >= 0)
         for p in range(12):
@@ -121,6 +120,32 @@ class TestCoupledPair:
                                     couple_tol=tol, path_index=p)
             expected = -1 if pair.tau_index is None else pair.tau_index
             assert taus[p] == expected
+
+    @pytest.mark.parametrize("field,x,z,tol_factor,budget", [
+        (make_constant_field(dim=1), [0.0], [0.3], 1.0, None),
+        (make_sin_field(dim=1, amp=0.4), [0.0], [0.3], 1.0, None),
+        (make_sin_field(dim=2, amp=0.4), [0.0, 0.0], [0.2, 0.1], 10.0, 16 * 2 * 40),
+    ], ids=["scan-1d", "step-loop-1d", "chunked-2d"])
+    def test_block_driver_returns_the_unmet_pairs_at_the_horizon(
+            self, field, x, z, tol_factor, budget, monkeypatch):
+        # for c = 0 the block driver's (rows, X, Z) are the pairs that the
+        # terminal driver leaves unmet and their states at the horizon,
+        # byte for byte; the 2D budget splits the horizon into chunks
+        assert field.c_sup == 0.0
+        if budget is not None:
+            monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", budget)
+        grid = TimeGrid(1.0, 100)
+        tol = tol_factor * default_couple_tol(grid, field)
+        tau, rows, X, Z = simulate_coupled_block(field, x, z, grid, RngStream(21),
+                                                 0, 40, tol)
+        tau_t, X_t, _, Z_t, _ = simulate_coupled_terminal(field, x, z, grid,
+                                                          RngStream(21), 0, 40, tol)
+        unmet = np.flatnonzero(tau_t == -1)
+        assert 0 < unmet.size < 40
+        assert tau.tobytes() == tau_t.tobytes()
+        assert rows.tobytes() == unmet.tobytes()
+        assert X.tobytes() == X_t[unmet].tobytes()
+        assert Z.tobytes() == Z_t[unmet].tobytes()
 
     def test_multidimensional_coupling(self):
         f = make_constant_field(dim=2, a0=[[1.5, 0.3], [0.3, 1.0]])
@@ -176,8 +201,8 @@ class TestCoupledPair:
         tol = default_couple_tol(grid, f)
         drivers = {
             "tau": lambda: coupling_times(f, x, z, grid, RngStream(0), 4),
-            "terminal": lambda: simulate_coupled_block(
-                f, x, z, grid, RngStream(0), 0, 4, tol, want_terminal=True),
+            "terminal": lambda: simulate_coupled_terminal(
+                f, x, z, grid, RngStream(0), 0, 4, tol),
             "recorder": lambda: simulate_coupled(f, x, z, grid, RngStream(0)),
         }
         for name, run in drivers.items():
@@ -219,8 +244,7 @@ class TestCoupledPair:
 
         monkeypatch.setattr(np.linalg, "solve", no_solve)
         coupling_times(f, x, z, grid, RngStream(0), 20)
-        simulate_coupled_block(f, x, z, grid, RngStream(0), 0, 20, tol,
-                               want_terminal=True)
+        simulate_coupled_terminal(f, x, z, grid, RngStream(0), 0, 20, tol)
         simulate_coupled(f, x, z, grid, RngStream(0))
 
     @settings(max_examples=60, deadline=None)
@@ -244,9 +268,8 @@ class TestCoupledPair:
 
         def run(field):
             rng = RngStream(seed)
-            out = [simulate_coupled_block(field, x, z, grid, rng, 0, n, tol)]
-            out += simulate_coupled_block(field, x, z, grid, rng, 0, n, tol,
-                                          want_terminal=True)
+            out = [simulate_coupled_block(field, x, z, grid, rng, 0, n, tol)[0]]
+            out += simulate_coupled_terminal(field, x, z, grid, rng, 0, n, tol)
             pair = simulate_coupled(field, x, z, grid, rng, couple_tol=tol,
                                     path_index=n)
             return out + [pair.path_x.states, pair.path_z.states]
@@ -257,7 +280,7 @@ class TestCoupledPair:
     @pytest.mark.parametrize("a0", [1.0, 2.0])
     @pytest.mark.parametrize("declared", [True, False], ids=["scan", "step-loop"])
     def test_survival_curve_matches_exact_law(self, a0, declared):
-        # the empirical P(tau > t_k) of the 1D tau driver against the exact
+        # the empirical P(tau > t_k) of the 1D block driver against the exact
         # law of the reflection-coupled Brownian pair at 20 nodes, inside a
         # Bonferroni-corrected binomial band of total level 1e-3.  With
         # couple_tol = 0 only the bridge test declares a meeting, which is
@@ -364,7 +387,7 @@ class TestCoupledPair:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_step_loop_maps_only_the_steps_it_takes(self, dim, budget, mapped,
                                                     monkeypatch):
-        # the survivor loop turns uniforms into increments only for the
+        # the block driver turns uniforms into increments only for the
         # pairs it steps: d normals per pair-step taken, none past a
         # pair's meeting step, in any chunk
         f = make_sin_field(dim=dim, amp=0.5)  # a sigma that is not declared
@@ -395,7 +418,7 @@ class TestCoupledPair:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_survivor_loop_draws_into_one_buffer(self, dim, monkeypatch):
-        # every chunk of the tau-only driver, whatever its size, is drawn
+        # every chunk of the block driver, whatever its size, is drawn
         # into one buffer allocated once per call, with unchanged bytes
         f = make_constant_field(dim=dim)
         grid = TimeGrid(1.0, 300)
@@ -441,8 +464,8 @@ class TestCoupledPair:
                              eval_point=z, n_paths=4, grid=grid)
         drivers = {
             "tau": lambda: coupling_times(f, x, z, grid, RngStream(0), 4),
-            "terminal": lambda: simulate_coupled_block(
-                f, x, z, grid, RngStream(0), 0, 4, 0.01, want_terminal=True),
+            "terminal": lambda: simulate_coupled_terminal(
+                f, x, z, grid, RngStream(0), 0, 4, 0.01),
             "recorder": lambda: simulate_coupled(f, x, z, grid, RngStream(0)),
             "solve": lambda: solve_u(solve, RngStream(0)),
             "path": lambda: simulate_path(f, z, grid, RngStream(0)),
@@ -524,9 +547,8 @@ def test_scale_sigma_matches_matrix_sigma(case, seed, n, steps, x0, d0, tol_fact
     def run(field):
         rng = RngStream(seed)
         out = list(simulate_terminal(field, x, grid, rng, 0, n))
-        out.append(simulate_coupled_block(field, x, z, grid, rng, 0, n, tol))
-        out += simulate_coupled_block(field, x, z, grid, rng, 0, n, tol,
-                                      want_terminal=True)
+        out.append(simulate_coupled_block(field, x, z, grid, rng, 0, n, tol)[0])
+        out += simulate_coupled_terminal(field, x, z, grid, rng, 0, n, tol)
         pair = simulate_coupled(field, x, z, grid, rng, couple_tol=tol,
                                 path_index=n)
         return out + [pair.path_x.states, pair.path_z.states,

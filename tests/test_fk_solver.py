@@ -9,7 +9,7 @@ from couplemc import (ModulusExperimentConfig, ResultTable, RngStream,
                       fit_result_table, mean_stderr, modulus_experiment,
                       sde_engine, solve_difference_coupled, solve_u)
 from couplemc.coefficients import ModulusOfContinuity
-from couplemc.coupling import simulate_coupled_block
+from couplemc.coupling import simulate_coupled_terminal
 from couplemc.errors import ValidationError
 from couplemc.registry import (build_field, make_constant_field, make_constant_terminal,
                                make_gaussian_bump, make_log_modulus_field,
@@ -88,8 +88,7 @@ class TestCoupledDifference:
     def test_identical_points_give_zero(self):
         f = make_sin_field(dim=1, amp=0.3)
         req = _request(f, make_gaussian_bump(0.0, 1.0), n_paths=200, steps=40)
-        mean, se, taus = solve_difference_coupled(
-            req, req.eval_point, RngStream(3), with_taus=True)
+        mean, se, taus = solve_difference_coupled(req, req.eval_point, RngStream(3))
         assert mean == 0.0
         assert se == 0.0
         assert np.all(taus == 0.0)
@@ -98,7 +97,7 @@ class TestCoupledDifference:
         f = make_sin_field(dim=1, amp=0.5)
         term = make_gaussian_bump(0.0, 1.0)
         req = _request(f, term, n_paths=4000, steps=200, point=[1.0])
-        _, se_c = solve_difference_coupled(req, np.array([1.05]), RngStream(4))
+        _, se_c, _ = solve_difference_coupled(req, np.array([1.05]), RngStream(4))
         _, se_a = solve_u(req, RngStream(5))
         req2 = _request(f, term, n_paths=4000, steps=200, point=[1.05])
         _, se_b = solve_u(req2, RngStream(5), path_offset=4000)
@@ -148,11 +147,9 @@ class TestZeroPotentialDifference:
         with mock.patch.object(sde_engine, "_CHUNK_BUDGET",
                                budget or sde_engine._CHUNK_BUDGET):
             mean, se, taus = solve_difference_coupled(
-                req, z, RngStream(seed), couple_tol=tol, path_offset=offset,
-                with_taus=True)
-            tau, X, wx, Z, wz = simulate_coupled_block(
-                f, x, z, grid, RngStream(seed), offset, offset + n, tol,
-                want_terminal=True)
+                req, z, RngStream(seed), couple_tol=tol, path_offset=offset)
+            tau, X, wx, Z, wz = simulate_coupled_terminal(
+                f, x, z, grid, RngStream(seed), offset, offset + n, tol)
         diff = term(X) * np.exp(wx) - term(Z) * np.exp(wz)
         capped = np.where(tau >= 0, np.minimum(tau * grid.dt, grid.horizon),
                           grid.horizon)
@@ -175,8 +172,7 @@ class TestZeroPotentialDifference:
 
         for mod in (sde_engine, coupling):
             monkeypatch.setattr(mod, "euler_update", counted)
-        _, _, taus = solve_difference_coupled(req, np.array([0.05]), RngStream(3),
-                                              with_taus=True)
+        _, _, taus = solve_difference_coupled(req, np.array([0.05]), RngStream(3))
         unmet_steps = int(np.round(taus / req.grid.dt).sum())
         assert 0 < unmet_steps < 300 * 100
         if c0 == 0.0:

@@ -18,7 +18,7 @@ from couplemc import (RngStream, TimeGrid, coupling_times, sde_engine,
                       simulate_coupled)
 from couplemc.cli import run_experiment
 from couplemc.config import load_config
-from couplemc.coupling import simulate_coupled_block
+from couplemc.coupling import simulate_coupled_terminal
 from couplemc.fk_solver import SolveRequest, solve_difference_coupled
 from couplemc.registry import (make_constant_field, make_gaussian_bump,
                                make_log_modulus_field, make_power_modulus_field,
@@ -38,8 +38,8 @@ def _tau_1d_constant():
 
 def _terminal_1d_sin():
     f = make_sin_field(dim=1, amp=0.5, c0=0.3)
-    return list(simulate_coupled_block(f, [0.1], [0.2], GRID, RngStream(102),
-                                       0, N, 0.01, want_terminal=True))
+    return list(simulate_coupled_terminal(f, [0.1], [0.2], GRID, RngStream(102),
+                                          0, N, 0.01))
 
 
 def _simulate_terminal_2d_constant():
@@ -62,9 +62,8 @@ def _tau_2d_anisotropic():
 
 def _terminal_2d_sin():
     f = make_sin_field(dim=2, amp=0.5, c0=0.2)
-    return list(simulate_coupled_block(f, [0.1, 0.0], [0.3, 0.1], GRID,
-                                       RngStream(105), 0, N, 0.05,
-                                       want_terminal=True))
+    return list(simulate_coupled_terminal(f, [0.1, 0.0], [0.3, 0.1], GRID,
+                                          RngStream(105), 0, N, 0.05))
 
 
 def _path_1d_sin():
@@ -84,9 +83,8 @@ def _coupled_1d_sin():
 
 def _terminal_2d_power_modulus():
     f = make_power_modulus_field(dim=2, height=0.5, alpha=0.5)
-    return list(simulate_coupled_block(f, [0.05, 0.0], [0.25, 0.1], GRID,
-                                       RngStream(111), 0, N, 0.05,
-                                       want_terminal=True))
+    return list(simulate_coupled_terminal(f, [0.05, 0.0], [0.25, 0.1], GRID,
+                                          RngStream(111), 0, N, 0.05))
 
 
 def _simulate_terminal_2d_log_modulus():
@@ -96,21 +94,20 @@ def _simulate_terminal_2d_log_modulus():
 
 
 def _tau_1d_sin():
-    # a non-constant sigma: the survivor loop steps pair by pair
+    # a non-constant sigma: the block driver steps pair by pair
     return [coupling_times(make_sin_field(dim=1, amp=0.5), [0.0], [0.1], GRID,
                            RngStream(113), N)]
 
 
 def _difference_sin(dim, seed):
-    # c = 0: only the unmet pairs are stepped, by the survivor loop
+    # c = 0: only the unmet pairs are stepped, by the block driver
     x = np.zeros(dim)
     req = SolveRequest(field=make_sin_field(dim=dim, amp=0.5),
                        terminal=make_gaussian_bump(center=x, width=0.5),
                        eval_point=x, n_paths=N, grid=GRID)
     z = x.copy()
     z[0] = 0.1
-    mean, se, taus = solve_difference_coupled(req, z, RngStream(seed),
-                                              with_taus=True)
+    mean, se, taus = solve_difference_coupled(req, z, RngStream(seed))
     return [np.array([mean, se]), taus]
 
 

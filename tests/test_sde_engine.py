@@ -18,9 +18,8 @@ from couplemc import (RngStream, SolveRequest, TimeGrid, coupling, coupling_time
 from couplemc.errors import SimulationDivergedError, ValidationError
 from couplemc.registry import (make_constant_field, make_constant_terminal,
                                make_sin_field)
-from couplemc.sde_engine import (feynman_kac_weight, path_tile,
-                                 simulate_brownian_running_max, simulate_path,
-                                 simulate_terminal, to_increments)
+from couplemc.sde_engine import (path_tile, simulate_brownian_running_max,
+                                 simulate_path, simulate_terminal, to_increments)
 
 
 class TestRngStream:
@@ -89,13 +88,13 @@ class TestRngStream:
         f = make_constant_field(dim=1)
         assert np.isfinite(simulate_terminal(f, [0.0], grid, rng, 0, 2)[0]).all()
         assert np.isfinite(simulate_path(f, [0.0], grid, rng).states).all()
-        _, *legs = coupling.simulate_coupled_block(f, [0.0], [0.5], grid, rng, 0, 2,
-                                                   0.01, want_terminal=True)
+        _, *legs = coupling.simulate_coupled_terminal(f, [0.0], [0.5], grid, rng,
+                                                      0, 2, 0.01)
         assert all(np.isfinite(leg).all() for leg in legs)
         pair = coupling.simulate_coupled(f, [0.0], [0.5], grid, rng)
         assert np.isfinite(pair.path_z.states).all()
         assert np.isfinite(simulate_brownian_running_max(1.0, 2, 4, rng)).all()
-        # the survivor loop maps the uniforms of the pairs it steps itself:
+        # the block driver maps the uniforms of the pairs it steps itself:
         # in the 1D scan, in the step loop and in the c = 0 difference
         for field, x, z in [(f, [0.0], [0.5]),
                             (dataclasses.replace(f, sigma_scalar=None), [0.0], [0.5]),
@@ -161,7 +160,7 @@ class TestSimulation:
         f = make_constant_field(dim=1, c0=1.0)
         grid = TimeGrid(1.0, 64)
         path = simulate_path(f, [0.0], grid, RngStream(0))
-        assert feynman_kac_weight(path) == pytest.approx(np.e, rel=1e-12)
+        assert path.weight_log[-1] == pytest.approx(1.0, rel=1e-12)
 
     def test_divergence_raises_with_step(self):
         f = make_constant_field(dim=1, b0=1e308)
@@ -274,7 +273,7 @@ class TestTerminalScan:
 class TestDrawChunks:
     def test_chunked_drivers_draw_into_the_thread_buffer(self, monkeypatch):
         # simulate_terminal, the running max, the terminal pair driver and
-        # the survivor loop draw every chunk into the calling thread's kept
+        # the block driver draw every chunk into the calling thread's kept
         # buffer; another thread draws into its own
         bufs = []
         uniforms = RngStream.uniforms
@@ -292,8 +291,8 @@ class TestDrawChunks:
         drivers = {
             "terminal": lambda: simulate_terminal(f, [0.0], grid, rng, 0, 30),
             "running-max": lambda: simulate_brownian_running_max(1.0, 30, 50, rng),
-            "pairs": lambda: coupling.simulate_coupled_block(
-                f, [0.0], [0.1], grid, rng, 0, 30, 0.01, want_terminal=True),
+            "pairs": lambda: coupling.simulate_coupled_terminal(
+                f, [0.0], [0.1], grid, rng, 0, 30, 0.01),
             "survivors": lambda: coupling_times(f, [0.0], [0.1], grid, rng, 30),
         }
 
@@ -509,7 +508,7 @@ class TestRowBlocks:
         assert set(threading.enumerate()) == before
 
     def test_only_large_arrays_are_split(self, monkeypatch):
-        # a solve chunk of _SPLIT_MIN draws is split; the survivor loop of
+        # a solve chunk of _SPLIT_MIN draws is split; the block driver of
         # a few thousand pairs, scan or step loop, never asks for the pool
         asked = []
         monkeypatch.setattr(sde_engine, "_row_pool", lambda: asked.append(1) or (1, None))
