@@ -15,8 +15,9 @@ test runs.  Legs of pairs that have met take ``sde_engine.euler_step``.
 Three drivers run these steps:
 
 * the block driver ``simulate_coupled_block`` keeps the unmet pairs
-  compacted, steps nothing else, and draws raw uniforms in chunks that
-  grow as the pairs couple.  It maps uniforms to increments lazily, only
+  compacted, steps nothing else, and draws raw uniforms in chunks no
+  longer than the steps already taken (at least 64) or than the draw
+  budget allows.  It maps uniforms to increments lazily, only
   for the pairs it is about to step, so a pair that meets inside a chunk
   leaves the rest of its draws unmapped.  For a 1D field that declares a
   constant sigma (``CoefficientField.sigma_scalar``) and b = 0 it scans
@@ -188,7 +189,8 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     and states at the stop node of the unmet pairs, in path order.
 
     The unmet pairs are kept compacted and drawn in chunks of raw uniforms
-    that grow as the pairs meet (``draw_chunks``).  Uniforms become
+    (``draw_chunks``) no longer than the steps already taken, at least 64,
+    nor than the draw budget allows for the survivors.  Uniforms become
     increments (``to_increments``) only for the pairs about to be stepped,
     on a gathered copy: a pair that meets inside a chunk leaves the rest of
     its row unmapped.  A 1D field that declares a constant sigma and b = 0
@@ -203,7 +205,8 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     scan = d == 1 and field.sigma_scalar is not None and field.b_sup == 0.0
     # overflow is handled by the finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        # the fewer survivors, the longer the chunk
+        # a chunk takes no more steps than were already taken, nor than
+        # the survivors' draw budget allows
         for k, k_hi, u in draw_chunks(rng, lambda: paths[rows], stop, per_pair):
             if scan:
                 rows, X, Z = _scan_chunk(field.sigma_scalar, grid.dt, couple_tol,
@@ -310,7 +313,7 @@ def simulate_coupled_terminal(field: CoefficientField, x, z, grid: TimeGrid,
     wz = np.zeros(n)
     wz_off = np.zeros(n)
     rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
-    for k, k_hi, u in draw_chunks(rng, lambda: paths, grid.steps, per_pair):
+    for k, k_hi, u in draw_chunks(rng, paths, grid.steps, per_pair):
         dW = to_increments(u[:, :, :field.dim], dt)
         for kk in range(k, k_hi):
             j, t = kk - k, T - kk * dt
@@ -412,12 +415,15 @@ def coupling_time_expectation(field: CoefficientField, x, z, t: float,
                               couple_tol: float | None = None,
                               path_offset: int = 0) -> CouplingEstimate:
     """Monte Carlo estimate of E[t ^ tau] with its standard error and the
-    fraction of pairs coupled by t."""
+    fraction of pairs coupled by t.  The pairs are stepped to the last node
+    at or before t, so a t off the grid counts no meeting after t."""
     if n_paths < 2:
         raise ValidationError("need at least 2 paths")
     if not 0.0 < t <= grid.horizon + 1e-12:
         raise ValidationError("t must lie in (0, horizon]")
-    n_t = min(grid.steps, int(round(t / grid.dt)))
+    # the last node at or before t; the tolerance keeps the node of a t on
+    # the grid whose t / dt rounds to just below it
+    n_t = min(grid.steps, int(np.floor(t / grid.dt + 1e-9)))
     tau_steps = coupling_times(field, x, z, grid, rng, n_paths,
                                couple_tol=couple_tol, stop_step=n_t,
                                path_offset=path_offset)

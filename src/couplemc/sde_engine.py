@@ -134,12 +134,13 @@ class RngStream:
                  "state": {"counter": [blocks, 0, 0, 0], "key": key},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
-        for i, p in enumerate(paths):
+        fill = gen.random
+        for p, row in zip(paths, out):
             key[1] = p
             bg.state = state
             if rem:
-                gen.random(rem)
-            gen.random(out=out[i])
+                fill(rem)
+            fill(out=row)
         return out.reshape(len(paths), n_steps, dim)
 
 
@@ -241,21 +242,29 @@ def sigma_batch(field: CoefficientField, t: float, x: np.ndarray) -> np.ndarray:
 
 def draw_chunks(rng: RngStream, paths, stop: int, dim: int):
     """Yields (k, k_hi, u) for consecutive step ranges [k, k_hi) covering
-    [0, stop), u the raw uniforms (len(paths()), k_hi - k, dim) of the
-    paths paths() returns.  paths() is read again for every chunk, so a
-    shrinking batch takes longer chunks (``chunk_steps``); when it is empty
-    the iteration stops.  Every chunk of a call is drawn into one buffer
-    (``_draw_buffer``), which the next chunk overwrites."""
+    [0, stop), u the raw uniforms (paths, k_hi - k, dim) of the chunk's
+    paths.  paths is an array of path indices, a fixed batch whose chunks
+    fill the draw budget (``chunk_steps``), or a callable that returns the
+    paths of a shrinking batch, read again for every chunk; the iteration
+    stops when it is empty.  A shrinking batch's chunk from node k also
+    takes at most max(64, k) steps, the steps already taken, so pairs that
+    meet early leave few draws unused; 64 steps pay for re-keying a row.
+    Every chunk of a call is drawn into one buffer (``_draw_buffer``),
+    which the next chunk overwrites."""
+    shrinking = callable(paths)
     buf = None
     k = 0
     while k < stop:
-        p = paths()
+        p = paths() if shrinking else paths
         per_step = len(p) * dim
         if not per_step:
             return
         if buf is None:
             buf = _draw_buffer(min(per_step * stop, max(_CHUNK_BUDGET, 16 * per_step)))
-        k_hi = min(stop, k + chunk_steps(per_step))
+        steps = chunk_steps(per_step)
+        if shrinking:
+            steps = min(steps, max(64, k))
+        k_hi = min(stop, k + steps)
         yield k, k_hi, rng.uniforms(p, k, k_hi, dim, buf)
         k = k_hi
 
@@ -370,7 +379,7 @@ def simulate_terminal(field: CoefficientField, x0: np.ndarray, grid: TimeGrid,
     scan = s is not None and field.b_sup == 0.0 and not with_c
     # overflow is handled by the finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, k_hi, u in draw_chunks(rng, lambda: paths, grid.steps, d):
+        for k, k_hi, u in draw_chunks(rng, paths, grid.steps, d):
             dW = to_increments(u, dt)
             if scan:
                 X = _scan_terminal(s, k, X, dW)
@@ -438,7 +447,7 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
     paths = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
     run_max = np.zeros(n_paths)
     endpoint = np.zeros(n_paths)
-    for k, k_hi, u in draw_chunks(rng, lambda: paths, steps, 2):
+    for k, k_hi, u in draw_chunks(rng, paths, steps, 2):
         dB = to_increments(u[:, :, 0], dt)
         to_open_unit(u[:, :, 1])
         for j in range(k_hi - k):

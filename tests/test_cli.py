@@ -1,12 +1,16 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import couplemc
+from couplemc import RngStream, TimeGrid, coupling_times
 from couplemc.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
+from couplemc.registry import make_constant_field
 
 SOLVE = """
 kind = solve
@@ -79,6 +83,24 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     assert main(["run", cfg, "--run-dir", str(d1)]) == EXIT_OK
     assert main(["run", cfg, "--run-dir", str(d2)]) == EXIT_OK
     assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
+
+
+def test_eval_horizon_off_the_grid_counts_meetings_by_it(tmp_path, capsys):
+    # eval_horizon = 0.55 on a 10-step grid: the pairs are followed to node
+    # 5, and fraction_coupled is the share of pairs met by 0.55
+    text = COUPLE.replace("grid.steps = 200", "grid.steps = 10").replace(
+        "n_paths = 600", "n_paths = 4000").replace(
+        "ladder = 0.2, 0.1, 0.05", "ladder = 0.3").replace("seed = 5", "seed = 3")
+    run_dir = tmp_path / "out"
+    rc = main(["run", _cfg(tmp_path, text + "eval_horizon = 0.55\n"),
+               "--run-dir", str(run_dir)])
+    assert rc == EXIT_OK
+    with open(run_dir / "results.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    taus = coupling_times(make_constant_field(dim=1), [0.0], [0.3],
+                          TimeGrid(1.0, 10), RngStream(3), 4000)
+    assert np.sum(taus == 6) > 0
+    assert float(row["fraction_coupled"]) == np.mean((taus >= 0) & (taus <= 5))
 
 
 def test_output_root_env(tmp_path, capsys, monkeypatch):

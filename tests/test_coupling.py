@@ -176,6 +176,21 @@ class TestCoupledPair:
         assert abs(est.mean - oracle) <= 3.0 * est.stderr + 0.02 * oracle
         assert 0.9 < est.fraction_coupled <= 1.0
 
+    def test_expectation_off_the_grid_counts_meetings_by_t(self):
+        # t = 0.55 lies between nodes 5 and 6: a pair that meets at node 6
+        # has not met by t, and a t on the grid keeps its own node
+        f = make_constant_field(dim=1)
+        grid = TimeGrid(1.0, 10)
+        taus = coupling_times(f, [0.0], [0.3], grid, RngStream(3), 4000)
+        assert np.sum(taus == 6) > 0
+        for t, node in ((0.55, 5), (0.5, 5), (0.6, 6), (0.3, 3), (1.0, 10)):
+            est = coupling_time_expectation(f, [0.0], [0.3], t, grid, 4000,
+                                            RngStream(3))
+            met = (taus >= 0) & (taus <= node)
+            assert est.fraction_coupled == np.mean(met), t
+            mean, _ = sde_engine.mean_stderr(np.where(met, taus * grid.dt, t))
+            assert est.mean == pytest.approx(mean, rel=1e-12), t
+
     def test_expectation_validation(self):
         f = make_constant_field(dim=1)
         grid = TimeGrid(1.0, 10)
@@ -439,6 +454,63 @@ class TestCoupledPair:
         buf = calls[0][0]
         assert all(b is buf for b, _ in calls)
         assert max(size for _, size in calls) <= buf.size
+
+    @pytest.mark.parametrize("field,z,n,tol", [
+        (make_constant_field(dim=1), [0.1], 2000, None),
+        (make_sin_field(dim=1, amp=0.5), [0.1], 400, None),
+        (make_sin_field(dim=2, amp=0.5), [0.1, 0.0], 400, 0.05),
+    ], ids=["scan-1d", "step-loop-1d", "step-loop-2d"])
+    def test_survivor_loop_draws_little_past_the_meetings(self, field, z, n, tol,
+                                                          monkeypatch):
+        # a chunk from node k takes at most max(64, k) steps, so a pair
+        # that meets at step tau was drawn up to step max(tau + 63, 2 tau)
+        # at most, however many steps the draw budget would allow
+        drawn = []
+        uniforms = RngStream.uniforms
+
+        def counted(self, paths, lo, hi, d, buf=None):
+            drawn.append(len(paths) * (hi - lo) * d)
+            return uniforms(self, paths, lo, hi, d, buf)
+
+        monkeypatch.setattr(RngStream, "uniforms", counted)
+        grid = TimeGrid(1.0, 1000)
+        d = field.dim
+        taus = coupling_times(field, [0.0] * d, z, grid, RngStream(23), n,
+                              couple_tol=tol)
+        ends = np.where(taus >= 0, taus, grid.steps)
+        assert np.median(ends) < 100
+        per_pair = coupling._pair_layout(d)[0]
+        bound = per_pair * np.minimum(grid.steps, np.maximum(ends + 64, 2 * ends)).sum()
+        assert sum(drawn) <= bound
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_survivor_chunks_fit_a_budget_below_64_steps(self, dim, monkeypatch):
+        # 64 steps of the 40 pairs need more doubles than the budget holds,
+        # as for 1e5 pairs at the default budget: the budget, not the
+        # 64-step floor, bounds the chunk, so every chunk fits the thread's
+        # kept buffer, with unchanged bytes
+        f = make_constant_field(dim=dim)
+        grid = TimeGrid(1.0, 300)
+        x, z = [0.0] * dim, [0.3] + [0.0] * (dim - 1)
+        n, per_pair = 40, coupling._pair_layout(dim)[0]
+        budget = 30 * per_pair * n
+        assert 64 * per_pair * n > budget
+        default = coupling_times(f, x, z, grid, RngStream(6), n, couple_tol=0.05)
+        calls = []
+        uniforms = RngStream.uniforms
+
+        def logged(self, paths, lo, hi, d, buf=None):
+            calls.append((buf, len(paths) * (hi - lo) * d))
+            return uniforms(self, paths, lo, hi, d, buf)
+
+        monkeypatch.setattr(RngStream, "uniforms", logged)
+        monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", budget)
+        small = coupling_times(f, x, z, grid, RngStream(6), n, couple_tol=0.05)
+        assert np.array_equal(default, small)
+        assert len(calls) >= 3
+        buf = calls[0][0]
+        assert buf.size == budget and all(b is buf for b, _ in calls)
+        assert max(size for _, size in calls) <= budget
 
     def test_draw_buffer_is_kept_per_thread(self):
         # up to the budget every call of a thread gets that thread's buffer

@@ -14,10 +14,10 @@ from numpy.random import Generator, Philox
 
 from couplemc import (RngStream, SolveRequest, TimeGrid, coupling, coupling_times,
                       mean_stderr, run_path_blocks, sde_engine,
-                      solve_difference_coupled)
+                      solve_difference_coupled, solve_u)
 from couplemc.errors import SimulationDivergedError, ValidationError
 from couplemc.registry import (make_constant_field, make_constant_terminal,
-                               make_sin_field)
+                               make_gaussian_bump, make_sin_field)
 from couplemc.sde_engine import (path_tile, simulate_brownian_running_max,
                                  simulate_path, simulate_terminal, to_increments)
 
@@ -315,6 +315,41 @@ class TestDrawChunks:
         assert theirs is not buf and theirs.size == buf.size
         for name, drawn in other[0].items():
             assert all(b is theirs for b in drawn), name
+
+    def test_fixed_batches_fill_the_budget_from_the_first_chunk(self, monkeypatch):
+        # only the survivor loop caps its chunks at the steps already
+        # taken: a solve tile of 4000 paths x 500 2D steps is one draw call,
+        # and the drivers that carry a fixed batch to the horizon cut it
+        # into chunk_steps ranges
+        calls = []
+        uniforms = RngStream.uniforms
+
+        def logged(self, paths, lo, hi, d, buf=None):
+            calls.append((len(paths), lo, hi))
+            return uniforms(self, paths, lo, hi, d, buf)
+
+        monkeypatch.setattr(RngStream, "uniforms", logged)
+        req = SolveRequest(field=make_constant_field(dim=2), terminal=make_gaussian_bump(np.zeros(2), 1.0),
+                           eval_point=np.zeros(2), n_paths=20_000,
+                           grid=TimeGrid(0.5, 500))
+        solve_u(req, RngStream(1))
+        assert calls == [(4000, 0, 500)] * 5
+
+        monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", 2000)
+        f = make_sin_field(dim=1, amp=0.5, c0=0.2)
+        grid, rng = TimeGrid(1.0, 300), RngStream(4)
+        drivers = {  # (run, doubles per path-step)
+            "terminal": (lambda: simulate_terminal(f, [0.0], grid, rng, 0, 10), 1),
+            "running-max": (lambda: simulate_brownian_running_max(1.0, 10, 300, rng), 2),
+            "pairs": (lambda: coupling.simulate_coupled_terminal(
+                f, [0.0], [0.1], grid, rng, 0, 10, 0.01), 2),
+        }
+        for name, (run, per) in drivers.items():
+            calls.clear()
+            run()
+            step = sde_engine.chunk_steps(10 * per)
+            assert step > 64, name
+            assert calls == [(10, k, min(300, k + step)) for k in range(0, 300, step)], name
 
 
 class TestRunningMaxSampler:
