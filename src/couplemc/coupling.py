@@ -16,14 +16,16 @@ Three drivers run these steps:
 
 * the block driver ``simulate_coupled_block`` keeps the unmet pairs
   compacted, steps nothing else, and draws raw uniforms in chunks no
-  longer than the steps already taken (at least 64) or than the draw
-  budget allows.  It maps uniforms to increments lazily, only
-  for the pairs it is about to step, so a pair that meets inside a chunk
-  leaves the rest of its draws unmapped.  For a 1D field that declares a
-  constant sigma (``CoefficientField.sigma_scalar``) and b = 0 it scans
-  each chunk a sub-block of steps at a time (``_scan_chunk``) instead of
-  taking one ``pair_step`` per node, with the same nodes, hits and
-  divergence steps bit for bit.  ``coupling_times`` reads its coupling
+  longer than the steps already taken (at least 64).  It maps uniforms to
+  increments lazily, only for the pairs it is about to step, so a pair
+  that meets inside a chunk leaves the rest of its draws unmapped.  For a
+  1D field that declares a constant sigma
+  (``CoefficientField.sigma_scalar``) and b = 0 it scans each chunk a row
+  tile of pairs and a sub-block of steps at a time (``_scan_chunk``)
+  instead of taking one ``pair_step`` per node, with the same nodes, hits
+  and divergence steps bit for bit; every other field takes the step loop,
+  whose chunks are also no longer than the draw budget allows for the
+  survivors.  ``coupling_times`` reads its coupling
   steps; the coupled difference ``fk_solver.solve_difference_coupled`` of
   a field with c = 0 runs it to the horizon and reads the states of the
   unmet pairs, as a pair that has met adds exactly nothing;
@@ -189,13 +191,16 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     and states at the stop node of the unmet pairs, in path order.
 
     The unmet pairs are kept compacted and drawn in chunks of raw uniforms
-    (``draw_chunks``) no longer than the steps already taken, at least 64,
-    nor than the draw budget allows for the survivors.  Uniforms become
-    increments (``to_increments``) only for the pairs about to be stepped,
-    on a gathered copy: a pair that meets inside a chunk leaves the rest of
-    its row unmapped.  A 1D field that declares a constant sigma and b = 0
-    is scanned a sub-block of steps at a time (``_scan_chunk``); every
-    other field takes one ``pair_step`` per node."""
+    (``draw_chunks``) no longer than the steps already taken, at least 64.
+    Uniforms become increments (``to_increments``) only for the pairs about
+    to be stepped, on a gathered copy: a pair that meets inside a chunk
+    leaves the rest of its row unmapped.  A 1D field that declares a
+    constant sigma and b = 0 is scanned (``_scan_chunk``), each chunk drawn
+    in row tiles of the survivors, so the chunk keeps its length however
+    many pairs survive and the draws take one tile of memory.  Every other
+    field takes one ``pair_step`` per node, which needs every survivor's
+    increments at each node, so its chunks are also no longer than the
+    draw budget allows for the survivors."""
     stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
     d = field.dim
     per_pair, bridge = _pair_layout(d)
@@ -205,13 +210,15 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     scan = d == 1 and field.sigma_scalar is not None and field.b_sup == 0.0
     # overflow is handled by the finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        if scan:
+            for k, _, tiles in draw_chunks(rng, lambda: paths[rows], stop, per_pair,
+                                           row_tiles=True):
+                rows, X, Z = _scan_chunk(field.sigma_scalar, grid.dt, couple_tol,
+                                         k, tiles, rows, X, Z, tau_step)
+            return tau_step, rows, X, Z
         # a chunk takes no more steps than were already taken, nor than
         # the survivors' draw budget allows
         for k, k_hi, u in draw_chunks(rng, lambda: paths[rows], stop, per_pair):
-            if scan:
-                rows, X, Z = _scan_chunk(field.sigma_scalar, grid.dt, couple_tol,
-                                         k, u, rows, X, Z, tau_step)
-                continue
             dpos = np.arange(rows.size)  # row into this chunk's draws
             for kk in range(k, k_hi):
                 # the index gathers a copy: the chunk keeps the raw uniforms
@@ -229,16 +236,36 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
 
 
 def _scan_steps(n_pairs: int) -> int:
-    """Steps per sub-block of ``_scan_chunk``: at least 16, else about a
+    """Steps per sub-block of ``_scan_tile``: at least 16, else about a
     chunk's draw budget / 64 doubles per (pairs, steps) temporary."""
     return chunk_steps(64 * n_pairs)
 
 
-def _scan_chunk(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
-    """The block driver's steps of a chunk of uniforms u (pairs, steps, 2) in the
-    1D pair layout, for a field with sigma = s and b = 0, a sub-block of
-    steps at a time; returns the survivors (rows, X, Z) and writes the
-    coupling steps into tau_step.
+def _scan_chunk(s, dt, couple_tol, k, tiles, rows, X, Z, tau_step):
+    """The block driver's steps of a chunk from node k drawn in row tiles
+    (lo, hi, u) of its survivors (``draw_chunks``), for a 1D field with
+    sigma = s and b = 0; returns the survivors (rows, X, Z) and writes the
+    coupling steps into tau_step.  The pairs are independent, so each tile
+    is scanned on its own (``_scan_tile``).  A divergence is raised after
+    the last tile, at the earliest step of any tile, which is the step the
+    step loop stops at."""
+    kept, diverged = [], []
+    for lo, hi, u in tiles:
+        try:
+            kept.append(_scan_tile(s, dt, couple_tol, k, u, rows[lo:hi],
+                                   X[lo:hi], Z[lo:hi], tau_step))
+        except SimulationDivergedError as exc:
+            diverged.append(exc)
+    if diverged:
+        raise min(diverged, key=lambda exc: exc.step_index)
+    return tuple(np.concatenate(part) for part in zip(*kept))
+
+
+def _scan_tile(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
+    """The steps from node k of the pairs rows, over their uniforms u
+    (pairs, steps, 2) in the 1D pair layout, a sub-block of steps at a
+    time; returns the survivors (rows, X, Z) and writes the coupling steps
+    into tau_step.
 
     Each sub-block gathers the survivors' uniforms, turns them into
     increments (``to_increments``) and repeats ``pair_step`` on every node
@@ -247,7 +274,9 @@ def _scan_chunk(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
     operations, so every node, hit and divergence step equals the step
     loop's bit for bit.  A pair's first hit is its coupling step; the
     survivors are compacted between sub-blocks, so a pair's uniforms past
-    the sub-block in which it meets are never mapped."""
+    the sub-block in which it meets are never mapped.  A non-finite node
+    stays non-finite, so the last node of a sub-block tells whether any
+    step of it diverged."""
     denom = (s + s) * (s + s) * dt  # s * s * dt of pair_step, s = sig_x + sig_z
     dpos = np.arange(rows.size)  # row into this chunk's draws
     j, n_steps = 0, u.shape[1]
@@ -276,11 +305,10 @@ def _scan_chunk(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
         hit |= u[dpos, j:j + m, 1] < p_cross
         met = hit.any(axis=1)
         first = np.where(met, hit.argmax(axis=1), m)
-        bad = ~np.isfinite(b)  # |b|: the same nodes are finite
-        if bad.any():
+        if not np.isfinite(b[:, -1]).all():  # |b|: the same nodes are finite
             # the loop stops at the first non-finite node of a pair that
             # has not met before it
-            raise_first_nonfinite(bad, k + j, first)
+            raise_first_nonfinite(~np.isfinite(b), k + j, first)
         tau_step[rows[met]] = k + j + first[met] + 1
         keep = ~met
         rows, dpos = rows[keep], dpos[keep]

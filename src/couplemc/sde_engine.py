@@ -8,7 +8,11 @@ feed the inverse normal CDF.  A draw call builds one Philox and re-keys
 it for each path at counter (step_lo*d)//4 (see ``RngStream``), so block
 sizes and chunk lengths never change the numbers.  (Coupled pairs use
 their own layout; see ``coupling``.)  ``draw_chunks`` is the chunk loop
-of every chunked driver, here and in ``coupling``, and every driver and
+of every chunked driver, here and in ``coupling``: it decides every chunk's
+steps and draws a chunk whole or, for a consumer that works on each row on
+its own (the 1D constant-sigma scan of coupled pairs), in row tiles of at
+most _ROW_TILE doubles, so that scan's memory is one tile however many
+pairs it carries.  Every driver and
 recorder maps its uniforms to increments with ``to_increments``, element
 by element, so an increment has the same bytes whichever driver maps it.
 
@@ -58,6 +62,8 @@ from .errors import SimulationDivergedError, ValidationError
 # draws per chunk, in doubles, for every chunked driver
 _CHUNK_BUDGET = 4_000_000
 _DEFAULT_BLOCK = 16_384
+# doubles per row tile of a row-wise chunk (draw_chunks), at most _CHUNK_BUDGET
+_ROW_TILE = 1 << 19
 # the chunk loop's draw buffer, one per thread (_draw_buffer)
 _draws = threading.local()
 # a map or terminal scan of fewer elements runs in the calling thread:
@@ -240,7 +246,7 @@ def sigma_batch(field: CoefficientField, t: float, x: np.ndarray) -> np.ndarray:
     return sig
 
 
-def draw_chunks(rng: RngStream, paths, stop: int, dim: int):
+def draw_chunks(rng: RngStream, paths, stop: int, dim: int, row_tiles: bool = False):
     """Yields (k, k_hi, u) for consecutive step ranges [k, k_hi) covering
     [0, stop), u the raw uniforms (paths, k_hi - k, dim) of the chunk's
     paths.  paths is an array of path indices, a fixed batch whose chunks
@@ -250,23 +256,47 @@ def draw_chunks(rng: RngStream, paths, stop: int, dim: int):
     takes at most max(64, k) steps, the steps already taken, so pairs that
     meet early leave few draws unused; 64 steps pay for re-keying a row.
     Every chunk of a call is drawn into one buffer (``_draw_buffer``),
-    which the next chunk overwrites."""
+    which the next chunk overwrites.
+
+    With row_tiles, for a consumer that works on each row on its own, it
+    yields (k, k_hi, tiles) instead.  The chunk from node k takes max(64, k)
+    steps however many paths it has (at most one tile's row, in whole
+    counter blocks), and tiles yields (lo, hi, u) for consecutive blocks
+    [lo, hi) of the chunk's paths, each drawn when it is reached into the
+    first min(_ROW_TILE, _CHUNK_BUDGET) doubles of the kept buffer."""
     shrinking = callable(paths)
-    buf = None
+    tile = min(_ROW_TILE, _CHUNK_BUDGET)
+    buf = _draw_buffer(tile) if row_tiles else None
     k = 0
     while k < stop:
         p = paths() if shrinking else paths
         per_step = len(p) * dim
         if not per_step:
             return
-        if buf is None:
-            buf = _draw_buffer(min(per_step * stop, max(_CHUNK_BUDGET, 16 * per_step)))
-        steps = chunk_steps(per_step)
-        if shrinking:
-            steps = min(steps, max(64, k))
-        k_hi = min(stop, k + steps)
-        yield k, k_hi, rng.uniforms(p, k, k_hi, dim, buf)
+        if row_tiles:
+            # rows of whole 4-step blocks keep every chunk start on a
+            # four-double counter block
+            k_hi = min(stop, k + max(64, k), k + tile // (4 * dim) * 4)
+            yield k, k_hi, _row_tiles(rng, p, k, k_hi, dim, buf, tile)
+        else:
+            if buf is None:
+                buf = _draw_buffer(min(per_step * stop, max(_CHUNK_BUDGET, 16 * per_step)))
+            steps = chunk_steps(per_step)
+            if shrinking:
+                steps = min(steps, max(64, k))
+            k_hi = min(stop, k + steps)
+            yield k, k_hi, rng.uniforms(p, k, k_hi, dim, buf)
         k = k_hi
+
+
+def _row_tiles(rng: RngStream, paths, k: int, k_hi: int, dim: int,
+               buf: np.ndarray, tile: int):
+    """(lo, hi, u) for the row tiles [lo, hi) of a chunk: as many paths as
+    fit tile doubles over steps [k, k_hi), drawn into buf."""
+    n = tile // ((k_hi - k) * dim)
+    for lo in range(0, len(paths), n):
+        hi = min(len(paths), lo + n)
+        yield lo, hi, rng.uniforms(paths[lo:hi], k, k_hi, dim, buf)
 
 
 def chunk_steps(per_step: int) -> int:

@@ -79,6 +79,44 @@ def mapped(monkeypatch):
     return sizes
 
 
+def _spoil(monkeypatch, bad):
+    """{path: step} of the increments that the coupling drivers see as bad:
+    the drawn uniform of each injected step is marked with a value no
+    uniform takes, and the map to increments replaces its increment."""
+    inject = {}
+    mark = 2.0
+    uniforms, increments = RngStream.uniforms, coupling.to_increments
+
+    def marked(self, paths, lo, hi, d, buf=None):
+        u = uniforms(self, paths, lo, hi, d, buf)
+        for p, k in inject.items():
+            row = np.flatnonzero(np.asarray(paths) == p)
+            if row.size and lo <= k < hi:
+                u[row[0], k - lo, 0] = mark
+        return u
+
+    def spoiled(u, dt):
+        at = u == mark
+        dW = increments(u, dt)
+        dW[at] = bad
+        return dW
+
+    monkeypatch.setattr(RngStream, "uniforms", marked)
+    monkeypatch.setattr(coupling, "to_increments", spoiled)
+    return inject
+
+
+def _diverged_at(field, *args, **kwargs):
+    """The step at which coupling_times(field, *args, **kwargs) diverges,
+    None if it does not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            coupling_times(field, *args, **kwargs)
+        except SimulationDivergedError as exc:
+            return exc.step_index
+    return None
+
+
 class TestCoupledPair:
     def test_immediate_coupling(self):
         f = make_constant_field(dim=1)
@@ -323,13 +361,14 @@ class TestCoupledPair:
            tol_factor=st.sampled_from([0.0, 0.5, 1.0, 10.0]),
            stop=st.one_of(st.none(), st.integers(1, 400)),
            budget=st.sampled_from([None, 450, 5000]),
+           tile=st.sampled_from([None, 64, 1000]),
            short_blocks=st.booleans())
     def test_scan_matches_step_loop(self, seed, n, steps, a0, d0, tol_factor,
-                                    stop, budget, short_blocks):
+                                    stop, budget, tile, short_blocks):
         # the constant-sigma scan and the per-node loop it replaces (the
         # same field without the declaration) give the same coupling steps;
-        # a small budget and 16-step sub-blocks put hits next to chunk and
-        # sub-block boundaries
+        # a small budget, small row tiles and 16-step sub-blocks put hits
+        # next to chunk, tile and sub-block boundaries
         f = make_constant_field(dim=1, a0=a0)
         assert f.sigma_scalar is not None
         loop_f = dataclasses.replace(f, sigma_scalar=None)
@@ -337,6 +376,8 @@ class TestCoupledPair:
         tol = tol_factor * default_couple_tol(grid, f)
         with mock.patch.object(sde_engine, "_CHUNK_BUDGET",
                                budget or sde_engine._CHUNK_BUDGET), \
+                mock.patch.object(sde_engine, "_ROW_TILE",
+                                  tile or sde_engine._ROW_TILE), \
                 mock.patch.object(coupling, "_scan_steps",
                                   (lambda n_pairs: 16) if short_blocks
                                   else coupling._scan_steps):
@@ -358,36 +399,10 @@ class TestCoupledPair:
         early = int(np.flatnonzero((taus >= 2) & (taus < 20))[0])
         late = int(np.flatnonzero((taus < 0) | (taus > 21))[0])
         t_e = int(taus[early])
-        inject = {}  # path -> step whose increment is replaced
-        # the drawn uniform of each injected step is marked with a value no
-        # uniform takes, and the map to increments replaces its increment
-        mark = 2.0
-        uniforms, increments = RngStream.uniforms, coupling.to_increments
-
-        def marked(self, paths, lo, hi, d, buf=None):
-            u = uniforms(self, paths, lo, hi, d, buf)
-            for p, k in inject.items():
-                row = np.flatnonzero(np.asarray(paths) == p)
-                if row.size and lo <= k < hi:
-                    u[row[0], k - lo, 0] = mark
-            return u
-
-        def spoiled(u, dt):
-            at = u == mark
-            dW = increments(u, dt)
-            dW[at] = bad
-            return dW
-
-        monkeypatch.setattr(RngStream, "uniforms", marked)
-        monkeypatch.setattr(coupling, "to_increments", spoiled)
+        inject = _spoil(monkeypatch, bad)
 
         def step_index(field):
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    coupling_times(field, [0.0], [0.1], grid, RngStream(11), 40)
-                except SimulationDivergedError as exc:
-                    return exc.step_index
-            return None
+            return _diverged_at(field, [0.0], [0.1], grid, RngStream(11), 40)
 
         # step t_e of `early` is drawn but never used: the pair has met
         inject.update({early: t_e, late: 20})
@@ -397,6 +412,23 @@ class TestCoupledPair:
         del inject[late]
         inject[early] = t_e
         assert step_index(f) is None and step_index(loop_f) is None
+
+    def test_scan_reports_the_earliest_divergence_of_any_tile(self, monkeypatch):
+        # at this budget the scan draws its first chunk, steps [0, 64), in
+        # tiles of 3 pairs; a later step diverges in the first tile and an
+        # earlier one in a later tile: the earlier step is reported, as by
+        # the step loop, which steps every pair at each node
+        monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", 450)
+        f = make_constant_field(dim=1)
+        loop_f = dataclasses.replace(f, sigma_scalar=None)
+        grid = TimeGrid(1.0, 300)
+        args = ([0.0], [0.5], grid, RngStream(12), 40)
+        taus = coupling_times(f, *args)
+        unmet = np.flatnonzero((taus < 0) | (taus > 41))
+        first, later = int(unmet[0]), int(unmet[unmet >= 6][-1])
+        assert first < 3
+        _spoil(monkeypatch, np.inf).update({first: 40, later: 30})
+        assert _diverged_at(f, *args) == _diverged_at(loop_f, *args) == 31
 
     @pytest.mark.parametrize("budget", [None, 450])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -486,9 +518,11 @@ class TestCoupledPair:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_survivor_chunks_fit_a_budget_below_64_steps(self, dim, monkeypatch):
         # 64 steps of the 40 pairs need more doubles than the budget holds,
-        # as for 1e5 pairs at the default budget: the budget, not the
-        # 64-step floor, bounds the chunk, so every chunk fits the thread's
-        # kept buffer, with unchanged bytes
+        # as for 1e5 pairs at the default budget.  The 1D scan keeps chunks
+        # of the steps taken, from nodes 0, 64, 128, ..., and draws each in
+        # row tiles within the budget; for the step loop the budget, not the
+        # 64-step floor, bounds the chunk.  Either way every draw fits the
+        # thread's kept buffer, with unchanged bytes
         f = make_constant_field(dim=dim)
         grid = TimeGrid(1.0, 300)
         x, z = [0.0] * dim, [0.3] + [0.0] * (dim - 1)
@@ -500,7 +534,7 @@ class TestCoupledPair:
         uniforms = RngStream.uniforms
 
         def logged(self, paths, lo, hi, d, buf=None):
-            calls.append((buf, len(paths) * (hi - lo) * d))
+            calls.append((buf, len(paths) * (hi - lo) * d, lo, hi))
             return uniforms(self, paths, lo, hi, d, buf)
 
         monkeypatch.setattr(RngStream, "uniforms", logged)
@@ -509,8 +543,33 @@ class TestCoupledPair:
         assert np.array_equal(default, small)
         assert len(calls) >= 3
         buf = calls[0][0]
-        assert buf.size == budget and all(b is buf for b, _ in calls)
-        assert max(size for _, size in calls) <= budget
+        assert buf.size == budget and all(b is buf for b, *_ in calls)
+        assert max(size for _, size, *_ in calls) <= budget
+        chunks = {(lo, hi) for *_, lo, hi in calls}
+        if dim == 1:
+            assert (0, 64) in chunks and len(chunks) < len(calls)
+            assert {lo for lo, _ in chunks} <= {0, 64, 128, 256}
+        else:
+            assert (0, 30) in chunks and len(chunks) == len(calls)
+
+    def test_scan_draws_many_pairs_in_tiles_of_the_kept_buffer(self):
+        # 16 steps of these pairs need more doubles than the budget holds;
+        # the scan still draws no more than a row tile at a time, into the
+        # thread's kept buffer, however many pairs survive
+        n = sde_engine._CHUNK_BUDGET // 32 + 1000
+        calls = []
+        uniforms = RngStream.uniforms
+
+        def logged(self, paths, lo, hi, d, buf=None):
+            calls.append((buf, len(paths) * (hi - lo) * d))
+            return uniforms(self, paths, lo, hi, d, buf)
+
+        with mock.patch.object(RngStream, "uniforms", logged):
+            coupling_times(make_constant_field(dim=1), [0.0], [0.1],
+                           TimeGrid(1.0, 40), RngStream(3), n)
+        kept = sde_engine._draw_buffer(0)
+        assert len(calls) > 1 and all(b is kept for b, _ in calls)
+        assert max(size for _, size in calls) <= sde_engine._ROW_TILE
 
     def test_draw_buffer_is_kept_per_thread(self):
         # up to the budget every call of a thread gets that thread's buffer

@@ -170,16 +170,19 @@ def _running_max():
     return [simulate_brownian_running_max(1.0, 13, 200, RngStream(114))]
 
 
-@pytest.mark.parametrize("run,budget", [
-    (_simulate_terminal_3d_sin, 450), (_simulate_terminal_3d_scalar, 450),
-    (_tau_1d_constant, 450), (_difference_1d_sin, 450),
+@pytest.mark.parametrize("run,budget,mid_block", [
+    (_simulate_terminal_3d_sin, 450, True), (_simulate_terminal_3d_scalar, 450, True),
+    (_tau_1d_constant, 450, False), (_difference_1d_sin, 450, True),
     # 17-step chunks of the 200 pairs' two doubles a step
-    (_terminal_1d_sin, 17 * 2 * N), (_running_max, 450),
+    (_terminal_1d_sin, 17 * 2 * N, True), (_running_max, 450, True),
 ], ids=["simulate-terminal-3d-sin", "simulate-terminal-3d-scalar",
         "tau-1d-constant", "difference-1d-sin", "terminal-1d-sin", "running-max"])
-def test_chunk_boundaries_leave_bytes_unchanged(run, budget, monkeypatch):
+def test_chunk_boundaries_leave_bytes_unchanged(run, budget, mid_block, monkeypatch):
     """A small draw budget splits the steps into many chunks, some starting
-    inside a four-double counter block; the output bytes stay the same."""
+    inside a four-double counter block; the output bytes stay the same.
+    The 1D constant-sigma scan takes chunks of whole counter blocks, drawn
+    in row tiles that the small budget shrinks: each of its chunks starts
+    on a counter block and is drawn in several tiles."""
     default = run()
     starts = []
     uniforms = RngStream.uniforms
@@ -192,7 +195,11 @@ def test_chunk_boundaries_leave_bytes_unchanged(run, budget, monkeypatch):
     monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", budget)
     small = run()
     assert len(starts) >= 3
-    assert any(lo % 4 for lo in starts)
+    if mid_block:
+        assert any(lo % 4 for lo in starts)
+    else:
+        assert not any(lo % 4 for lo in starts)
+        assert len(set(starts)) < len(starts)
     for a, b in zip(default, small, strict=True):
         assert a.tobytes() == b.tobytes()
 
