@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .coefficients import default_sample_points, validate_field
 from .config import ExperimentConfig, _count, _real, _reals, load_config
-from .coupling import _resolve_tol, coupling_time_expectation
+from .coupling import _resolve_tol, coupling_time_ladder
 from .errors import ConfigError, CoupleMCError, SimulationDivergedError, ValidationError
 from .fk_solver import (ModulusExperimentConfig, ResultTable, fit_result_table,
                         modulus_experiment, solve_u, SolveRequest)
@@ -87,13 +87,11 @@ def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     tol = _resolve_tol(cfg.couple_tol, grid, field)
     x, e = _placement(cfg, field)
     e = e / np.linalg.norm(e)
-    rows = []
-    for i, r in enumerate(cfg.ladder):
-        est = coupling_time_expectation(
-            field, x, x + r * e, t, grid, cfg.n_paths, rng, couple_tol=tol,
-            path_offset=i * cfg.n_paths)
-        rows.append((r, t, cfg.n_paths, est.mean, est.stderr,
-                     est.fraction_coupled, tol))
+    # disjoint path blocks per distance keep the rows independent
+    ests = coupling_time_ladder(field, x, [x + r * e for r in cfg.ladder], t, grid,
+                                cfg.n_paths, rng, couple_tol=tol)
+    rows = [(r, t, cfg.n_paths, est.mean, est.stderr, est.fraction_coupled, tol)
+            for r, est in zip(cfg.ladder, ests)]
     table = ResultTable(
         columns=["distance", "horizon", "n_paths", "mean_tau_capped",
                  "stderr", "fraction_coupled", "couple_tol"],

@@ -15,10 +15,11 @@ test runs.  Legs of pairs that have met take ``sde_engine.euler_step``.
 Three drivers run these steps:
 
 * the block driver ``simulate_coupled_block`` keeps the unmet pairs
-  compacted, steps nothing else, and draws raw uniforms in chunks no
-  longer than the steps already taken (at least 64).  It maps uniforms to
-  increments lazily, only for the pairs it is about to step, so a pair
-  that meets inside a chunk leaves the rest of its draws unmapped.  For a
+  compacted, steps nothing else, and draws raw uniforms in chunks that
+  grow with the steps already taken (``sde_engine.draw_chunks``).  It
+  maps uniforms to increments lazily, only for the pairs it is about to
+  step, so a pair that meets inside a chunk leaves the rest of its draws
+  unmapped.  For a
   1D field that declares a constant sigma
   (``CoefficientField.sigma_scalar``) and b = 0 it scans each chunk a row
   tile of pairs and a sub-block of steps at a time (``_scan_chunk``)
@@ -26,13 +27,23 @@ Three drivers run these steps:
   and divergence steps bit for bit; every other field takes the step loop,
   whose chunks are also no longer than the draw budget allows for the
   survivors.  ``coupling_times`` reads its coupling
-  steps; the coupled difference ``fk_solver.solve_difference_coupled`` of
+  steps; the coupled difference ``fk_solver.difference_ladder`` of
   a field with c = 0 runs it to the horizon and reads the states of the
   unmet pairs, as a pair that has met adds exactly nothing;
 * the terminal driver ``simulate_coupled_terminal`` carries every pair to
   the horizon with the c-integrals of both legs;
 * the recorder ``simulate_coupled`` is a batch of one that stores every
   node.
+
+The two batch drivers take one start point z for every pair or a start
+point per pair (``_start_pairs``), so a distance ladder runs as one batch:
+``coupling_time_ladder`` gives rung i the pairs [off + i n, off + (i + 1) n)
+starting at its own point (``ladder_starts``), steps every rung in one
+survivor loop, and takes each rung's estimate on its own pairs.  Every
+per-pair operation is element by element, so a rung has the bytes of a
+one-rung call with that path offset, ``coupling_time_expectation``.  A
+divergence is reported at the earliest step of any pair, so a ladder
+names the earliest diverging step of any rung.
 
 Draw layout per step of pair p (``_pair_layout``): in 1D two uniforms,
 the increment's and the bridge uniform; in d >= 2, d increments.  Every
@@ -172,14 +183,35 @@ def _pair_layout(d: int) -> tuple[int, int | None]:
 
 
 def _start_pairs(field, x, z, path_lo, path_hi, couple_tol):
-    """The path indices, the coupling steps (0 if x and z already meet,
-    else -1) and the start states X, Z of a block of pairs."""
+    """The path indices, the coupling steps (0 if a pair's x and z already
+    meet, else -1) and the start states X, Z of a block of pairs.  z is
+    one start point of every pair or the pairs' own start points (n, d).
+    Each run of equal start points takes the one scalar test
+    norm(x - z) <= couple_tol, so no start decision depends on the batch
+    a pair runs in."""
     d, n = field.dim, path_hi - path_lo
-    x, z = as_point(x, d), as_point(z, d)
+    x = as_point(x, d)
+    if np.ndim(z) < 2:
+        Z = np.tile(as_point(z, d), (n, 1))
+    else:
+        Z = np.array(z, dtype=float)
+        if Z.shape != (n, d):
+            raise ValidationError(f"start points of {n} pairs of this field need "
+                                  f"shape {(n, d)}, got {Z.shape}")
     paths = np.arange(path_lo, path_hi, dtype=np.uint64)
-    met = float(np.linalg.norm(x - z)) <= couple_tol
-    tau_step = np.full(n, 0 if met else -1, dtype=np.int64)
-    return paths, tau_step, np.tile(x, (n, 1)), np.tile(z, (n, 1))
+    new = np.ones(n, dtype=bool)
+    new[1:] = (Z[1:] != Z[:-1]).any(axis=1)
+    first = np.flatnonzero(new)  # the first pair of each run
+    met = [float(np.linalg.norm(x - Z[i])) <= couple_tol for i in first]
+    tau_step = np.repeat(np.where(met, 0, -1).astype(np.int64),
+                         np.diff(np.append(first, n)))
+    return paths, tau_step, np.tile(x, (n, 1)), Z
+
+
+def ladder_starts(d: int, zs, n_paths: int) -> np.ndarray:
+    """The pairs' start points (len(zs) n_paths, d) of a distance ladder
+    run as one batch: rung i starts its n_paths pairs at zs[i]."""
+    return np.repeat(np.reshape([as_point(z, d) for z in zs], (-1, d)), n_paths, axis=0)
 
 
 def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
@@ -190,8 +222,9 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     coupling steps (-1 for pairs unmet at the stop node), and the local ids
     and states at the stop node of the unmet pairs, in path order.
 
-    The unmet pairs are kept compacted and drawn in chunks of raw uniforms
-    (``draw_chunks``) no longer than the steps already taken, at least 64.
+    z is one start point or one per pair (``_start_pairs``).  The unmet
+    pairs are kept compacted and drawn in chunks of raw uniforms
+    (``draw_chunks``) that grow with the steps already taken.
     Uniforms become increments (``to_increments``) only for the pairs about
     to be stepped, on a gathered copy: a pair that meets inside a chunk
     leaves the rest of its row unmapped.  A 1D field that declares a
@@ -199,8 +232,9 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     in row tiles of the survivors, so the chunk keeps its length however
     many pairs survive and the draws take one tile of memory.  Every other
     field takes one ``pair_step`` per node, which needs every survivor's
-    increments at each node, so its chunks are also no longer than the
-    draw budget allows for the survivors."""
+    increments at each node, so its chunks take at most half the steps
+    already taken (at least 16) and no more than the draw budget allows
+    for the survivors."""
     stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
     d = field.dim
     per_pair, bridge = _pair_layout(d)
@@ -322,7 +356,8 @@ def _scan_tile(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
 def simulate_coupled_terminal(field: CoefficientField, x, z, grid: TimeGrid,
                               rng: RngStream, path_lo: int, path_hi: int,
                               couple_tol: float):
-    """Coupled pairs of [path_lo, path_hi) carried to the horizon; returns
+    """Coupled pairs of [path_lo, path_hi), started at x and at z (one
+    point or one per pair, ``_start_pairs``), carried to the horizon; returns
     (tau_step, x_final, wx, z_final, wz): the coupling steps (-1 if unmet),
     and state and c-integral of each leg at the horizon.  After coupling
     the Z leg equals the X leg and its c-integral differs by the
@@ -425,7 +460,8 @@ def coupling_times(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStream
                    stop_step: int | None = None,
                    path_offset: int = 0) -> np.ndarray:
     """Coupling node indices for n_paths independent pairs (-1 marks pairs
-    not coupled before stop_step)."""
+    not coupled before stop_step); z is one start point or the pairs' own
+    (n_paths, d)."""
     couple_tol = _resolve_tol(couple_tol, grid, field)
     return simulate_coupled_block(field, x, z, grid, rng, path_offset,
                                   path_offset + n_paths, couple_tol,
@@ -443,8 +479,23 @@ def coupling_time_expectation(field: CoefficientField, x, z, t: float,
                               couple_tol: float | None = None,
                               path_offset: int = 0) -> CouplingEstimate:
     """Monte Carlo estimate of E[t ^ tau] with its standard error and the
-    fraction of pairs coupled by t.  The pairs are stepped to the last node
-    at or before t, so a t off the grid counts no meeting after t."""
+    fraction of pairs coupled by t: the one-rung ladder of
+    ``coupling_time_ladder``."""
+    return coupling_time_ladder(field, x, [z], t, grid, n_paths, rng,
+                                couple_tol=couple_tol, path_offset=path_offset)[0]
+
+
+def coupling_time_ladder(field: CoefficientField, x, zs, t: float,
+                         grid: TimeGrid, n_paths: int, rng: RngStream,
+                         couple_tol: float | None = None,
+                         path_offset: int = 0) -> list[CouplingEstimate]:
+    """The estimate of ``coupling_time_expectation`` for each start point z
+    of zs, rung i on the pairs [path_offset + i n_paths, path_offset +
+    (i + 1) n_paths).  One survivor loop steps every rung
+    (``ladder_starts``); each rung's estimate is taken on its own pairs, so
+    it has the bytes of a one-rung call with that path offset.  The pairs
+    are stepped to the last node at or before t, so a t off the grid
+    counts no meeting after t."""
     if n_paths < 2:
         raise ValidationError("need at least 2 paths")
     if not 0.0 < t <= grid.horizon + 1e-12:
@@ -452,12 +503,18 @@ def coupling_time_expectation(field: CoefficientField, x, z, t: float,
     # the last node at or before t; the tolerance keeps the node of a t on
     # the grid whose t / dt rounds to just below it
     n_t = min(grid.steps, int(np.floor(t / grid.dt + 1e-9)))
-    tau_steps = coupling_times(field, x, z, grid, rng, n_paths,
+    starts = ladder_starts(field.dim, zs, n_paths)
+    tau_steps = coupling_times(field, x, starts, grid, rng, len(starts),
                                couple_tol=couple_tol, stop_step=n_t,
                                path_offset=path_offset)
-    mean, se = mean_stderr(capped_times(tau_steps, grid.dt, t))
-    frac = float(np.mean(tau_steps >= 0))
-    return CouplingEstimate(mean=mean, stderr=se, fraction_coupled=frac)
+    capped = capped_times(tau_steps, grid.dt, t)
+    out = []
+    for lo in range(0, len(starts), n_paths):
+        rung = slice(lo, lo + n_paths)
+        mean, se = mean_stderr(capped[rung])
+        frac = float(np.mean(tau_steps[rung] >= 0))
+        out.append(CouplingEstimate(mean=mean, stderr=se, fraction_coupled=frac))
+    return out
 
 
 def lyapunov_f(params: LyapunovParams, eta: float) -> float:

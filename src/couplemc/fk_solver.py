@@ -12,8 +12,8 @@ import numpy as np
 
 from .analysis import fit_log_corrected, fit_power_law
 from .coefficients import CoefficientField, classify_dini
-from .coupling import (_resolve_tol, capped_times, simulate_coupled_block,
-                       simulate_coupled_terminal)
+from .coupling import (_resolve_tol, capped_times, ladder_starts,
+                       simulate_coupled_block, simulate_coupled_terminal)
 from .errors import ValidationError
 from .sde_engine import (RngStream, TimeGrid, as_point, mean_stderr, path_tile,
                          run_path_blocks, simulate_terminal)
@@ -57,38 +57,53 @@ def solve_difference_coupled(req: SolveRequest, z, rng: RngStream,
                              path_offset: int = 0):
     """Paired estimate of u(T, x) - u(T, z) over reflection-coupled pairs;
     returns (mean, stderr, taus), taus the per-path coupling times capped
-    at the horizon.  Per-path differences vanish on paths that couple
-    before the horizon (up to the pre-coupling c-integral discrepancy), so
-    the variance shrinks with |x - z|.
+    at the horizon: the one-rung ladder of ``difference_ladder``."""
+    couple_tol = _resolve_tol(couple_tol, req.grid, req.field)
+    return difference_ladder(req, [z], rng, couple_tol, path_offset)[0]
+
+
+def difference_ladder(req: SolveRequest, zs, rng: RngStream, couple_tol: float,
+                      path_offset: int = 0) -> list:
+    """(mean, stderr, taus) of ``solve_difference_coupled`` for each start
+    point z of zs, rung i on the pairs [path_offset + i n, path_offset +
+    (i + 1) n), n = req.n_paths.  Every rung runs in one batch of pairs
+    (``coupling.ladder_starts``), and each rung's values are taken on its
+    own pairs, so they have the bytes of a one-rung call with that path
+    offset.  Per-path differences vanish on paths that couple before the
+    horizon (up to the pre-coupling c-integral discrepancy), so the
+    variance shrinks with |x - z|.
 
     For a field that declares c = 0 (``c_sup == 0``) a pair that meets
-    adds exactly 0.0, so the block driver ``simulate_coupled_block`` steps
-    only the unmet pairs, up to the horizon, and a leg is not stepped
-    after its pair meets (a blow-up after the meeting is therefore not
-    reported; bounded coefficients and the clamped uniforms cannot produce
-    one).  The unmet pairs give f(X_T) - f(Z_T), the bytes of the terminal
-    driver's f(X_T) exp(0) - f(Z_T) exp(0).  Other fields take the
-    terminal driver ``simulate_coupled_terminal``, which carries both legs
-    with their c-integrals to the horizon.
+    adds exactly 0.0, so one survivor loop (``simulate_coupled_block``)
+    steps only the unmet pairs of every rung, up to the horizon, and a leg
+    is not stepped after its pair meets (a blow-up after the meeting is
+    therefore not reported; bounded coefficients and the clamped uniforms
+    cannot produce one).  The unmet pairs give f(X_T) - f(Z_T), the bytes
+    of the terminal driver's f(X_T) exp(0) - f(Z_T) exp(0).  Other fields
+    take the terminal driver ``simulate_coupled_terminal``, which carries
+    both legs with their c-integrals to the horizon, in blocks of paths
+    (``run_path_blocks``) that may split a rung.
     """
-    couple_tol = _resolve_tol(couple_tol, req.grid, req.field)
-    x, f, grid = req.eval_point, req.terminal, req.grid
+    field, x, f, grid = req.field, req.eval_point, req.terminal, req.grid
+    n = req.n_paths
+    starts = ladder_starts(field.dim, zs, n)
+    if field.c_sup == 0.0:
+        tau, rows, X, Z = simulate_coupled_block(field, x, starts, grid, rng, path_offset,
+                                                 path_offset + len(starts), couple_tol)
+        diffs = np.zeros(len(starts))
+        if rows.size:
+            diffs[rows] = f(X) - f(Z)
+    else:
+        def worker(lo, hi):
+            tau, X, wx, Z, wz = simulate_coupled_terminal(
+                field, x, starts[lo - path_offset:hi - path_offset], grid, rng,
+                lo, hi, couple_tol)
+            return f(X) * np.exp(wx) - f(Z) * np.exp(wz), tau
 
-    def worker(lo, hi):
-        if req.field.c_sup == 0.0:
-            tau, rows, X, Z = simulate_coupled_block(req.field, x, z, grid, rng,
-                                                     lo, hi, couple_tol)
-            diff = np.zeros(hi - lo)
-            if rows.size:
-                diff[rows] = f(X) - f(Z)
-        else:
-            tau, X, wx, Z, wz = simulate_coupled_terminal(req.field, x, z, grid,
-                                                          rng, lo, hi, couple_tol)
-            diff = f(X) * np.exp(wx) - f(Z) * np.exp(wz)
-        return diff, capped_times(tau, grid.dt, req.horizon)
-
-    diffs, taus = run_path_blocks(req.n_paths, worker, path_offset=path_offset)
-    return (*mean_stderr(diffs), taus)
+        diffs, tau = run_path_blocks(len(starts), worker, path_offset=path_offset)
+    taus = capped_times(tau, grid.dt, req.horizon)
+    return [(*mean_stderr(diffs[i:i + n]), taus[i:i + n])
+            for i in range(0, len(starts), n)]
 
 
 @dataclass(frozen=True)
@@ -166,14 +181,12 @@ def modulus_experiment(cfg: ModulusExperimentConfig, rng: RngStream) -> ResultTa
     e = np.atleast_1d(np.asarray(cfg.direction, dtype=float))
     e = e / np.linalg.norm(e)
     tol = _resolve_tol(cfg.couple_tol, cfg.grid, cfg.field)
+    req = SolveRequest(field=cfg.field, terminal=cfg.terminal, eval_point=x,
+                       n_paths=cfg.n_paths, grid=cfg.grid)
+    # disjoint path blocks per distance keep the rows independent
+    rungs = difference_ladder(req, [x + r * e for r in cfg.distances], rng, tol)
     rows = []
-    for i, r in enumerate(cfg.distances):
-        req = SolveRequest(field=cfg.field, terminal=cfg.terminal, eval_point=x,
-                           n_paths=cfg.n_paths, grid=cfg.grid)
-        # disjoint path blocks per distance keep the rows independent
-        offset = i * cfg.n_paths
-        mean, se, taus = solve_difference_coupled(
-            req, x + r * e, rng, couple_tol=tol, path_offset=offset)
+    for r, (mean, se, taus) in zip(cfg.distances, rungs):
         tau_mean, tau_se = mean_stderr(taus)
         rows.append((float(r), abs(mean), se, tau_mean, tau_se,
                      cfg.n_paths, cfg.grid.dt, tol))

@@ -253,10 +253,13 @@ def draw_chunks(rng: RngStream, paths, stop: int, dim: int, row_tiles: bool = Fa
     fill the draw budget (``chunk_steps``), or a callable that returns the
     paths of a shrinking batch, read again for every chunk; the iteration
     stops when it is empty.  A shrinking batch's chunk from node k also
-    takes at most max(64, k) steps, the steps already taken, so pairs that
-    meet early leave few draws unused; 64 steps pay for re-keying a row.
-    Every chunk of a call is drawn into one buffer (``_draw_buffer``),
-    which the next chunk overwrites.
+    takes at most max(16, k // 2) steps, half the steps already taken, so
+    pairs that meet early leave few draws unused and a batch of many
+    pairs (a whole distance ladder) draws its first chunks in little
+    memory; it ends on a whole four-double counter block unless it ends
+    at stop, so every chunk starts on one and no row pays for discarding
+    the doubles before its start.  Every chunk of a call is drawn into one
+    buffer (``_draw_buffer``), which the next chunk overwrites.
 
     With row_tiles, for a consumer that works on each row on its own, it
     yields (k, k_hi, tiles) instead.  The chunk from node k takes max(64, k)
@@ -281,10 +284,12 @@ def draw_chunks(rng: RngStream, paths, stop: int, dim: int, row_tiles: bool = Fa
         else:
             if buf is None:
                 buf = _draw_buffer(min(per_step * stop, max(_CHUNK_BUDGET, 16 * per_step)))
-            steps = chunk_steps(per_step)
+            k_hi = k + chunk_steps(per_step)
             if shrinking:
-                steps = min(steps, max(64, k))
-            k_hi = min(stop, k + steps)
+                # end on a multiple of 4 steps, a whole counter block in
+                # any dim, as k is
+                k_hi = min(k_hi, k + max(16, k // 2)) // 4 * 4
+            k_hi = min(stop, k_hi)
             yield k, k_hi, rng.uniforms(p, k, k_hi, dim, buf)
         k = k_hi
 
@@ -497,7 +502,9 @@ def run_path_blocks(n_paths: int, worker, path_offset: int = 0,
     order.
 
     The worker must be a pure function of the path range, so results are
-    byte-identical for any block size.
+    byte-identical for any block size.  A divergence is raised after the
+    last block, at the earliest step of any block, so the step reported
+    does not depend on the block size either.
     """
     edges = []
     lo = path_offset
@@ -505,7 +512,14 @@ def run_path_blocks(n_paths: int, worker, path_offset: int = 0,
         hi = min(path_offset + n_paths, lo + block_size)
         edges.append((lo, hi))
         lo = hi
-    parts = [worker(lo, hi) for lo, hi in edges]
+    parts, diverged = [], []
+    for lo, hi in edges:
+        try:
+            parts.append(worker(lo, hi))
+        except SimulationDivergedError as exc:
+            diverged.append(exc)
+    if diverged:
+        raise min(diverged, key=lambda exc: exc.step_index)
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate([p[i] for p in parts]) for i in range(len(parts[0])))
     return np.concatenate(parts)

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 import couplemc
-from couplemc import RngStream, TimeGrid, coupling_times
+from couplemc import (RngStream, SolveRequest, TimeGrid, coupling_time_expectation,
+                      coupling_times, default_couple_tol, mean_stderr,
+                      solve_difference_coupled)
 from couplemc.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
-from couplemc.registry import make_constant_field
+from couplemc.config import load_config
+from couplemc.registry import build_field, build_terminal, make_constant_field
 
 SOLVE = """
 kind = solve
@@ -214,16 +217,111 @@ def test_report_emits_fits(tmp_path, capsys):
     assert fits == {"tau_power_fit": summary["tau_power_fit"]}
 
 
+COUPLE_2D = COUPLE.replace("field.dim = 1", "field.dim = 2").replace(
+    "n_paths = 600", "n_paths = 100").replace("grid.steps = 200", "grid.steps = 50")
+
+
+MODULUS = """
+kind = modulus
+seed = 9
+field.name = sin
+field.dim = 1
+field.amp = 0.5
+terminal.name = gaussian-bump
+terminal.width = 1.0
+grid.horizon = 1.0
+grid.steps = 200
+n_paths = 300
+ladder = 0.2, 0.1, 0.05
+base_point = 0.1
+"""
+
+LADDERS = {
+    # the 1D constant-sigma scan
+    "couple-1d-constant": COUPLE,
+    # the step loop
+    "couple-1d-sin": COUPLE.replace("field.name = constant",
+                                    "field.name = sin\nfield.amp = 0.5"),
+    # pairs followed to the last node before an off-grid t
+    "couple-2d-eval-horizon": COUPLE_2D.replace("ladder = 0.2, 0.1, 0.05",
+                                                "ladder = 0.3, 0.2, 0.1")
+    + "couple_tol = 0.05\neval_horizon = 0.55\n",
+    # c = 0: the survivor loop
+    "modulus-c0": MODULUS,
+    # c != 0: the terminal driver in blocks of 16,384 pairs, which split
+    # the third rung
+    "modulus-c-blocks": MODULUS.replace("field.amp = 0.5", "field.amp = 0.5\nfield.c0 = 0.2")
+    .replace("n_paths = 300", "n_paths = 6000").replace("grid.steps = 200", "grid.steps = 20"),
+}
+
+
+def _rows(run_dir):
+    with open(run_dir / "results.csv", newline="") as fh:
+        return [row for row in csv.reader(fh)][1:]
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_ladder_rows_equal_per_distance_runs(name, tmp_path, capsys):
+    # a ladder runs every rung in one batch of pairs; each row has the
+    # bytes of a one-rung call on the rung's own path block
+    path = _cfg(tmp_path, LADDERS[name])
+    assert main(["run", path, "--run-dir", str(tmp_path / "d")]) == EXIT_OK
+    cfg = load_config(path)
+    rows = _rows(tmp_path / "d")
+    field = build_field(cfg.field_name, cfg.field_params)
+    grid = TimeGrid(cfg.horizon, cfg.steps)
+    n = cfg.n_paths
+    x = np.zeros(field.dim) if cfg.base_point is None else np.atleast_1d(cfg.base_point)
+    e = np.eye(field.dim)[0]
+    tol = default_couple_tol(grid, field) if cfg.couple_tol is None else cfg.couple_tol
+    assert len(rows) == len(cfg.ladder) >= 3
+    for i, (r, row) in enumerate(zip(cfg.ladder, rows)):
+        if cfg.kind == "couple":
+            t = cfg.eval_horizon or cfg.horizon
+            est = coupling_time_expectation(field, x, x + r * e, t, grid, n,
+                                            RngStream(cfg.seed), couple_tol=tol,
+                                            path_offset=i * n)
+            want = [est.mean, est.stderr, est.fraction_coupled]
+            got = row[3:6]
+        else:
+            req = SolveRequest(field=field, eval_point=x, n_paths=n, grid=grid,
+                               terminal=build_terminal(cfg.terminal_name,
+                                                       cfg.terminal_params))
+            mean, se, taus = solve_difference_coupled(
+                req, x + r * e, RngStream(cfg.seed), couple_tol=tol, path_offset=i * n)
+            want = [abs(mean), se, *mean_stderr(taus)]
+            got = row[1:5]
+        assert got == [repr(float(v)) for v in want], (i, r)
+
+
+@pytest.mark.parametrize("text,step", [
+    # b dt = 2e308 overflows on the first step, before any pair can meet
+    (COUPLE.replace("grid.horizon = 1.0", "grid.horizon = 4.0")
+     .replace("grid.steps = 200", "grid.steps = 2"), 1),
+    (MODULUS.replace("grid.horizon = 1.0", "grid.horizon = 4.0")
+     .replace("grid.steps = 200", "grid.steps = 2"), 1),
+    # with c != 0 the X legs are carried past the meeting at step 1,
+    # where b dt = 1e308 absorbs every separation, and overflow on step 2
+    (MODULUS.replace("grid.horizon = 1.0", "grid.horizon = 4.0")
+     .replace("grid.steps = 200", "grid.steps = 4") + "field.c0 = 0.1\n", 2),
+], ids=["couple", "modulus-c0", "modulus-c"])
+def test_ladder_divergence_names_the_step(text, step, tmp_path, capsys):
+    bad = text.replace("field.name = sin\nfield.dim = 1\nfield.amp = 0.5",
+                       "field.name = constant\nfield.dim = 1")
+    bad = bad.replace("field.dim = 1", "field.dim = 1\nfield.b0 = 1e308")
+    rc = main(["run", _cfg(tmp_path, bad), "--run-dir", str(tmp_path / "d")])
+    assert rc == EXIT_DIVERGED
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "simulation-diverged",
+                   "message": f"simulation diverged at step {step}"}
+
+
 def test_diverged_exit_code(tmp_path, capsys):
     bad = SOLVE.replace("field.dim = 1", "field.dim = 1\nfield.b0 = 1e308")
     bad = bad.replace("grid.horizon = 0.5", "grid.horizon = 4.0")
     rc = main(["run", _cfg(tmp_path, bad), "--run-dir", str(tmp_path / "d")])
     assert rc == EXIT_DIVERGED
     assert "simulation-diverged" in capsys.readouterr().err
-
-
-COUPLE_2D = COUPLE.replace("field.dim = 1", "field.dim = 2").replace(
-    "n_paths = 600", "n_paths = 100").replace("grid.steps = 200", "grid.steps = 50")
 
 
 @pytest.mark.parametrize("text,key", [

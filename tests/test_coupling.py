@@ -15,7 +15,8 @@ from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
                       reflection_matrix, sde_engine, SolveRequest,
                       simulate_coupled, simulate_path, solve_difference_coupled,
                       solve_u)
-from couplemc.coupling import simulate_coupled_block, simulate_coupled_terminal
+from couplemc.coupling import (coupling_time_ladder, simulate_coupled_block,
+                              simulate_coupled_terminal)
 from couplemc.errors import (DegenerateDirectionError, DiniDivergenceError,
                              SimulationDivergedError, ValidationError)
 from couplemc.registry import (build_field, make_constant_field,
@@ -520,9 +521,10 @@ class TestCoupledPair:
         # 64 steps of the 40 pairs need more doubles than the budget holds,
         # as for 1e5 pairs at the default budget.  The 1D scan keeps chunks
         # of the steps taken, from nodes 0, 64, 128, ..., and draws each in
-        # row tiles within the budget; for the step loop the budget, not the
-        # 64-step floor, bounds the chunk.  Either way every draw fits the
-        # thread's kept buffer, with unchanged bytes
+        # row tiles within the budget; the step loop's chunks take half the
+        # steps taken, at least 16, and never more than the budget holds.
+        # Either way every draw fits the thread's kept buffer, with
+        # unchanged bytes
         f = make_constant_field(dim=dim)
         grid = TimeGrid(1.0, 300)
         x, z = [0.0] * dim, [0.3] + [0.0] * (dim - 1)
@@ -550,7 +552,89 @@ class TestCoupledPair:
             assert (0, 64) in chunks and len(chunks) < len(calls)
             assert {lo for lo, _ in chunks} <= {0, 64, 128, 256}
         else:
-            assert (0, 30) in chunks and len(chunks) == len(calls)
+            assert (0, 16) in chunks and len(chunks) == len(calls)
+
+    @pytest.mark.parametrize("case", ["ladder-1d-sin", "budget-2d"])
+    def test_survivor_chunks_start_on_counter_blocks(self, case, monkeypatch):
+        # every survivor chunk but the last ends on a whole four-double
+        # counter block, so no draw starts inside one: not in a 1D sin
+        # ladder, whose chunks grow by half the steps taken (162 -> 243
+        # unrounded), nor in a 2D batch whose chunks the budget bounds at
+        # 17 steps
+        firsts = []
+        uniforms = RngStream.uniforms
+
+        def logged(self, paths, lo, hi, d, buf=None):
+            firsts.append(lo * d)
+            return uniforms(self, paths, lo, hi, d, buf)
+
+        monkeypatch.setattr(RngStream, "uniforms", logged)
+        if case == "ladder-1d-sin":
+            coupling_time_ladder(make_sin_field(dim=1, amp=0.5), [0.0],
+                                 [[0.2], [0.1], [0.05]], 1.0, TimeGrid(1.0, 1000),
+                                 100, RngStream(31))
+        else:
+            n = 40
+            monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", 17 * 2 * n)
+            coupling_times(make_constant_field(dim=2), [0.0, 0.0], [0.3, 0.0],
+                           TimeGrid(1.0, 300), RngStream(8), n, couple_tol=0.05)
+        assert len(firsts) >= 8
+        assert not any(lo % 4 for lo in firsts)
+
+    def test_ladder_draws_no_more_at_once_than_one_rung_did(self, monkeypatch):
+        # a ladder runs its rungs in one batch, whose chunks from node k take
+        # half the steps taken, at least 16: its largest draw stays within
+        # the first chunk of one rung in a loop of its own with 64-step
+        # chunks, so batching the rungs costs no draw memory
+        drawn = []
+        uniforms = RngStream.uniforms
+
+        def counted(self, paths, lo, hi, d, buf=None):
+            drawn.append(len(paths) * (hi - lo) * d)
+            return uniforms(self, paths, lo, hi, d, buf)
+
+        monkeypatch.setattr(RngStream, "uniforms", counted)
+        n, per_pair = 500, coupling._pair_layout(1)[0]
+        ests = coupling_time_ladder(make_sin_field(dim=1, amp=0.5), [0.1],
+                                    [[0.3], [0.2], [0.15]], 1.0, TimeGrid(1.0, 1000),
+                                    n, RngStream(41))
+        assert min(est.fraction_coupled for est in ests) < 0.95
+        assert drawn[0] == 3 * n * 16 * per_pair
+        assert max(drawn) <= n * 64 * per_pair
+
+    def test_ladder_reports_the_earliest_divergence_of_any_rung(self, monkeypatch):
+        # a pair of the first rung diverges at step 41 and one of the last
+        # at step 31: the ladder names step 31, in the scan and in the step
+        # loop alike, not the step of the first rung to diverge
+        grid, n, zs = TimeGrid(1.0, 300), 40, [[0.5], [0.3], [0.2]]
+        scan = make_constant_field(dim=1)
+        loop = dataclasses.replace(scan, sigma_scalar=None)
+        taus = coupling_times(scan, [0.0], coupling.ladder_starts(1, zs, n), grid,
+                              RngStream(12), 3 * n)
+        late = np.flatnonzero((taus < 0) | (taus > 45))
+        first, last = int(late[0]), int(late[-1])
+        assert first < n <= 2 * n <= last
+        _spoil(monkeypatch, np.inf).update({first: 40, last: 30})
+        for f in (scan, loop):
+            with pytest.raises(SimulationDivergedError) as exc:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    coupling_time_ladder(f, [0.0], zs, 1.0, grid, n, RngStream(12))
+            assert exc.value.step_index == 31
+
+    def test_per_pair_starts(self):
+        # each run of equal start points takes the scalar start test; start
+        # points must be one per pair
+        f = make_constant_field(dim=2)
+        grid = TimeGrid(1.0, 50)
+        starts = coupling.ladder_starts(2, [[0.1, 0.0], [0.0, 0.0], [0.1, 0.0]], 5)
+        taus = coupling_times(f, [0.0, 0.0], starts, grid, RngStream(3), 15,
+                              couple_tol=0.05)
+        assert np.all(taus[5:10] == 0) and np.all(taus[:5] != 0) and np.all(taus[10:] != 0)
+        assert np.array_equal(taus[10:], coupling_times(f, [0.0, 0.0], [0.1, 0.0], grid,
+                                                        RngStream(3), 5, couple_tol=0.05,
+                                                        path_offset=10))
+        with pytest.raises(ValidationError, match="shape"):
+            coupling_times(f, [0.0, 0.0], starts[:14], grid, RngStream(3), 15)
 
     def test_scan_draws_many_pairs_in_tiles_of_the_kept_buffer(self):
         # 16 steps of these pairs need more doubles than the budget holds;

@@ -170,36 +170,39 @@ def _running_max():
     return [simulate_brownian_running_max(1.0, 13, 200, RngStream(114))]
 
 
-@pytest.mark.parametrize("run,budget,mid_block", [
-    (_simulate_terminal_3d_sin, 450, True), (_simulate_terminal_3d_scalar, 450, True),
-    (_tau_1d_constant, 450, False), (_difference_1d_sin, 450, True),
+@pytest.mark.parametrize("run,budget,starts", [
+    (_simulate_terminal_3d_sin, 450, "mid-block"),
+    (_simulate_terminal_3d_scalar, 450, "mid-block"),
+    (_tau_1d_constant, 450, "tiles"), (_difference_1d_sin, 450, "blocks"),
     # 17-step chunks of the 200 pairs' two doubles a step
-    (_terminal_1d_sin, 17 * 2 * N, True), (_running_max, 450, True),
+    (_terminal_1d_sin, 17 * 2 * N, "mid-block"), (_running_max, 450, "mid-block"),
 ], ids=["simulate-terminal-3d-sin", "simulate-terminal-3d-scalar",
         "tau-1d-constant", "difference-1d-sin", "terminal-1d-sin", "running-max"])
-def test_chunk_boundaries_leave_bytes_unchanged(run, budget, mid_block, monkeypatch):
-    """A small draw budget splits the steps into many chunks, some starting
-    inside a four-double counter block; the output bytes stay the same.
-    The 1D constant-sigma scan takes chunks of whole counter blocks, drawn
-    in row tiles that the small budget shrinks: each of its chunks starts
-    on a counter block and is drawn in several tiles."""
+def test_chunk_boundaries_leave_bytes_unchanged(run, budget, starts, monkeypatch):
+    """A small draw budget splits the steps into many chunks; the output
+    bytes stay the same.  A fixed batch's chunks fill the budget, so some
+    start inside a four-double counter block ("mid-block").  The survivor
+    loop's chunks end on whole counter blocks, so each starts on one
+    ("blocks"); the 1D constant-sigma scan also draws each chunk in row
+    tiles that the small budget shrinks ("tiles")."""
     default = run()
-    starts = []
+    firsts = []
     uniforms = RngStream.uniforms
 
     def logged(self, paths, lo, hi, d, buf=None):
-        starts.append(lo * d)
+        firsts.append(lo * d)
         return uniforms(self, paths, lo, hi, d, buf)
 
     monkeypatch.setattr(RngStream, "uniforms", logged)
     monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", budget)
     small = run()
-    assert len(starts) >= 3
-    if mid_block:
-        assert any(lo % 4 for lo in starts)
+    assert len(firsts) >= 3
+    if starts == "mid-block":
+        assert any(lo % 4 for lo in firsts)
     else:
-        assert not any(lo % 4 for lo in starts)
-        assert len(set(starts)) < len(starts)
+        assert not any(lo % 4 for lo in firsts)
+        # several tiles of a chunk start at the same step
+        assert (len(set(firsts)) < len(firsts)) == (starts == "tiles")
     for a, b in zip(default, small, strict=True):
         assert a.tobytes() == b.tobytes()
 

@@ -390,6 +390,21 @@ class TestPathBlocks:
         assert np.array_equal(a, np.arange(10.0, 60.0))
         assert np.array_equal(b, a**2)
 
+    def test_divergence_names_the_earliest_step_of_any_block(self):
+        # every block runs, and the earliest divergence of any is raised
+        ran = []
+
+        def worker(lo, hi):
+            ran.append(lo)
+            if lo in (0, 14):
+                raise SimulationDivergedError(9 if lo == 0 else 4)
+            return np.arange(lo, hi, dtype=float)
+
+        with pytest.raises(SimulationDivergedError) as exc:
+            run_path_blocks(30, worker, block_size=7)
+        assert exc.value.step_index == 4
+        assert ran == [0, 7, 14, 21, 28]
+
     def test_simulation_invariant_under_workers(self):
         f = make_sin_field(dim=1, amp=0.3)
         grid = TimeGrid(0.5, 20)
