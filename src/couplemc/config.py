@@ -191,10 +191,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    if not isinstance(raw.get("seed"), int):
-        raise ConfigError("an explicit integer seed is required")
+    seed = raw.get("seed")
+    # RngStream keys Philox with the seed modulo 2^64: any seed outside
+    # [0, 2^64) would alias another one's streams
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ConfigError(f"an explicit integer seed in [0, 2^64) is required, got {seed!r}")
 
-    cfg = ExperimentConfig(kind=kind, seed=raw["seed"])
+    cfg = ExperimentConfig(kind=kind, seed=seed)
     # retired: every run uses one thread; configs may still say workers = 1
     workers = raw.get("workers", 1)
     if type(workers) is not int or workers != 1:

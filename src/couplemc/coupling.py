@@ -1,57 +1,15 @@
 """Reflection coupling of two diffusions started at nearby points.
 
 The second process Z is driven by the Brownian increments of X reflected
-across sigma(Z)^-1 (X - Z) until the pair meets, then fused with X.  For a
-field that declares sigma = s I (its ``sigma`` returns the scale s) that
-direction is (X - Z) / s(Z), and no linear system is solved.  On a
-discrete grid the meeting is declared when |X - Z| falls below a tolerance
-or, in one dimension, when the separation changes sign between nodes or a
-Brownian-bridge test says it crossed zero inside the step.  The bridge
-test removes the O(sqrt(dt)) bias of endpoint-only detection.
-
-``pair_step`` is the one step of a batch of uncoupled pairs: both legs
-take the Euler update of ``sde_engine.euler_update``, then the meeting
-test runs.  Legs of pairs that have met take ``sde_engine.euler_step``.
-Three drivers run these steps:
-
-* the block driver ``simulate_coupled_block`` keeps the unmet pairs
-  compacted, steps nothing else, and draws raw uniforms in chunks that
-  grow with the steps already taken (``sde_engine.draw_chunks``).  It
-  maps uniforms to increments lazily, only for the pairs it is about to
-  step, so a pair that meets inside a chunk leaves the rest of its draws
-  unmapped.  For a
-  1D field that declares a constant sigma
-  (``CoefficientField.sigma_scalar``) and b = 0 it scans each chunk a row
-  tile of pairs and a sub-block of steps at a time (``_scan_chunk``)
-  instead of taking one ``pair_step`` per node, with the same nodes, hits
-  and divergence steps bit for bit; every other field takes the step loop,
-  whose chunks are also no longer than the draw budget allows for the
-  survivors.  ``coupling_times`` reads its coupling
-  steps; the coupled difference ``fk_solver.difference_ladder`` of
-  a field with c = 0 runs it to the horizon and reads the states of the
-  unmet pairs, as a pair that has met adds exactly nothing;
-* the terminal driver ``simulate_coupled_terminal`` carries every pair to
-  the horizon with the c-integrals of both legs;
-* the recorder ``simulate_coupled`` is a batch of one that stores every
-  node.
-
-The two batch drivers take one start point z for every pair or a start
-point per pair (``_start_pairs``), so a distance ladder runs as one batch:
-``coupling_time_ladder`` gives rung i the pairs [off + i n, off + (i + 1) n)
-starting at its own point (``ladder_starts``), steps every rung in one
-survivor loop, and takes each rung's estimate on its own pairs.  Every
-per-pair operation is element by element, so a rung has the bytes of a
-one-rung call with that path offset, ``coupling_time_expectation``.  A
-divergence is reported at the earliest step of any pair, so a ladder
-names the earliest diverging step of any rung.
-
-Draw layout per step of pair p (``_pair_layout``): in 1D two uniforms,
-the increment's and the bridge uniform; in d >= 2, d increments.  Every
-driver consumes the same draws and maps them with
-``sde_engine.to_increments``, the terminal driver and the recorder a
-chunk at a time, the block driver step by step or sub-block by
-sub-block; so the coupling step of a pair depends neither on the driver
-nor on the block of path indices it runs in.
+across sigma(Z)^-1 (X - Z) until the pair meets, then fused with X.  Each
+mechanism is described where it is implemented: the pair step in
+``pair_step``, the 1D meeting test in ``_meets``, the draws of a pair in
+``_pair_layout``, the 1D constant-sigma scan in ``_scan_tile`` and a
+distance ladder in ``coupling_time_ladder``.  Three drivers run the pair
+step: ``simulate_coupled_block`` steps pairs only until they meet,
+``simulate_coupled_terminal`` carries them to the horizon with the
+c-integrals of both legs, and the recorder ``simulate_coupled`` stores
+every node of one pair.
 """
 
 from __future__ import annotations
@@ -64,7 +22,8 @@ from .coefficients import CoefficientField, ModulusOfContinuity, require_dini
 from .errors import DegenerateDirectionError, SimulationDivergedError, ValidationError
 from .sde_engine import (RngStream, SamplePath, TimeGrid, as_point, chunk_steps,
                          draw_chunks, euler_step, euler_update, mean_stderr,
-                         raise_first_nonfinite, sigma_batch, to_increments)
+                         raise_first_nonfinite, run_blocks, sigma_batch,
+                         to_increments)
 
 
 @dataclass
@@ -140,10 +99,9 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     across sigma(Z)^-1 (X - Z): (X - Z) / s for sigma = s I, and simply
     -dW in 1D.  A field's declared constant scale ``sigma_scalar`` is used
     as it is, without evaluating sigma.  hit marks the pairs that meet in
-    the step: |X - Z| <= couple_tol at the new node or, in 1D, a zero
-    crossing of the separation's Brownian bridge, tested with the uniforms
-    u_bridge (None in d >= 2).  Raises SimulationDivergedError(k + 1) when
-    a state is not finite.
+    the step: in 1D by ``_meets`` with the bridge uniforms u_bridge, in
+    d >= 2 (u_bridge None) when |X - Z| <= couple_tol at the new node.
+    Raises SimulationDivergedError(k + 1) when a state is not finite.
     """
     t, dt = grid.horizon - k * grid.dt, grid.dt
     xi = X - Z
@@ -165,20 +123,43 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
         raise SimulationDivergedError(k + 1)
     if field.dim > 1:
         return X_next, Z_next, np.linalg.norm(xi_next, axis=-1) <= couple_tol
-    # separations a -> b cross zero with probability exp(-2ab / (s^2 dt)),
-    # s the summed sigmas; for opposite signs the exponent is >= 0, so the
-    # test fires surely.  Below -700 exp is under 1e-304, which no nonzero
-    # uniform undercuts; clamping there keeps exp off its slow underflow path
-    a, b = xi[:, 0], xi_next[:, 0]
     s = np.ravel(sig_x + sig_z)  # (n,), or the declared s + s as (1,)
-    p_cross = np.exp(np.maximum(-2.0 * a * b / (s * s * dt), -700.0))
-    return X_next, Z_next, (np.abs(b) <= couple_tol) | (u_bridge < p_cross)
+    return X_next, Z_next, _meets(xi[:, 0], xi_next[:, 0], s * s * dt, u_bridge,
+                                  couple_tol)
+
+
+def _meets(a, b, denom, u, couple_tol, out=None) -> np.ndarray:
+    """The 1D meeting test of pairs whose separation goes from a to b in a
+    step; returns the hit mask.  A pair meets when |b| <= couple_tol or
+    when the separation's Brownian bridge crosses zero inside the step,
+    which it does with probability exp(-2ab / denom), denom = s^2 dt for s
+    the summed sigmas of the legs; the uniforms u draw the crossing.  The
+    bridge test removes the O(sqrt(dt)) bias of a test at the nodes only.
+
+    With out, an array of a's shape, the crossing probabilities are written
+    into out and |b| into b, so the test allocates no temporary of that
+    shape but the mask.  Every 1D driver meets here, so the operations
+    and their order fix the bytes of every coupling step."""
+    p = np.multiply(a, -2.0, out=out)
+    np.multiply(p, b, out=p)
+    np.divide(p, denom, out=p)
+    # for opposite signs the exponent is >= 0, so the test fires surely.
+    # Below -700 exp is under 1e-304, which no nonzero uniform undercuts;
+    # clamping there keeps exp off its slow underflow path
+    np.maximum(p, -700.0, out=p)
+    np.exp(p, out=p)
+    hit = np.abs(b, out=None if out is None else b) <= couple_tol
+    hit |= u < p
+    return hit
 
 
 def _pair_layout(d: int) -> tuple[int, int | None]:
     """The draws of a pair-step: (doubles per pair-step, bridge column).
     The increments' uniforms take columns [0, d); in 1D the bridge
-    uniform follows in column 1, and d >= 2 has no bridge test (None)."""
+    uniform follows in column 1, and d >= 2 has no bridge test (None).
+    Every pair driver reads these draws and maps them with
+    ``to_increments``, so a pair's coupling step depends neither on the
+    driver nor on the block of path indices it runs in."""
     return (2, 1) if d == 1 else (d, None)
 
 
@@ -223,35 +204,28 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     and states at the stop node of the unmet pairs, in path order.
 
     z is one start point or one per pair (``_start_pairs``).  The unmet
-    pairs are kept compacted and drawn in chunks of raw uniforms
-    (``draw_chunks``) that grow with the steps already taken.
-    Uniforms become increments (``to_increments``) only for the pairs about
-    to be stepped, on a gathered copy: a pair that meets inside a chunk
-    leaves the rest of its row unmapped.  A 1D field that declares a
-    constant sigma and b = 0 is scanned (``_scan_chunk``), each chunk drawn
-    in row tiles of the survivors, so the chunk keeps its length however
-    many pairs survive and the draws take one tile of memory.  Every other
-    field takes one ``pair_step`` per node, which needs every survivor's
-    increments at each node, so its chunks take at most half the steps
-    already taken (at least 16) and no more than the draw budget allows
-    for the survivors."""
+    pairs are kept compacted and drawn in chunks of a shrinking batch
+    (``draw_chunks``).  Uniforms become increments only for the pairs
+    about to be stepped, on a gathered copy, so a pair that meets inside a
+    chunk leaves the rest of its row unmapped.  A 1D field that declares a
+    constant sigma and b = 0 is scanned a row tile at a time
+    (``_scan_tile``); every other field takes one ``pair_step`` per node."""
     stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
-    d = field.dim
+    d, s = field.dim, field.sigma_scalar
     per_pair, bridge = _pair_layout(d)
     paths, tau_step, X, Z = _start_pairs(field, x, z, path_lo, path_hi, couple_tol)
     rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
     X, Z = X[rows], Z[rows]
-    scan = d == 1 and field.sigma_scalar is not None and field.b_sup == 0.0
     # overflow is handled by the finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if scan:
+        if d == 1 and s is not None and field.b_sup == 0.0:
             for k, _, tiles in draw_chunks(rng, lambda: paths[rows], stop, per_pair,
                                            row_tiles=True):
-                rows, X, Z = _scan_chunk(field.sigma_scalar, grid.dt, couple_tol,
-                                         k, tiles, rows, X, Z, tau_step)
+                # every tile of the chunk runs before rows, X, Z are rebound
+                rows, X, Z = run_blocks(
+                    lambda lo, hi, u: _scan_tile(s, grid.dt, couple_tol, k, u, rows[lo:hi],
+                                                 X[lo:hi], Z[lo:hi], tau_step), tiles)
             return tau_step, rows, X, Z
-        # a chunk takes no more steps than were already taken, nor than
-        # the survivors' draw budget allows
         for k, k_hi, u in draw_chunks(rng, lambda: paths[rows], stop, per_pair):
             dpos = np.arange(rows.size)  # row into this chunk's draws
             for kk in range(k, k_hi):
@@ -275,42 +249,21 @@ def _scan_steps(n_pairs: int) -> int:
     return chunk_steps(64 * n_pairs)
 
 
-def _scan_chunk(s, dt, couple_tol, k, tiles, rows, X, Z, tau_step):
-    """The block driver's steps of a chunk from node k drawn in row tiles
-    (lo, hi, u) of its survivors (``draw_chunks``), for a 1D field with
-    sigma = s and b = 0; returns the survivors (rows, X, Z) and writes the
-    coupling steps into tau_step.  The pairs are independent, so each tile
-    is scanned on its own (``_scan_tile``).  A divergence is raised after
-    the last tile, at the earliest step of any tile, which is the step the
-    step loop stops at."""
-    kept, diverged = [], []
-    for lo, hi, u in tiles:
-        try:
-            kept.append(_scan_tile(s, dt, couple_tol, k, u, rows[lo:hi],
-                                   X[lo:hi], Z[lo:hi], tau_step))
-        except SimulationDivergedError as exc:
-            diverged.append(exc)
-    if diverged:
-        raise min(diverged, key=lambda exc: exc.step_index)
-    return tuple(np.concatenate(part) for part in zip(*kept))
-
-
 def _scan_tile(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
-    """The steps from node k of the pairs rows, over their uniforms u
-    (pairs, steps, 2) in the 1D pair layout, a sub-block of steps at a
-    time; returns the survivors (rows, X, Z) and writes the coupling steps
-    into tau_step.
+    """The block driver's steps from node k of the pairs rows, a row tile
+    of a chunk (``draw_chunks``), for a 1D field with sigma = s and b = 0;
+    u holds their uniforms (pairs, steps, 2).  Returns the survivors
+    (rows, X, Z) and writes the coupling steps into tau_step.
 
-    Each sub-block gathers the survivors' uniforms, turns them into
-    increments (``to_increments``) and repeats ``pair_step`` on every node
-    of every pair: np.add.accumulate sums the legs X + s dW and Z - s dW
-    strictly in step order, and the meeting test runs with the same
-    operations, so every node, hit and divergence step equals the step
-    loop's bit for bit.  A pair's first hit is its coupling step; the
-    survivors are compacted between sub-blocks, so a pair's uniforms past
-    the sub-block in which it meets are never mapped.  A non-finite node
-    stays non-finite, so the last node of a sub-block tells whether any
-    step of it diverged."""
+    A sub-block of steps at a time, it gathers the survivors' uniforms,
+    turns them into increments and repeats ``pair_step`` on every node of
+    every pair: np.add.accumulate sums the legs X + s dW and Z - s dW
+    strictly in step order, and ``_meets`` tests every step, so every
+    node, hit and divergence step equals the step loop's bit for bit.  A
+    pair's first hit is its coupling step; the survivors are compacted
+    between sub-blocks, so a pair's uniforms past the sub-block in which
+    it meets are never mapped.  A non-finite node stays non-finite, so
+    the last node of a sub-block tells whether any step of it diverged."""
     denom = (s + s) * (s + s) * dt  # s * s * dt of pair_step, s = sig_x + sig_z
     dpos = np.arange(rows.size)  # row into this chunk's draws
     j, n_steps = 0, u.shape[1]
@@ -327,16 +280,9 @@ def _scan_tile(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
         # the separations overwrite zs: keep its last node first
         Z = zs[:, m:].copy()
         xi = np.subtract(xs, zs, out=zs)
-        a, b = xi[:, :-1], xi[:, 1:]
-        # -2 a b / denom in pair_step's order, in the spent increments' array
-        p_cross = dW
-        np.multiply(a, -2.0, out=p_cross)
-        np.multiply(p_cross, b, out=p_cross)
-        np.divide(p_cross, denom, out=p_cross)
-        np.maximum(p_cross, -700.0, out=p_cross)
-        np.exp(p_cross, out=p_cross)
-        hit = np.abs(b, out=b) <= couple_tol
-        hit |= u[dpos, j:j + m, 1] < p_cross
+        b = xi[:, 1:]
+        # the spent increments take the crossing probabilities
+        hit = _meets(xi[:, :-1], b, denom, u[dpos, j:j + m, 1], couple_tol, out=dW)
         met = hit.any(axis=1)
         first = np.where(met, hit.argmax(axis=1), m)
         if not np.isfinite(b[:, -1]).all():  # |b|: the same nodes are finite
@@ -492,10 +438,11 @@ def coupling_time_ladder(field: CoefficientField, x, zs, t: float,
     """The estimate of ``coupling_time_expectation`` for each start point z
     of zs, rung i on the pairs [path_offset + i n_paths, path_offset +
     (i + 1) n_paths).  One survivor loop steps every rung
-    (``ladder_starts``); each rung's estimate is taken on its own pairs, so
-    it has the bytes of a one-rung call with that path offset.  The pairs
-    are stepped to the last node at or before t, so a t off the grid
-    counts no meeting after t."""
+    (``ladder_starts``).  Every per-pair operation is element by element
+    and each rung's estimate is taken on its own pairs, so a rung has the
+    bytes of a one-rung call with that path offset; a divergence names the
+    earliest diverging step of any rung.  The pairs are stepped to the last
+    node at or before t, so a t off the grid counts no meeting after t."""
     if n_paths < 2:
         raise ValidationError("need at least 2 paths")
     if not 0.0 < t <= grid.horizon + 1e-12:

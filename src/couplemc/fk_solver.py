@@ -66,23 +66,19 @@ def difference_ladder(req: SolveRequest, zs, rng: RngStream, couple_tol: float,
                       path_offset: int = 0) -> list:
     """(mean, stderr, taus) of ``solve_difference_coupled`` for each start
     point z of zs, rung i on the pairs [path_offset + i n, path_offset +
-    (i + 1) n), n = req.n_paths.  Every rung runs in one batch of pairs
-    (``coupling.ladder_starts``), and each rung's values are taken on its
-    own pairs, so they have the bytes of a one-rung call with that path
-    offset.  Per-path differences vanish on paths that couple before the
-    horizon (up to the pre-coupling c-integral discrepancy), so the
-    variance shrinks with |x - z|.
+    (i + 1) n), n = req.n_paths, run as one batch as in
+    ``coupling.coupling_time_ladder``.  Per-path differences vanish on
+    paths that couple before the horizon (up to the pre-coupling c-integral
+    discrepancy), so the variance shrinks with |x - z|.
 
     For a field that declares c = 0 (``c_sup == 0``) a pair that meets
-    adds exactly 0.0, so one survivor loop (``simulate_coupled_block``)
-    steps only the unmet pairs of every rung, up to the horizon, and a leg
-    is not stepped after its pair meets (a blow-up after the meeting is
-    therefore not reported; bounded coefficients and the clamped uniforms
-    cannot produce one).  The unmet pairs give f(X_T) - f(Z_T), the bytes
-    of the terminal driver's f(X_T) exp(0) - f(Z_T) exp(0).  Other fields
-    take the terminal driver ``simulate_coupled_terminal``, which carries
-    both legs with their c-integrals to the horizon, in blocks of paths
-    (``run_path_blocks``) that may split a rung.
+    adds exactly 0.0, so the block driver ``simulate_coupled_block`` steps
+    only the unmet pairs, whose f(X_T) - f(Z_T) has the bytes of the
+    terminal driver's f(X_T) exp(0) - f(Z_T) exp(0).  A blow-up after a
+    meeting is then not reported; bounded coefficients and the clamped
+    uniforms cannot produce one.  Other fields take
+    ``simulate_coupled_terminal`` in blocks of paths (``run_path_blocks``)
+    that may split a rung.
     """
     field, x, f, grid = req.field, req.eval_point, req.terminal, req.grid
     n = req.n_paths

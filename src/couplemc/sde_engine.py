@@ -1,47 +1,15 @@
 """Euler-Maruyama simulation of the time-reversed diffusion with
-counter-based, partition-invariant randomness.
+counter-based, partition-invariant randomness: the increment of path p at
+step k is a pure function of (seed, p, k), so blocks, tiles and chunks
+never change the numbers.
 
-The Gaussian increment used by path p at step k is a pure function of
-(master seed, p, k): path p reads the Philox4x64 stream keyed by
-(seed, p), and the doubles at positions [k*d, (k+1)*d) of that stream
-feed the inverse normal CDF.  A draw call builds one Philox and re-keys
-it for each path at counter (step_lo*d)//4 (see ``RngStream``), so block
-sizes and chunk lengths never change the numbers.  (Coupled pairs use
-their own layout; see ``coupling``.)  ``draw_chunks`` is the chunk loop
-of every chunked driver, here and in ``coupling``: it decides every chunk's
-steps and draws a chunk whole or, for a consumer that works on each row on
-its own (the 1D constant-sigma scan of coupled pairs), in row tiles of at
-most _ROW_TILE doubles, so that scan's memory is one tile however many
-pairs it carries.  Every driver and
-recorder maps its uniforms to increments with ``to_increments``, element
-by element, so an increment has the same bytes whichever driver maps it.
-
-A map of at least _SPLIT_MIN elements, and the terminal scan of such a
-chunk, runs in row blocks on every core (``_on_row_blocks``); NumPy and
-SciPy ufuncs release the GIL.  Each row is worked on by one thread with
-the serial operations, so the bytes do not depend on the split, and the
-per-node maps of the step loops stay below the threshold.
-
-The step kernel: ``euler_update`` is the one Euler update
-X + sigma dW (+ b dt) of a batch of legs, and ``euler_step`` is the
-single-leg step built on it, which evaluates sigma and stops the run on a
-non-finite state.  A field declares sigma = s I when its ``sigma``
-returns the scale s (n,), and every 1D sigma is one; the update is s dW.
-``coupling.pair_step`` builds the reflection pair step
-on the same update.  The single-leg drivers here are ``simulate_terminal``
-(a block of paths to the horizon with their c-integrals, drawn in chunks)
-and ``simulate_path`` (a batch of one that records every node).
-
-``solve_u`` runs ``simulate_terminal`` over path tiles (``path_tile``):
-as many paths as have the draws of the whole horizon fit the draw
-budget, so one draw call fills each path's full row.  Where that is
-fewer than 2048 or more than 16,384 paths (grids longer than 1953 or
-shorter than 244 doubles per path), a solve keeps the fixed
-16,384-path block, its horizon drawn in chunks when it does not fit.  For a
-field that declares a constant sigma (``sigma_scalar``) with b = 0 and
-c = 0, ``simulate_terminal`` does not step node by node: it scans each
-chunk in place with running sums (``_scan_terminal``), with the same
-nodes and divergence steps bit for bit.
+Each mechanism is described where it is implemented: the counter RNG in
+``RngStream``, the chunk schedule and row tiles in ``draw_chunks``, the
+draw buffer in ``_draw_buffer``, row blocks and threads in
+``_on_row_blocks``, the step kernel in ``euler_update``, the path tiles of
+a solve in ``path_tile``, the constant-sigma scan in ``_scan_terminal``,
+and the divergence rule in ``run_blocks``.  The single-leg drivers are
+``simulate_terminal`` and the recorder ``simulate_path``.
 """
 
 from __future__ import annotations
@@ -88,6 +56,8 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.horizon < np.inf:
             raise ValidationError("grid.horizon must be finite and > 0")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ValidationError(f"grid.steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValidationError("need at least one step")
 
@@ -111,11 +81,12 @@ class SamplePath:
 class RngStream:
     """Counter-based uniforms keyed by (seed, path, step).
 
-    Path p reads the Philox4x64 stream with key (seed, p).  A call builds
-    one bit generator and, for each path, sets its key and its counter
-    (step_lo*dim)//4 through ``state``, discards the (step_lo*dim) mod 4
-    leading doubles and fills the path's row, so a draw never depends on
-    how the steps are split between calls."""
+    Path p reads the Philox4x64 stream with key (seed, p), whose doubles
+    [k dim, (k + 1) dim) are step k's.  A call builds one bit generator
+    and, for each path, sets its key and its counter (step_lo*dim)//4
+    through ``state``, discards the (step_lo*dim) mod 4 leading doubles
+    and fills the path's row, so a draw never depends on how the steps are
+    split between calls."""
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
@@ -159,9 +130,9 @@ def to_open_unit(u: np.ndarray) -> np.ndarray:
 
 def to_increments(u: np.ndarray, dt: float) -> np.ndarray:
     """Uniforms turned into Brownian increments sqrt(dt) ndtri(u) in place,
-    element by element; returns u.  Every driver and recorder maps its
-    uniforms here, a large array a row block at a time on every core
-    (``_on_row_blocks``)."""
+    element by element, in row blocks (``_on_row_blocks``); returns u.
+    Every driver and recorder maps its uniforms here, so an increment has
+    the same bytes whichever driver maps it."""
     scale = np.sqrt(dt)
 
     def increments(lo, hi):
@@ -176,13 +147,14 @@ def to_increments(u: np.ndarray, dt: float) -> np.ndarray:
 
 def _on_row_blocks(fn, a: np.ndarray) -> None:
     """fn(lo, hi) over the row blocks [lo, hi) of a's first axis, for an fn
-    that works on each row of a on its own.  Below _SPLIT_MIN elements, or
+    that works on each row of a on its own with the serial operations, so
+    the bytes do not depend on the split.  Below _SPLIT_MIN elements, or
     with one CPU, the calling thread runs fn(0, len(a)); otherwise it and
     the pool's threads (``_row_pool``) pull more blocks than there are
     threads, in order, so a pool thread that is not scheduled stalls no
     one: a helper that has not started when the blocks run out is
-    cancelled.  The helpers run in a copy of the caller's context, with
-    its NumPy error state."""
+    cancelled.  NumPy and SciPy ufuncs release the GIL.  The helpers run
+    in a copy of the caller's context, with its NumPy error state."""
     rows = len(a)
     threads, pool = (1, None) if a.size < _SPLIT_MIN or rows < 2 else _row_pool()
     if pool is None:
@@ -495,34 +467,34 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
     return run_max
 
 
-def run_path_blocks(n_paths: int, worker, path_offset: int = 0,
-                    block_size: int = _DEFAULT_BLOCK):
-    """Evaluate worker(path_lo, path_hi) over consecutive blocks of
-    block_size paths and concatenate the per-path result arrays in path
-    order.
-
-    The worker must be a pure function of the path range, so results are
-    byte-identical for any block size.  A divergence is raised after the
-    last block, at the earliest step of any block, so the step reported
-    does not depend on the block size either.
-    """
-    edges = []
-    lo = path_offset
-    while lo < path_offset + n_paths:
-        hi = min(path_offset + n_paths, lo + block_size)
-        edges.append((lo, hi))
-        lo = hi
+def run_blocks(fn, blocks):
+    """fn(*block) for each block of blocks in order, its per-row result
+    arrays, or tuples of them, concatenated.  The divergence rule: a block's
+    SimulationDivergedError is held until every block has run, then the
+    one with the earliest step of any block is raised.  That is the step a
+    loop over all the rows at once stops at, so the step reported does not
+    depend on how the rows are cut into blocks (path blocks, row tiles)."""
     parts, diverged = [], []
-    for lo, hi in edges:
+    for block in blocks:
         try:
-            parts.append(worker(lo, hi))
+            parts.append(fn(*block))
         except SimulationDivergedError as exc:
             diverged.append(exc)
     if diverged:
         raise min(diverged, key=lambda exc: exc.step_index)
     if isinstance(parts[0], tuple):
-        return tuple(np.concatenate([p[i] for p in parts]) for i in range(len(parts[0])))
+        return tuple(np.concatenate(part) for part in zip(*parts))
     return np.concatenate(parts)
+
+
+def run_path_blocks(n_paths: int, worker, path_offset: int = 0,
+                    block_size: int = _DEFAULT_BLOCK):
+    """worker(path_lo, path_hi) over consecutive blocks of block_size paths
+    (``run_blocks``).  The worker must be a pure function of the path
+    range, so the results are byte-identical for any block size."""
+    end = path_offset + n_paths
+    return run_blocks(worker, ((lo, min(end, lo + block_size))
+                               for lo in range(path_offset, end, block_size)))
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:

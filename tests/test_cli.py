@@ -60,6 +60,16 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
     assert "config-error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["true", "-1", "18446744073709551616"])
+def test_run_rejects_a_seed_outside_the_stream_keys(seed, tmp_path, capsys):
+    # true is not seed 1, and no seed aliases another modulo 2^64
+    text = SOLVE.replace("seed = 12", f"seed = {seed}")
+    rc = main(["run", _cfg(tmp_path, text), "--run-dir", str(tmp_path / "d")])
+    assert rc == EXIT_CONFIG
+    assert "seed" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "d").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "absent.cfg")])
     assert rc == EXIT_CONFIG

@@ -142,6 +142,10 @@ class TestValidation:
         ("eval_horizon = abc", "eval_horizon"),
         ("couple_tol = abc", "couple_tol"),
         ("surprise = 1", "unknown config key"),
+        # a seed is an integer in [0, 2^64): RngStream takes it modulo 2^64
+        ("seed = true", "seed"),
+        ("seed = -1", "seed"),
+        ("seed = 18446744073709551616", "seed"),
     ])
     def test_rejections(self, mutation, match):
         key = mutation.split("=")[0].strip()

@@ -431,6 +431,40 @@ class TestCoupledPair:
         _spoil(monkeypatch, np.inf).update({first: 40, later: 30})
         assert _diverged_at(f, *args) == _diverged_at(loop_f, *args) == 31
 
+    def test_every_1d_driver_meets_in_one_test(self):
+        # the scan, the step loop, the terminal driver and the recorder all
+        # decide a meeting in coupling._meets, so a test that always hits
+        # couples every unmet pair in the first step, in each of them
+        grid, tol, n = TimeGrid(1.0, 100), 1e-3, 10
+        scan = make_constant_field(dim=1)
+        loop = make_sin_field(dim=1, amp=0.4)
+        starts = coupling.ladder_starts(1, [[0.3], [0.0]], n)  # rung 2 starts met
+
+        def recorded():
+            taus = [simulate_coupled(loop, [0.0], z, grid, RngStream(2), couple_tol=tol,
+                                     path_index=p).tau_index for p, z in enumerate(starts)]
+            return np.array([-1 if tau is None else tau for tau in taus])
+
+        drivers = {
+            "scan": lambda: coupling_times(scan, [0.0], starts, grid, RngStream(2),
+                                           2 * n, couple_tol=tol),
+            "step loop": lambda: coupling_times(loop, [0.0], starts, grid, RngStream(2),
+                                                2 * n, couple_tol=tol),
+            "terminal": lambda: simulate_coupled_terminal(loop, [0.0], starts, grid,
+                                                          RngStream(2), 0, 2 * n, tol)[0],
+            "recorder": recorded,
+        }
+        for name, run in drivers.items():
+            with mock.patch.object(coupling, "_meets", side_effect=coupling._meets) as spy:
+                run()
+            assert spy.called, name
+            # the scan keeps its probabilities in the spent increments
+            assert (spy.call_args.kwargs.get("out") is not None) == (name == "scan"), name
+            with mock.patch.object(coupling, "_meets",
+                                   lambda a, b, *rest, **kw: np.ones(np.shape(b), bool)):
+                taus = run()
+            assert np.array_equal(taus, np.repeat([1, 0], n)), name
+
     @pytest.mark.parametrize("budget", [None, 450])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_step_loop_maps_only_the_steps_it_takes(self, dim, budget, mapped,

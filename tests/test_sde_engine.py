@@ -117,6 +117,14 @@ class TestTimeGrid:
         with pytest.raises(ValidationError):
             TimeGrid(horizon=1.0, steps=0)
 
+    @pytest.mark.parametrize("steps", [2.5, 4.0, True, "4"])
+    def test_rejects_steps_that_are_not_integers(self, steps):
+        with pytest.raises(ValidationError, match="grid.steps"):
+            TimeGrid(horizon=1.0, steps=steps)
+
+    def test_accepts_numpy_integer_steps(self):
+        assert TimeGrid(1.0, np.int64(4)).dt == 0.25
+
     @pytest.mark.parametrize("horizon", [np.inf, np.nan])
     def test_rejects_non_finite_horizon(self, horizon):
         with pytest.raises(ValidationError, match="grid.horizon"):
