@@ -192,8 +192,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
     seed = raw.get("seed")
-    # RngStream keys Philox with the seed modulo 2^64: any seed outside
-    # [0, 2^64) would alias another one's streams
+    # RngStream's rule, checked here so that a bad seed is a config error
     if type(seed) is not int or not 0 <= seed < 2**64:
         raise ConfigError(f"an explicit integer seed in [0, 2^64) is required, got {seed!r}")
 

@@ -22,8 +22,8 @@ from .coefficients import CoefficientField, ModulusOfContinuity, require_dini
 from .errors import DegenerateDirectionError, SimulationDivergedError, ValidationError
 from .sde_engine import (RngStream, SamplePath, TimeGrid, as_point, chunk_steps,
                          draw_chunks, euler_step, euler_update, mean_stderr,
-                         raise_first_nonfinite, run_blocks, sigma_batch,
-                         to_increments)
+                         path_range, raise_first_nonfinite, run_blocks,
+                         sigma_batch, to_increments)
 
 
 @dataclass
@@ -179,7 +179,7 @@ def _start_pairs(field, x, z, path_lo, path_hi, couple_tol):
         if Z.shape != (n, d):
             raise ValidationError(f"start points of {n} pairs of this field need "
                                   f"shape {(n, d)}, got {Z.shape}")
-    paths = np.arange(path_lo, path_hi, dtype=np.uint64)
+    paths = path_range(path_lo, path_hi)
     new = np.ones(n, dtype=bool)
     new[1:] = (Z[1:] != Z[:-1]).any(axis=1)
     first = np.flatnonzero(new)  # the first pair of each run
@@ -369,7 +369,8 @@ def simulate_coupled(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStre
     d, dt, T = field.dim, grid.dt, grid.horizon
     x, z = as_point(x, d), as_point(z, d)
     per_pair, bridge = _pair_layout(d)
-    u = rng.uniforms([path_index], 0, grid.steps, per_pair)
+    u = rng.uniforms(path_range(path_index, path_index + 1), 0, grid.steps,
+                     per_pair)
     dW = to_increments(u[:, :, :d], dt)
     states_x = np.empty((grid.steps + 1, d))
     states_z = np.empty((grid.steps + 1, d))

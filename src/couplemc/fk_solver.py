@@ -48,7 +48,7 @@ def solve_u(req: SolveRequest, rng: RngStream,
         return req.terminal(X) * np.exp(w)
 
     vals = run_path_blocks(req.n_paths, worker, path_offset=path_offset,
-                           block_size=path_tile(req.grid, req.field.dim))
+                           block_size=path_tile(req.field, req.grid))
     return mean_stderr(vals)
 
 

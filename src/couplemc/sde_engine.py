@@ -30,6 +30,10 @@ from .errors import SimulationDivergedError, ValidationError
 # draws per chunk, in doubles, for every chunked driver
 _CHUNK_BUDGET = 4_000_000
 _DEFAULT_BLOCK = 16_384
+# doubles per path tile of a scanned solve (path_tile).  On solve-2d
+# (2-core VM) tiles of 2^19 doubles ran 13% slower, and tiles of
+# _CHUNK_BUDGET doubles peaked 14 MB higher at the same speed
+_SCAN_TILE = 1 << 21
 # doubles per row tile of a row-wise chunk (draw_chunks), at most _CHUNK_BUDGET
 _ROW_TILE = 1 << 19
 # the chunk loop's draw buffer, one per thread (_draw_buffer)
@@ -89,7 +93,12 @@ class RngStream:
     split between calls."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        # Philox keys hold 64 bits: a seed outside [0, 2^64) would alias
+        # another seed's streams
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or not 0 <= int(seed) < 2**64):
+            raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+        self.seed = int(seed)
 
     def uniforms(self, path_indices, step_lo: int, step_hi: int, dim: int,
                  buf: np.ndarray | None = None) -> np.ndarray:
@@ -299,15 +308,36 @@ def _draw_buffer(n: int) -> np.ndarray:
     return buf
 
 
-def path_tile(grid: TimeGrid, dim: int) -> int:
-    """Paths per ``simulate_terminal`` call of a solve: as many as have
-    their draws for the whole horizon fit _CHUNK_BUDGET, when that is
-    between 2048 and _DEFAULT_BLOCK paths; otherwise _DEFAULT_BLOCK, with
-    the horizon drawn in chunks when it does not fit.  Below 2048 paths
-    the per-step overhead outweighs the longer rows (a 2D step-loop
-    solve in 1024-path tiles is slower than in the fixed block)."""
-    tile = _CHUNK_BUDGET // (grid.steps * dim)
+def path_tile(field: CoefficientField, grid: TimeGrid) -> int:
+    """Paths per ``simulate_terminal`` call of a solve.  A scanned field
+    (``_scans``) takes as many paths as have their draws for the whole
+    horizon fit _SCAN_TILE doubles, at least 1 and at most _DEFAULT_BLOCK,
+    so each path is drawn as one row with one Philox re-key and a tile
+    of two or more paths holds at most 16 MB of draws.  A step-loop field takes as many as fit
+    _CHUNK_BUDGET, when that is between 2048 and _DEFAULT_BLOCK paths;
+    otherwise _DEFAULT_BLOCK, with the horizon drawn in chunks when it
+    does not fit.  Below 2048 paths the step loop's per-step overhead
+    outweighs the longer rows (a 2D step-loop solve in 1024-path tiles is
+    slower than in the fixed block); the scan has no per-step Python cost."""
+    per_path = grid.steps * field.dim
+    if _scans(field):
+        return min(_DEFAULT_BLOCK, max(1, _SCAN_TILE // per_path))
+    tile = _CHUNK_BUDGET // per_path
     return tile if 2048 <= tile <= _DEFAULT_BLOCK else _DEFAULT_BLOCK
+
+
+def _scans(field: CoefficientField) -> bool:
+    """Whether ``simulate_terminal`` scans the field (``_scan_terminal``)
+    rather than stepping it: a declared sigma = s I with b = 0 and c = 0."""
+    return field.sigma_scalar is not None and field.b_sup == 0.0 and field.c_sup == 0.0
+
+
+def path_range(lo: int, hi: int) -> np.ndarray:
+    """The path indices [lo, hi) as uint64, the keys ``RngStream`` reads;
+    an index outside [0, 2^64) is an error, not a wrapped key."""
+    if not 0 <= lo <= hi <= 2**64:
+        raise ValidationError(f"path indices [{lo}, {hi}) must lie in [0, 2^64)")
+    return np.arange(lo, hi, dtype=np.uint64)
 
 
 def as_point(x, d: int, name: str = "a point") -> np.ndarray:
@@ -371,19 +401,20 @@ def simulate_terminal(field: CoefficientField, x0: np.ndarray, grid: TimeGrid,
 
     Returns (X_T, weight_log) with shapes (n, d) and (n,).  States are not
     recorded; use simulate_path for full trajectories.  A field with a
-    declared sigma, b = 0 and c = 0 is scanned a chunk at a time
-    (``_scan_terminal``); the c-integral is skipped when c = 0, as adding
-    0.0 to the +0.0 sum is exact.
+    declared sigma, b = 0 and c = 0 (``_scans``) is scanned a chunk at a
+    time (``_scan_terminal``); a solve's tile of such a field
+    (``path_tile``) is one chunk.  The c-integral is skipped when c = 0,
+    as adding 0.0 to the +0.0 sum is exact.
     """
     d = field.dim
-    n = path_hi - path_lo
+    paths = path_range(path_lo, path_hi)
+    n = len(paths)
     dt, T = grid.dt, grid.horizon
     X = np.tile(as_point(x0, d, "x0"), (n, 1))
     w = np.zeros(n)
-    paths = np.arange(path_lo, path_hi, dtype=np.uint64)
     s = field.sigma_scalar
     with_c = field.c_sup > 0.0
-    scan = s is not None and field.b_sup == 0.0 and not with_c
+    scan = _scans(field)
     # overflow is handled by the finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k, k_hi, u in draw_chunks(rng, paths, grid.steps, d):
@@ -428,7 +459,8 @@ def simulate_path(field: CoefficientField, x0, grid: TimeGrid, rng: RngStream,
     d = field.dim
     dt, T = grid.dt, grid.horizon
     x0 = as_point(x0, d, "x0")
-    dB = to_increments(rng.uniforms([path_index], 0, grid.steps, d)[0], dt)
+    u = rng.uniforms(path_range(path_index, path_index + 1), 0, grid.steps, d)
+    dB = to_increments(u[0], dt)
     states = np.empty((grid.steps + 1, d))
     weight = np.zeros(grid.steps + 1)
     states[0] = x0
@@ -451,7 +483,7 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
     if t <= 0.0 or steps < 1 or n_paths < 1:
         raise ValidationError("need t > 0, steps >= 1, n_paths >= 1")
     dt = t / steps
-    paths = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
+    paths = path_range(path_offset, path_offset + n_paths)
     run_max = np.zeros(n_paths)
     endpoint = np.zeros(n_paths)
     for k, k_hi, u in draw_chunks(rng, paths, steps, 2):

@@ -50,13 +50,24 @@ class TestSolve:
             parts.append(req.terminal(X) * np.exp(w))
         assert solve_u(req, rng) == mean_stderr(np.concatenate(parts))
 
-    @pytest.mark.parametrize("field", [make_constant_field(dim=1),
-                                       make_sin_field(dim=1, amp=0.3)],
-                             ids=["scan", "step-loop"])
-    def test_tile_size_leaves_estimate_unchanged(self, field, monkeypatch):
-        # one tile of every path, tiles of 2048 paths, and the fixed block
-        # when the budget holds fewer than 2048 paths' horizons (drawn in
-        # chunks of 24 or 16 steps) give the same bytes
+    @pytest.mark.parametrize("field,tilings", [
+        # a scan takes any tile of whole horizons in _SCAN_TILE doubles;
+        # the last tiling draws each tile in 16-step chunks
+        (make_constant_field(dim=1),
+         [({}, [2500]), ({"_SCAN_TILE": 40 * 2048}, [2048, 452]),
+          ({"_SCAN_TILE": 40 * 1000}, [1000, 1000, 500]),
+          ({"_SCAN_TILE": 40 * 7}, [7] * 357 + [1]),
+          ({"_CHUNK_BUDGET": 450}, [2500])]),
+        # the step loop keeps the fixed block when the budget holds fewer
+        # than 2048 paths' horizons, drawn in chunks of 24 or 16 steps
+        (make_sin_field(dim=1, amp=0.3),
+         [({}, [2500]), ({"_CHUNK_BUDGET": 40 * 2048}, [2048, 452]),
+          ({"_CHUNK_BUDGET": 40 * 1500}, [2500]),
+          ({"_CHUNK_BUDGET": 450}, [2500])]),
+    ], ids=["scan", "step-loop"])
+    def test_tile_size_leaves_estimate_unchanged(self, field, tilings, monkeypatch):
+        # one tile of every path, smaller tiles and chunked tiles give
+        # the same bytes
         req = _request(field, make_gaussian_bump(0.0, 1.0), n_paths=2500,
                        steps=40)
         tiles = []
@@ -68,15 +79,14 @@ class TestSolve:
 
         monkeypatch.setattr(fk_solver, "simulate_terminal", logged)
         results = []
-        for budget, expected in ((sde_engine._CHUNK_BUDGET, [2500]),
-                                 (40 * 2048, [2048, 452]),
-                                 (40 * 1500, [2500]),
-                                 (450, [2500])):
-            monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", budget)
+        for patched, expected in tilings:
             tiles.clear()
-            results.append(solve_u(req, RngStream(9)))
+            with monkeypatch.context() as m:
+                for name, value in patched.items():
+                    m.setattr(sde_engine, name, value)
+                results.append(solve_u(req, RngStream(9)))
             assert tiles == expected
-        assert results.count(results[0]) == len(results)
+        assert len({np.array(r).tobytes() for r in results}) == 1
 
     def test_request_validation(self):
         f = make_constant_field(dim=1)

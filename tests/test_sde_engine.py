@@ -105,6 +105,52 @@ class TestRngStream:
         solve_difference_coupled(req, [0.5], rng)
 
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, False, 1.7, 1.0, "1", None])
+    def test_rejects_seeds_outside_the_key(self, seed):
+        # a seed is an integer in [0, 2^64), as in a config: -1 read the
+        # stream of 2^64 - 1, and True and 1.7 read seed 1
+        with pytest.raises(ValidationError, match="seed"):
+            RngStream(seed)
+
+    def test_accepts_numpy_integer_seeds(self):
+        top = RngStream(np.uint64(2**64 - 1))
+        assert type(top.seed) is int
+        assert np.array_equal(top.uniforms([3], 0, 4, 1),
+                              RngStream(2**64 - 1).uniforms([3], 0, 4, 1))
+        assert RngStream(np.int64(5)).seed == 5
+
+
+SIN = make_sin_field(dim=1, amp=0.5)
+GRID8 = TimeGrid(1.0, 8)
+SOLVE8 = SolveRequest(field=SIN, terminal=make_gaussian_bump(0.0, 1.0),
+                      eval_point=np.zeros(1), n_paths=4, grid=GRID8)
+
+
+class TestPathIndices:
+    @pytest.mark.parametrize("run", [
+        lambda r: simulate_terminal(SIN, [0.0], GRID8, r, -3, 5),
+        lambda r: simulate_terminal(SIN, [0.0], GRID8, r, 2**64 - 1, 2**64 + 1),
+        lambda r: simulate_path(SIN, [0.0], GRID8, r, path_index=-1),
+        lambda r: simulate_brownian_running_max(1.0, 4, 8, r, path_offset=-1),
+        lambda r: solve_u(SOLVE8, r, path_offset=-1),
+        lambda r: coupling_times(SIN, [0.0], [0.1], GRID8, r, 4, path_offset=-2),
+        lambda r: coupling.simulate_coupled_terminal(SIN, [0.0], [0.1], GRID8, r,
+                                                     -2, 2, 0.01),
+        lambda r: coupling.simulate_coupled(SIN, [0.0], [0.1], GRID8, r, path_index=-1),
+    ], ids=["terminal", "terminal-past-2^64", "path", "running-max", "solve",
+            "coupling-times", "pairs", "pair"])
+    def test_rejects_path_indices_outside_the_key(self, run):
+        # a negative offset reached np.arange(..., dtype=np.uint64) and
+        # died with NumPy's OverflowError
+        with pytest.raises(ValidationError, match="path indices"):
+            run(RngStream(1))
+
+    def test_path_range_reaches_the_last_key(self):
+        paths = sde_engine.path_range(2**64 - 2, 2**64)
+        assert paths.dtype == np.uint64 and paths.tolist() == [2**64 - 2, 2**64 - 1]
+        assert sde_engine.path_range(5, 5).size == 0
+
+
 class TestTimeGrid:
     def test_basic(self):
         g = TimeGrid(horizon=2.0, steps=4)
@@ -266,16 +312,37 @@ class TestTerminalScan:
         assert step_index(f) is None and step_index(loop_f) is None
 
     def test_path_tile_holds_the_horizon_in_the_budget(self):
+        # a step-loop field: the horizons of 2048 to _DEFAULT_BLOCK paths
+        # in _CHUNK_BUDGET doubles
         budget = sde_engine._CHUNK_BUDGET
-        assert path_tile(TimeGrid(0.5, 500), 2) == budget // 1000
-        assert path_tile(TimeGrid(1.0, 1000), 1) == budget // 1000
-        assert path_tile(TimeGrid(1.0, 1953), 1) == 2048
+        loop = {d: make_sin_field(dim=d, amp=0.5) for d in (1, 2, 3)}
+        assert path_tile(loop[2], TimeGrid(0.5, 500)) == budget // 1000
+        assert path_tile(loop[1], TimeGrid(1.0, 1000)) == budget // 1000
+        assert path_tile(loop[1], TimeGrid(1.0, 1953)) == 2048
         # outside [2048, _DEFAULT_BLOCK] paths a solve keeps the fixed block
         block = sde_engine._DEFAULT_BLOCK
-        assert path_tile(TimeGrid(1.0, 1954), 1) == block
-        assert path_tile(TimeGrid(1.0, 10**6), 3) == block
-        assert path_tile(TimeGrid(1.0, budget // block), 1) == block
-        assert path_tile(TimeGrid(1.0, 10), 1) == block
+        assert path_tile(loop[1], TimeGrid(1.0, 1954)) == block
+        assert path_tile(loop[3], TimeGrid(1.0, 10**6)) == block
+        assert path_tile(loop[1], TimeGrid(1.0, budget // block)) == block
+        assert path_tile(loop[1], TimeGrid(1.0, 10)) == block
+
+    def test_scanned_path_tile_holds_the_horizon_in_the_scan_tile(self):
+        # a scanned field: any number of paths up to _DEFAULT_BLOCK whose
+        # horizons fit _SCAN_TILE doubles, at least one
+        scan_tile, block = sde_engine._SCAN_TILE, sde_engine._DEFAULT_BLOCK
+        assert scan_tile <= sde_engine._CHUNK_BUDGET
+        scanned = {d: make_constant_field(dim=d) for d in (1, 2, 3)}
+        assert path_tile(scanned[2], TimeGrid(0.5, 500)) == scan_tile // 1000 == 2097
+        assert path_tile(scanned[1], TimeGrid(1.0, 1500)) == scan_tile // 1500
+        assert path_tile(scanned[1], TimeGrid(1.0, 4000)) == scan_tile // 4000 == 524
+        assert path_tile(scanned[3], TimeGrid(1.0, 10**6)) == 1
+        assert path_tile(scanned[1], TimeGrid(1.0, scan_tile // block)) == block
+        assert path_tile(scanned[1], TimeGrid(1.0, 10)) == block
+        # a drift or a potential makes the same sigma a step-loop field
+        for field in (make_constant_field(dim=1, b0=0.3),
+                      make_constant_field(dim=1, c0=0.2),
+                      dataclasses.replace(scanned[1], sigma_scalar=None)):
+            assert path_tile(field, TimeGrid(1.0, 4000)) == block
 
 
 class TestDrawChunks:
@@ -326,9 +393,9 @@ class TestDrawChunks:
 
     def test_fixed_batches_fill_the_budget_from_the_first_chunk(self, monkeypatch):
         # only the survivor loop caps its chunks at the steps already
-        # taken: a solve tile of 4000 paths x 500 2D steps is one draw call,
-        # and the drivers that carry a fixed batch to the horizon cut it
-        # into chunk_steps ranges
+        # taken: a scanned solve tile of 2097 paths x 500 2D steps is one
+        # draw call, and the drivers that carry a fixed batch to the
+        # horizon cut it into chunk_steps ranges
         calls = []
         uniforms = RngStream.uniforms
 
@@ -341,7 +408,7 @@ class TestDrawChunks:
                            eval_point=np.zeros(2), n_paths=20_000,
                            grid=TimeGrid(0.5, 500))
         solve_u(req, RngStream(1))
-        assert calls == [(4000, 0, 500)] * 5
+        assert calls == [(2097, 0, 500)] * 9 + [(1127, 0, 500)]
 
         monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", 2000)
         f = make_sin_field(dim=1, amp=0.5, c0=0.2)
@@ -358,6 +425,53 @@ class TestDrawChunks:
             step = sde_engine.chunk_steps(10 * per)
             assert step > 64, name
             assert calls == [(10, k, min(300, k + step)) for k in range(0, 300, step)], name
+
+
+    @staticmethod
+    def _solve_draws(field, steps, n_paths, monkeypatch):
+        """(paths, step_lo, step_hi, dim) of each draw call of a solve."""
+        calls = []
+        uniforms = RngStream.uniforms
+
+        def logged(self, paths, lo, hi, d, buf=None):
+            calls.append((len(paths), lo, hi, d))
+            return uniforms(self, paths, lo, hi, d, buf)
+
+        monkeypatch.setattr(RngStream, "uniforms", logged)
+        d = field.dim
+        solve_u(SolveRequest(field=field, terminal=make_gaussian_bump(np.zeros(d), 1.0),
+                             eval_point=np.zeros(d), n_paths=n_paths,
+                             grid=TimeGrid(1.0, steps)), RngStream(2))
+        return calls
+
+    @pytest.mark.parametrize("dim,steps,n_paths,tiles", [
+        (2, 500, 6000, [2097, 2097, 1806]),
+        # the budget held 2666 paths' horizons: a tile of them was one call
+        (1, 1500, 3000, [1398, 1398, 204]),
+        # the budget held 1000 paths' horizons, below 2048: the fixed
+        # block was drawn in 4000-step chunks
+        (1, 4000, 1200, [524, 524, 152]),
+    ])
+    def test_scanned_solves_draw_whole_horizon_rows(self, dim, steps, n_paths, tiles,
+                                                     monkeypatch):
+        # a constant-sigma solve draws each tile's horizon in one call of
+        # at most _SCAN_TILE doubles
+        calls = self._solve_draws(make_constant_field(dim=dim), steps, n_paths, monkeypatch)
+        assert calls == [(n, 0, steps, dim) for n in tiles]
+        assert all(n * steps * dim <= sde_engine._SCAN_TILE for n in tiles)
+
+    @pytest.mark.parametrize("steps,n_paths,calls", [
+        # 2666 paths' horizons fill the budget: a tile is one call
+        (1500, 3000, [(2666, 0, 1500, 1), (334, 0, 1500, 1)]),
+        # below 2048 paths: the fixed block in chunk_steps(1200) = 3333
+        (4000, 1200, [(1200, 0, 3333, 1), (1200, 3333, 4000, 1)]),
+    ])
+    def test_step_loop_solves_keep_budget_tiles(self, steps, n_paths, calls,
+                                                monkeypatch):
+        # a sin solve is stepped, so its tiles and chunks follow
+        # _CHUNK_BUDGET, not _SCAN_TILE
+        field = make_sin_field(dim=1, amp=0.5)
+        assert self._solve_draws(field, steps, n_paths, monkeypatch) == calls
 
 
 class TestRunningMaxSampler:

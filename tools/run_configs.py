@@ -1,0 +1,85 @@
+"""Runs each shipped config through ``couplemc run`` in a fresh process and
+prints that process's peak resident memory, the in-run wall time and the
+results.csv hash.
+
+    python3 tools/run_configs.py [CONFIG ...]
+
+Without arguments it runs every ``configs/*.cfg`` of the checkout, with
+``src/`` first on the import path, so no install is needed.  For each
+config it prints the exit status, the peak RSS of the child process (from
+``os.wait4``), ``wall_time_s`` from the run's summary.json (the time of
+the experiment itself, without interpreter start-up and imports), the
+child's elapsed time, and the first 12 hex digits of the sha256 of its
+results.csv, the digits ROADMAP.md lists.  The run directories go to a
+temporary directory that is removed afterwards.  Information only: it
+exits 0 unless a run fails.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_config(config: str, run_dir: str) -> dict:
+    """One ``couplemc run`` of config into run_dir in a child process."""
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    start = time.monotonic()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "couplemc.cli", "run", config, "--run-dir", run_dir],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    # wait4 reaps the child and reports its own peak RSS, not the parent's
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    elapsed = time.monotonic() - start
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    rss_mb = usage.ru_maxrss / (1024 * 1024 if sys.platform == "darwin" else 1024)
+    out = {"exit": proc.returncode, "peak_rss_mb": rss_mb, "process_s": elapsed,
+           "wall_time_s": None, "sha12": None}
+    if proc.returncode != 0:
+        out["error"] = err.decode(errors="replace").strip()[-500:]
+        return out
+    with open(os.path.join(run_dir, "summary.json")) as fh:
+        out["wall_time_s"] = json.load(fh)["wall_time_s"]
+    with open(os.path.join(run_dir, "results.csv"), "rb") as fh:
+        out["sha12"] = hashlib.sha256(fh.read()).hexdigest()[:12]
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("configs", nargs="*",
+                    help="config files (default: configs/*.cfg of the checkout)")
+    args = ap.parse_args(argv)
+    configs = args.configs or sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
+    print(f"{'config':<18} {'exit':>4} {'peak_rss_mb':>11} {'wall_time_s':>11} "
+          f"{'process_s':>9}  results.csv")
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="couplemc-configs-") as tmp:
+        for i, config in enumerate(configs):
+            name = os.path.splitext(os.path.basename(config))[0]
+            r = run_config(os.path.abspath(config), os.path.join(tmp, f"{i}-{name}"))
+            wall = "-" if r["wall_time_s"] is None else f"{r['wall_time_s']:.3f}"
+            print(f"{name:<18} {r['exit']:>4} {r['peak_rss_mb']:>11.2f} {wall:>11} "
+                  f"{r['process_s']:>9.3f}  {r['sha12'] or '-'}", flush=True)
+            if r["exit"] != 0:
+                failed += 1
+                print(f"  {r['error']}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
