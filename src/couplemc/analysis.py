@@ -18,15 +18,6 @@ class ScalingFit:
     r_squared: float
     n_points: int
 
-    def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "slope_stderr": self.slope_stderr,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-        }
-
 
 def _ols(x: np.ndarray, y: np.ndarray) -> ScalingFit:
     n = len(x)

@@ -13,20 +13,21 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .coefficients import default_sample_points, validate_field
-from .config import ExperimentConfig, _count, _real, _reals, load_config
+from .config import ORACLES, ExperimentConfig, _count, _real, _reals, load_config
 from .coupling import _resolve_tol, coupling_time_ladder
 from .errors import ConfigError, CoupleMCError, SimulationDivergedError, ValidationError
 from .fk_solver import (ModulusExperimentConfig, ResultTable, fit_result_table,
-                        modulus_experiment, solve_u, SolveRequest)
+                        modulus_experiment, placement, solve_u, SolveRequest)
 from .oracles import (RunningMaxQuery, bm_coupling_expectation, heat_kernel,
                       running_max_bounds, sgn_drift_density)
 from .registry import build_field, build_terminal
-from .sde_engine import RngStream, TimeGrid, as_point
+from .sde_engine import RngStream, TimeGrid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,56 +41,37 @@ def _run_validate(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     field = build_field(cfg.field_name, cfg.field_params)
     points = default_sample_points(field.dim)
     report = validate_field(field, points, times=(0.0, cfg.horizon / 2, cfg.horizon))
-    rows = [
-        ("passed", float(report.passed)),
-        ("eig_min", report.eig_min),
-        ("eig_max", report.eig_max),
-        ("eig_lo_required", report.eig_lo_required),
-        ("eig_hi_required", report.eig_hi_required),
-        ("b_max", report.b_max),
-        ("c_max", report.c_max),
-        ("asymmetry_max", report.asymmetry_max),
-        ("n_points", float(report.n_points)),
-    ]
+    rows = [(key, float(v)) for key, v in asdict(report).items()]
     table = ResultTable(columns=["metric", "value"], rows=rows)
     return table, {"passed": report.passed, "report": report.summary()}
 
 
-def _vector(cfg: ExperimentConfig, key: str, dim: int, default) -> np.ndarray:
-    value = getattr(cfg, key)
-    if value is None:
-        return default
-    try:
-        v = as_point(value, dim, key)
-    except ValidationError as e:
-        raise ConfigError(str(e)) from None
-    if not np.isfinite(v).all():
-        raise ConfigError(f"{key} must be finite")
-    return v
-
-
-def _placement(cfg: ExperimentConfig, field) -> tuple[np.ndarray, np.ndarray]:
-    """base_point and direction as finite vectors of length field.dim (the
-    origin and e_1 when absent); the direction must have a nonzero,
-    finite length."""
-    x = _vector(cfg, "base_point", field.dim, np.zeros(field.dim))
-    e = _vector(cfg, "direction", field.dim, np.eye(field.dim)[0])
-    if not 0.0 < np.linalg.norm(e) < np.inf:
-        raise ConfigError("direction must have a nonzero, finite length")
-    return x, e
+def _setup(cfg: ExperimentConfig) -> tuple:
+    """(field, terminal, grid, (base_point, direction)) of a couple, solve
+    or modulus config, checked as ``validate`` checks them before any draw:
+    the placement by ``fk_solver.placement`` (the origin and e_1 by default;
+    the direction keeps its length for ``modulus_experiment`` to normalise
+    once), the terminal (None for couple) by one evaluation at the origin."""
+    field = build_field(cfg.field_name, cfg.field_params)
+    d = field.dim
+    where = (np.zeros(d) if cfg.base_point is None else cfg.base_point,
+             np.eye(d)[0] if cfg.direction is None else cfg.direction)
+    placement(*where, d)
+    terminal = None
+    if cfg.kind != "couple":
+        terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
+        terminal(np.zeros(d))
+    return field, terminal, TimeGrid(horizon=cfg.horizon, steps=cfg.steps), where
 
 
 def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    field = build_field(cfg.field_name, cfg.field_params)
-    grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
-    rng = RngStream(cfg.seed)
+    field, _, grid, where = _setup(cfg)
+    x, e = placement(*where, field.dim)
     t = cfg.eval_horizon if cfg.eval_horizon is not None else cfg.horizon
     tol = _resolve_tol(cfg.couple_tol, grid, field)
-    x, e = _placement(cfg, field)
-    e = e / np.linalg.norm(e)
     # disjoint path blocks per distance keep the rows independent
     ests = coupling_time_ladder(field, x, [x + r * e for r in cfg.ladder], t, grid,
-                                cfg.n_paths, rng, couple_tol=tol)
+                                cfg.n_paths, RngStream(cfg.seed), couple_tol=tol)
     rows = [(r, t, cfg.n_paths, est.mean, est.stderr, est.fraction_coupled, tol)
             for r, est in zip(cfg.ladder, ests)]
     table = ResultTable(
@@ -99,20 +81,10 @@ def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     return table, fit_result_table(table)
 
 
-def _terminal(cfg: ExperimentConfig, field):
-    """The config's terminal, evaluated once at the origin so that a center
-    or coeffs of the wrong length stops the run before any path is drawn."""
-    terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
-    terminal(np.zeros(field.dim))
-    return terminal
-
-
 def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    field = build_field(cfg.field_name, cfg.field_params)
-    terminal = _terminal(cfg, field)
-    grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
+    field, terminal, grid, where = _setup(cfg)
     req = SolveRequest(field=field, terminal=terminal,
-                       eval_point=_placement(cfg, field)[0],
+                       eval_point=placement(*where, field.dim)[0],
                        n_paths=cfg.n_paths, grid=grid)
     est, se = solve_u(req, RngStream(cfg.seed))
     table = ResultTable(
@@ -122,10 +94,7 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 
 
 def _run_modulus(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    field = build_field(cfg.field_name, cfg.field_params)
-    terminal = _terminal(cfg, field)
-    grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
-    x, e = _placement(cfg, field)
+    field, terminal, grid, (x, e) = _setup(cfg)
     mcfg = ModulusExperimentConfig(
         field=field, terminal=terminal, base_point=x, direction=e,
         distances=cfg.ladder, grid=grid, n_paths=cfg.n_paths,
@@ -134,43 +103,36 @@ def _run_modulus(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     return table, dict(table.metadata)
 
 
-def _oracle_y_grid(p: dict) -> np.ndarray:
-    n = _count(p, "oracle.y_count", 161)
-    if n < 1:
-        raise ConfigError("oracle.y_count must be >= 1")
-    return np.linspace(_real(p, "oracle.y_min", -8.0), _real(p, "oracle.y_max", 8.0), n)
+_READERS = {int: _count, float: _real, list: _reals}
 
 
 def _run_oracle(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     # keyed as in the config file, so that a bad value is named oracle.<key>
-    p = {f"oracle.{k}": v for k, v in cfg.oracle_params.items()}
-    name = cfg.oracle_name
-    t = _real(p, "oracle.t", 1.0)
-    if name == "sgn":
-        theta = _real(p, "oracle.theta", 1.0)
-        x = _real(p, "oracle.x", 0.0)
-        ys = _oracle_y_grid(p)
-        rows = [(float(y), float(sgn_drift_density(theta, t, x, y))) for y in ys]
-        return ResultTable(columns=["y", "density"], rows=rows), {}
-    if name == "heat":
-        a0 = _real(p, "oracle.a0", 1.0)
-        b0 = _real(p, "oracle.b0", 0.0)
-        x = _real(p, "oracle.x", 0.0)
-        ys = _oracle_y_grid(p)
-        rows = [(float(y), heat_kernel([[a0]], [b0], t, [x], [y])) for y in ys]
+    raw = {f"oracle.{k}": v for k, v in cfg.oracle_params.items()}
+    p = {}
+    for k, default in ORACLES[cfg.oracle_name].items():
+        p[k] = _READERS[type(default)](raw, f"oracle.{k}", default)
+        if type(default) is int and p[k] < 1:
+            raise ConfigError(f"oracle.{k} must be >= 1")
+    name, t = cfg.oracle_name, p["t"]
+    if name in ("sgn", "heat"):
+        ys = np.linspace(p["y_min"], p["y_max"], p["y_count"])
+        if name == "sgn":
+            rows = [(float(y), float(sgn_drift_density(p["theta"], t, p["x"], y)))
+                    for y in ys]
+        else:
+            rows = [(float(y), heat_kernel([[p["a0"]]], [p["b0"]], t, [p["x"]], [y]))
+                    for y in ys]
         return ResultTable(columns=["y", "density"], rows=rows), {}
     if name == "running-max":
-        c1 = _real(p, "oracle.c1", 1.0)
-        c2 = _real(p, "oracle.c2", 1.0)
         rows = []
-        for x in _reals(p, "oracle.x_values", [0.5, 1.0, 2.0]):
-            b = running_max_bounds(RunningMaxQuery(t=t, x=x, c1=c1, c2=c2))
+        for x in p["x_values"]:
+            b = running_max_bounds(RunningMaxQuery(t=t, x=x, c1=p["c1"], c2=p["c2"]))
             rows.append((x, b.upper_tail, b.lower_level, b.exact))
         return ResultTable(
             columns=["x", "upper_tail", "lower_level", "exact"], rows=rows), {}
     # bm-coupling
-    d0s = _reals(p, "oracle.d0_values", [0.2, 0.1, 0.05])
-    rows = [(d0, bm_coupling_expectation(d0, t)) for d0 in d0s]
+    rows = [(d0, bm_coupling_expectation(d0, t)) for d0 in p["d0_values"]]
     return ResultTable(columns=["d0", "expectation"], rows=rows), {}
 
 
@@ -209,19 +171,9 @@ def run_experiment(cfg: ExperimentConfig, out_root, run_dir=None) -> str:
     }
     summary.update(extras)
     with open(os.path.join(run_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return run_dir
-
-
-def _json_default(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON serializable: {type(v)}")
 
 
 def _cmd_report(run_dir) -> int:
@@ -288,15 +240,16 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.command == "validate":
             if cfg.field_name is not None:
-                table, extras = _run_validate(cfg)
+                _, extras = _run_validate(cfg)
                 print(extras["report"])
                 if not extras["passed"]:
                     return EXIT_CONFIG
-            if cfg.kind in ("couple", "solve", "modulus"):
-                field = build_field(cfg.field_name, cfg.field_params)
-                _placement(cfg, field)
-                if cfg.kind != "couple":
-                    _terminal(cfg, field)
+            # everything run does before the first draw; an oracle's
+            # table is a closed form, computed and not written
+            if cfg.kind == "oracle":
+                _run_oracle(cfg)
+            elif cfg.kind != "validate":
+                _setup(cfg)
             print(f"config ok: kind={cfg.kind} seed={cfg.seed}")
             return EXIT_OK
         if args.command == "oracle" and cfg.kind != "oracle":

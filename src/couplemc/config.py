@@ -24,12 +24,14 @@ from .errors import ConfigError
 from .registry import FIELD_BUILDERS, TERMINAL_BUILDERS
 
 KINDS = ("couple", "solve", "modulus", "oracle", "validate")
-# each oracle and the oracle.* keys it reads (see cli._run_oracle)
+# each oracle's oracle.* keys and defaults, read by cli._run_oracle; a
+# default's type is its key's: int a count, list a list of numbers, float a real
+_Y_GRID = {"y_min": -8.0, "y_max": 8.0, "y_count": 161}
 ORACLES = {
-    "sgn": ("t", "theta", "x", "y_min", "y_max", "y_count"),
-    "heat": ("t", "a0", "b0", "x", "y_min", "y_max", "y_count"),
-    "running-max": ("t", "c1", "c2", "x_values"),
-    "bm-coupling": ("t", "d0_values"),
+    "sgn": {"t": 1.0, "theta": 1.0, "x": 0.0, **_Y_GRID},
+    "heat": {"t": 1.0, "a0": 1.0, "b0": 0.0, "x": 0.0, **_Y_GRID},
+    "running-max": {"t": 1.0, "c1": 1.0, "c2": 1.0, "x_values": [0.5, 1.0, 2.0]},
+    "bm-coupling": {"t": 1.0, "d0_values": [0.2, 0.1, 0.05]},
 }
 
 # top-level config keys; each sets the ExperimentConfig attribute named by

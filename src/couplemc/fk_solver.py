@@ -5,7 +5,7 @@ over a ladder of separations."""
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
@@ -119,13 +119,22 @@ class ModulusExperimentConfig:
         dist = np.asarray(self.distances, dtype=float)
         if not np.isfinite(dist).all() or np.any(dist <= 0) or np.any(np.diff(dist) >= 0):
             raise ValidationError("distances must be finite, positive and strictly decreasing")
-        d = self.field.dim
-        if not np.isfinite(as_point(self.base_point, d, "base_point")).all():
-            raise ValidationError("base_point must be finite")
-        e = as_point(self.direction, d, "direction")
-        with np.errstate(over="ignore"):
-            if not 0.0 < np.linalg.norm(e) < np.inf:
-                raise ValidationError("direction must have a nonzero, finite length")
+        placement(self.base_point, self.direction, self.field.dim)
+
+
+def placement(base_point, direction, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, e / |e|) for a ladder from base_point x along direction e in R^d.
+    A point or direction of another length, a non-finite point, or a
+    direction whose length is zero or not finite is a ValidationError."""
+    x = as_point(base_point, d, "base_point")
+    if not np.isfinite(x).all():
+        raise ValidationError("base_point must be finite")
+    e = as_point(direction, d, "direction")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(e)
+    if not 0.0 < norm < np.inf:
+        raise ValidationError("direction must have a nonzero, finite length")
+    return x, e / norm
 
 
 @dataclass
@@ -173,9 +182,7 @@ def expected_regime(field: CoefficientField) -> str:
 def modulus_experiment(cfg: ModulusExperimentConfig, rng: RngStream) -> ResultTable:
     """Measure |u(T, x) - u(T, x + r e)| over the distance ladder with the
     coupled-pair estimator and fit the scaling exponent."""
-    x = np.atleast_1d(np.asarray(cfg.base_point, dtype=float))
-    e = np.atleast_1d(np.asarray(cfg.direction, dtype=float))
-    e = e / np.linalg.norm(e)
+    x, e = placement(cfg.base_point, cfg.direction, cfg.field.dim)
     tol = _resolve_tol(cfg.couple_tol, cfg.grid, cfg.field)
     req = SolveRequest(field=cfg.field, terminal=cfg.terminal, eval_point=x,
                        n_paths=cfg.n_paths, grid=cfg.grid)
@@ -219,7 +226,7 @@ def fit_result_table(table: ResultTable) -> dict:
         ok = v > 0
         if ok.sum() >= 3:
             pairs = list(zip(r[ok], v[ok]))
-            out[f"{key}_power_fit"] = fit_power_law(pairs).as_dict()
+            out[f"{key}_power_fit"] = asdict(fit_power_law(pairs))
             if log_fit and np.all(r[ok] < 1.0):
-                out[f"{key}_log_corrected_fit"] = fit_log_corrected(pairs).as_dict()
+                out[f"{key}_log_corrected_fit"] = asdict(fit_log_corrected(pairs))
     return out

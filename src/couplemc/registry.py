@@ -4,6 +4,7 @@ from experiment configs."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -45,13 +46,21 @@ def _as_vector(v, dim: int, name: str) -> np.ndarray:
     return v
 
 
+def _dim(dim) -> int:
+    """dim as an int >= 1: an integer or an integral float, not a bool."""
+    if isinstance(dim, bool) or not (isinstance(dim, numbers.Integral)
+                                     or isinstance(dim, float) and dim.is_integer()):
+        raise ValidationError(f"dim must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ValidationError("dim must be >= 1")
+    return int(dim)
+
+
 def make_constant_field(dim: int = 1, a0=1.0, b0=0.0, c0: float = 0.0,
                         lam: float | None = None) -> CoefficientField:
     """Constant coefficients: a0 (scalar, diagonal, or full matrix), drift
     b0 and potential c0."""
-    dim = int(dim)
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
+    dim = _dim(dim)
     A = _as_matrix(a0, dim)
     bvec = _as_vector(b0, dim, "b0")
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
@@ -114,7 +123,7 @@ def make_sin_field(dim: int = 1, amp: float = 0.5, c0: float = 0.0) -> Coefficie
     # |d a/dx| <= 2 amp (1 + amp): Lipschitz modulus
     modulus = ModulusOfContinuity("power", scale=2.0 * amp * (1.0 + amp), alpha=1.0)
     lam = float(max((1.0 + amp) ** 2, (1.0 - amp) ** -2))
-    return _scale_field(int(dim), s, modulus, lam, c0)
+    return _scale_field(_dim(dim), s, modulus, lam, c0)
 
 
 def make_power_modulus_field(dim: int = 1, height: float = 0.5,
@@ -127,7 +136,7 @@ def make_power_modulus_field(dim: int = 1, height: float = 0.5,
         return np.sqrt(1.0 + height * np.minimum(np.abs(x[:, 0]), 1.0) ** alpha)
 
     modulus = ModulusOfContinuity("power", scale=height, alpha=alpha)
-    return _scale_field(int(dim), s, modulus, 1.0 + height)
+    return _scale_field(_dim(dim), s, modulus, 1.0 + height)
 
 
 def make_log_modulus_field(dim: int = 1, height: float = 0.5,
@@ -141,7 +150,7 @@ def make_log_modulus_field(dim: int = 1, height: float = 0.5,
     def s(x):
         return np.sqrt(1.0 + modulus(np.abs(x[:, 0])))
 
-    return _scale_field(int(dim), s, modulus, 1.0 + height)
+    return _scale_field(_dim(dim), s, modulus, 1.0 + height)
 
 
 def make_sgn_drift_field(theta: float = 1.0) -> CoefficientField:
@@ -221,21 +230,19 @@ def _check_numbers(section: str, name: str, params: dict) -> None:
                               f"(config key {section}.{key})")
 
 
-def build_field(name: str, params: dict | None = None) -> CoefficientField:
-    if name not in FIELD_BUILDERS:
-        raise ConfigError(f"unknown field {name!r}; known: {sorted(FIELD_BUILDERS)}")
-    _check_numbers("field", name, params or {})
+def _build(section: str, builders: dict, name: str, params: dict | None):
+    if name not in builders:
+        raise ConfigError(f"unknown {section} {name!r}; known: {sorted(builders)}")
+    _check_numbers(section, name, params or {})
     try:
-        return FIELD_BUILDERS[name](**(params or {}))
+        return builders[name](**(params or {}))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad parameters for field {name!r}: {exc}") from exc
+        raise ConfigError(f"bad parameters for {section} {name!r}: {exc}") from exc
+
+
+def build_field(name: str, params: dict | None = None) -> CoefficientField:
+    return _build("field", FIELD_BUILDERS, name, params)
 
 
 def build_terminal(name: str, params: dict | None = None) -> TerminalFunction:
-    if name not in TERMINAL_BUILDERS:
-        raise ConfigError(f"unknown terminal {name!r}; known: {sorted(TERMINAL_BUILDERS)}")
-    _check_numbers("terminal", name, params or {})
-    try:
-        return TERMINAL_BUILDERS[name](**(params or {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad parameters for terminal {name!r}: {exc}") from exc
+    return _build("terminal", TERMINAL_BUILDERS, name, params)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from couplemc import (RngStream, SolveRequest, TimeGrid, coupling_time_expectati
 from couplemc.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
 from couplemc.config import load_config
 from couplemc.registry import build_field, build_terminal, make_constant_field
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SOLVE = """
 kind = solve
@@ -208,6 +211,28 @@ def test_oracle_keys_it_does_not_read_are_config_errors(tmp_path, capsys, name, 
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("name,param,key", [
+    ("sgn", "oracle.t = abc", "oracle.t"),
+    ("heat", "oracle.y_count = 0", "oracle.y_count"),
+    ("sgn", "oracle.t = -1", "t must be positive"),
+    ("running-max", "oracle.c1 = 2\noracle.c2 = 1", "c1 <= c2"),
+    ("running-max", "oracle.x_values = -1", "x must be nonnegative"),
+], ids=["word-t", "zero-y-count", "negative-t", "c1-above-c2", "negative-x"])
+@pytest.mark.parametrize("command", ["validate", "oracle"])
+def test_oracle_values_it_rejects_stop_validate_too(tmp_path, capsys, name, param,
+                                                   key, command):
+    # validate computes the table that oracle writes, so both stop on the
+    # same value with the same message
+    text = f"kind = oracle\nseed = 0\noracle.name = {name}\n{param}\n"
+    run_dir = ["--run-dir", str(tmp_path / "d")] if command == "oracle" else []
+    rc = main([command, _cfg(tmp_path, text)] + run_dir)
+    assert rc == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-error"
+    assert key in err["message"]
+    assert not (tmp_path / "d").exists()
+
+
 def test_oracle_subcommand_requires_oracle_kind(tmp_path, capsys):
     rc = main(["oracle", _cfg(tmp_path, SOLVE)])
     assert rc == EXIT_CONFIG
@@ -343,9 +368,14 @@ def test_diverged_exit_code(tmp_path, capsys):
     (COUPLE + "direction = inf\n", "direction"),
     (COUPLE + "base_point = nan\n", "base_point"),
     (SOLVE.replace("base_point = 0.0", "base_point = 0.0, 0.0"), "base_point"),
+    (COUPLE_2D + "direction = 1e308, 1e308\n", "direction"),
+    (MODULUS.replace("field.dim = 1", "field.dim = 2").replace(
+        "base_point = 0.1", "base_point = 0.1, 0.0") + "direction = 1e308, 1e308\n",
+     "direction"),
 ], ids=["short-point-2d", "short-direction-2d", "long-direction-2d",
         "zero-direction-1d", "zero-direction-2d", "inf-direction",
-        "nan-point", "long-point-solve"])
+        "nan-point", "long-point-solve", "overflowing-direction-2d",
+        "overflowing-direction-modulus"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
     # a point or direction that does not fit field.dim is not broadcast,
@@ -382,6 +412,7 @@ def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
     (COUPLE + "field.c0 = abc\n", "field.c0"),
     (COUPLE + "field.a0 = 1.0, abc\n", "field.a0"),
     (COUPLE.replace("field.dim = 1", "field.dim = true"), "field.dim"),
+    (COUPLE.replace("field.dim = 1", "field.dim = 1.5"), "dim"),
     (COUPLE.replace("field.name = constant", "field.name = sin") + "field.amp = abc\n",
      "field.amp"),
     (SOLVE.replace("terminal.width = 1.0", "terminal.width = abc"), "terminal.width"),
@@ -393,7 +424,8 @@ def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
         "two-workers", "inf-steps", "fractional-steps", "nan-paths", "nan-ladder",
         "inf-ladder", "word-horizon", "word-ladder", "word-point", "word-direction",
         "word-eval-horizon", "word-tol", "word-a0", "word-c0", "word-center",
-        "word-c0-key", "word-in-a0-list-key", "bool-dim-key", "word-amp-key",
+        "word-c0-key", "word-in-a0-list-key", "bool-dim-key", "fractional-dim",
+        "word-amp-key",
         "word-width-key", "bool-width-key", "word-center-key", "oracle-key-in-couple",
         "oracle-name-in-couple"])
 @pytest.mark.parametrize("command", ["run", "validate"])
@@ -460,6 +492,12 @@ def test_placement_defaults_to_origin_and_first_axis(tmp_path, capsys):
     assert main(["run", _cfg(tmp_path, explicit, "b.cfg"),
                  "--run-dir", str(d2)]) == EXIT_OK
     assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_configs_validate(path, capsys):
+    assert main(["validate", str(path)]) == EXIT_OK
+    assert "config ok" in capsys.readouterr().out
 
 
 def test_io_error_exit_code(tmp_path, capsys):

@@ -8,6 +8,7 @@ from couplemc.coefficients import require_dini
 from couplemc.errors import (DiniDivergenceError, EllipticityError,
                              ValidationError)
 from couplemc.registry import (make_constant_field, make_gaussian_bump, make_linear,
+                               make_log_modulus_field, make_power_modulus_field,
                                make_sgn_drift_field, make_sin_field)
 
 
@@ -189,6 +190,16 @@ class TestFieldValidation:
         # entries; anything else is rejected, not broadcast or cropped
         with pytest.raises(ValidationError, match=key):
             make_constant_field(**kw)
+
+    @pytest.mark.parametrize("build", [make_constant_field, make_sin_field,
+                                       make_power_modulus_field, make_log_modulus_field])
+    @pytest.mark.parametrize("dim", [1.5, True, 0], ids=["fractional", "bool", "zero"])
+    def test_dim_must_be_a_positive_integer(self, build, dim):
+        # 1.5 is not read as 1, nor True as 1; an integral float still is
+        with pytest.raises(ValidationError, match="dim"):
+            build(dim=dim)
+        field = build(dim=2.0)
+        assert field.dim == 2 and type(field.dim) is int
 
     @pytest.mark.parametrize("terminal,key", [
         (make_gaussian_bump(center=[0.5, 0.5, 0.5]), "center"),

@@ -254,6 +254,11 @@ class TestRegimes:
             ModulusExperimentConfig(**kw)
 
 
+def test_placement_returns_the_point_and_unit_direction():
+    x, e = fk_solver.placement([1.0, 2.0], [3.0, 4.0], 2)
+    assert x.tolist() == [1.0, 2.0] and e.tolist() == [0.6, 0.8]
+
+
 class TestModulusExperiment:
     def test_table_schema_and_fits(self):
         f = make_sin_field(dim=1, amp=0.4)
