@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .coefficients import default_sample_points, validate_field
-from .config import ORACLES, ExperimentConfig, _count, _real, _reals, load_config
+from .config import ORACLES, ExperimentConfig, _parse_scalar, load_config
 from .coupling import _resolve_tol, coupling_time_ladder
 from .errors import ConfigError, CoupleMCError, SimulationDivergedError, ValidationError
 from .fk_solver import (ModulusExperimentConfig, ResultTable, fit_result_table,
@@ -51,14 +51,15 @@ def _setup(cfg: ExperimentConfig) -> tuple:
     or modulus config, checked as ``validate`` checks them before any draw:
     the placement by ``fk_solver.placement`` (the origin and e_1 by default;
     the direction keeps its length for ``modulus_experiment`` to normalise
-    once), the terminal (None for couple) by one evaluation at the origin."""
+    once), the terminal (None unless the kind reads one) by one evaluation
+    at the origin."""
     field = build_field(cfg.field_name, cfg.field_params)
     d = field.dim
     where = (np.zeros(d) if cfg.base_point is None else cfg.base_point,
              np.eye(d)[0] if cfg.direction is None else cfg.direction)
     placement(*where, d)
     terminal = None
-    if cfg.kind != "couple":
+    if cfg.terminal_name is not None:
         terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
         terminal(np.zeros(d))
     return field, terminal, TimeGrid(horizon=cfg.horizon, steps=cfg.steps), where
@@ -103,17 +104,8 @@ def _run_modulus(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     return table, dict(table.metadata)
 
 
-_READERS = {int: _count, float: _real, list: _reals}
-
-
 def _run_oracle(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    # keyed as in the config file, so that a bad value is named oracle.<key>
-    raw = {f"oracle.{k}": v for k, v in cfg.oracle_params.items()}
-    p = {}
-    for k, default in ORACLES[cfg.oracle_name].items():
-        p[k] = _READERS[type(default)](raw, f"oracle.{k}", default)
-        if type(default) is int and p[k] < 1:
-            raise ConfigError(f"oracle.{k} must be >= 1")
+    p = {**ORACLES[cfg.oracle_name], **cfg.oracle_params}
     name, t = cfg.oracle_name, p["t"]
     if name in ("sgn", "heat"):
         ys = np.linspace(p["y_min"], p["y_max"], p["y_count"])
@@ -181,23 +173,12 @@ def _cmd_report(run_dir) -> int:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         columns = next(reader)
-        rows = [tuple(_parse_csv_cell(c) for c in row) for row in reader]
+        rows = [tuple(map(_parse_scalar, row)) for row in reader]
     table = ResultTable(columns=columns, rows=rows)
     fits = fit_result_table(table) if "distance" in columns else {}
     json.dump(fits, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK
-
-
-def _parse_csv_cell(cell: str):
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
 
 
 def build_parser() -> argparse.ArgumentParser:

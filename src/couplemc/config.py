@@ -24,8 +24,8 @@ from .errors import ConfigError
 from .registry import FIELD_BUILDERS, TERMINAL_BUILDERS
 
 KINDS = ("couple", "solve", "modulus", "oracle", "validate")
-# each oracle's oracle.* keys and defaults, read by cli._run_oracle; a
-# default's type is its key's: int a count, list a list of numbers, float a real
+# each oracle's oracle.* keys and defaults; a default's type is its key's:
+# int a count, list a list of numbers, float a real
 _Y_GRID = {"y_min": -8.0, "y_max": 8.0, "y_count": 161}
 ORACLES = {
     "sgn": {"t": 1.0, "theta": 1.0, "x": 0.0, **_Y_GRID},
@@ -33,14 +33,6 @@ ORACLES = {
     "running-max": {"t": 1.0, "c1": 1.0, "c2": 1.0, "x_values": [0.5, 1.0, 2.0]},
     "bm-coupling": {"t": 1.0, "d0_values": [0.2, 0.1, 0.05]},
 }
-
-# top-level config keys; each sets the ExperimentConfig attribute named by
-# its last dotted part (grid.steps -> steps).  The sections field.*,
-# terminal.* and oracle.* set <section>_name and <section>_params.
-TOP_LEVEL_KEYS = ("kind", "seed", "grid.horizon", "grid.steps", "n_paths",
-                  "ladder", "base_point", "direction", "eval_horizon",
-                  "couple_tol")
-SECTIONS = ("field", "terminal", "oracle")
 
 
 def _parse_scalar(tok: str):
@@ -89,27 +81,12 @@ def _section(raw: dict, prefix: str) -> dict:
     return {k[plen:]: v for k, v in raw.items() if k.startswith(prefix + ".")}
 
 
-def _named_section(raw: dict, sec: str, known, required: bool) -> tuple:
-    """(name, params) of the field or terminal section, (None, {}) when it
-    names nothing."""
-    params = _section(raw, sec)
-    name = params.pop("name", None)
-    if name is None:
-        if required:
-            raise ConfigError(f"{sec}.name is required for this kind")
-        return None, {}
-    if name not in known:
-        raise ConfigError(f"unknown {sec} {name!r}; known: {sorted(known)}")
-    return name, params
-
-
-def _count(raw: dict, key: str, default: int) -> int:
-    """raw[key] as an int: an integer, or a float with an integral value;
-    anything else (2.5, inf, nan, a word) is a config error naming key."""
-    v = raw.get(key, default)
-    if isinstance(v, bool) or not (isinstance(v, int)
-                                   or isinstance(v, float) and v.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {v!r}")
+def _count(key: str, v) -> int:
+    """v as a positive int: an integer, or a float with an integral value;
+    anything else (0, 2.5, inf, nan, a word) is a config error naming key."""
+    integral = isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    if isinstance(v, bool) or not integral or v < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {v!r}")
     return int(v)
 
 
@@ -117,28 +94,48 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _real(raw: dict, key: str, default: float) -> float:
-    """raw[key] as a float; anything but a number (a word, a list, true)
-    is a config error naming key.  Range checks are the caller's."""
-    v = raw.get(key, default)
+def _real(key: str, v) -> float:
+    """v as a float; anything but a number (a word, a list, true) is a
+    config error naming key.  Range checks are the caller's."""
     if not _is_number(v):
         raise ConfigError(f"{key} must be a number, got {v!r}")
     return float(v)
 
 
-def _reals(raw: dict, key: str, default=None) -> tuple:
-    """raw[key], one number or a comma list of them, as a tuple of floats
-    (empty when unset); a word among them is a config error naming key."""
-    vals = _as_list(raw.get(key, default))
+def _reals(key: str, v) -> tuple:
+    """v, one number or a comma list of them, as a tuple of floats; a word
+    among them, or no value, is a config error naming key."""
+    vals = v if isinstance(v, list) else [v]
     if not all(map(_is_number, vals)):
-        raise ConfigError(f"{key} must be a list of numbers, got {vals!r}")
-    return tuple(float(v) for v in vals)
+        raise ConfigError(f"{key} must be a list of numbers, got {v!r}")
+    return tuple(float(x) for x in vals)
 
 
-def _as_list(v) -> list:
-    if v is None:
-        return []
-    return list(v) if isinstance(v, list) else [v]
+# The keys each kind reads; every kind reads kind, seed and workers, and
+# any other key is a config error.  KEYS gives a top-level key's reader and
+# kinds; its value sets the ExperimentConfig attribute named by its last
+# dotted part (grid.steps -> steps).
+_PATHS = ("couple", "solve", "modulus")
+KEYS = {
+    "grid.horizon": (_real, (*_PATHS, "validate")),
+    "grid.steps": (_count, _PATHS),
+    "n_paths": (_count, _PATHS),
+    "ladder": (_reals, ("couple", "modulus")),
+    "base_point": (_reals, _PATHS),
+    "direction": (_reals, ("couple", "modulus")),
+    "eval_horizon": (_real, ("couple",)),
+    "couple_tol": (_real, ("couple", "modulus")),
+}
+# each section's known names and the kinds that read, and so need, it:
+# <section>.name picks one, and the other <section>.* keys are its
+# parameters, set as <section>_name and <section>_params.  An oracle
+# parameter is read by its default's type in ORACLES.
+SECTIONS = {
+    "field": (FIELD_BUILDERS, (*_PATHS, "validate")),
+    "terminal": (TERMINAL_BUILDERS, ("solve", "modulus")),
+    "oracle": (ORACLES, ("oracle",)),
+}
+_BY_TYPE = {int: _count, float: _real, list: _reals}
 
 
 @dataclass
@@ -164,20 +161,19 @@ class ExperimentConfig:
     oracle_params: dict = dc_field(default_factory=dict)
 
     def resolved(self) -> dict:
-        """Full config echo with defaults expanded; sufficient to re-run.
-        Unset (None) and empty keys are left out."""
-        out = {}
-        for key in TOP_LEVEL_KEYS:
+        """Echo of the keys the kind reads, with defaults expanded;
+        sufficient to re-run.  Unset (None) keys are left out."""
+        out = {"kind": self.kind, "seed": self.seed}
+        for key, (_, kinds) in KEYS.items():
             v = getattr(self, key.rpartition(".")[2])
-            if v is not None and v != ():
-                out[key] = list(v) if isinstance(v, tuple) else v
-        for sec in SECTIONS:
-            name = getattr(self, f"{sec}_name")
-            if name is not None:
-                out[f"{sec}.name"] = name
+            if self.kind in kinds and v is not None:
+                out[key] = v
+        for sec, (_, kinds) in SECTIONS.items():
+            if self.kind in kinds:
+                out[f"{sec}.name"] = getattr(self, f"{sec}_name")
                 for k, v in sorted(getattr(self, f"{sec}_params").items()):
                     out[f"{sec}.{k}"] = v
-        return out
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -197,67 +193,61 @@ def validate_config(raw: dict) -> ExperimentConfig:
     # RngStream's rule, checked here so that a bad seed is a config error
     if type(seed) is not int or not 0 <= seed < 2**64:
         raise ConfigError(f"an explicit integer seed in [0, 2^64) is required, got {seed!r}")
-
-    cfg = ExperimentConfig(kind=kind, seed=seed)
     # retired: every run uses one thread; configs may still say workers = 1
     workers = raw.get("workers", 1)
     if type(workers) is not int or workers != 1:
         raise ConfigError("workers is retired: only workers = 1 is accepted, "
                           f"got {workers!r}")
 
-    cfg.field_name, cfg.field_params = _named_section(
-        raw, "field", FIELD_BUILDERS, required=kind != "oracle")
-    cfg.terminal_name, cfg.terminal_params = _named_section(
-        raw, "terminal", TERMINAL_BUILDERS, required=kind in ("solve", "modulus"))
+    cfg = ExperimentConfig(kind=kind, seed=seed)
+    unread = []
+    for key, v in raw.items():
+        if key in ("kind", "seed", "workers"):
+            continue
+        sec, dot, _ = key.partition(".")
+        if key in KEYS:
+            reader, kinds = KEYS[key]
+        elif dot and sec in SECTIONS:
+            reader, kinds = None, SECTIONS[sec][1]
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
+        if kind not in kinds:
+            unread.append(key)
+        elif reader is not None:
+            setattr(cfg, key.rpartition(".")[2], reader(key, v))
+    if unread:
+        raise ConfigError(f"kind = {kind} does not read {', '.join(unread)}")
 
-    cfg.horizon = _real(raw, "grid.horizon", 1.0)
-    cfg.steps = _count(raw, "grid.steps", 1000)
-    if not 0.0 < cfg.horizon < np.inf or cfg.steps < 1:
-        raise ConfigError("grid.horizon must be finite and > 0 and grid.steps >= 1")
-    cfg.n_paths = _count(raw, "n_paths", 10_000)
+    for sec, (known, kinds) in SECTIONS.items():
+        if kind in kinds:
+            params = _section(raw, sec)
+            name = params.pop("name", None)
+            if name is None:
+                raise ConfigError(f"{sec}.name is required for kind = {kind}")
+            if name not in tuple(known):  # a list (a, b) is unhashable
+                raise ConfigError(f"unknown {sec} {name!r}; known: {sorted(known)}")
+            setattr(cfg, f"{sec}_name", name)
+            setattr(cfg, f"{sec}_params", params)
+    if cfg.oracle_name is not None:
+        defaults = ORACLES[cfg.oracle_name]
+        for k, v in cfg.oracle_params.items():
+            if k not in defaults:
+                raise ConfigError(f"unknown config key 'oracle.{k}' for oracle "
+                                  f"{cfg.oracle_name!r}; known: {list(defaults)}")
+            cfg.oracle_params[k] = _BY_TYPE[type(defaults[k])](f"oracle.{k}", v)
+
+    if not 0.0 < cfg.horizon < np.inf:
+        raise ConfigError("grid.horizon must be finite and > 0")
     if cfg.n_paths < 2:
         raise ConfigError("n_paths must be >= 2")
-
-    cfg.ladder = _reals(raw, "ladder")
-    if kind in ("couple", "modulus"):
-        if not cfg.ladder:
-            raise ConfigError("a distance ladder is required for this kind")
+    if kind in KEYS["ladder"][1]:
         arr = np.asarray(cfg.ladder)
-        if not np.isfinite(arr).all() or np.any(arr <= 0) or np.any(np.diff(arr) >= 0):
-            raise ConfigError("ladder must be finite, positive and strictly decreasing")
-
-    for key in ("base_point", "direction"):
-        if raw.get(key) is not None:
-            setattr(cfg, key, _reals(raw, key))
-    if raw.get("eval_horizon") is not None:
-        if kind != "couple":
-            raise ConfigError("eval_horizon applies only to kind = couple")
-        cfg.eval_horizon = _real(raw, "eval_horizon", None)
-        if not 0.0 < cfg.eval_horizon <= cfg.horizon:
-            raise ConfigError("eval_horizon must lie in (0, grid.horizon]")
-    if raw.get("couple_tol") is not None:
-        cfg.couple_tol = _real(raw, "couple_tol", None)
-        if not 0.0 <= cfg.couple_tol < np.inf:
-            raise ConfigError("couple_tol must be finite and >= 0")
-
-    osec = _section(raw, "oracle")
-    if kind == "oracle":
-        name = osec.pop("name", None)
-        if name not in ORACLES:
-            raise ConfigError(f"oracle.name must be one of {tuple(ORACLES)}, "
-                              f"got {name!r}")
-        for key in osec:
-            if key not in ORACLES[name]:
-                raise ConfigError(f"unknown config key 'oracle.{key}' for oracle "
-                                  f"{name!r}; known: {list(ORACLES[name])}")
-        cfg.oracle_name = name
-        cfg.oracle_params = osec
-    elif osec:
-        raise ConfigError(f"oracle.{next(iter(osec))} applies only to kind = oracle")
-
-    known_prefixes = tuple(f"{sec}." for sec in SECTIONS)
-    for key in raw:
-        if key in (*TOP_LEVEL_KEYS, "workers") or key.startswith(known_prefixes):
-            continue
-        raise ConfigError(f"unknown config key {key!r}")
+        if not arr.size or not np.isfinite(arr).all() or np.any(arr <= 0) \
+                or np.any(np.diff(arr) >= 0):
+            raise ConfigError(f"kind = {kind} needs a ladder, finite, positive and "
+                              "strictly decreasing")
+    if cfg.eval_horizon is not None and not 0.0 < cfg.eval_horizon <= cfg.horizon:
+        raise ConfigError("eval_horizon must lie in (0, grid.horizon]")
+    if cfg.couple_tol is not None and not 0.0 <= cfg.couple_tol < np.inf:
+        raise ConfigError("couple_tol must be finite and >= 0")
     return cfg

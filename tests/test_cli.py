@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,11 +13,12 @@ import couplemc
 from couplemc import (RngStream, SolveRequest, TimeGrid, coupling_time_expectation,
                       coupling_times, default_couple_tol, mean_stderr,
                       solve_difference_coupled)
-from couplemc.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
-from couplemc.config import load_config
+from couplemc.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, _setup, main)
+from couplemc.config import load_config, parse_config_text, validate_config
 from couplemc.registry import build_field, build_terminal, make_constant_field
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 SOLVE = """
 kind = solve
@@ -441,6 +443,81 @@ def test_scalars_out_of_range_are_config_errors(tmp_path, capsys, text, key, com
     assert err["error"] == "config-error"
     assert key in err["message"]
     assert not (tmp_path / "d").exists()
+
+
+VALIDATE = "kind = validate\nseed = 0\nfield.name = sin\nfield.dim = 1\nfield.amp = 0.5\n"
+ORACLE = "kind = oracle\nseed = 0\noracle.name = sgn\n"
+
+
+@pytest.mark.parametrize("text,keys", [
+    # both once ran: a terminal on couple, and a ladder and a 3-entry
+    # point on a 1D validate
+    (COUPLE + "terminal.name = gaussian-bump\nterminal.width = -1\n",
+     ["terminal.name", "terminal.width"]),
+    (VALIDATE + "ladder = 0.2, 0.1\nbase_point = 0.0, 0.0, 0.0\n", ["ladder", "base_point"]),
+    (COUPLE + "terminal.center = 0.5\n", ["terminal.center"]),
+    (VALIDATE + "direction = 1.0\n", ["direction"]),
+    (VALIDATE + "grid.steps = 100\n", ["grid.steps"]),
+    (VALIDATE + "n_paths = 100\nterminal.name = linear\n", ["n_paths", "terminal.name"]),
+    (SOLVE + "direction = 1.0\n", ["direction"]),
+    (SOLVE + "couple_tol = 0.01\n", ["couple_tol"]),
+    (SOLVE + "ladder = 0.2, 0.1\n", ["ladder"]),
+    (ORACLE + "grid.horizon = 1.0\ngrid.steps = 10\n", ["grid.horizon", "grid.steps"]),
+    (ORACLE + "n_paths = 100\nbase_point = 0.0\n", ["n_paths", "base_point"]),
+    (ORACLE + "field.name = constant\nfield.dim = 1\n", ["field.name", "field.dim"]),
+], ids=["terminal-on-couple", "ladder-and-point-on-validate", "center-on-couple",
+        "direction-on-validate", "steps-on-validate", "paths-terminal-on-validate",
+        "direction-on-solve", "tol-on-solve", "ladder-on-solve", "grid-on-oracle",
+        "paths-point-on-oracle", "field-on-oracle"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_keys_the_kind_does_not_read_are_config_errors(tmp_path, capsys, text, keys,
+                                                        command):
+    # a config states only what its kind reads; the error names every other key
+    run_dir = ["--run-dir", str(tmp_path / "d")] if command == "run" else []
+    rc = main([command, _cfg(tmp_path, text)] + run_dir)
+    assert rc == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-error"
+    assert all(key in err["message"] for key in keys), err["message"]
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("text", [
+    COUPLE.replace("field.name = constant", "field.name = constant, sin"),
+    SOLVE.replace("terminal.name = gaussian-bump", "terminal.name = gaussian-bump, linear"),
+    ORACLE.replace("oracle.name = sgn", "oracle.name = sgn, heat"),
+], ids=["field", "terminal", "oracle"])
+def test_a_list_of_names_is_a_config_error(tmp_path, capsys, text):
+    assert main(["validate", _cfg(tmp_path, text)]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "config-error"
+
+
+@pytest.mark.parametrize("text", [COUPLE, SOLVE, MODULUS, VALIDATE, ORACLE],
+                         ids=["couple", "solve", "modulus", "validate", "oracle"])
+def test_workers_one_is_accepted_by_every_kind(tmp_path, capsys, text):
+    assert main(["validate", _cfg(tmp_path, text + "workers = 1\n")]) == EXIT_OK
+
+
+def _benchmark_workloads() -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+BENCHMARK_WORKLOADS = _benchmark_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_WORKLOADS))
+def test_benchmark_templates_pass_setup(name):
+    # every benchmark run fills its template with a seed; a key that the
+    # config rules reject would fail all of them
+    cfg = validate_config(parse_config_text(BENCHMARK_WORKLOADS[name].format(seed=1000)))
+    field, terminal, grid, _ = _setup(cfg)
+    assert field.dim >= 1 and grid.steps == cfg.steps
+    assert (terminal is None) == (cfg.kind == "couple")
 
 
 SOLVE_2D = SOLVE.replace("field.dim = 1", "field.dim = 2").replace(

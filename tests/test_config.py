@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from couplemc import parse_config_text, validate_config
-from couplemc.config import load_config
+from couplemc.config import KEYS, SECTIONS, load_config
 from couplemc.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD = """
 # a coupling experiment
@@ -40,27 +44,29 @@ _PARAMS = st.dictionaries(st.sampled_from(["dim", "a0", "b0", "amp", "alpha",
 
 @st.composite
 def _config_texts(draw):
+    # a config of the keys its kind reads: any other key is an error
     kind = draw(st.sampled_from(["couple", "solve", "modulus", "validate"]))
     horizon = draw(st.floats(1e-3, 10.0))
     ladder = sorted(draw(st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=4,
                                   unique=True)), reverse=True)
-    raw = {"kind": kind, "seed": draw(st.integers(0, 2**63)),
-           "grid.horizon": horizon, "grid.steps": draw(st.integers(1, 10**5)),
-           "n_paths": draw(st.integers(2, 10**6)), "ladder": ladder}
-    if draw(st.booleans()):
-        raw["workers"] = 1  # the one value the retired key still takes
+    keys = {"grid.horizon": horizon, "grid.steps": draw(st.integers(1, 10**5)),
+            "n_paths": draw(st.integers(2, 10**6)), "ladder": ladder}
     for key in ("base_point", "direction"):
         if draw(st.booleans()):
-            raw[key] = draw(st.lists(_FLOATS, min_size=1, max_size=3))
-    if kind == "couple" and draw(st.booleans()):
-        raw["eval_horizon"] = draw(st.floats(0.01, 1.0)) * horizon
+            keys[key] = draw(st.lists(_FLOATS, min_size=1, max_size=3))
     if draw(st.booleans()):
-        raw["couple_tol"] = draw(st.floats(0.0, 1.0))
-    raw["field.name"] = draw(st.sampled_from(["constant", "sin", "log-modulus"]))
-    raw.update({f"field.{k}": v for k, v in draw(_PARAMS).items()})
-    if kind in ("solve", "modulus") or draw(st.booleans()):
-        raw["terminal.name"] = draw(st.sampled_from(["gaussian-bump", "linear"]))
-        raw.update({f"terminal.{k}": v for k, v in draw(_PARAMS).items()})
+        keys["eval_horizon"] = draw(st.floats(0.01, 1.0)) * horizon
+    if draw(st.booleans()):
+        keys["couple_tol"] = draw(st.floats(0.0, 1.0))
+    raw = {"kind": kind, "seed": draw(st.integers(0, 2**63))}
+    raw.update({k: v for k, v in keys.items() if kind in KEYS[k][1]})
+    if draw(st.booleans()):
+        raw["workers"] = 1  # the one value the retired key still takes
+    for sec, names in (("field", ["constant", "sin", "log-modulus"]),
+                       ("terminal", ["gaussian-bump", "linear"])):
+        if kind in SECTIONS[sec][1]:
+            raw[f"{sec}.name"] = draw(st.sampled_from(names))
+            raw.update({f"{sec}.{k}": v for k, v in draw(_PARAMS).items()})
     return _render(raw)
 
 
@@ -105,6 +111,12 @@ class TestValidation:
         # config text -> resolved() -> config text gives the same config
         cfg = validate_config(parse_config_text(text))
         assert validate_config(parse_config_text(_render(cfg.resolved()))) == cfg
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_shipped_echo_reads_back(self, path):
+        # the echo holds only keys the kind reads, so it validates again
+        cfg = load_config(path)
+        assert validate_config(cfg.resolved()) == cfg
 
     @pytest.mark.parametrize("mutation,match", [
         ("kind = dance", "kind"),

@@ -1,6 +1,6 @@
 """Runs each shipped config through ``couplemc run`` in a fresh process and
 prints that process's peak resident memory, the in-run wall time and the
-results.csv hash.
+results.csv and summary.json hashes.
 
     python3 tools/run_configs.py [CONFIG ...]
 
@@ -9,10 +9,12 @@ Without arguments it runs every ``configs/*.cfg`` of the checkout, with
 config it prints the exit status, the peak RSS of the child process (from
 ``os.wait4``), ``wall_time_s`` from the run's summary.json (the time of
 the experiment itself, without interpreter start-up and imports), the
-child's elapsed time, and the first 12 hex digits of the sha256 of its
-results.csv, the digits ROADMAP.md lists.  The run directories go to a
-temporary directory that is removed afterwards.  Information only: it
-exits 0 unless a run fails.  Standard library only.
+child's elapsed time, the first 12 hex digits of the sha256 of its
+results.csv, the digits ROADMAP.md lists, and the same digits of its
+summary.json without ``wall_time_s``, taken as canonical JSON (sorted
+keys), which changes when the config echo or a fit does.  The run
+directories go to a temporary directory that is removed afterwards.
+Information only: it exits 0 unless a run fails.  Standard library only.
 """
 
 from __future__ import annotations
@@ -48,15 +50,21 @@ def run_config(config: str, run_dir: str) -> dict:
     # ru_maxrss is in KiB on Linux and in bytes on macOS
     rss_mb = usage.ru_maxrss / (1024 * 1024 if sys.platform == "darwin" else 1024)
     out = {"exit": proc.returncode, "peak_rss_mb": rss_mb, "process_s": elapsed,
-           "wall_time_s": None, "sha12": None}
+           "wall_time_s": None, "sha12": None, "summary12": None}
     if proc.returncode != 0:
         out["error"] = err.decode(errors="replace").strip()[-500:]
         return out
     with open(os.path.join(run_dir, "summary.json")) as fh:
-        out["wall_time_s"] = json.load(fh)["wall_time_s"]
+        summary = json.load(fh)
+    out["wall_time_s"] = summary.pop("wall_time_s")
+    out["summary12"] = sha12(json.dumps(summary, sort_keys=True).encode())
     with open(os.path.join(run_dir, "results.csv"), "rb") as fh:
-        out["sha12"] = hashlib.sha256(fh.read()).hexdigest()[:12]
+        out["sha12"] = sha12(fh.read())
     return out
+
+
+def sha12(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:12]
 
 
 def main(argv=None) -> int:
@@ -66,7 +74,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     configs = args.configs or sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
     print(f"{'config':<18} {'exit':>4} {'peak_rss_mb':>11} {'wall_time_s':>11} "
-          f"{'process_s':>9}  results.csv")
+          f"{'process_s':>9}  {'results.csv':<12}  summary.json")
     failed = 0
     with tempfile.TemporaryDirectory(prefix="couplemc-configs-") as tmp:
         for i, config in enumerate(configs):
@@ -74,7 +82,8 @@ def main(argv=None) -> int:
             r = run_config(os.path.abspath(config), os.path.join(tmp, f"{i}-{name}"))
             wall = "-" if r["wall_time_s"] is None else f"{r['wall_time_s']:.3f}"
             print(f"{name:<18} {r['exit']:>4} {r['peak_rss_mb']:>11.2f} {wall:>11} "
-                  f"{r['process_s']:>9.3f}  {r['sha12'] or '-'}", flush=True)
+                  f"{r['process_s']:>9.3f}  {r['sha12'] or '-':<12}  {r['summary12'] or '-'}",
+                  flush=True)
             if r["exit"] != 0:
                 failed += 1
                 print(f"  {r['error']}", file=sys.stderr)
