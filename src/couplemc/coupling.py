@@ -3,7 +3,7 @@
 The second process Z is driven by the Brownian increments of X reflected
 across sigma(Z)^-1 (X - Z) until the pair meets, then fused with X.  Each
 mechanism is described where it is implemented: the pair step in
-``pair_step``, the 1D meeting test in ``_meets``, the draws of a pair in
+``pair_step``, the meeting test in ``_meets``, the draws of a pair in
 ``_pair_layout``, the 1D constant-sigma scan in ``_scan_tile`` and a
 distance ladder in ``coupling_time_ladder``.  Three drivers run the pair
 step: ``simulate_coupled_block`` steps pairs only until they meet,
@@ -90,7 +90,7 @@ def _reflect_increments(v: np.ndarray, dW: np.ndarray) -> np.ndarray:
 
 
 def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
-              Z: np.ndarray, dW: np.ndarray, u_bridge: np.ndarray | None,
+              Z: np.ndarray, dW: np.ndarray, u_bridge: np.ndarray,
               couple_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance a batch of uncoupled pairs from node k; returns
     (X_next, Z_next, hit).
@@ -99,8 +99,11 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     across sigma(Z)^-1 (X - Z): (X - Z) / s for sigma = s I, and simply
     -dW in 1D.  A field's declared constant scale ``sigma_scalar`` is used
     as it is, without evaluating sigma.  hit marks the pairs that meet in
-    the step: in 1D by ``_meets`` with the bridge uniforms u_bridge, in
-    d >= 2 (u_bridge None) when |X - Z| <= couple_tol at the new node.
+    the step, by ``_meets`` with the bridge uniforms u_bridge.  In d >= 2
+    it tests the separation projected on e = xi / |xi|, from a = |xi| to
+    b = xi_next . e with the volatility |sigma_x^T e - H sigma_z^T e| of
+    e . xi, H the reflection, which is s_x + s_z for sigma = s I as in 1D;
+    a pair also meets when |xi_next| <= couple_tol.
     Raises SimulationDivergedError(k + 1) when a state is not finite.
     """
     t, dt = grid.horizon - k * grid.dt, grid.dt
@@ -121,20 +124,31 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     # a blow-up of either leg surfaces in the separation
     if not np.isfinite(xi_next).all():
         raise SimulationDivergedError(k + 1)
-    if field.dim > 1:
-        return X_next, Z_next, np.linalg.norm(xi_next, axis=-1) <= couple_tol
-    s = np.ravel(sig_x + sig_z)  # (n,), or the declared s + s as (1,)
-    return X_next, Z_next, _meets(xi[:, 0], xi_next[:, 0], s * s * dt, u_bridge,
-                                  couple_tol)
+    if field.dim == 1:
+        a, b, near = xi[:, 0], xi_next[:, 0], couple_tol
+    else:
+        a = np.linalg.norm(xi, axis=-1)
+        e = xi / a[:, None]
+        b, near = np.sum(xi_next * e, axis=-1), None
+    if np.ndim(sig_z) < 3:
+        s = np.ravel(sig_x + sig_z)  # (n,), or the declared s + s as (1,)
+    else:
+        s = np.linalg.norm(np.einsum("nji,nj->ni", sig_x, e)
+                           - _reflect_increments(v, np.einsum("nji,nj->ni", sig_z, e)), axis=-1)
+    hit = _meets(a, b, s * s * dt, u_bridge, near)
+    if near is None:
+        hit |= np.linalg.norm(xi_next, axis=-1) <= couple_tol
+    return X_next, Z_next, hit
 
 
 def _meets(a, b, denom, u, couple_tol, out=None) -> np.ndarray:
-    """The 1D meeting test of pairs whose separation goes from a to b in a
-    step; returns the hit mask.  A pair meets when |b| <= couple_tol or
-    when the separation's Brownian bridge crosses zero inside the step,
-    which it does with probability exp(-2ab / denom), denom = s^2 dt for s
-    the summed sigmas of the legs; the uniforms u draw the crossing.  The
-    bridge test removes the O(sqrt(dt)) bias of a test at the nodes only.
+    """The meeting test of pairs whose (projected) separation goes from a
+    to b in a step; returns the hit mask.  A pair meets when |b| <=
+    couple_tol (not tested when couple_tol is None) or when the
+    separation's Brownian bridge crosses zero inside the step, which it
+    does with probability exp(-2ab / denom), denom = s^2 dt for s the
+    separation's volatility; the uniforms u draw the crossing.  The bridge
+    test removes the O(sqrt(dt)) bias of a test at the nodes only.
 
     With out, an array of a's shape, the crossing probabilities are written
     into out and |b| into b, so the test allocates no temporary of that
@@ -148,19 +162,19 @@ def _meets(a, b, denom, u, couple_tol, out=None) -> np.ndarray:
     # clamping there keeps exp off its slow underflow path
     np.maximum(p, -700.0, out=p)
     np.exp(p, out=p)
-    hit = np.abs(b, out=None if out is None else b) <= couple_tol
-    hit |= u < p
+    hit = u < p
+    if couple_tol is not None:
+        hit |= np.abs(b, out=None if out is None else b) <= couple_tol
     return hit
 
 
-def _pair_layout(d: int) -> tuple[int, int | None]:
+def _pair_layout(d: int) -> tuple[int, int]:
     """The draws of a pair-step: (doubles per pair-step, bridge column).
-    The increments' uniforms take columns [0, d); in 1D the bridge
-    uniform follows in column 1, and d >= 2 has no bridge test (None).
-    Every pair driver reads these draws and maps them with
-    ``to_increments``, so a pair's coupling step depends neither on the
-    driver nor on the block of path indices it runs in."""
-    return (2, 1) if d == 1 else (d, None)
+    The increments' uniforms take columns [0, d) and the bridge uniform
+    follows in column d.  Every pair driver reads these draws and maps
+    them with ``to_increments``, so a pair's coupling step depends neither
+    on the driver nor on the block of path indices it runs in."""
+    return d + 1, d
 
 
 def _start_pairs(field, x, z, path_lo, path_hi, couple_tol):
@@ -231,8 +245,7 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
             for kk in range(k, k_hi):
                 # the index gathers a copy: the chunk keeps the raw uniforms
                 dW = to_increments(u[dpos, kk - k, :d], grid.dt)
-                X, Z, hit = pair_step(field, grid, kk, X, Z, dW,
-                                      None if bridge is None else u[dpos, kk - k, bridge],
+                X, Z, hit = pair_step(field, grid, kk, X, Z, dW, u[dpos, kk - k, bridge],
                                       couple_tol)
                 if hit.any():
                     tau_step[rows[hit]] = kk + 1
@@ -333,9 +346,8 @@ def simulate_coupled_terminal(field: CoefficientField, x, z, grid: TimeGrid,
                 Zr = Z[rows]
                 if with_c:
                     wz[rows] += field.c(t, Zr) * dt
-                _, Z[rows], hit = pair_step(
-                    field, grid, kk, X[rows], Zr, dW[rows, j],
-                    None if bridge is None else u[rows, j, bridge], couple_tol)
+                _, Z[rows], hit = pair_step(field, grid, kk, X[rows], Zr, dW[rows, j],
+                                            u[rows, j, bridge], couple_tol)
                 if hit.any():
                     gidx = rows[hit]
                     tau_step[gidx] = kk + 1
@@ -383,8 +395,7 @@ def simulate_coupled(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStre
         wx[k + 1] = wx[k] + field.c(T - k * dt, X)[0] * dt
         wz[k + 1] = wz[k] + field.c(T - k * dt, Z)[0] * dt
         if tau_index is None:
-            X, Z, hit = pair_step(field, grid, k, X, Z, dW[:, k],
-                                  None if bridge is None else u[:, k, bridge],
+            X, Z, hit = pair_step(field, grid, k, X, Z, dW[:, k], u[:, k, bridge],
                                   couple_tol)
             tau_index = k + 1 if hit[0] else None
         else:

@@ -215,10 +215,6 @@ class TestCoupledPair:
         assert abs(est.mean - oracle) <= 3.0 * est.stderr + 0.02 * oracle
         assert 0.9 < est.fraction_coupled <= 1.0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: a d >= 2 pair meets only at a node within "
-        "couple_tol, with no bridge test, so E[t ^ tau] is about 3x too "
-        "large; the fix of item 1 removes this marker"))
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("shape", ["isotropic", "anisotropic"])
     def test_expectation_near_oracle_in_higher_dimensions(self, shape, dim):
@@ -353,8 +349,8 @@ class TestCoupledPair:
 
     @pytest.mark.parametrize("a0", [1.0, 2.0])
     @pytest.mark.parametrize("declared", [True, False], ids=["scan", "step-loop"])
-    def test_survival_curve_matches_exact_law(self, a0, declared):
-        # the empirical P(tau > t_k) of the 1D block driver against the exact
+    def test_survival_curve_matches_exact_law(self, a0, declared, dim=1):
+        # the empirical P(tau > t_k) of the block driver against the exact
         # law of the reflection-coupled Brownian pair at 20 nodes, inside a
         # Bonferroni-corrected binomial band of total level 1e-3.  With
         # couple_tol = 0 only the bridge test declares a meeting, which is
@@ -363,17 +359,25 @@ class TestCoupledPair:
         # the band), and a0 = 2 checks the scaling d0 |sigma^-1 e|
         from scipy.stats import binom
 
-        f = make_constant_field(dim=1, a0=a0)
+        f = make_constant_field(dim=dim, a0=a0)
         if not declared:
             f = dataclasses.replace(f, sigma_scalar=None)
         grid = TimeGrid(1.0, 100)
         n, d0, alpha = 50_000, 0.2, 1e-3
         ks = np.arange(5, 101, 5)
-        taus = coupling_times(f, [0.0], [d0], grid, RngStream(13), n, couple_tol=0.0)
+        z = d0 * np.eye(dim)[0]
+        taus = coupling_times(f, np.zeros(dim), z, grid, RngStream(13), n, couple_tol=0.0)
         alive = np.array([np.sum((taus < 0) | (taus > k)) for k in ks])
         p = bm_coupling_survival(d0 / np.sqrt(a0), ks * grid.dt)
         lo, hi = binom.interval(1.0 - alpha / len(ks), n, p)
         assert np.all((lo <= alive) & (alive <= hi)), (alive / n, p)
+
+    @pytest.mark.parametrize("a0", [1.0, 2.0])
+    @pytest.mark.parametrize("declared", [True, False], ids=["scale", "matrices"])
+    def test_survival_curve_matches_exact_law_in_2d(self, a0, declared):
+        # the same band for the projected bridge test of a 2D pair, with
+        # the declared scale and with sigma as matrices
+        self.test_survival_curve_matches_exact_law(a0, declared, dim=2)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 300),

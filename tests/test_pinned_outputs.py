@@ -124,15 +124,15 @@ CASES = {
     "terminal-1d-sin": (_terminal_1d_sin, "16986a20041e0e7c"),
     "simulate-terminal-2d-constant": (_simulate_terminal_2d_constant, "15c443ccb7c979c3"),
     "simulate-terminal-2d-scalar": (_simulate_terminal_2d_scalar, "d02c05a40166fe48"),
-    "tau-2d-anisotropic": (_tau_2d_anisotropic, "d61dda4b8d9f7707"),
-    "terminal-2d-sin": (_terminal_2d_sin, "46774871bbe714dc"),
+    "tau-2d-anisotropic": (_tau_2d_anisotropic, "c0777f4ae1818b63"),
+    "terminal-2d-sin": (_terminal_2d_sin, "0a7ebe6040d61e7d"),
     "path-1d-sin": (_path_1d_sin, "dd2574df97c94de5"),
     "coupled-1d-sin": (_coupled_1d_sin, "560d6a397b6f21db"),
-    "terminal-2d-power-modulus": (_terminal_2d_power_modulus, "a83a049f4b1d3abe"),
+    "terminal-2d-power-modulus": (_terminal_2d_power_modulus, "030a5c212b51b53d"),
     "simulate-terminal-2d-log-modulus": (_simulate_terminal_2d_log_modulus, "a13cd60140626efb"),
     "tau-1d-sin": (_tau_1d_sin, "9c4733769bb731a7"),
     "difference-1d-sin": (_difference_1d_sin, "15f29533f733449f"),
-    "difference-2d-sin": (_difference_2d_sin, "0a641f384e469445"),
+    "difference-2d-sin": (_difference_2d_sin, "298e3c4f4b42d012"),
 }
 
 
