@@ -99,11 +99,9 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     across sigma(Z)^-1 (X - Z): (X - Z) / s for sigma = s I, and simply
     -dW in 1D.  A field's declared constant scale ``sigma_scalar`` is used
     as it is, without evaluating sigma.  hit marks the pairs that meet in
-    the step, by ``_meets`` with the bridge uniforms u_bridge.  In d >= 2
-    it tests the separation projected on e = xi / |xi|, from a = |xi| to
-    b = xi_next . e with the volatility |sigma_x^T e - H sigma_z^T e| of
-    e . xi, H the reflection, which is s_x + s_z for sigma = s I as in 1D;
-    a pair also meets when |xi_next| <= couple_tol.
+    the step by ``_meets`` with the bridge uniforms u_bridge, in d >= 2 on
+    xi projected on e = xi / |xi| with volatility |sigma_x^T e - H sigma_z^T e|
+    (H the reflection: s_x + s_z for sigma = s I), or if |xi_next| <= couple_tol.
     Raises SimulationDivergedError(k + 1) when a state is not finite.
     """
     t, dt = grid.horizon - k * grid.dt, grid.dt
@@ -124,21 +122,18 @@ def pair_step(field: CoefficientField, grid: TimeGrid, k: int, X: np.ndarray,
     # a blow-up of either leg surfaces in the separation
     if not np.isfinite(xi_next).all():
         raise SimulationDivergedError(k + 1)
-    if field.dim == 1:
-        a, b, near = xi[:, 0], xi_next[:, 0], couple_tol
-    else:
-        a = np.linalg.norm(xi, axis=-1)
-        e = xi / a[:, None]
-        b, near = np.sum(xi_next * e, axis=-1), None
     if np.ndim(sig_z) < 3:
         s = np.ravel(sig_x + sig_z)  # (n,), or the declared s + s as (1,)
-    else:
-        s = np.linalg.norm(np.einsum("nji,nj->ni", sig_x, e)
-                           - _reflect_increments(v, np.einsum("nji,nj->ni", sig_z, e)), axis=-1)
-    hit = _meets(a, b, s * s * dt, u_bridge, near)
-    if near is None:
-        hit |= np.linalg.norm(xi_next, axis=-1) <= couple_tol
-    return X_next, Z_next, hit
+    if field.dim == 1:
+        return X_next, Z_next, _meets(xi[:, 0], xi_next[:, 0], s * s * dt, u_bridge,
+                                      couple_tol)
+    a = np.linalg.norm(xi, axis=-1)
+    e = xi / a[:, None]
+    if np.ndim(sig_z) == 3:
+        sx, sz = (np.einsum("nji,nj->ni", sig, e) for sig in (sig_x, sig_z))
+        s = np.linalg.norm(sx - _reflect_increments(v, sz), axis=-1)
+    hit = _meets(a, np.sum(xi_next * e, axis=-1), s * s * dt, u_bridge, None)
+    return X_next, Z_next, hit | (np.linalg.norm(xi_next, axis=-1) <= couple_tol)
 
 
 def _meets(a, b, denom, u, couple_tol, out=None) -> np.ndarray:

@@ -30,17 +30,15 @@ from .errors import SimulationDivergedError, ValidationError
 # draws per chunk, in doubles, for every chunked driver
 _CHUNK_BUDGET = 4_000_000
 _DEFAULT_BLOCK = 16_384
-# doubles per path tile of a scanned solve (path_tile).  On solve-2d
-# (2-core VM) tiles of 2^19 doubles ran 13% slower, and tiles of
-# _CHUNK_BUDGET doubles peaked 14 MB higher at the same speed
-_SCAN_TILE = 1 << 21
 # doubles per row tile of a row-wise chunk (draw_chunks), at most _CHUNK_BUDGET
 _ROW_TILE = 1 << 19
+# doubles per sub-tile of a terminal scan (_scan_terminal): 2^19 peaked 4 MB higher
+_SUB_TILE = 1 << 18
 # the chunk loop's draw buffer, one per thread (_draw_buffer)
 _draws = threading.local()
-# a map or terminal scan of fewer elements runs in the calling thread:
-# about 5 ms of ndtri, below which waking a pool thread, and waiting for
-# one the host has descheduled, cost more than half the map saves
+# a map or terminal scan of fewer draws runs in the calling thread: about
+# 5 ms of ndtri, below which waking a pool thread, and waiting for one the
+# host has descheduled, cost more than half the map saves
 _SPLIT_MIN = 1 << 18
 # threads that share a map or scan, the calling one included, at most
 _MAX_THREADS = 4
@@ -48,6 +46,8 @@ _MAX_THREADS = 4
 _BLOCKS_PER_THREAD = 4
 # (pid, threads, executor or None) of the row-block pool (_row_pool)
 _pool = None
+# held around the draws of a terminal scan's threads (_scan_terminal)
+_draw_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -138,40 +138,38 @@ def to_open_unit(u: np.ndarray) -> np.ndarray:
 
 
 def to_increments(u: np.ndarray, dt: float) -> np.ndarray:
-    """Uniforms turned into Brownian increments sqrt(dt) ndtri(u) in place,
-    element by element, in row blocks (``_on_row_blocks``); returns u.
-    Every driver and recorder maps its uniforms here, so an increment has
-    the same bytes whichever driver maps it."""
-    scale = np.sqrt(dt)
-
-    def increments(lo, hi):
-        block = u[lo:hi]
-        to_open_unit(block)
-        ndtri(block, out=block)
-        block *= scale
-
-    _on_row_blocks(increments, u)
+    """``_increments`` of u in row blocks (``_on_row_blocks``); returns u."""
+    _on_row_blocks(lambda lo, hi: _increments(u[lo:hi], dt), len(u), u.size)
     return u
 
 
-def _on_row_blocks(fn, a: np.ndarray) -> None:
-    """fn(lo, hi) over the row blocks [lo, hi) of a's first axis, for an fn
-    that works on each row of a on its own with the serial operations, so
-    the bytes do not depend on the split.  Below _SPLIT_MIN elements, or
-    with one CPU, the calling thread runs fn(0, len(a)); otherwise it and
-    the pool's threads (``_row_pool``) pull more blocks than there are
-    threads, in order, so a pool thread that is not scheduled stalls no
-    one: a helper that has not started when the blocks run out is
-    cancelled.  NumPy and SciPy ufuncs release the GIL.  The helpers run
-    in a copy of the caller's context, with its NumPy error state."""
-    rows = len(a)
-    threads, pool = (1, None) if a.size < _SPLIT_MIN or rows < 2 else _row_pool()
+def _increments(u: np.ndarray, dt: float) -> np.ndarray:
+    """Uniforms turned into Brownian increments sqrt(dt) ndtri(u) in place
+    in the calling thread; returns u.  Every driver maps its uniforms here,
+    so an increment has the same bytes whichever driver maps it."""
+    to_open_unit(u)
+    ndtri(u, out=u)
+    u *= np.sqrt(dt)
+    return u
+
+
+def _on_row_blocks(fn, rows: int, work: int) -> None:
+    """fn(lo, hi) over the row blocks [lo, hi) of rows rows, for an fn that
+    works on each row on its own with the serial operations, so the bytes
+    do not depend on the split.  Below _SPLIT_MIN work (draws to map or
+    scan), or with one CPU, the calling thread runs fn(0, rows); otherwise
+    it and the pool's threads (``_row_pool``) pull more blocks than there
+    are threads, in order, so a pool thread that is not scheduled stalls
+    no one: a helper not started when the blocks run out is cancelled.
+    NumPy and SciPy ufuncs release the GIL.  The helpers run in a copy of
+    the caller's context, with its NumPy error state.  An error raised in
+    a block reaches the caller, and may leave later blocks unrun."""
+    threads, pool = (1, None) if work < _SPLIT_MIN or rows < 2 else _row_pool()
     if pool is None:
         fn(0, rows)
         return
-    n_blocks = min(rows, _BLOCKS_PER_THREAD * threads)
-    edges = [rows * i // n_blocks for i in range(n_blocks + 1)]
-    blocks = zip(edges[:-1], edges[1:])
+    n = min(rows, _BLOCKS_PER_THREAD * threads)
+    blocks = iter([(rows * i // n, rows * (i + 1) // n) for i in range(n)])
     lock = threading.Lock()
 
     def pull():
@@ -197,20 +195,18 @@ def _row_pool():
     as CPUs this process may run on, at most _MAX_THREADS, the calling one
     included, so the executor has one thread fewer; None with one CPU.
     Made on first use and again in a forked child, whose copy of the
-    parent's executor has no threads.  Its idle threads block without
-    spinning and are joined at interpreter exit."""
-    global _pool
+    parent's executor has no threads and of _draw_lock may be held.  Its
+    idle threads block without spinning and are joined at interpreter exit."""
+    global _pool, _draw_lock
     pid = os.getpid()
     if _pool is None or _pool[0] != pid:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # not on every platform
-            cpus = os.cpu_count() or 1
+        # sched_getaffinity is not on every platform
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
         threads = min(cpus, _MAX_THREADS)
-        executor = None
-        if threads > 1:
-            executor = ThreadPoolExecutor(threads - 1, thread_name_prefix="couplemc-rows")
-        _pool = (pid, threads, executor)
+        executor = (ThreadPoolExecutor(threads - 1, thread_name_prefix="couplemc-rows")
+                    if threads > 1 else None)
+        _pool, _draw_lock = (pid, threads, executor), threading.Lock()
     return _pool[1], _pool[2]
 
 
@@ -293,7 +289,8 @@ def chunk_steps(per_step: int) -> int:
 def _draw_buffer(n: int) -> np.ndarray:
     """A float64 array of at least n entries for a call's chunks of draws.
     Up to _CHUNK_BUDGET entries it is the calling thread's buffer of that
-    size, kept between calls, so chunked drivers must not nest in a thread.
+    size, kept between calls, so chunked drivers must not nest in a thread;
+    only its written pages are resident (a scan's thread writes a sub-tile).
 
     The block driver's chunks change size as pairs meet.  A fresh array
     per chunk or per call leaves it to malloc whether a freed chunk is
@@ -309,21 +306,14 @@ def _draw_buffer(n: int) -> np.ndarray:
 
 
 def path_tile(field: CoefficientField, grid: TimeGrid) -> int:
-    """Paths per ``simulate_terminal`` call of a solve.  A scanned field
-    (``_scans``) takes as many paths as have their draws for the whole
-    horizon fit _SCAN_TILE doubles, at least 1 and at most _DEFAULT_BLOCK,
-    so each path is drawn as one row with one Philox re-key and a tile
-    of two or more paths holds at most 16 MB of draws.  A step-loop field takes as many as fit
-    _CHUNK_BUDGET, when that is between 2048 and _DEFAULT_BLOCK paths;
-    otherwise _DEFAULT_BLOCK, with the horizon drawn in chunks when it
-    does not fit.  Below 2048 paths the step loop's per-step overhead
-    outweighs the longer rows (a 2D step-loop solve in 1024-path tiles is
-    slower than in the fixed block); the scan has no per-step Python cost."""
-    per_path = grid.steps * field.dim
-    if _scans(field):
-        return min(_DEFAULT_BLOCK, max(1, _SCAN_TILE // per_path))
-    tile = _CHUNK_BUDGET // per_path
-    return tile if 2048 <= tile <= _DEFAULT_BLOCK else _DEFAULT_BLOCK
+    """Paths per ``simulate_terminal`` call of a solve: _DEFAULT_BLOCK for a
+    scanned field (``_scans``), whose scan draws in sub-tiles.  A step-loop
+    field takes as many as have their horizons' draws fit _CHUNK_BUDGET,
+    when that is between 2048 and _DEFAULT_BLOCK paths, else the block,
+    its horizon drawn in chunks: below 2048 paths the per-step overhead
+    outweighs the longer rows (1024-path tiles of a 2D solve ran slower)."""
+    tile = _CHUNK_BUDGET // (grid.steps * field.dim)
+    return tile if 2048 <= tile <= _DEFAULT_BLOCK and not _scans(field) else _DEFAULT_BLOCK
 
 
 def _scans(field: CoefficientField) -> bool:
@@ -401,54 +391,68 @@ def simulate_terminal(field: CoefficientField, x0: np.ndarray, grid: TimeGrid,
 
     Returns (X_T, weight_log) with shapes (n, d) and (n,).  States are not
     recorded; use simulate_path for full trajectories.  A field with a
-    declared sigma, b = 0 and c = 0 (``_scans``) is scanned a chunk at a
-    time (``_scan_terminal``); a solve's tile of such a field
-    (``path_tile``) is one chunk.  The c-integral is skipped when c = 0,
-    as adding 0.0 to the +0.0 sum is exact.
+    declared sigma, b = 0 and c = 0 (``_scans``) is scanned
+    (``_scan_terminal``), any other stepped node by node.  The c-integral
+    is skipped when c = 0, as adding 0.0 to the +0.0 sum is exact.
     """
     d = field.dim
     paths = path_range(path_lo, path_hi)
-    n = len(paths)
     dt, T = grid.dt, grid.horizon
-    X = np.tile(as_point(x0, d, "x0"), (n, 1))
-    w = np.zeros(n)
-    s = field.sigma_scalar
+    X = np.tile(as_point(x0, d, "x0"), (len(paths), 1))
+    w = np.zeros(len(paths))
     with_c = field.c_sup > 0.0
-    scan = _scans(field)
     # overflow is handled by the finite check, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        if _scans(field):
+            return _scan_terminal(field.sigma_scalar, rng, paths, X, grid), w
         for k, k_hi, u in draw_chunks(rng, paths, grid.steps, d):
             dW = to_increments(u, dt)
-            if scan:
-                X = _scan_terminal(s, k, X, dW)
-            else:
-                for j in range(k_hi - k):
-                    if with_c:
-                        w += field.c(T - (k + j) * dt, X) * dt
-                    X = euler_step(field, grid, k + j, X, dW[:, j])
+            for j in range(k_hi - k):
+                if with_c:
+                    w += field.c(T - (k + j) * dt, X) * dt
+                X = euler_step(field, grid, k + j, X, dW[:, j])
     return X, w
 
 
-def _scan_terminal(s: float, k: int, X: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """The nodes after X over a chunk of increments dW (n, m, d) from node
-    k, for sigma = s and b = 0; returns the last node.
+def _scan_terminal(s: float, rng: RngStream, paths: np.ndarray, X: np.ndarray,
+                   grid: TimeGrid) -> np.ndarray:
+    """The nodes at the horizon of the paths started at X (n, d), for
+    sigma = s and b = 0, written into X, which is returned.
 
-    dW becomes the nodes in place, a row block at a time on every core
-    (``_on_row_blocks``): s dW, plus X on the first step, summed strictly
-    in step order by np.add.accumulate, which is the step X + s dW of
-    ``euler_update`` node by node.  A non-finite node stays non-finite,
-    so the last node tells whether any step diverged; the check runs over
-    all rows after the blocks, so it names the earliest step of any."""
+    One ``_on_row_blocks`` dispatch (work n steps d) gives each thread
+    whole rows, which it takes in sub-tiles of min(_SUB_TILE, _CHUNK_BUDGET)
+    doubles of its ``_draw_buffer``: it draws them under _draw_lock (threads
+    re-keying Philox rows at once hand the GIL back and forth), maps them
+    (``_increments``) while another draws, and sums s dW, plus X on the
+    first step, in step order by np.add.accumulate: the step X + s dW of
+    ``euler_update``.  A longer horizon is drawn in chunks.  After the join
+    the earliest non-finite step of any sub-tile is raised (``run_blocks``)."""
+    d, steps = X.shape[1], grid.steps
+    sub = min(_SUB_TILE, _CHUNK_BUDGET)
+    rows, m = max(1, sub // (steps * d)), max(1, sub // d)
+    diverged = []
+
     def scan(lo, hi):
-        block = dW[lo:hi]
-        block *= s
-        block[:, 0] += X[lo:hi]
-        np.add.accumulate(block, axis=1, out=block)
+        buf = _draw_buffer(sub)
+        for a in range(lo, hi, rows):
+            tile = slice(a, min(hi, a + rows))
+            try:
+                for k in range(0, steps, m):
+                    with _draw_lock:
+                        dW = rng.uniforms(paths[tile], k, min(steps, k + m), d, buf)
+                    np.multiply(_increments(dW, grid.dt), s, out=dW)
+                    dW[:, 0] += X[tile]
+                    np.add.accumulate(dW, axis=1, out=dW)
+                    if not np.isfinite(dW[:, -1]).all():
+                        raise_first_nonfinite(~np.isfinite(dW).all(axis=2), k)
+                    X[tile] = dW[:, -1]
+            except SimulationDivergedError as exc:
+                diverged.append(exc)
 
-    _on_row_blocks(scan, dW)
-    if not np.isfinite(dW[:, -1]).all():
-        raise_first_nonfinite(~np.isfinite(dW).all(axis=2), k)
-    return dW[:, -1].copy()
+    _on_row_blocks(scan, len(X), len(X) * steps * d)
+    if diverged:
+        raise min(diverged, key=lambda exc: exc.step_index)
+    return X
 
 
 def simulate_path(field: CoefficientField, x0, grid: TimeGrid, rng: RngStream,

@@ -51,12 +51,15 @@ class TestSolve:
         assert solve_u(req, rng) == mean_stderr(np.concatenate(parts))
 
     @pytest.mark.parametrize("field,tilings", [
-        # a scan takes any tile of whole horizons in _SCAN_TILE doubles;
-        # the last tiling draws each tile in 16-step chunks
+        # a scan takes any tile and draws it in sub-tiles of whole
+        # horizons in _SUB_TILE doubles, or of one row whose horizon is
+        # drawn in chunks: 7-step chunks at _SUB_TILE = 7, 450-step ones
+        # (the whole horizon) at _CHUNK_BUDGET = 450
         (make_constant_field(dim=1),
-         [({}, [2500]), ({"_SCAN_TILE": 40 * 2048}, [2048, 452]),
-          ({"_SCAN_TILE": 40 * 1000}, [1000, 1000, 500]),
-          ({"_SCAN_TILE": 40 * 7}, [7] * 357 + [1]),
+         [({}, [2500]), ({"_DEFAULT_BLOCK": 2048}, [2048, 452]),
+          ({"_DEFAULT_BLOCK": 1000}, [1000, 1000, 500]),
+          ({"_DEFAULT_BLOCK": 7}, [7] * 357 + [1]),
+          ({"_SUB_TILE": 40 * 7}, [2500]), ({"_SUB_TILE": 7}, [2500]),
           ({"_CHUNK_BUDGET": 450}, [2500])]),
         # the step loop keeps the fixed block when the budget holds fewer
         # than 2048 paths' horizons, drawn in chunks of 24 or 16 steps

@@ -248,9 +248,9 @@ class TestTerminalScan:
         scanned = []
         scan = sde_engine._scan_terminal
 
-        def counted(*args):
-            scanned.append(args[-1].shape[1])
-            return scan(*args)
+        def counted(s, rng, paths, X, grid):
+            scanned.append(grid.steps)
+            return scan(s, rng, paths, X, grid)
 
         with mock.patch.object(sde_engine, "_CHUNK_BUDGET",
                                budget or sde_engine._CHUNK_BUDGET), \
@@ -265,7 +265,7 @@ class TestTerminalScan:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_terminal_scan_divergence_matches_step_loop(self, bad, monkeypatch):
         # a non-finite increment stops the scan and the loop at the same
-        # step, the earliest over paths, in any chunk
+        # step, the earliest over paths, in any chunk and any sub-tile
         f = make_constant_field(dim=2)
         loop_f = dataclasses.replace(f, sigma_scalar=None)
         grid = TimeGrid(1.0, 100)
@@ -273,7 +273,7 @@ class TestTerminalScan:
         # the drawn uniform of each injected step is marked with a value no
         # uniform takes, and the map to increments replaces its increment
         mark = 2.0
-        uniforms, increments = RngStream.uniforms, sde_engine.to_increments
+        uniforms, increments = RngStream.uniforms, sde_engine._increments
 
         def marked(self, paths, lo, hi, d, buf=None):
             u = uniforms(self, paths, lo, hi, d, buf)
@@ -290,8 +290,10 @@ class TestTerminalScan:
             return dW
 
         monkeypatch.setattr(RngStream, "uniforms", marked)
-        monkeypatch.setattr(sde_engine, "to_increments", spoiled)
+        monkeypatch.setattr(sde_engine, "_increments", spoiled)
         monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", 450)  # 16-step chunks
+        # the scan's sub-tiles: one row in 16-step chunks
+        monkeypatch.setattr(sde_engine, "_SUB_TILE", 32)
 
         def step_index(field):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -326,23 +328,24 @@ class TestTerminalScan:
         assert path_tile(loop[1], TimeGrid(1.0, budget // block)) == block
         assert path_tile(loop[1], TimeGrid(1.0, 10)) == block
 
-    def test_scanned_path_tile_holds_the_horizon_in_the_scan_tile(self):
-        # a scanned field: any number of paths up to _DEFAULT_BLOCK whose
-        # horizons fit _SCAN_TILE doubles, at least one
-        scan_tile, block = sde_engine._SCAN_TILE, sde_engine._DEFAULT_BLOCK
-        assert scan_tile <= sde_engine._CHUNK_BUDGET
+    def test_scanned_path_tile_is_the_default_block(self):
+        # a scanned field takes _DEFAULT_BLOCK paths whatever its horizon:
+        # the scan draws in sub-tiles (test_scanned_solves_draw_sub_tiles)
+        block = sde_engine._DEFAULT_BLOCK
         scanned = {d: make_constant_field(dim=d) for d in (1, 2, 3)}
-        assert path_tile(scanned[2], TimeGrid(0.5, 500)) == scan_tile // 1000 == 2097
-        assert path_tile(scanned[1], TimeGrid(1.0, 1500)) == scan_tile // 1500
-        assert path_tile(scanned[1], TimeGrid(1.0, 4000)) == scan_tile // 4000 == 524
-        assert path_tile(scanned[3], TimeGrid(1.0, 10**6)) == 1
-        assert path_tile(scanned[1], TimeGrid(1.0, scan_tile // block)) == block
+        assert path_tile(scanned[2], TimeGrid(0.5, 500)) == block
+        assert path_tile(scanned[1], TimeGrid(1.0, 1500)) == block
+        assert path_tile(scanned[1], TimeGrid(1.0, 4000)) == block
+        assert path_tile(scanned[3], TimeGrid(1.0, 10**6)) == block
         assert path_tile(scanned[1], TimeGrid(1.0, 10)) == block
-        # a drift or a potential makes the same sigma a step-loop field
+        # a drift or a potential makes the same sigma a step-loop field,
+        # whose tiles follow the budget
+        budget = sde_engine._CHUNK_BUDGET
         for field in (make_constant_field(dim=1, b0=0.3),
                       make_constant_field(dim=1, c0=0.2),
                       dataclasses.replace(scanned[1], sigma_scalar=None)):
             assert path_tile(field, TimeGrid(1.0, 4000)) == block
+            assert path_tile(field, TimeGrid(1.0, 1500)) == budget // 1500
 
 
 class TestDrawChunks:
@@ -393,8 +396,8 @@ class TestDrawChunks:
 
     def test_fixed_batches_fill_the_budget_from_the_first_chunk(self, monkeypatch):
         # only the survivor loop caps its chunks at the steps already
-        # taken: a scanned solve tile of 2097 paths x 500 2D steps is one
-        # draw call, and the drivers that carry a fixed batch to the
+        # taken: a scanned solve of 500 2D steps draws every row's horizon
+        # in one call, and the drivers that carry a fixed batch to the
         # horizon cut it into chunk_steps ranges
         calls = []
         uniforms = RngStream.uniforms
@@ -408,7 +411,8 @@ class TestDrawChunks:
                            eval_point=np.zeros(2), n_paths=20_000,
                            grid=TimeGrid(0.5, 500))
         solve_u(req, RngStream(1))
-        assert calls == [(2097, 0, 500)] * 9 + [(1127, 0, 500)]
+        assert {c[1:] for c in calls} == {(0, 500)}
+        assert sum(c[0] for c in calls) == 20_000
 
         monkeypatch.setattr(sde_engine, "_CHUNK_BUDGET", 2000)
         f = make_sin_field(dim=1, amp=0.5, c0=0.2)
@@ -444,21 +448,23 @@ class TestDrawChunks:
                              grid=TimeGrid(1.0, steps)), RngStream(2))
         return calls
 
-    @pytest.mark.parametrize("dim,steps,n_paths,tiles", [
-        (2, 500, 6000, [2097, 2097, 1806]),
-        # the budget held 2666 paths' horizons: a tile of them was one call
-        (1, 1500, 3000, [1398, 1398, 204]),
-        # the budget held 1000 paths' horizons, below 2048: the fixed
-        # block was drawn in 4000-step chunks
-        (1, 4000, 1200, [524, 524, 152]),
+    @pytest.mark.parametrize("dim,steps,n_paths", [
+        (2, 500, 6000), (1, 1500, 3000), (1, 4000, 1200),
+        # a horizon longer than one sub-tile
+        (1, sde_engine._SUB_TILE + 1000, 3),
     ])
-    def test_scanned_solves_draw_whole_horizon_rows(self, dim, steps, n_paths, tiles,
-                                                     monkeypatch):
-        # a constant-sigma solve draws each tile's horizon in one call of
-        # at most _SCAN_TILE doubles
+    def test_scanned_solves_draw_sub_tiles(self, dim, steps, n_paths, monkeypatch):
+        # every draw call of a constant-sigma solve fills at most one
+        # sub-tile of _SUB_TILE doubles, in whichever thread it runs; a
+        # horizon that fits one is drawn whole in one call, and every
+        # path-step is drawn once
         calls = self._solve_draws(make_constant_field(dim=dim), steps, n_paths, monkeypatch)
-        assert calls == [(n, 0, steps, dim) for n in tiles]
-        assert all(n * steps * dim <= sde_engine._SCAN_TILE for n in tiles)
+        assert all(n * (hi - lo) * d <= sde_engine._SUB_TILE for n, lo, hi, d in calls)
+        assert sum(n * (hi - lo) for n, lo, hi, _ in calls) == n_paths * steps
+        if steps * dim <= sde_engine._SUB_TILE:
+            assert {c[1:] for c in calls} == {(0, steps, dim)}
+        else:
+            assert len(calls) > n_paths
 
     @pytest.mark.parametrize("steps,n_paths,calls", [
         # 2666 paths' horizons fill the budget: a tile is one call
@@ -469,7 +475,7 @@ class TestDrawChunks:
     def test_step_loop_solves_keep_budget_tiles(self, steps, n_paths, calls,
                                                 monkeypatch):
         # a sin solve is stepped, so its tiles and chunks follow
-        # _CHUNK_BUDGET, not _SCAN_TILE
+        # _CHUNK_BUDGET, not _SUB_TILE
         field = make_sin_field(dim=1, amp=0.5)
         assert self._solve_draws(field, steps, n_paths, monkeypatch) == calls
 
@@ -601,10 +607,14 @@ class TestRowBlocks:
 
     def test_blocks_are_pulled_once_under_thread_switching(self, threaded, monkeypatch):
         # eight threads switching every microsecond: a block pulled twice
-        # maps its rows twice, a block lost leaves them unmapped
+        # maps its rows twice, a block lost leaves them unmapped; a scan's
+        # sub-tiles (two rows of 30 steps) drawn in the wrong thread's
+        # buffer or under a lost lock leave wrong last nodes
         monkeypatch.setattr(sde_engine, "_MAX_THREADS", 8)
         monkeypatch.setattr(sde_engine.os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
+        monkeypatch.setattr(sde_engine, "_SUB_TILE", 2 * 30)
+        f = make_constant_field(dim=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -612,43 +622,74 @@ class TestRowBlocks:
                 u = _with_top_rows((200, 30), seed)
                 expected = _serial(to_increments, u.copy(), 0.01)
                 assert to_increments(u, 0.01).tobytes() == expected.tobytes()
+            for seed in range(10):
+                args = (f, [0.0], TimeGrid(1.0, 30), RngStream(seed), 0, 200)
+                expected = _serial(simulate_terminal, *args)[0]
+                assert simulate_terminal(*args)[0].tobytes() == expected.tobytes()
         finally:
             sys.setswitchinterval(interval)
         assert sde_engine._pool[1] == 8
 
-    def test_scan_matches_serial(self, threaded):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(37, 2))
-        dW = rng.normal(size=(37, 13, 2))
-        expected = dW.copy()
-        last = _serial(sde_engine._scan_terminal, 0.7, 0, X, expected)
-        assert sde_engine._scan_terminal(0.7, 0, X, dW).tobytes() == last.tobytes()
-        assert dW.tobytes() == expected.tobytes()
+    def test_scan_matches_serial(self, threaded, monkeypatch):
+        # a scanned call whose row blocks each draw, map and scan in their
+        # own thread, in sub-tiles of two rows, gives the serial bytes
+        f = make_constant_field(dim=2, a0=2.0)
+        assert f.sigma_scalar is not None
+        monkeypatch.setattr(sde_engine, "_SUB_TILE", 2 * 13 * 2)
+
+        def run():
+            return simulate_terminal(f, [0.3, -0.2], TimeGrid(1.0, 13), RngStream(1), 5, 42)
+
+        for a, b in zip(run(), _serial(run), strict=True):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("first,last", [(60, 30), (30, 60)],
                              ids=["later-in-first-block", "earlier-in-first-block"])
-    def test_scan_names_the_earliest_step_across_blocks(self, first, last, threaded):
-        # the first row sits in the first block, the last row in the last
-        rng = np.random.default_rng(2)
-        dW = rng.normal(size=(20, 100, 2))
-        dW[0, first, 1] = np.inf
-        dW[-1, last, 0] = np.nan
-        for scan in (sde_engine._scan_terminal,
-                     lambda *args: _serial(sde_engine._scan_terminal, *args)):
+    def test_scan_names_the_earliest_step_across_blocks(self, first, last, threaded,
+                                                        monkeypatch):
+        # the first path sits in the first block, the last path in the
+        # last; the uniform of each (path, step) in marks is replaced by a
+        # code that the map turns into a non-finite increment
+        marks = {(0, first): 2.0, (19, last): 3.0}
+        codes = {2.0: np.inf, 3.0: np.nan}
+        uniforms, increments = RngStream.uniforms, sde_engine._increments
+
+        def marked(rng, paths, lo, hi, d, buf=None):
+            u = uniforms(rng, paths, lo, hi, d, buf)
+            for row, p in enumerate(np.asarray(paths).tolist()):
+                for k in range(lo, hi):
+                    if (p, k) in marks:
+                        u[row, k - lo, 0] = marks[p, k]
+            return u
+
+        def spoiled(u, dt):
+            at = {code: u == code for code in codes}
+            dW = increments(u, dt)
+            for code, mask in at.items():
+                dW[mask] = codes[code]
+            return dW
+
+        monkeypatch.setattr(RngStream, "uniforms", marked)
+        monkeypatch.setattr(sde_engine, "_increments", spoiled)
+        f = make_constant_field(dim=2)
+        for run in (simulate_terminal, lambda *args: _serial(simulate_terminal, *args)):
             with pytest.raises(SimulationDivergedError) as exc:
-                scan(1.0, 5, np.zeros((20, 2)), dW.copy())
-            assert exc.value.step_index == 5 + 30 + 1
+                run(f, np.zeros(2), TimeGrid(1.0, 100), RngStream(2), 0, 20)
+            assert exc.value.step_index == 30 + 1
 
     def test_helpers_keep_the_callers_error_state(self, threaded):
-        # every block overflows; ignored, no thread warns, and raised, the
-        # error reaches the caller from whichever thread met it
-        dW = np.full((40, 8, 1), 1e308)
+        # every block overflows; ignored (as simulate_terminal sets it), no
+        # thread warns, and raised, the error reaches the caller from
+        # whichever thread met it
+        f = dataclasses.replace(make_constant_field(dim=1), sigma_scalar=1e308)
+        grid = TimeGrid(1e6, 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with np.errstate(over="ignore"), pytest.raises(SimulationDivergedError):
-                sde_engine._scan_terminal(1.0, 0, np.zeros((40, 1)), dW.copy())
+            with pytest.raises(SimulationDivergedError):
+                simulate_terminal(f, [0.0], grid, RngStream(3), 0, 40)
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                sde_engine._scan_terminal(1.0, 0, np.zeros((40, 1)), dW.copy())
+                sde_engine._scan_terminal(1e308, RngStream(3), sde_engine.path_range(0, 40),
+                                          np.zeros((40, 1)), grid)
 
     @pytest.mark.parametrize("dim,n,steps,budget", [
         (1, 1, 200, None), (1, 37, 200, 450), (2, 60, 17, 5000), (3, 7, 200, None),
@@ -670,18 +711,22 @@ class TestRowBlocks:
         monkeypatch.setattr(sde_engine.os, "cpu_count", lambda: 1)
         monkeypatch.setattr(sde_engine, "_pool", None)
         before = set(threading.enumerate())
+        f = make_constant_field(dim=2)
+
+        def run():
+            return simulate_terminal(f, np.zeros(2), TimeGrid(1.0, 100), RngStream(4), 0, 64)
+
+        assert run()[0].tobytes() == _serial(run)[0].tobytes()
         u = _with_top_rows((64, 100, 2))
         expected = _serial(to_increments, u.copy(), 0.01)
         assert to_increments(u, 0.01).tobytes() == expected.tobytes()
-        last = _serial(sde_engine._scan_terminal, 1.0, 0, np.zeros((64, 2)), expected)
-        assert sde_engine._scan_terminal(1.0, 0, np.zeros((64, 2)), u).tobytes() \
-            == last.tobytes()
         assert sde_engine._pool[1:] == (1, None)
         assert set(threading.enumerate()) == before
 
     def test_only_large_arrays_are_split(self, monkeypatch):
-        # a solve chunk of _SPLIT_MIN draws is split; the block driver of
-        # a few thousand pairs, scan or step loop, never asks for the pool
+        # a scanned call of _SPLIT_MIN path-step draws is split, in one
+        # request; the block driver of a few thousand pairs, scan or step
+        # loop, never asks for the pool
         asked = []
         monkeypatch.setattr(sde_engine, "_row_pool", lambda: asked.append(1) or (1, None))
         grid = TimeGrid(1.0, 128)
@@ -693,7 +738,7 @@ class TestRowBlocks:
         simulate_terminal(f, [0.0], grid, RngStream(1), 0, n - 1)
         assert not asked
         simulate_terminal(f, [0.0], grid, RngStream(1), 0, n)
-        assert len(asked) == 2  # the map and the scan
+        assert len(asked) == 1  # each block draws, maps and scans its rows
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_maps_with_its_own_pool(self, threaded):

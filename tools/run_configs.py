@@ -5,8 +5,10 @@ results.csv and summary.json hashes.
     python3 tools/run_configs.py [CONFIG ...]
 
 Without arguments it runs every ``configs/*.cfg`` of the checkout, with
-``src/`` first on the import path, so no install is needed.  For each
-config it prints the exit status, the peak RSS of the child process (from
+``src/`` first on the import path, so no install is needed.  The first
+row, ``(import)``, is the peak RSS of a child that only imports
+``couplemc.cli``: a config's run memory is its peak minus that baseline.
+For each config it prints the exit status, the peak RSS of the child process (from
 ``os.wait4``), ``wall_time_s`` from the run's summary.json (the time of
 the experiment itself, without interpreter start-up and imports), the
 child's elapsed time, the first 12 hex digits of the sha256 of its
@@ -32,15 +34,16 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_config(config: str, run_dir: str) -> dict:
-    """One ``couplemc run`` of config into run_dir in a child process."""
+def run_child(args: list[str]) -> dict:
+    """``python args`` in a child process with src/ first on its import
+    path: its exit status, peak RSS, elapsed time and, on failure, the end
+    of its stderr."""
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     start = time.monotonic()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "couplemc.cli", "run", config, "--run-dir", run_dir],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, *args], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     err = proc.stderr.read()
     proc.stderr.close()
     # wait4 reaps the child and reports its own peak RSS, not the parent's
@@ -53,6 +56,13 @@ def run_config(config: str, run_dir: str) -> dict:
            "wall_time_s": None, "sha12": None, "summary12": None}
     if proc.returncode != 0:
         out["error"] = err.decode(errors="replace").strip()[-500:]
+    return out
+
+
+def run_config(config: str, run_dir: str) -> dict:
+    """One ``couplemc run`` of config into run_dir in a child process."""
+    out = run_child(["-m", "couplemc.cli", "run", config, "--run-dir", run_dir])
+    if out["exit"] != 0:
         return out
     with open(os.path.join(run_dir, "summary.json")) as fh:
         summary = json.load(fh)
@@ -76,17 +86,22 @@ def main(argv=None) -> int:
     print(f"{'config':<18} {'exit':>4} {'peak_rss_mb':>11} {'wall_time_s':>11} "
           f"{'process_s':>9}  {'results.csv':<12}  summary.json")
     failed = 0
+
+    def report(name: str, r: dict) -> None:
+        nonlocal failed
+        wall = "-" if r["wall_time_s"] is None else f"{r['wall_time_s']:.3f}"
+        print(f"{name:<18} {r['exit']:>4} {r['peak_rss_mb']:>11.2f} {wall:>11} "
+              f"{r['process_s']:>9.3f}  {r['sha12'] or '-':<12}  {r['summary12'] or '-'}",
+              flush=True)
+        if r["exit"] != 0:
+            failed += 1
+            print(f"  {r['error']}", file=sys.stderr)
+
+    report("(import)", run_child(["-c", "import couplemc.cli"]))
     with tempfile.TemporaryDirectory(prefix="couplemc-configs-") as tmp:
         for i, config in enumerate(configs):
             name = os.path.splitext(os.path.basename(config))[0]
-            r = run_config(os.path.abspath(config), os.path.join(tmp, f"{i}-{name}"))
-            wall = "-" if r["wall_time_s"] is None else f"{r['wall_time_s']:.3f}"
-            print(f"{name:<18} {r['exit']:>4} {r['peak_rss_mb']:>11.2f} {wall:>11} "
-                  f"{r['process_s']:>9.3f}  {r['sha12'] or '-':<12}  {r['summary12'] or '-'}",
-                  flush=True)
-            if r["exit"] != 0:
-                failed += 1
-                print(f"  {r['error']}", file=sys.stderr)
+            report(name, run_config(os.path.abspath(config), os.path.join(tmp, f"{i}-{name}")))
     return 1 if failed else 0
 
 
