@@ -1,7 +1,7 @@
 """Euler-Maruyama simulation of the time-reversed diffusion with
 counter-based, partition-invariant randomness: the increment of path p at
-step k is a pure function of (seed, p, k), so blocks, tiles and chunks
-never change the numbers.
+step k is a pure function of (seed, p, k), so blocks, tiles, chunks and
+threads never change the numbers.
 
 Each mechanism is described where it is implemented: the counter RNG in
 ``RngStream``, the chunk schedule and row tiles in ``draw_chunks``, the
@@ -159,11 +159,11 @@ def _on_row_blocks(fn, rows: int, work: int) -> None:
     do not depend on the split.  Below _SPLIT_MIN work (draws to map or
     scan), or with one CPU, the calling thread runs fn(0, rows); otherwise
     it and the pool's threads (``_row_pool``) pull more blocks than there
-    are threads, in order, so a pool thread that is not scheduled stalls
-    no one: a helper not started when the blocks run out is cancelled.
-    NumPy and SciPy ufuncs release the GIL.  The helpers run in a copy of
-    the caller's context, with its NumPy error state.  An error raised in
-    a block reaches the caller, and may leave later blocks unrun."""
+    are threads, in order, so an unscheduled pool thread stalls no one: a
+    helper not started when the blocks run out is cancelled.  NumPy and
+    SciPy ufuncs release the GIL.  Helpers run in a copy of the caller's
+    context (its NumPy error state); an error in a block reaches the
+    caller and may leave later blocks unrun."""
     threads, pool = (1, None) if work < _SPLIT_MIN or rows < 2 else _row_pool()
     if pool is None:
         fn(0, rows)
@@ -200,9 +200,10 @@ def _row_pool():
     global _pool, _draw_lock
     pid = os.getpid()
     if _pool is None or _pool[0] != pid:
-        # sched_getaffinity is not on every platform
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # not on every platform
+            cpus = os.cpu_count() or 1
         threads = min(cpus, _MAX_THREADS)
         executor = (ThreadPoolExecutor(threads - 1, thread_name_prefix="couplemc-rows")
                     if threads > 1 else None)
@@ -288,9 +289,8 @@ def chunk_steps(per_step: int) -> int:
 
 def _draw_buffer(n: int) -> np.ndarray:
     """A float64 array of at least n entries for a call's chunks of draws.
-    Up to _CHUNK_BUDGET entries it is the calling thread's buffer of that
-    size, kept between calls, so chunked drivers must not nest in a thread;
-    only its written pages are resident (a scan's thread writes a sub-tile).
+    Up to _CHUNK_BUDGET entries it is the calling thread's kept buffer of
+    that size, resident only where written, so drivers must not nest in a thread.
 
     The block driver's chunks change size as pairs meet.  A fresh array
     per chunk or per call leaves it to malloc whether a freed chunk is
