@@ -8,13 +8,13 @@ Without arguments it runs every ``configs/*.cfg`` of the checkout, with
 ``src/`` first on the import path, so no install is needed.  The first
 row, ``(import)``, is the peak RSS of a child that only imports
 ``couplemc.cli``: a config's run memory is its peak minus that baseline.
-For each config it prints the exit status, the peak RSS of the child process (from
-``os.wait4``), ``wall_time_s`` from the run's summary.json (the time of
-the experiment itself, without interpreter start-up and imports), the
-child's elapsed time, the first 12 hex digits of the sha256 of its
-results.csv, the digits ROADMAP.md lists, and the same digits of its
-summary.json without ``wall_time_s``, taken as canonical JSON (sorted
-keys), which changes when the config echo or a fit does.  The run
+For each config it prints the exit status, the peak RSS of the child
+process (from ``os.wait4``), ``wall_time_s`` from the run's summary.json
+(the time of the experiment itself, without interpreter start-up and
+imports), the child's elapsed time, the first 12 hex digits of the
+sha256 of its results.csv, the digits ROADMAP.md lists, and the same
+digits of its summary.json without ``wall_time_s``, taken as canonical
+JSON (sorted keys), which changes when the config echo or a fit does.  The run
 directories go to a temporary directory that is removed afterwards.
 Information only: it exits 0 unless a run fails.  Standard library only.
 """
