@@ -22,12 +22,12 @@ from .coefficients import default_sample_points, validate_field
 from .config import ORACLES, ExperimentConfig, _parse_scalar, load_config
 from .coupling import _resolve_tol, coupling_time_ladder
 from .errors import ConfigError, CoupleMCError, SimulationDivergedError, ValidationError
-from .fk_solver import (ModulusExperimentConfig, ResultTable, fit_result_table,
-                        modulus_experiment, placement, solve_u, SolveRequest)
+from .fk_solver import (ResultTable, SolveRequest, difference_ladder, expected_regime,
+                        fit_result_table, placement, solve_u)
 from .oracles import (RunningMaxQuery, bm_coupling_expectation, heat_kernel,
                       running_max_bounds, sgn_drift_density)
 from .registry import build_field, build_terminal
-from .sde_engine import RngStream, TimeGrid
+from .sde_engine import RngStream, TimeGrid, mean_stderr
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,17 +47,15 @@ def _run_validate(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 
 
 def _setup(cfg: ExperimentConfig) -> tuple:
-    """(field, terminal, grid, (base_point, direction)) of a couple, solve
-    or modulus config, checked as ``validate`` checks them before any draw:
-    the placement by ``fk_solver.placement`` (the origin and e_1 by default;
-    the direction keeps its length for ``modulus_experiment`` to normalise
-    once), the terminal (None unless the kind reads one) by one evaluation
-    at the origin."""
+    """(field, terminal, grid, (x, e)) of a couple, solve or modulus config,
+    checked as ``validate`` checks them before any draw: the base point x
+    and the unit direction e by ``fk_solver.placement`` (the origin and e_1
+    by default), the terminal (None unless the kind reads one) by one
+    evaluation at the origin."""
     field = build_field(cfg.field_name, cfg.field_params)
     d = field.dim
-    where = (np.zeros(d) if cfg.base_point is None else cfg.base_point,
-             np.eye(d)[0] if cfg.direction is None else cfg.direction)
-    placement(*where, d)
+    where = placement(np.zeros(d) if cfg.base_point is None else cfg.base_point,
+                      np.eye(d)[0] if cfg.direction is None else cfg.direction, d)
     terminal = None
     if cfg.terminal_name is not None:
         terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
@@ -66,8 +64,7 @@ def _setup(cfg: ExperimentConfig) -> tuple:
 
 
 def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    field, _, grid, where = _setup(cfg)
-    x, e = placement(*where, field.dim)
+    field, _, grid, (x, e) = _setup(cfg)
     t = cfg.eval_horizon if cfg.eval_horizon is not None else cfg.horizon
     tol = _resolve_tol(cfg.couple_tol, grid, field)
     # disjoint path blocks per distance keep the rows independent
@@ -83,9 +80,8 @@ def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 
 
 def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    field, terminal, grid, where = _setup(cfg)
-    req = SolveRequest(field=field, terminal=terminal,
-                       eval_point=placement(*where, field.dim)[0],
+    field, terminal, grid, (x, _) = _setup(cfg)
+    req = SolveRequest(field=field, terminal=terminal, eval_point=x,
                        n_paths=cfg.n_paths, grid=grid)
     est, se = solve_u(req, RngStream(cfg.seed))
     table = ResultTable(
@@ -96,12 +92,18 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 
 def _run_modulus(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     field, terminal, grid, (x, e) = _setup(cfg)
-    mcfg = ModulusExperimentConfig(
-        field=field, terminal=terminal, base_point=x, direction=e,
-        distances=cfg.ladder, grid=grid, n_paths=cfg.n_paths,
-        couple_tol=cfg.couple_tol)
-    table = modulus_experiment(mcfg, RngStream(cfg.seed))
-    return table, dict(table.metadata)
+    tol = _resolve_tol(cfg.couple_tol, grid, field)
+    req = SolveRequest(field=field, terminal=terminal, eval_point=x,
+                       n_paths=cfg.n_paths, grid=grid)
+    # disjoint path blocks per distance keep the rows independent
+    rungs = difference_ladder(req, [x + r * e for r in cfg.ladder], RngStream(cfg.seed), tol)
+    rows = [(r, abs(mean), se, *mean_stderr(taus), cfg.n_paths, grid.dt, tol)
+            for r, (mean, se, taus) in zip(cfg.ladder, rungs)]
+    table = ResultTable(
+        columns=["distance", "delta_u", "stderr_u", "tau_mean", "stderr_tau",
+                 "n_paths", "dt", "couple_tol"],
+        rows=rows)
+    return table, {**fit_result_table(table), "regime_expected": expected_regime(field)}
 
 
 def _run_oracle(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:

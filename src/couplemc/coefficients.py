@@ -120,8 +120,9 @@ class CoefficientField:
     sigma_scalar, when set, declares sigma(t, x) = sigma_scalar * I for
     every t and x, and must agree bit for bit with ``sigma`` (or with the
     square root of ``a``).  The step kernel then multiplies the increments
-    by the scalar instead of evaluating sigma, and the 1D block driver
-    scans whole blocks of steps (see ``coupling``).
+    by the scalar instead of evaluating sigma; with b = 0 the 1D block
+    driver scans whole blocks of steps (see ``coupling``), and with b = 0
+    and c = 0 ``simulate_terminal`` does so in any dimension.
 
     b_sup == 0 declares b = 0 and c_sup == 0 declares c = 0: the step
     kernel and the block drivers trust these declarations and skip

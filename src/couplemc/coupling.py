@@ -2,11 +2,12 @@
 
 The second process Z is driven by the Brownian increments of X reflected
 across sigma(Z)^-1 (X - Z) until the pair meets, then fused with X.  Each
-mechanism is described where it is implemented: the pair step in
-``pair_step``, the meeting test in ``_meets``, the draws of a pair in
-``_pair_layout``, the 1D constant-sigma scan in ``_scan_tile`` and a
-distance ladder in ``coupling_time_ladder``.  Three drivers run the pair
-step: ``simulate_coupled_block`` steps pairs only until they meet,
+mechanism is described where it is implemented: the start of the pairs
+in ``_start_pairs``, the pair step in ``pair_step``, the meeting test in
+``_meets``, the draws of a pair in ``_pair_layout``, the 1D
+constant-sigma scan in ``_scan_tile`` and a distance ladder in
+``coupling_time_ladder``.  Three drivers start and run the pairs:
+``simulate_coupled_block`` steps pairs only until they meet,
 ``simulate_coupled_terminal`` carries them to the horizon with the
 c-integrals of both legs, and the recorder ``simulate_coupled`` stores
 every node of one pair.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientField, ModulusOfContinuity, require_dini
-from .errors import DegenerateDirectionError, SimulationDivergedError, ValidationError
+from .errors import SimulationDivergedError, ValidationError
 from .sde_engine import (RngStream, SamplePath, TimeGrid, as_point, chunk_steps,
                          draw_chunks, euler_step, euler_update, mean_stderr,
                          path_range, raise_first_nonfinite, run_blocks,
@@ -63,24 +64,6 @@ class CouplingEstimate:
 def default_couple_tol(grid: TimeGrid, field: CoefficientField) -> float:
     """Increment-scale coupling tolerance: sqrt(dt) / (10 sqrt(lam))."""
     return np.sqrt(grid.dt) / np.sqrt(field.lam) / 10.0
-
-
-def reflection_matrix(sigma_z: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Householder reflector across v = sigma_z^-1 xi.
-
-    Orthogonal, symmetric, and maps v to -v; batched over leading axes.
-    """
-    sigma_z = np.asarray(sigma_z, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    norms = np.linalg.norm(xi, axis=-1)
-    if np.any(norms < 1e-300):
-        raise DegenerateDirectionError(
-            "reflection direction undefined for zero separation"
-        )
-    v = np.linalg.solve(sigma_z, xi[..., None])[..., 0]
-    vv = np.sum(v * v, axis=-1)[..., None, None]
-    d = sigma_z.shape[-1]
-    return np.eye(d) - 2.0 * v[..., :, None] * v[..., None, :] / vv
 
 
 def _reflect_increments(v: np.ndarray, dW: np.ndarray) -> np.ndarray:
@@ -147,8 +130,8 @@ def _meets(a, b, denom, u, couple_tol, out=None) -> np.ndarray:
 
     With out, an array of a's shape, the crossing probabilities are written
     into out and |b| into b, so the test allocates no temporary of that
-    shape but the mask.  Every 1D driver meets here, so the operations
-    and their order fix the bytes of every coupling step."""
+    shape but the mask.  Every driver meets here in every dimension, so
+    the operations and their order fix the bytes of every coupling step."""
     p = np.multiply(a, -2.0, out=out)
     np.multiply(p, b, out=p)
     np.divide(p, denom, out=p)
@@ -374,18 +357,17 @@ def simulate_coupled(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStre
     a batch of one through the steps of the block drivers."""
     couple_tol = _resolve_tol(couple_tol, grid, field)
     d, dt, T = field.dim, grid.dt, grid.horizon
-    x, z = as_point(x, d), as_point(z, d)
     per_pair, bridge = _pair_layout(d)
-    u = rng.uniforms(path_range(path_index, path_index + 1), 0, grid.steps,
-                     per_pair)
+    paths, tau_step, X, Z = _start_pairs(field, x, z, path_index, path_index + 1,
+                                         couple_tol)
+    u = rng.uniforms(paths, 0, grid.steps, per_pair)
     dW = to_increments(u[:, :, :d], dt)
     states_x = np.empty((grid.steps + 1, d))
     states_z = np.empty((grid.steps + 1, d))
     wx = np.zeros(grid.steps + 1)
     wz = np.zeros(grid.steps + 1)
-    states_x[0], states_z[0] = x, z
-    tau_index = 0 if float(np.linalg.norm(x - z)) <= couple_tol else None
-    X, Z = x[None, :], z[None, :]
+    states_x[0], states_z[0] = X[0], Z[0]
+    tau_index = 0 if tau_step[0] == 0 else None
     for k in range(grid.steps):
         wx[k + 1] = wx[k] + field.c(T - k * dt, X)[0] * dt
         wz[k + 1] = wz[k] + field.c(T - k * dt, Z)[0] * dt

@@ -28,9 +28,5 @@ class SimulationDivergedError(CoupleMCError):
         super().__init__(message or f"simulation diverged at step {step_index}")
 
 
-class DegenerateDirectionError(CoupleMCError):
-    """Reflection direction requested for an (almost) zero separation vector."""
-
-
 class DiniDivergenceError(CoupleMCError):
     """A modulus of continuity failed the Dini integrability check."""

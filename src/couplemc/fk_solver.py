@@ -1,11 +1,12 @@
 """Feynman-Kac Monte Carlo estimates of u(T, x) and of coupled-pair
-differences u(T, x) - u(T, z), plus the modulus-of-continuity experiment
-over a ladder of separations."""
+differences u(T, x) - u(T, z) over a ladder of start points z, the
+placement of a ladder, and the result table and scaling fits that the
+runs of ``cli`` write."""
 
 from __future__ import annotations
 
 import io
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,10 +33,6 @@ class SolveRequest:
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValidationError("n_paths must be >= 2")
-
-    @property
-    def horizon(self) -> float:
-        return self.grid.horizon
 
 
 def solve_u(req: SolveRequest, rng: RngStream,
@@ -97,29 +94,9 @@ def difference_ladder(req: SolveRequest, zs, rng: RngStream, couple_tol: float,
             return f(X) * np.exp(wx) - f(Z) * np.exp(wz), tau
 
         diffs, tau = run_path_blocks(len(starts), worker, path_offset=path_offset)
-    taus = capped_times(tau, grid.dt, req.horizon)
+    taus = capped_times(tau, grid.dt, grid.horizon)
     return [(*mean_stderr(diffs[i:i + n]), taus[i:i + n])
             for i in range(0, len(starts), n)]
-
-
-@dataclass(frozen=True)
-class ModulusExperimentConfig:
-    """Coupled-difference modulus measurement along a distance ladder."""
-
-    field: CoefficientField
-    terminal: Callable
-    base_point: np.ndarray
-    direction: np.ndarray
-    distances: tuple
-    grid: TimeGrid
-    n_paths: int
-    couple_tol: float | None = None
-
-    def __post_init__(self):
-        dist = np.asarray(self.distances, dtype=float)
-        if not np.isfinite(dist).all() or np.any(dist <= 0) or np.any(np.diff(dist) >= 0):
-            raise ValidationError("distances must be finite, positive and strictly decreasing")
-        placement(self.base_point, self.direction, self.field.dim)
 
 
 def placement(base_point, direction, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,13 +116,11 @@ def placement(base_point, direction, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ResultTable:
-    """A small column-oriented table with run metadata; CSV floats are
-    written with shortest round-trip formatting so reruns are comparable
-    byte for byte."""
+    """A small column-oriented table; CSV floats are written with shortest
+    round-trip formatting so reruns are comparable byte for byte."""
 
     columns: list
     rows: list
-    metadata: dict = dc_field(default_factory=dict)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -177,31 +152,6 @@ def expected_regime(field: CoefficientField) -> str:
     """Expected continuity regime implied by the declared modulus of a."""
     label, _ = classify_dini(field.modulus)
     return "lipschitz" if label == "Dini" else "holder"
-
-
-def modulus_experiment(cfg: ModulusExperimentConfig, rng: RngStream) -> ResultTable:
-    """Measure |u(T, x) - u(T, x + r e)| over the distance ladder with the
-    coupled-pair estimator and fit the scaling exponent."""
-    x, e = placement(cfg.base_point, cfg.direction, cfg.field.dim)
-    tol = _resolve_tol(cfg.couple_tol, cfg.grid, cfg.field)
-    req = SolveRequest(field=cfg.field, terminal=cfg.terminal, eval_point=x,
-                       n_paths=cfg.n_paths, grid=cfg.grid)
-    # disjoint path blocks per distance keep the rows independent
-    rungs = difference_ladder(req, [x + r * e for r in cfg.distances], rng, tol)
-    rows = []
-    for r, (mean, se, taus) in zip(cfg.distances, rungs):
-        tau_mean, tau_se = mean_stderr(taus)
-        rows.append((float(r), abs(mean), se, tau_mean, tau_se,
-                     cfg.n_paths, cfg.grid.dt, tol))
-    table = ResultTable(
-        columns=["distance", "delta_u", "stderr_u", "tau_mean", "stderr_tau",
-                 "n_paths", "dt", "couple_tol"],
-        rows=rows,
-    )
-    fits = fit_result_table(table)
-    fits["regime_expected"] = expected_regime(cfg.field)
-    table.metadata.update(fits)
-    return table
 
 
 # value column of a ladder table -> (fit key prefix, log-corrected fit too)

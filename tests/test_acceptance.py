@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from couplemc import (LyapunovParams, ModulusExperimentConfig,
-                      ModulusOfContinuity, RngStream, SolveRequest, TimeGrid,
-                      bm_coupling_expectation, coupling_time_expectation,
-                      fit_power_law, heat_kernel, lyapunov_f,
-                      reflection_matrix, running_max_bounds, sgn_drift_density,
+from couplemc import (ExperimentConfig, LyapunovParams, ModulusOfContinuity,
+                      RngStream, SolveRequest, TimeGrid, bm_coupling_expectation,
+                      coupling_time_expectation, fit_power_law, heat_kernel,
+                      lyapunov_f, running_max_bounds, sgn_drift_density,
                       sgn_drift_solution, solve_u, sqrt_spd)
-from couplemc.cli import run_experiment
+from couplemc.cli import _run_modulus, run_experiment
 from couplemc.config import load_config
-from couplemc.fk_solver import modulus_experiment
+from couplemc.coupling import _reflect_increments
 from couplemc.oracles import RunningMaxQuery
 from couplemc.sde_engine import simulate_brownian_running_max
 from couplemc.registry import (make_constant_field, make_gaussian_bump,
@@ -63,11 +62,13 @@ def test_criterion_02_reflector():
         M = rng.standard_normal((n, d, d))
         sig = M @ np.swapaxes(M, -1, -2) + 0.5 * np.eye(d)
         xi = rng.standard_normal((n, d))
-        H = reflection_matrix(sig, xi)
+        # the reflector pair_step applies across v = sigma^-1 xi: column j
+        # of H is the reflection of e_j
+        v = np.linalg.solve(sig, xi[..., None])[..., 0]
+        H = np.swapaxes(_reflect_increments(v[:, None, :], np.eye(d)), -1, -2)
         gram = np.einsum("nji,njk->nik", H, H) - np.eye(d)
         worst_orth = max(worst_orth,
                          float(np.linalg.norm(gram, axis=(1, 2)).max()))
-        v = np.linalg.solve(sig, xi[..., None])[..., 0]
         num = np.linalg.norm(np.einsum("nij,nj->ni", H, v) + v, axis=1)
         worst_refl = max(worst_refl,
                          float((num / np.linalg.norm(v, axis=1)).max()))
@@ -220,12 +221,13 @@ def test_criterion_08_solution_modulus():
     distances = (0.2, 0.1, 0.05, 0.025, 0.0125)
     n = 40_000
     grid = TimeGrid(1.0, 1000)  # dt = 1e-3
-    cfg = ModulusExperimentConfig(
-        field=field, terminal=term,
-        base_point=np.array([1.0]), direction=np.array([1.0]),
-        distances=distances, grid=grid, n_paths=n)
-    table = modulus_experiment(cfg, RngStream(11))
-    slope = table.metadata["delta_u_power_fit"]["slope"]
+    cfg = ExperimentConfig(
+        kind="modulus", seed=11, field_name="sin", field_params={"dim": 1, "amp": 0.5},
+        terminal_name="gaussian-bump", terminal_params={"center": 0.0, "width": 1.0},
+        base_point=(1.0,), direction=(1.0,), ladder=distances,
+        horizon=grid.horizon, steps=grid.steps, n_paths=n)
+    table, fits = _run_modulus(cfg)
+    slope = fits["delta_u_power_fit"]["slope"]
     se_coupled = table.column("stderr_u")
 
     # independent-difference baseline: disjoint fresh paths at each endpoint

@@ -240,18 +240,26 @@ def test_oracle_subcommand_requires_oracle_kind(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
-def test_report_emits_fits(tmp_path, capsys):
-    cfg = _cfg(tmp_path, COUPLE)
-    d = tmp_path / "rep"
-    assert main(["run", cfg, "--run-dir", str(d)]) == EXIT_OK
+def _report(tmp_path, capsys, kind, text):
+    """(fits printed by report, summary.json) of a run of the config text."""
+    d = tmp_path / kind
+    assert main(["run", _cfg(tmp_path, text, f"{kind}.cfg"), "--run-dir", str(d)]) == EXIT_OK
     capsys.readouterr()
     assert main(["report", str(d)]) == EXIT_OK
-    fits = json.loads(capsys.readouterr().out)
+    return json.loads(capsys.readouterr().out), json.loads((d / "summary.json").read_text())
+
+
+def test_report_emits_fits(tmp_path, capsys):
+    fits, summary = _report(tmp_path, capsys, "couple", COUPLE)
     assert "tau_power_fit" in fits
     assert 0.5 < fits["tau_power_fit"]["slope"] < 1.5
     # run and report share one fit path
-    summary = json.loads((d / "summary.json").read_text())
     assert fits == {"tau_power_fit": summary["tau_power_fit"]}
+    # a modulus summary also holds the expected regime, which is no fit
+    fits, summary = _report(tmp_path, capsys, "modulus", MODULUS)
+    keys = [f"{v}_{fit}_fit" for v in ("delta_u", "tau") for fit in ("power", "log_corrected")]
+    assert summary.pop("regime_expected") == "lipschitz"
+    assert fits == {k: summary[k] for k in keys}
 
 
 COUPLE_2D = COUPLE.replace("field.dim = 1", "field.dim = 2").replace(

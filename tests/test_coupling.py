@@ -12,16 +12,22 @@ from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
                       RngStream, TimeGrid, ZERO_MODULUS, bm_coupling_expectation,
                       bm_coupling_survival, coupling, coupling_time_expectation,
                       coupling_times, default_couple_tol, lyapunov_f,
-                      reflection_matrix, sde_engine, SolveRequest,
-                      simulate_coupled, simulate_path, solve_difference_coupled,
-                      solve_u)
-from couplemc.coupling import (coupling_time_ladder, simulate_coupled_block,
-                              simulate_coupled_terminal)
-from couplemc.errors import (DegenerateDirectionError, DiniDivergenceError,
-                             SimulationDivergedError, ValidationError)
+                      sde_engine, SolveRequest, simulate_coupled, simulate_path,
+                      solve_difference_coupled, solve_u)
+from couplemc.coupling import (_reflect_increments, coupling_time_ladder, pair_step,
+                              simulate_coupled_block, simulate_coupled_terminal)
+from couplemc.errors import DiniDivergenceError, SimulationDivergedError, ValidationError
 from couplemc.registry import (build_field, make_constant_field,
                                make_constant_terminal, make_sin_field)
 from couplemc.sde_engine import simulate_terminal
+
+
+def reflector(sig, xi):
+    """The matrix H that ``_reflect_increments`` applies across v =
+    sig^-1 xi, batched over leading axes: column j is the reflection of
+    e_j."""
+    v = np.linalg.solve(sig, xi[..., None])[..., 0]
+    return np.swapaxes(_reflect_increments(v[..., None, :], np.eye(xi.shape[-1])), -1, -2)
 
 
 class TestReflector:
@@ -31,7 +37,7 @@ class TestReflector:
             M = rng.standard_normal((d, d))
             sig = M @ M.T + 0.5 * np.eye(d)
             xi = rng.standard_normal(d)
-            H = reflection_matrix(sig, xi)
+            H = reflector(sig, xi)
             assert np.allclose(H @ H.T, np.eye(d), atol=1e-12)
             assert np.allclose(H, H.T, atol=1e-12)
             v = np.linalg.solve(sig, xi)
@@ -48,7 +54,7 @@ class TestReflector:
         xi = data.draw(arrays(float, d, elements=entries))
         assume(np.linalg.norm(xi) > 1e-3)
         sig = M @ M.T + eps * np.eye(d)
-        H = reflection_matrix(sig, xi)
+        H = reflector(sig, xi)
         assert np.allclose(H @ H.T, np.eye(d), atol=1e-12)
         assert np.allclose(H, H.T, atol=1e-12)
         v = np.linalg.solve(sig, xi)
@@ -58,13 +64,36 @@ class TestReflector:
         rng = np.random.default_rng(1)
         sig = np.tile(np.eye(2), (4, 1, 1))
         xi = rng.standard_normal((4, 2))
-        H = reflection_matrix(sig, xi)
+        H = reflector(sig, xi)
         assert H.shape == (4, 2, 2)
         assert np.allclose(np.einsum("nij,nkj->nik", H, H), np.eye(2), atol=1e-12)
 
-    def test_degenerate_direction(self):
-        with pytest.raises(DegenerateDirectionError):
-            reflection_matrix(np.eye(2), np.zeros(2))
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_step_applies_the_checked_reflection(dim):
+    # with b = 0, Z moves by sigma(Z) H dW, H the reflector across
+    # v = sigma(Z)^-1 (X - Z) that TestReflector checks; sigma depends on
+    # x, so a reflection across X - Z or sigma(X)^-1 (X - Z) differs
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((dim, dim))
+    S = (B + B.T) / np.linalg.norm(B + B.T, 2)
+
+    def sigma(t, x):
+        return np.eye(dim) + 0.4 * np.sin(2.0 * x[:, 0])[:, None, None] * S
+
+    f = CoefficientField(
+        dim=dim, a=lambda t, x: sigma(t, x) @ sigma(t, x), b=lambda t, x: np.zeros_like(x),
+        c=lambda t, x: np.zeros(len(x)), lam=3.0, b_sup=0.0, c_sup=0.0, sigma=sigma)
+    grid = TimeGrid(1.0, 100)
+    n = 64
+    X = rng.uniform(-2.0, 2.0, (n, dim))
+    Z = X + rng.uniform(0.5, 1.0, (n, dim)) * rng.choice([-1.0, 1.0], (n, dim))
+    dW = rng.standard_normal((n, dim)) * np.sqrt(grid.dt)
+    _, Z_next, _ = pair_step(f, grid, 3, X, Z, dW, np.ones(n), 0.0)
+    sz = sigma(0.0, Z)
+    want = np.einsum("nij,njk,nk->ni", sz, reflector(sz, X - Z), dW)
+    err = np.linalg.norm(Z_next - Z - want, axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1))
 
 
 @pytest.fixture

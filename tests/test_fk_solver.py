@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from couplemc import (ModulusExperimentConfig, ResultTable, RngStream,
-                      SolveRequest, TimeGrid, coupling, expected_regime, fk_solver,
-                      fit_result_table, mean_stderr, modulus_experiment,
-                      sde_engine, solve_difference_coupled, solve_u)
+from couplemc import (ExperimentConfig, ResultTable, RngStream, SolveRequest,
+                      TimeGrid, coupling, expected_regime, fk_solver,
+                      fit_result_table, mean_stderr, sde_engine,
+                      solve_difference_coupled, solve_u, validate_config)
+from couplemc.cli import _run_modulus
 from couplemc.coefficients import ModulusOfContinuity
 from couplemc.coupling import simulate_coupled_terminal
 from couplemc.errors import ValidationError
@@ -15,6 +16,17 @@ from couplemc.registry import (build_field, make_constant_field, make_constant_t
                                make_gaussian_bump, make_log_modulus_field,
                                make_power_modulus_field, make_sin_field)
 from couplemc.sde_engine import simulate_terminal
+
+
+def _modulus_config(seed, field_name, field_params, base_point, ladder, horizon, steps,
+                    n_paths, couple_tol=None):
+    """A 1D modulus run along e_1 with the Gaussian bump terminal at 0 of
+    width 1."""
+    return ExperimentConfig(
+        kind="modulus", seed=seed, field_name=field_name, field_params=field_params,
+        terminal_name="gaussian-bump", terminal_params={"center": 0.0, "width": 1.0},
+        base_point=(base_point,), direction=(1.0,), ladder=ladder, horizon=horizon,
+        steps=steps, n_paths=n_paths, couple_tol=couple_tol)
 
 
 def _request(field, terminal, n_paths=64, steps=64, point=None):
@@ -219,24 +231,21 @@ class TestRegimes:
         assert expected_regime(make_log_modulus_field(alpha=2.0)) == "lipschitz"
         assert expected_regime(make_log_modulus_field(alpha=0.5)) == "holder"
 
+    # a modulus config but its ladder, for the ladder rule of validate_config
+    _RAW = {"kind": "modulus", "seed": 0, "field.name": "sin", "field.dim": 1,
+            "terminal.name": "gaussian-bump", "terminal.width": 1.0, "base_point": 0.0,
+            "direction": 1.0, "grid.horizon": 1.0, "grid.steps": 10, "n_paths": 100}
+
     def test_config_validation(self):
-        f = make_sin_field(dim=1)
-        term = make_gaussian_bump(0.0, 1.0)
-        kw = dict(field=f, terminal=term,
-                  base_point=np.array([0.0]), direction=np.array([1.0]),
-                  grid=TimeGrid(1.0, 10), n_paths=100)
         with pytest.raises(ValidationError):
-            ModulusExperimentConfig(distances=(0.1, 0.2), **kw)
-        ModulusExperimentConfig(distances=(0.2, 0.1), **kw)
+            validate_config({**self._RAW, "ladder": [0.1, 0.2]})
+        validate_config({**self._RAW, "ladder": [0.2, 0.1]})
 
     @pytest.mark.parametrize("distances", [(np.nan,), (np.inf, 0.1), (0.2, np.nan)],
                              ids=["nan", "inf-first", "nan-last"])
     def test_distances_must_be_finite(self, distances):
-        kw = dict(field=make_sin_field(dim=1), terminal=make_gaussian_bump(0.0, 1.0),
-                  base_point=np.array([0.0]), direction=np.array([1.0]),
-                  grid=TimeGrid(1.0, 10), n_paths=100)
-        with pytest.raises(ValidationError, match="distances"):
-            ModulusExperimentConfig(distances=distances, **kw)
+        with pytest.raises(ValidationError, match="ladder"):
+            validate_config({**self._RAW, "ladder": list(distances)})
 
     @pytest.mark.parametrize("key,value", [
         ("base_point", [np.nan]), ("base_point", [np.inf]),
@@ -248,13 +257,11 @@ class TestRegimes:
              "short-point", "long-point"])
     def test_placement_validation(self, key, value):
         # a point or direction that does not fit the 2D field is rejected
-        # when the config is built, not broadcast or reported as diverged
-        kw = dict(field=make_sin_field(dim=2), terminal=make_gaussian_bump(0.0, 1.0),
-                  base_point=np.zeros(2), direction=np.array([1.0, 0.0]),
-                  distances=(0.2, 0.1), grid=TimeGrid(1.0, 10), n_paths=10)
+        # before any draw, not broadcast or reported as diverged
+        kw = dict(base_point=np.zeros(2), direction=np.array([1.0, 0.0]))
         kw[key] = np.array(value)
         with pytest.raises(ValidationError, match=key):
-            ModulusExperimentConfig(**kw)
+            fk_solver.placement(kw["base_point"], kw["direction"], 2)
 
 
 def test_placement_returns_the_point_and_unit_direction():
@@ -264,18 +271,15 @@ def test_placement_returns_the_point_and_unit_direction():
 
 class TestModulusExperiment:
     def test_table_schema_and_fits(self):
-        f = make_sin_field(dim=1, amp=0.4)
-        cfg = ModulusExperimentConfig(
-            field=f, terminal=make_gaussian_bump(0.0, 1.0),
-            base_point=np.array([1.0]), direction=np.array([1.0]),
-            distances=(0.4, 0.2, 0.1), grid=TimeGrid(0.5, 100), n_paths=3000)
-        table = modulus_experiment(cfg, RngStream(6))
+        cfg = _modulus_config(6, "sin", {"dim": 1, "amp": 0.4}, 1.0, (0.4, 0.2, 0.1),
+                              0.5, 100, 3000)
+        table, fits = _run_modulus(cfg)
         assert table.columns == ["distance", "delta_u", "stderr_u", "tau_mean",
                                  "stderr_tau", "n_paths", "dt", "couple_tol"]
         assert len(table.rows) == 3
-        assert table.metadata["regime_expected"] == "lipschitz"
-        assert "delta_u_power_fit" in table.metadata
-        assert "tau_power_fit" in table.metadata
+        assert fits["regime_expected"] == "lipschitz"
+        assert "delta_u_power_fit" in fits
+        assert "tau_power_fit" in fits
 
     @pytest.mark.parametrize("tol", [-1.0, np.inf, np.nan])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
@@ -284,13 +288,11 @@ class TestModulusExperiment:
         f = make_sin_field(dim=1, amp=0.4)
         term = make_gaussian_bump(0.0, 1.0)
         grid = TimeGrid(0.5, 10)
-        cfg = ModulusExperimentConfig(
-            field=f, terminal=term, base_point=np.array([0.0]),
-            direction=np.array([1.0]), distances=(0.2, 0.1), grid=grid,
-            n_paths=10, couple_tol=tol)
+        cfg = _modulus_config(0, "sin", {"dim": 1, "amp": 0.4}, 0.0, (0.2, 0.1), 0.5, 10,
+                              10, couple_tol=tol)
         req = _request(f, term, n_paths=10, steps=10)
         runs = {
-            "modulus": lambda: modulus_experiment(cfg, RngStream(0)),
+            "modulus": lambda: _run_modulus(cfg),
             "difference": lambda: solve_difference_coupled(
                 req, [0.1], RngStream(0), couple_tol=tol),
             "tau": lambda: coupling.coupling_times(
@@ -319,9 +321,7 @@ def test_modulus_for_rough_field():
     rho = ModulusOfContinuity("power", scale=0.5, alpha=0.5)
     f = make_power_modulus_field(height=0.5, alpha=0.5)
     assert f.modulus.alpha == rho.alpha
-    cfg = ModulusExperimentConfig(
-        field=f, terminal=make_gaussian_bump(0.0, 1.0),
-        base_point=np.array([0.5]), direction=np.array([1.0]),
-        distances=(0.4, 0.2, 0.1), grid=TimeGrid(0.5, 80), n_paths=1500)
-    table = modulus_experiment(cfg, RngStream(7))
+    cfg = _modulus_config(7, "power-modulus", {"height": 0.5, "alpha": 0.5}, 0.5,
+                          (0.4, 0.2, 0.1), 0.5, 80, 1500)
+    table, _ = _run_modulus(cfg)
     assert all(row[1] >= 0.0 for row in table.rows)

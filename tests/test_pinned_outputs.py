@@ -9,6 +9,7 @@ library may round sin, exp or ndtri differently.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -219,9 +220,24 @@ SHIPPED = {
 }
 
 
+# sha256 of the same runs' summary.json without wall_time_s, as canonical
+# JSON (sorted keys), the form tools/run_configs.py prints
+SHIPPED_SUMMARY = {
+    "couple_bm": "39a3545b78d4d6a0e79b2c9e3ce9168b5d0bdaed87fce86922eed1b5f8937e23",
+    "modulus_smooth": "f02e8d4d6782bf1505899a1afbc7644f96f9fff924e8d8214e0b20d79ea31e69",
+    "oracle_sgn": "19ff2551f164608af9ca7add1e17632d842087908906d79630b56a9617fe4138",
+    "solve_gaussian": "5109372e37ffdee87dbdc311e149506e0de5b1d5c3ddcc3b8979907aa3b69373",
+    "validate_sin": "ab0acfa9a696ab3e55e219af80c355ecb3182bae362eb8b6b89f53b3432bcb45",
+}
+
+
 @pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_shipped_config_results(name, tmp_path):
     run_dir = run_experiment(load_config(CONFIGS / f"{name}.cfg"), tmp_path,
                              run_dir=tmp_path / "run")
     digest = hashlib.sha256((Path(run_dir) / "results.csv").read_bytes())
     assert digest.hexdigest() == SHIPPED[name]
+    summary = json.loads((Path(run_dir) / "summary.json").read_text())
+    del summary["wall_time_s"]
+    digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode())
+    assert digest.hexdigest() == SHIPPED_SUMMARY[name]
