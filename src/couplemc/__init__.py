@@ -16,12 +16,12 @@ from .coefficients import (CoefficientField, ModulusOfContinuity,
                            default_sample_points, sqrt_spd, validate_field)
 from .config import ExperimentConfig, load_config, parse_config_text, validate_config
 from .coupling import (CoupledPath, CouplingEstimate, LyapunovParams,
-                       coupling_time_expectation, coupling_times,
+                       coupling_time_ladder, coupling_times,
                        default_couple_tol, lyapunov_f, simulate_coupled)
 from .errors import (ConfigError, CoupleMCError, DiniDivergenceError,
                      EllipticityError, SimulationDivergedError, ValidationError)
-from .fk_solver import (ResultTable, SolveRequest, expected_regime,
-                        fit_result_table, solve_difference_coupled, solve_u)
+from .fk_solver import (ResultTable, SolveRequest, difference_ladder, expected_regime,
+                        fit_result_table, solve_u)
 from .oracles import (RunningMaxBounds, RunningMaxQuery,
                       bm_coupling_expectation, bm_coupling_survival, heat_kernel,
                       running_max_bounds, sgn_drift_density,

@@ -47,29 +47,33 @@ def _run_validate(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 
 
 def _setup(cfg: ExperimentConfig) -> tuple:
-    """(field, terminal, grid, (x, e)) of a couple, solve or modulus config,
+    """(field, terminal, grid, x, zs) of a couple, solve or modulus config,
     checked as ``validate`` checks them before any draw: the base point x
     and the unit direction e by ``fk_solver.placement`` (the origin and e_1
-    by default), the terminal (None unless the kind reads one) by one
-    evaluation at the origin."""
+    by default), the ladder points zs = x + r e as finite, the terminal
+    (None unless the kind reads one) by one evaluation at the origin."""
     field = build_field(cfg.field_name, cfg.field_params)
     d = field.dim
-    where = placement(np.zeros(d) if cfg.base_point is None else cfg.base_point,
-                      np.eye(d)[0] if cfg.direction is None else cfg.direction, d)
+    x, e = placement(np.zeros(d) if cfg.base_point is None else cfg.base_point,
+                     np.eye(d)[0] if cfg.direction is None else cfg.direction, d)
+    with np.errstate(over="ignore"):
+        zs = [x + r * e for r in cfg.ladder]
+    if not np.isfinite(zs).all():
+        raise ValidationError("every ladder point base_point + r e must be finite")
     terminal = None
     if cfg.terminal_name is not None:
         terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
         terminal(np.zeros(d))
-    return field, terminal, TimeGrid(horizon=cfg.horizon, steps=cfg.steps), where
+    return field, terminal, TimeGrid(horizon=cfg.horizon, steps=cfg.steps), x, zs
 
 
 def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    field, _, grid, (x, e) = _setup(cfg)
+    field, _, grid, x, zs = _setup(cfg)
     t = cfg.eval_horizon if cfg.eval_horizon is not None else cfg.horizon
     tol = _resolve_tol(cfg.couple_tol, grid, field)
     # disjoint path blocks per distance keep the rows independent
-    ests = coupling_time_ladder(field, x, [x + r * e for r in cfg.ladder], t, grid,
-                                cfg.n_paths, RngStream(cfg.seed), couple_tol=tol)
+    ests = coupling_time_ladder(field, x, zs, t, grid, cfg.n_paths, RngStream(cfg.seed),
+                                couple_tol=tol)
     rows = [(r, t, cfg.n_paths, est.mean, est.stderr, est.fraction_coupled, tol)
             for r, est in zip(cfg.ladder, ests)]
     table = ResultTable(
@@ -80,7 +84,7 @@ def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 
 
 def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    field, terminal, grid, (x, _) = _setup(cfg)
+    field, terminal, grid, x, _ = _setup(cfg)
     req = SolveRequest(field=field, terminal=terminal, eval_point=x,
                        n_paths=cfg.n_paths, grid=grid)
     est, se = solve_u(req, RngStream(cfg.seed))
@@ -91,12 +95,12 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 
 
 def _run_modulus(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    field, terminal, grid, (x, e) = _setup(cfg)
+    field, terminal, grid, x, zs = _setup(cfg)
     tol = _resolve_tol(cfg.couple_tol, grid, field)
     req = SolveRequest(field=field, terminal=terminal, eval_point=x,
                        n_paths=cfg.n_paths, grid=grid)
     # disjoint path blocks per distance keep the rows independent
-    rungs = difference_ladder(req, [x + r * e for r in cfg.ladder], RngStream(cfg.seed), tol)
+    rungs = difference_ladder(req, zs, RngStream(cfg.seed), tol)
     rows = [(r, abs(mean), se, *mean_stderr(taus), cfg.n_paths, grid.dt, tol)
             for r, (mean, se, taus) in zip(cfg.ladder, rungs)]
     table = ResultTable(

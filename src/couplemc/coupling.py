@@ -5,8 +5,8 @@ across sigma(Z)^-1 (X - Z) until the pair meets, then fused with X.  Each
 mechanism is described where it is implemented: the start of the pairs
 in ``_start_pairs``, the pair step in ``pair_step``, the meeting test in
 ``_meets``, the draws of a pair in ``_pair_layout``, the 1D
-constant-sigma scan in ``_scan_tile`` and a distance ladder in
-``coupling_time_ladder``.  Three drivers start and run the pairs:
+constant-sigma scan in ``_scan_tile`` and the estimate of E[t ^ tau] over
+a ladder of start points in ``coupling_time_ladder``.  Three drivers:
 ``simulate_coupled_block`` steps pairs only until they meet,
 ``simulate_coupled_terminal`` carries them to the horizon with the
 c-integrals of both legs, and the recorder ``simulate_coupled`` stores
@@ -409,29 +409,19 @@ def capped_times(tau_step: np.ndarray, dt: float, t: float) -> np.ndarray:
     return np.where(tau_step >= 0, np.minimum(tau_step * dt, t), t)
 
 
-def coupling_time_expectation(field: CoefficientField, x, z, t: float,
-                              grid: TimeGrid, n_paths: int, rng: RngStream,
-                              couple_tol: float | None = None,
-                              path_offset: int = 0) -> CouplingEstimate:
-    """Monte Carlo estimate of E[t ^ tau] with its standard error and the
-    fraction of pairs coupled by t: the one-rung ladder of
-    ``coupling_time_ladder``."""
-    return coupling_time_ladder(field, x, [z], t, grid, n_paths, rng,
-                                couple_tol=couple_tol, path_offset=path_offset)[0]
-
-
 def coupling_time_ladder(field: CoefficientField, x, zs, t: float,
                          grid: TimeGrid, n_paths: int, rng: RngStream,
                          couple_tol: float | None = None,
                          path_offset: int = 0) -> list[CouplingEstimate]:
-    """The estimate of ``coupling_time_expectation`` for each start point z
-    of zs, rung i on the pairs [path_offset + i n_paths, path_offset +
-    (i + 1) n_paths).  One survivor loop steps every rung
-    (``ladder_starts``).  Every per-pair operation is element by element
-    and each rung's estimate is taken on its own pairs, so a rung has the
-    bytes of a one-rung call with that path offset; a divergence names the
-    earliest diverging step of any rung.  The pairs are stepped to the last
-    node at or before t, so a t off the grid counts no meeting after t."""
+    """E[t ^ tau], its standard error and the fraction of pairs coupled by
+    t for each start point z of zs, rung i on the pairs [path_offset + i n,
+    path_offset + (i + 1) n), n = n_paths.  One survivor loop steps every
+    rung (``ladder_starts``).  Every per-pair operation is element by
+    element and each rung's estimate is taken on its own pairs, so a rung
+    has the bytes of a one-rung ladder at path_offset + i n; a divergence
+    names the earliest diverging step of any rung.  The pairs are stepped to
+    the last node at or before t, so a t off the grid counts no meeting
+    after t."""
     if n_paths < 2:
         raise ValidationError("need at least 2 paths")
     if not 0.0 < t <= grid.horizon + 1e-12:

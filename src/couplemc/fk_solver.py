@@ -49,21 +49,13 @@ def solve_u(req: SolveRequest, rng: RngStream,
     return mean_stderr(vals)
 
 
-def solve_difference_coupled(req: SolveRequest, z, rng: RngStream,
-                             couple_tol: float | None = None,
-                             path_offset: int = 0):
-    """Paired estimate of u(T, x) - u(T, z) over reflection-coupled pairs;
-    returns (mean, stderr, taus), taus the per-path coupling times capped
-    at the horizon: the one-rung ladder of ``difference_ladder``."""
-    couple_tol = _resolve_tol(couple_tol, req.grid, req.field)
-    return difference_ladder(req, [z], rng, couple_tol, path_offset)[0]
-
-
-def difference_ladder(req: SolveRequest, zs, rng: RngStream, couple_tol: float,
-                      path_offset: int = 0) -> list:
-    """(mean, stderr, taus) of ``solve_difference_coupled`` for each start
-    point z of zs, rung i on the pairs [path_offset + i n, path_offset +
-    (i + 1) n), n = req.n_paths, run as one batch as in
+def difference_ladder(req: SolveRequest, zs, rng: RngStream,
+                      couple_tol: float | None = None, path_offset: int = 0) -> list:
+    """Paired estimates (mean, stderr, taus) of u(T, x) - u(T, z) over
+    reflection-coupled pairs for each start point z of zs, taus the
+    per-path coupling times capped at the horizon; rung i runs on the pairs
+    [path_offset + i n, path_offset + (i + 1) n), n = req.n_paths, in one
+    batch with the bytes of a one-rung ladder at path_offset + i n, as in
     ``coupling.coupling_time_ladder``.  Per-path differences vanish on
     paths that couple before the horizon (up to the pre-coupling c-integral
     discrepancy), so the variance shrinks with |x - z|.
@@ -79,6 +71,7 @@ def difference_ladder(req: SolveRequest, zs, rng: RngStream, couple_tol: float,
     """
     field, x, f, grid = req.field, req.eval_point, req.terminal, req.grid
     n = req.n_paths
+    couple_tol = _resolve_tol(couple_tol, grid, field)
     starts = ladder_starts(field.dim, zs, n)
     if field.c_sup == 0.0:
         tau, rows, X, Z = simulate_coupled_block(field, x, starts, grid, rng, path_offset,
@@ -102,16 +95,17 @@ def difference_ladder(req: SolveRequest, zs, rng: RngStream, couple_tol: float,
 def placement(base_point, direction, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(x, e / |e|) for a ladder from base_point x along direction e in R^d.
     A point or direction of another length, a non-finite point, or a
-    direction whose length is zero or not finite is a ValidationError."""
+    direction that is zero or not finite is a ValidationError."""
     x = as_point(base_point, d, "base_point")
     if not np.isfinite(x).all():
         raise ValidationError("base_point must be finite")
     e = as_point(direction, d, "direction")
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(e)
-    if not 0.0 < norm < np.inf:
-        raise ValidationError("direction must have a nonzero, finite length")
-    return x, e / norm
+    top = np.max(np.abs(e))
+    if not 0.0 < top < np.inf:
+        raise ValidationError("direction must be nonzero and finite")
+    # scaling by a power of two is exact and keeps |e| off overflow and underflow
+    e = np.ldexp(e, -np.frexp(top)[1])
+    return x, e / np.linalg.norm(e)
 
 
 @dataclass

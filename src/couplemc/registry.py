@@ -180,7 +180,6 @@ class TerminalFunction:
     """Terminal datum f, batched over points."""
 
     fn: Callable  # (n, d) -> (n,)
-    name: str = ""
 
     def __call__(self, y):
         return self.fn(np.atleast_2d(np.asarray(y, dtype=float)))
@@ -194,7 +193,7 @@ def make_gaussian_bump(center=0.0, width: float = 1.0) -> TerminalFunction:
         ctr = _as_vector(center, y.shape[1], "terminal center")
         return np.exp(-np.sum((y - ctr) ** 2, axis=1) / (2.0 * width**2))
 
-    return TerminalFunction(fn=fn, name="gaussian-bump")
+    return TerminalFunction(fn=fn)
 
 
 def make_linear(coeffs=1.0) -> TerminalFunction:
@@ -202,14 +201,14 @@ def make_linear(coeffs=1.0) -> TerminalFunction:
         cv = _as_vector(coeffs, y.shape[1], "terminal coeffs")
         return y @ cv
 
-    return TerminalFunction(fn=fn, name="linear")
+    return TerminalFunction(fn=fn)
 
 
 def make_constant_terminal(value: float = 1.0) -> TerminalFunction:
     def fn(y):
         return np.full(len(y), float(value))
 
-    return TerminalFunction(fn=fn, name="constant")
+    return TerminalFunction(fn=fn)
 
 
 TERMINAL_BUILDERS: dict[str, Callable[..., TerminalFunction]] = {

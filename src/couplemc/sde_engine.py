@@ -69,9 +69,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.dt
-
 
 @dataclass
 class SamplePath:

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from couplemc import (ExperimentConfig, LyapunovParams, ModulusOfContinuity,
                       RngStream, SolveRequest, TimeGrid, bm_coupling_expectation,
-                      coupling_time_expectation, fit_power_law, heat_kernel,
+                      coupling_time_ladder, fit_power_law, heat_kernel,
                       lyapunov_f, running_max_bounds, sgn_drift_density,
                       sgn_drift_solution, solve_u, sqrt_spd)
 from couplemc.cli import _run_modulus, run_experiment
@@ -90,8 +90,8 @@ def test_criterion_03_coupling_vs_exact_oracle():
     lines = []
     ok = True
     for i, d0 in enumerate((0.2, 0.1, 0.05)):
-        est = coupling_time_expectation(field, [0.0], [d0], 1.0, grid, n, rng,
-                                        path_offset=i * n)
+        est = coupling_time_ladder(field, [0.0], [[d0]], 1.0, grid, n, rng,
+                                   path_offset=i * n)[0]
         oracle = bm_coupling_expectation(d0, 1.0)
         band = 3.0 * est.stderr + 0.02 * oracle
         diff = abs(est.mean - oracle)
@@ -112,8 +112,8 @@ def test_criterion_04_lipschitz_regime_slope():
     start = time.monotonic()
     pairs = []
     for i, d0 in enumerate((0.2, 0.1, 0.05, 0.025, 0.0125)):
-        est = coupling_time_expectation(field, [0.0], [d0], 1.0, grid, n, rng,
-                                        path_offset=i * n)
+        est = coupling_time_ladder(field, [0.0], [[d0]], 1.0, grid, n, rng,
+                                   path_offset=i * n)[0]
         pairs.append((d0, est.mean))
     fit = fit_power_law(pairs)
     elapsed = time.monotonic() - start

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 import couplemc
-from couplemc import (RngStream, SolveRequest, TimeGrid, coupling_time_expectation,
-                      coupling_times, default_couple_tol, mean_stderr,
-                      solve_difference_coupled)
+from couplemc import (RngStream, SolveRequest, TimeGrid, coupling_time_ladder,
+                      coupling_times, default_couple_tol, difference_ladder, mean_stderr)
 from couplemc.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, _setup, main)
 from couplemc.config import load_config, parse_config_text, validate_config
 from couplemc.registry import build_field, build_terminal, make_constant_field
@@ -323,17 +322,17 @@ def test_ladder_rows_equal_per_distance_runs(name, tmp_path, capsys):
     for i, (r, row) in enumerate(zip(cfg.ladder, rows)):
         if cfg.kind == "couple":
             t = cfg.eval_horizon or cfg.horizon
-            est = coupling_time_expectation(field, x, x + r * e, t, grid, n,
-                                            RngStream(cfg.seed), couple_tol=tol,
-                                            path_offset=i * n)
+            est = coupling_time_ladder(field, x, [x + r * e], t, grid, n,
+                                       RngStream(cfg.seed), couple_tol=tol,
+                                       path_offset=i * n)[0]
             want = [est.mean, est.stderr, est.fraction_coupled]
             got = row[3:6]
         else:
             req = SolveRequest(field=field, eval_point=x, n_paths=n, grid=grid,
                                terminal=build_terminal(cfg.terminal_name,
                                                        cfg.terminal_params))
-            mean, se, taus = solve_difference_coupled(
-                req, x + r * e, RngStream(cfg.seed), couple_tol=tol, path_offset=i * n)
+            mean, se, taus = difference_ladder(
+                req, [x + r * e], RngStream(cfg.seed), couple_tol=tol, path_offset=i * n)[0]
             want = [abs(mean), se, *mean_stderr(taus)]
             got = row[1:5]
         assert got == [repr(float(v)) for v in want], (i, r)
@@ -378,20 +377,27 @@ def test_diverged_exit_code(tmp_path, capsys):
     (COUPLE + "direction = inf\n", "direction"),
     (COUPLE + "base_point = nan\n", "base_point"),
     (SOLVE.replace("base_point = 0.0", "base_point = 0.0, 0.0"), "base_point"),
-    (COUPLE_2D + "direction = 1e308, 1e308\n", "direction"),
+    (COUPLE_2D + "direction = 1e308, 1e308\n", None),
     (MODULUS.replace("field.dim = 1", "field.dim = 2").replace(
         "base_point = 0.1", "base_point = 0.1, 0.0") + "direction = 1e308, 1e308\n",
-     "direction"),
+     None),
+    (COUPLE.replace("ladder = 0.2, 0.1, 0.05", "ladder = 1.7e308, 1e308")
+     + "base_point = 1.7e308\n", "ladder"),
 ], ids=["short-point-2d", "short-direction-2d", "long-direction-2d",
         "zero-direction-1d", "zero-direction-2d", "inf-direction",
         "nan-point", "long-point-solve", "overflowing-direction-2d",
-        "overflowing-direction-modulus"])
+        "overflowing-direction-modulus", "overflowing-ladder"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
     # a point or direction that does not fit field.dim is not broadcast,
-    # and a zero direction is not reported as a divergence
+    # and a zero direction or a ladder point that overflows is not reported
+    # as a divergence; a direction whose length overflows (key None) is
+    # still a direction
     run_dir = ["--run-dir", str(tmp_path / "d")] if command == "run" else []
     rc = main([command, _cfg(tmp_path, text)] + run_dir)
+    if key is None:
+        assert rc == EXIT_OK
+        return
     assert rc == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config-error"
@@ -523,8 +529,8 @@ def test_benchmark_templates_pass_setup(name):
     # every benchmark run fills its template with a seed; a key that the
     # config rules reject would fail all of them
     cfg = validate_config(parse_config_text(BENCHMARK_WORKLOADS[name].format(seed=1000)))
-    field, terminal, grid, _ = _setup(cfg)
-    assert field.dim >= 1 and grid.steps == cfg.steps
+    field, terminal, grid, _, zs = _setup(cfg)
+    assert field.dim >= 1 and grid.steps == cfg.steps and len(zs) == len(cfg.ladder)
     assert (terminal is None) == (cfg.kind == "couple")
 
 

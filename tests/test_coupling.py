@@ -10,10 +10,10 @@ from scipy.special import ndtri
 
 from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
                       RngStream, TimeGrid, ZERO_MODULUS, bm_coupling_expectation,
-                      bm_coupling_survival, coupling, coupling_time_expectation,
-                      coupling_times, default_couple_tol, lyapunov_f,
+                      bm_coupling_survival, coupling, coupling_times,
+                      default_couple_tol, difference_ladder, lyapunov_f,
                       sde_engine, SolveRequest, simulate_coupled, simulate_path,
-                      solve_difference_coupled, solve_u)
+                      solve_u)
 from couplemc.coupling import (_reflect_increments, coupling_time_ladder, pair_step,
                               simulate_coupled_block, simulate_coupled_terminal)
 from couplemc.errors import DiniDivergenceError, SimulationDivergedError, ValidationError
@@ -238,8 +238,8 @@ class TestCoupledPair:
     def test_expectation_near_oracle(self):
         f = make_constant_field(dim=1)
         grid = TimeGrid(1.0, 2000)
-        est = coupling_time_expectation(f, [0.0], [0.1], 1.0, grid, 8000,
-                                        RngStream(9))
+        est = coupling_time_ladder(f, [0.0], [[0.1]], 1.0, grid, 8000,
+                                   RngStream(9))[0]
         oracle = bm_coupling_expectation(0.1, 1.0)
         assert abs(est.mean - oracle) <= 3.0 * est.stderr + 0.02 * oracle
         assert 0.9 < est.fraction_coupled <= 1.0
@@ -254,8 +254,8 @@ class TestCoupledPair:
         e = np.ones(dim) / np.sqrt(dim)
         d0 = 0.2
         x = np.zeros(dim)
-        est = coupling_time_expectation(f, x, x + d0 * e, 1.0, TimeGrid(1.0, 500),
-                                        4000, RngStream(21))
+        est = coupling_time_ladder(f, x, [x + d0 * e], 1.0, TimeGrid(1.0, 500),
+                                   4000, RngStream(21))[0]
         oracle = bm_coupling_expectation(d0 * np.linalg.norm(e / np.sqrt(a)), 1.0)
         assert abs(est.mean - oracle) <= 3.0 * est.stderr + 0.02 * oracle, (
             est.mean, est.stderr, oracle)
@@ -268,8 +268,8 @@ class TestCoupledPair:
         taus = coupling_times(f, [0.0], [0.3], grid, RngStream(3), 4000)
         assert np.sum(taus == 6) > 0
         for t, node in ((0.55, 5), (0.5, 5), (0.6, 6), (0.3, 3), (1.0, 10)):
-            est = coupling_time_expectation(f, [0.0], [0.3], t, grid, 4000,
-                                            RngStream(3))
+            est = coupling_time_ladder(f, [0.0], [[0.3]], t, grid, 4000,
+                                       RngStream(3))[0]
             met = (taus >= 0) & (taus <= node)
             assert est.fraction_coupled == np.mean(met), t
             mean, _ = sde_engine.mean_stderr(np.where(met, taus * grid.dt, t))
@@ -279,9 +279,9 @@ class TestCoupledPair:
         f = make_constant_field(dim=1)
         grid = TimeGrid(1.0, 10)
         with pytest.raises(ValidationError):
-            coupling_time_expectation(f, [0.0], [0.1], 2.0, grid, 100, RngStream(0))
+            coupling_time_ladder(f, [0.0], [[0.1]], 2.0, grid, 100, RngStream(0))
         with pytest.raises(ValidationError):
-            coupling_time_expectation(f, [0.0], [0.1], 1.0, grid, 1, RngStream(0))
+            coupling_time_ladder(f, [0.0], [[0.1]], 1.0, grid, 1, RngStream(0))
         with pytest.raises(ValidationError):
             coupling_times(f, [0.0], [0.1], grid, RngStream(0), 10, couple_tol=-1.0)
 
@@ -325,7 +325,7 @@ class TestCoupledPair:
                            eval_point=np.zeros(dim), n_paths=4, grid=TimeGrid(1.0, 64))
         with pytest.raises(SimulationDivergedError) as exc:
             with np.errstate(over="ignore", invalid="ignore"):
-                solve_difference_coupled(req, 0.1 * eye[0], RngStream(0))
+                difference_ladder(req, [0.1 * eye[0]], RngStream(0))
         assert exc.value.step_index == 2
 
     @pytest.mark.parametrize("dim", [2, 3])

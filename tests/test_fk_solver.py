@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from couplemc import (ExperimentConfig, ResultTable, RngStream, SolveRequest,
                       TimeGrid, coupling, expected_regime, fk_solver,
                       fit_result_table, mean_stderr, sde_engine,
-                      solve_difference_coupled, solve_u, validate_config)
+                      difference_ladder, solve_u, validate_config)
 from couplemc.cli import _run_modulus
 from couplemc.coefficients import ModulusOfContinuity
 from couplemc.coupling import simulate_coupled_terminal
@@ -113,7 +113,7 @@ class TestCoupledDifference:
     def test_identical_points_give_zero(self):
         f = make_sin_field(dim=1, amp=0.3)
         req = _request(f, make_gaussian_bump(0.0, 1.0), n_paths=200, steps=40)
-        mean, se, taus = solve_difference_coupled(req, req.eval_point, RngStream(3))
+        mean, se, taus = difference_ladder(req, [req.eval_point], RngStream(3))[0]
         assert mean == 0.0
         assert se == 0.0
         assert np.all(taus == 0.0)
@@ -122,7 +122,7 @@ class TestCoupledDifference:
         f = make_sin_field(dim=1, amp=0.5)
         term = make_gaussian_bump(0.0, 1.0)
         req = _request(f, term, n_paths=4000, steps=200, point=[1.0])
-        _, se_c, _ = solve_difference_coupled(req, np.array([1.05]), RngStream(4))
+        _, se_c, _ = difference_ladder(req, [np.array([1.05])], RngStream(4))[0]
         _, se_a = solve_u(req, RngStream(5))
         req2 = _request(f, term, n_paths=4000, steps=200, point=[1.05])
         _, se_b = solve_u(req2, RngStream(5), path_offset=4000)
@@ -171,8 +171,8 @@ class TestZeroPotentialDifference:
         req = SolveRequest(field=f, terminal=term, eval_point=x, n_paths=n, grid=grid)
         with mock.patch.object(sde_engine, "_CHUNK_BUDGET",
                                budget or sde_engine._CHUNK_BUDGET):
-            mean, se, taus = solve_difference_coupled(
-                req, z, RngStream(seed), couple_tol=tol, path_offset=offset)
+            mean, se, taus = difference_ladder(
+                req, [z], RngStream(seed), couple_tol=tol, path_offset=offset)[0]
             tau, X, wx, Z, wz = simulate_coupled_terminal(
                 f, x, z, grid, RngStream(seed), offset, offset + n, tol)
         diff = term(X) * np.exp(wx) - term(Z) * np.exp(wz)
@@ -197,7 +197,7 @@ class TestZeroPotentialDifference:
 
         for mod in (sde_engine, coupling):
             monkeypatch.setattr(mod, "euler_update", counted)
-        _, _, taus = solve_difference_coupled(req, np.array([0.05]), RngStream(3))
+        _, _, taus = difference_ladder(req, [np.array([0.05])], RngStream(3))[0]
         unmet_steps = int(np.round(taus / req.grid.dt).sum())
         assert 0 < unmet_steps < 300 * 100
         if c0 == 0.0:
@@ -257,9 +257,14 @@ class TestRegimes:
              "short-point", "long-point"])
     def test_placement_validation(self, key, value):
         # a point or direction that does not fit the 2D field is rejected
-        # before any draw, not broadcast or reported as diverged
+        # before any draw, not broadcast or reported as diverged; a finite
+        # direction whose length overflows is accepted as a direction
         kw = dict(base_point=np.zeros(2), direction=np.array([1.0, 0.0]))
         kw[key] = np.array(value)
+        if value == [1e308, 1e308]:
+            _, e = fk_solver.placement(kw["base_point"], kw["direction"], 2)
+            assert np.allclose(e, np.sqrt(0.5), rtol=0, atol=1e-15)
+            return
         with pytest.raises(ValidationError, match=key):
             fk_solver.placement(kw["base_point"], kw["direction"], 2)
 
@@ -267,6 +272,13 @@ class TestRegimes:
 def test_placement_returns_the_point_and_unit_direction():
     x, e = fk_solver.placement([1.0, 2.0], [3.0, 4.0], 2)
     assert x.tolist() == [1.0, 2.0] and e.tolist() == [0.6, 0.8]
+    # a direction whose length underflows or overflows, though each entry
+    # is finite and some nonzero, still gives |e| = 1
+    for direction, unit in [((3e-162, 4e-162), (0.6, 0.8)), ((1e-200, 0.0), (1.0, 0.0)),
+                            ((1e200, 1e200), (np.sqrt(0.5), np.sqrt(0.5)))]:
+        _, e = fk_solver.placement([0.0, 0.0], direction, 2)
+        assert np.allclose(e, unit, rtol=0, atol=1e-15)
+        assert abs(np.linalg.norm(e) - 1.0) <= 1e-15
 
 
 class TestModulusExperiment:
@@ -293,8 +305,8 @@ class TestModulusExperiment:
         req = _request(f, term, n_paths=10, steps=10)
         runs = {
             "modulus": lambda: _run_modulus(cfg),
-            "difference": lambda: solve_difference_coupled(
-                req, [0.1], RngStream(0), couple_tol=tol),
+            "difference": lambda: difference_ladder(
+                req, [[0.1]], RngStream(0), couple_tol=tol),
             "tau": lambda: coupling.coupling_times(
                 f, [0.0], [0.1], grid, RngStream(0), 10, couple_tol=tol),
             "recorder": lambda: coupling.simulate_coupled(

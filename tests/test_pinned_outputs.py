@@ -20,7 +20,7 @@ from couplemc import (RngStream, TimeGrid, coupling_times, sde_engine,
 from couplemc.cli import run_experiment
 from couplemc.config import load_config
 from couplemc.coupling import simulate_coupled_terminal
-from couplemc.fk_solver import SolveRequest, solve_difference_coupled
+from couplemc.fk_solver import SolveRequest, difference_ladder
 from couplemc.registry import (make_constant_field, make_gaussian_bump,
                                make_log_modulus_field, make_power_modulus_field,
                                make_sin_field)
@@ -108,7 +108,7 @@ def _difference_sin(dim, seed):
                        eval_point=x, n_paths=N, grid=GRID)
     z = x.copy()
     z[0] = 0.1
-    mean, se, taus = solve_difference_coupled(req, z, RngStream(seed))
+    mean, se, taus = difference_ladder(req, [z], RngStream(seed))[0]
     return [np.array([mean, se]), taus]
 
 
