@@ -1,6 +1,6 @@
 """Experiment runner: declarative config in, deterministic CSV/JSON out.
 
-Subcommands: validate, run, oracle, report.  Exit codes: 0 ok, 2 config
+Subcommands: validate, run, report.  Exit codes: 0 ok, 2 config
 error, 3 simulation diverged, 4 I/O error.
 """
 
@@ -209,11 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact output directory (overrides the "
                             "timestamped default)")
 
-    p_oracle = sub.add_parser("oracle", help="emit closed-form oracle tables")
-    p_oracle.add_argument("config")
-    p_oracle.add_argument("--output-root", default=None)
-    p_oracle.add_argument("--run-dir", default=None)
-
     p_report = sub.add_parser("report", help="re-emit fits from a run dir")
     p_report.add_argument("run_dir")
     return parser
@@ -239,8 +234,6 @@ def main(argv=None) -> int:
                 _setup(cfg)
             print(f"config ok: kind={cfg.kind} seed={cfg.seed}")
             return EXIT_OK
-        if args.command == "oracle" and cfg.kind != "oracle":
-            raise ConfigError("the oracle subcommand needs kind = oracle")
         run_dir = run_experiment(cfg, output_root(args.output_root),
                                  run_dir=args.run_dir)
         print(run_dir)

@@ -235,16 +235,13 @@ def default_sample_points(dim: int) -> np.ndarray:
     """Default validation sample set in the box [-2, 2]^dim: a grid of 101
     points along each axis through 0, plus 1000 Halton points."""
     axis = np.linspace(-_BOX_HALF_WIDTH, _BOX_HALF_WIDTH, _GRID_PER_AXIS)
-    if dim == 1:
-        grid = axis[:, None]
-    else:
-        # full tensor grids blow up with dim; take per-axis slices through 0
-        cols = []
-        for j in range(dim):
-            pts = np.zeros((_GRID_PER_AXIS, dim))
-            pts[:, j] = axis
-            cols.append(pts)
-        grid = np.concatenate(cols, axis=0)
+    # full tensor grids blow up with dim; take per-axis slices through 0
+    cols = []
+    for j in range(dim):
+        pts = np.zeros((_GRID_PER_AXIS, dim))
+        pts[:, j] = axis
+        cols.append(pts)
+    grid = np.concatenate(cols, axis=0)
     sob = _halton(_N_RANDOM, dim)
     rand = (2.0 * sob - 1.0) * _BOX_HALF_WIDTH
     return np.concatenate([grid, rand], axis=0)

@@ -159,9 +159,8 @@ def _start_pairs(field, x, z, path_lo, path_hi, couple_tol):
     """The path indices, the coupling steps (0 if a pair's x and z already
     meet, else -1) and the start states X, Z of a block of pairs.  z is
     one start point of every pair or the pairs' own start points (n, d).
-    Each run of equal start points takes the one scalar test
-    norm(x - z) <= couple_tol, so no start decision depends on the batch
-    a pair runs in."""
+    Each pair takes the test norm(x - z) <= couple_tol on its own row, so
+    no start decision depends on the batch a pair runs in."""
     d, n = field.dim, path_hi - path_lo
     x = as_point(x, d)
     if np.ndim(z) < 2:
@@ -171,14 +170,9 @@ def _start_pairs(field, x, z, path_lo, path_hi, couple_tol):
         if Z.shape != (n, d):
             raise ValidationError(f"start points of {n} pairs of this field need "
                                   f"shape {(n, d)}, got {Z.shape}")
-    paths = path_range(path_lo, path_hi)
-    new = np.ones(n, dtype=bool)
-    new[1:] = (Z[1:] != Z[:-1]).any(axis=1)
-    first = np.flatnonzero(new)  # the first pair of each run
-    met = [float(np.linalg.norm(x - Z[i])) <= couple_tol for i in first]
-    tau_step = np.repeat(np.where(met, 0, -1).astype(np.int64),
-                         np.diff(np.append(first, n)))
-    return paths, tau_step, np.tile(x, (n, 1)), Z
+    met = np.linalg.norm(x - Z, axis=1) <= couple_tol
+    tau_step = np.where(met, 0, -1).astype(np.int64)
+    return path_range(path_lo, path_hi), tau_step, np.tile(x, (n, 1)), Z
 
 
 def ladder_starts(d: int, zs, n_paths: int) -> np.ndarray:
@@ -351,6 +345,7 @@ def _resolve_tol(couple_tol: float | None, grid: TimeGrid,
     return couple_tol
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_coupled(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStream,
                      couple_tol: float | None = None, path_index: int = 0) -> CoupledPath:
     """Simulate one coupled pair, recording both trajectories node by node:

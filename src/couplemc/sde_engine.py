@@ -452,6 +452,7 @@ def _scan_terminal(s: float, rng: RngStream, paths: np.ndarray, X: np.ndarray,
     return X
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_path(field: CoefficientField, x0, grid: TimeGrid, rng: RngStream,
                   path_index: int = 0) -> SamplePath:
     """Simulate path ``path_index`` of ``rng``, recording every node: a

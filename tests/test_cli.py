@@ -137,8 +137,8 @@ def test_oracle_zero_drift_matches_heat_kernel(tmp_path, capsys):
     heat = _cfg(tmp_path, "kind = oracle\nseed = 0\noracle.name = heat\n"
                 "oracle.a0 = 1.0\noracle.b0 = 0.0\n" + shared, "heat.cfg")
     d1, d2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["oracle", sgn, "--run-dir", str(d1)]) == EXIT_OK
-    assert main(["oracle", heat, "--run-dir", str(d2)]) == EXIT_OK
+    assert main(["run", sgn, "--run-dir", str(d1)]) == EXIT_OK
+    assert main(["run", heat, "--run-dir", str(d2)]) == EXIT_OK
     a = (d1 / "results.csv").read_text()
     b = (d2 / "results.csv").read_text()
     assert a.splitlines()[0] == "y,density"
@@ -163,7 +163,7 @@ def test_oracle_parameters_are_config_errors(tmp_path, capsys, name, param, key)
     # a word, a list or a fractional count is not read as a number: the
     # table is not written
     text = f"kind = oracle\nseed = 0\noracle.name = {name}\n{param}\n"
-    rc = main(["oracle", _cfg(tmp_path, text), "--run-dir", str(tmp_path / "d")])
+    rc = main(["run", _cfg(tmp_path, text), "--run-dir", str(tmp_path / "d")])
     assert rc == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config-error"
@@ -188,7 +188,7 @@ def test_oracle_reads_every_key_it_accepts(tmp_path, capsys, name):
     text = f"kind = oracle\nseed = 0\noracle.name = {name}\n{ORACLE_KEYS[name]}"
     cfg = _cfg(tmp_path, text)
     assert main(["validate", cfg]) == EXIT_OK
-    assert main(["oracle", cfg, "--run-dir", str(tmp_path / "d")]) == EXIT_OK
+    assert main(["run", cfg, "--run-dir", str(tmp_path / "d")]) == EXIT_OK
 
 
 @pytest.mark.parametrize("name,param,key", [
@@ -198,12 +198,12 @@ def test_oracle_reads_every_key_it_accepts(tmp_path, capsys, name):
     ("running-max", "oracle.x = 0.5", "oracle.x"),
     ("bm-coupling", "oracle.d0 = 0.1", "oracle.d0"),
 ])
-@pytest.mark.parametrize("command", ["validate", "oracle"])
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_oracle_keys_it_does_not_read_are_config_errors(tmp_path, capsys, name, param,
                                                         key, command):
     # a misspelled or foreign key is not ignored: the table is not written
     text = f"kind = oracle\nseed = 0\noracle.name = {name}\n{param}\n"
-    run_dir = ["--run-dir", str(tmp_path / "d")] if command == "oracle" else []
+    run_dir = ["--run-dir", str(tmp_path / "d")] if command == "run" else []
     rc = main([command, _cfg(tmp_path, text)] + run_dir)
     assert rc == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
@@ -219,24 +219,19 @@ def test_oracle_keys_it_does_not_read_are_config_errors(tmp_path, capsys, name, 
     ("running-max", "oracle.c1 = 2\noracle.c2 = 1", "c1 <= c2"),
     ("running-max", "oracle.x_values = -1", "x must be nonnegative"),
 ], ids=["word-t", "zero-y-count", "negative-t", "c1-above-c2", "negative-x"])
-@pytest.mark.parametrize("command", ["validate", "oracle"])
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_oracle_values_it_rejects_stop_validate_too(tmp_path, capsys, name, param,
                                                    key, command):
-    # validate computes the table that oracle writes, so both stop on the
+    # validate computes the table that run writes, so both stop on the
     # same value with the same message
     text = f"kind = oracle\nseed = 0\noracle.name = {name}\n{param}\n"
-    run_dir = ["--run-dir", str(tmp_path / "d")] if command == "oracle" else []
+    run_dir = ["--run-dir", str(tmp_path / "d")] if command == "run" else []
     rc = main([command, _cfg(tmp_path, text)] + run_dir)
     assert rc == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config-error"
     assert key in err["message"]
     assert not (tmp_path / "d").exists()
-
-
-def test_oracle_subcommand_requires_oracle_kind(tmp_path, capsys):
-    rc = main(["oracle", _cfg(tmp_path, SOLVE)])
-    assert rc == EXIT_CONFIG
 
 
 def _report(tmp_path, capsys, kind, text):

@@ -311,6 +311,31 @@ class TestCoupledPair:
             assert exc.value.step_index == 2, name
 
     @pytest.mark.parametrize("dim", [1, 2])
+    def test_divergence_raises_without_a_warning(self, dim):
+        # the field of test_divergence_reports_the_step, with overflow
+        # warnings left as the suite sets them (errors): every driver and
+        # recorder raises the divergence, none warns first
+        eye = np.eye(dim)
+        f = CoefficientField(
+            dim=dim, a=lambda t, x: np.broadcast_to(eye, (len(x), dim, dim)),
+            b=lambda t, x: 1e308 * x, c=lambda t, x: np.zeros(len(x)),
+            lam=1.0, b_sup=np.inf, c_sup=0.0,
+            sigma=lambda t, x: np.broadcast_to(eye, (len(x), dim, dim)))
+        grid = TimeGrid(1.0, 64)
+        x, z = np.zeros(dim), 0.1 * eye[0]
+        drivers = {
+            "tau": lambda: coupling_times(f, x, z, grid, RngStream(0), 4),
+            "terminal": lambda: simulate_coupled_terminal(
+                f, x, z, grid, RngStream(0), 0, 4, default_couple_tol(grid, f)),
+            "recorder": lambda: simulate_coupled(f, x, z, grid, RngStream(0)),
+            "path": lambda: simulate_path(f, z, grid, RngStream(0)),
+        }
+        for name, run in drivers.items():
+            with pytest.raises(SimulationDivergedError) as exc:
+                run()
+            assert exc.value.step_index == 2, name
+
+    @pytest.mark.parametrize("dim", [1, 2])
     def test_difference_divergence_reports_the_step(self, dim):
         # the field of test_divergence_reports_the_step has c = 0, so the
         # coupled difference steps only the unmet pairs; Z overflows on
@@ -709,7 +734,8 @@ class TestCoupledPair:
             assert exc.value.step_index == 31
 
     def test_per_pair_starts(self):
-        # each run of equal start points takes the scalar start test; start
+        # each pair takes the start test on its own row, so a pair's
+        # coupling step is that of a one-pair run at its path index; start
         # points must be one per pair
         f = make_constant_field(dim=2)
         grid = TimeGrid(1.0, 50)
@@ -722,6 +748,21 @@ class TestCoupledPair:
                                                         path_offset=10))
         with pytest.raises(ValidationError, match="shape"):
             coupling_times(f, [0.0, 0.0], starts[:14], grid, RngStream(3), 15)
+        # all-different starts z_p = x + r_p e with r_p on both sides of
+        # the tolerance: a pair starts met exactly where its own norm is
+        # within it
+        r = 0.05 * np.array([0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 0.99, 1.01])
+        for dim in (1, 2):
+            f = make_constant_field(dim=dim)
+            x = np.array([0.3, -0.2][:dim])
+            zs = x + r[:, None] * np.ones(dim) / np.sqrt(dim)
+            taus = coupling_times(f, x, zs, grid, RngStream(3), len(zs), couple_tol=0.05)
+            met = [np.linalg.norm(x - z) <= 0.05 for z in zs]
+            assert any(met) and not all(met)
+            assert np.array_equal(taus == 0, met), dim
+            for p, z in enumerate(zs):
+                assert taus[p] == coupling_times(f, x, z, grid, RngStream(3), 1,
+                                                 couple_tol=0.05, path_offset=p)[0], (dim, p)
 
     def test_scan_draws_many_pairs_in_tiles_of_the_kept_buffer(self):
         # 16 steps of these pairs need more doubles than the budget holds;
