@@ -37,13 +37,13 @@ class ModulusOfContinuity:
     def __post_init__(self):
         if self.kind not in ("zero", "power", "log_power"):
             raise ValidationError(f"unknown modulus kind {self.kind!r}")
-        if self.scale < 0:
+        if not self.scale >= 0:
             raise ValidationError("modulus scale must be >= 0")
         if self.kind == "power":
             if self.alpha is None or not 0.0 < self.alpha <= 1.0:
                 raise ValidationError("power modulus needs alpha in (0, 1]")
         if self.kind == "log_power":
-            if self.alpha is None or self.alpha <= 0.0:
+            if self.alpha is None or not self.alpha > 0.0:
                 raise ValidationError("log_power modulus needs alpha > 0")
 
     def __call__(self, r):
@@ -133,7 +133,7 @@ class CoefficientField:
     a: Callable  # (t, x[n,d]) -> (n, d, d)
     b: Callable  # (t, x[n,d]) -> (n, d)
     c: Callable  # (t, x[n,d]) -> (n,)
-    lam: float   # ellipticity constant: eigenvalues of a in [1/lam, lam]
+    lam: float   # ellipticity constant: eigenvalues of a in [1/lam, lam], lam >= 1
     b_sup: float
     c_sup: float
     modulus: ModulusOfContinuity = field(default=ZERO_MODULUS)
@@ -145,8 +145,8 @@ class CoefficientField:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("dim must be a positive integer")
-        if not 0.0 < self.lam < np.inf:
-            raise ValidationError("ellipticity constant must be finite and positive")
+        if not 1.0 <= self.lam < np.inf:
+            raise ValidationError("ellipticity constant must be finite and >= 1")
         # an unbounded drift may declare b_sup = inf; nan compares false
         if not (self.b_sup >= 0.0 and self.c_sup >= 0.0):
             raise ValidationError("declared bounds must be nonnegative, not nan")

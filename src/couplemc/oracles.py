@@ -23,9 +23,9 @@ def sgn_drift_density(theta: float, t: float, x: float, y) -> np.ndarray | float
     Four-case closed form; the Gaussian tail integrals are evaluated via
     erfc.  Vectorized over y.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValidationError("t must be positive")
-    if theta < 0.0:
+    if not theta >= 0.0:
         raise ValidationError("theta must be nonnegative")
     y = np.asarray(y, dtype=float)
     sq = np.sqrt(2.0 * t)
@@ -62,7 +62,7 @@ def sgn_drift_solution(theta: float, t: float, x: float, f, lo=-12.0, hi=12.0) -
 
 def heat_kernel(a0, b0, t: float, x, y) -> float:
     """Density at y of N(x + t*b0, t*a0): the constant-coefficient kernel."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValidationError("t must be positive")
     a0 = np.atleast_2d(np.asarray(a0, dtype=float))
     d = a0.shape[0]
@@ -86,9 +86,9 @@ class RunningMaxQuery:
     c2: float = 1.0
 
     def __post_init__(self):
-        if self.t <= 0.0:
+        if not self.t > 0.0:
             raise ValidationError("t must be positive")
-        if self.x < 0.0:
+        if not self.x >= 0.0:
             raise ValidationError("x must be nonnegative")
         if not 0.0 < self.c1 <= self.c2:
             raise ValidationError("need 0 < c1 <= c2")
@@ -123,7 +123,7 @@ def bm_coupling_survival(d0: float, t):
     The separation is a martingale with quadratic variation 4s, so tau is
     the first time a Brownian motion of variance 4s travels d0.
     """
-    if d0 <= 0.0 or np.any(np.asarray(t) <= 0.0):
+    if not (d0 > 0.0 and np.all(np.asarray(t) > 0.0)):
         raise ValidationError("need d0 > 0 and t > 0")
     # 2*Phi(u) - 1 = erf(u / sqrt(2))
     return erf(d0 / (2.0 * np.sqrt(t)) / np.sqrt(2.0))
@@ -136,8 +136,8 @@ def bm_coupling_expectation(d0: float, t: float) -> float:
     """
     from scipy.integrate import quad
 
-    if d0 <= 0.0 or t <= 0.0:
-        raise ValidationError("need d0 > 0 and t > 0")
+    if not (d0 > 0.0 and 0.0 < t < np.inf):
+        raise ValidationError("need d0 > 0 and finite t > 0")
     val, _ = quad(lambda s: bm_coupling_survival(d0, s), 0.0, t,
                   epsrel=1e-10, epsabs=0.0, limit=200)
     return val

@@ -3,6 +3,7 @@ from experiment configs."""
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -46,6 +47,11 @@ def _as_vector(v, dim: int, name: str) -> np.ndarray:
     return v
 
 
+def is_finite_real(v) -> bool:
+    """The rule for every number a config supplies: real, not bool, finite."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _dim(dim) -> int:
     """dim as an int >= 1: an integer or an integral float, not a bool."""
     if isinstance(dim, bool) or not (isinstance(dim, numbers.Integral)
@@ -56,8 +62,7 @@ def _dim(dim) -> int:
     return int(dim)
 
 
-def make_constant_field(dim: int = 1, a0=1.0, b0=0.0, c0: float = 0.0,
-                        lam: float | None = None) -> CoefficientField:
+def make_constant_field(dim: int = 1, a0=1.0, b0=0.0, c0: float = 0.0) -> CoefficientField:
     """Constant coefficients: a0 (scalar, diagonal, or full matrix), drift
     b0 and potential c0."""
     dim = _dim(dim)
@@ -66,8 +71,7 @@ def make_constant_field(dim: int = 1, a0=1.0, b0=0.0, c0: float = 0.0,
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
     if w.min() <= 0:
         raise ValidationError("a0 must be positive definite")
-    if lam is None:
-        lam = float(max(w.max(), 1.0 / w.min()))
+    lam = float(max(w.max(), 1.0 / w.min()))
     sig = sqrt_spd(A)
     # declared only when s * I reproduces sig bit for bit
     s = float(sig[0, 0])
@@ -129,7 +133,7 @@ def make_sin_field(dim: int = 1, amp: float = 0.5, c0: float = 0.0) -> Coefficie
 def make_power_modulus_field(dim: int = 1, height: float = 0.5,
                              alpha: float = 0.5) -> CoefficientField:
     """Holder-alpha field a(x) = (1 + height * min(|x_1|, 1)^alpha) * I."""
-    if height <= 0 or not 0.0 < alpha <= 1.0:
+    if not (height > 0 and 0.0 < alpha <= 1.0):
         raise ValidationError("need height > 0 and alpha in (0, 1]")
 
     def s(x):
@@ -143,7 +147,7 @@ def make_log_modulus_field(dim: int = 1, height: float = 0.5,
                            alpha: float = 2.0) -> CoefficientField:
     """Field with the logarithmic modulus min(1, (-log r)^(-alpha)); Dini
     for alpha > 1, merely continuous for alpha <= 1."""
-    if height <= 0 or alpha <= 0:
+    if not (height > 0 and alpha > 0):
         raise ValidationError("need height > 0 and alpha > 0")
     modulus = ModulusOfContinuity("log_power", scale=height, alpha=alpha)
 
@@ -156,8 +160,8 @@ def make_log_modulus_field(dim: int = 1, height: float = 0.5,
 def make_sgn_drift_field(theta: float = 1.0) -> CoefficientField:
     """1D unit diffusion with discontinuous drift -theta*sgn(x); the
     closed-form density oracle exists for this field."""
-    if theta < 0:
-        raise ValidationError("theta must be nonnegative")
+    if not 0 <= theta < np.inf:
+        raise ValidationError("theta must be finite and nonnegative")
 
     def b(t, x):
         return -theta * np.sign(x)
@@ -186,8 +190,8 @@ class TerminalFunction:
 
 
 def make_gaussian_bump(center=0.0, width: float = 1.0) -> TerminalFunction:
-    if width <= 0:
-        raise ValidationError("width must be positive")
+    if not 0 < width < np.inf:
+        raise ValidationError("width must be finite and positive")
 
     def fn(y):
         ctr = _as_vector(center, y.shape[1], "terminal center")
@@ -218,21 +222,22 @@ TERMINAL_BUILDERS: dict[str, Callable[..., TerminalFunction]] = {
 }
 
 
-def _check_numbers(section: str, name: str, params: dict) -> None:
-    """No builder takes a string or a bool: a word or true/false in a
-    parameter, or among its list entries, is a config error naming the
-    config key <section>.<key>."""
+def _check_numbers(section: str, name: str, builder: Callable, params: dict) -> None:
+    """A key the builder does not take, or a value with an entry that is not
+    ``is_finite_real``, is a config error naming the config key."""
     for key, v in params.items():
-        if any(isinstance(e, (str, bool)) for e in (v if isinstance(v, list) else [v])):
+        if key not in inspect.signature(builder).parameters:
+            raise ConfigError(f"{section} {name!r} takes no {key!r} (config key {section}.{key})")
+        if not all(map(is_finite_real, np.asarray(v, dtype=object).ravel())):
             raise ConfigError(f"bad parameters for {section} {name!r}: {section} {key} "
-                              f"must be a number or a list of numbers, got {v!r} "
+                              f"must be a finite number or a list of them, got {v!r} "
                               f"(config key {section}.{key})")
 
 
 def _build(section: str, builders: dict, name: str, params: dict | None):
     if name not in builders:
         raise ConfigError(f"unknown {section} {name!r}; known: {sorted(builders)}")
-    _check_numbers(section, name, params or {})
+    _check_numbers(section, name, builders[name], params or {})
     try:
         return builders[name](**(params or {}))
     except (TypeError, ValueError) as exc:

@@ -218,7 +218,12 @@ def test_oracle_keys_it_does_not_read_are_config_errors(tmp_path, capsys, name, 
     ("sgn", "oracle.t = -1", "t must be positive"),
     ("running-max", "oracle.c1 = 2\noracle.c2 = 1", "c1 <= c2"),
     ("running-max", "oracle.x_values = -1", "x must be nonnegative"),
-], ids=["word-t", "zero-y-count", "negative-t", "c1-above-c2", "negative-x"])
+    ("sgn", "oracle.t = nan", "oracle.t"),
+    ("heat", "oracle.x = inf", "oracle.x"),
+    ("running-max", "oracle.x_values = nan, 1", "oracle.x_values"),
+    ("bm-coupling", "oracle.t = inf", "oracle.t"),
+], ids=["word-t", "zero-y-count", "negative-t", "c1-above-c2", "negative-x",
+        "nan-t-sgn", "inf-x-heat", "nan-x-value", "inf-t-bm-coupling"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_oracle_values_it_rejects_stop_validate_too(tmp_path, capsys, name, param,
                                                    key, command):
@@ -431,6 +436,19 @@ def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
     (SOLVE + "terminal.center = abc\n", "terminal.center"),
     (COUPLE + "oracle.t = 0.5\n", "oracle.t"),
     (COUPLE + "oracle.name = sgn\n", "oracle.name"),
+    # a nan or inf parameter is not a divergence, a nan table or a
+    # sampling failure, and a declared lam is not a parameter
+    (COUPLE + "field.b0 = inf\n", "field.b0"),
+    (COUPLE.replace("field.name = constant\nfield.dim = 1", "field.name = sgn-drift")
+     + "field.theta = inf\n", "field.theta"),
+    (MODULUS.replace("terminal.width = 1.0", "terminal.width = nan"), "terminal.width"),
+    (MODULUS + "terminal.center = nan\n", "terminal.center"),
+    (SOLVE.replace("terminal.name = gaussian-bump\nterminal.width = 1.0",
+                   "terminal.name = constant\nterminal.value = inf"), "terminal.value"),
+    (COUPLE + "field.a0 = inf\n", "field.a0"),
+    (COUPLE.replace("field.name = constant", "field.name = sin") + "field.amp =\n",
+     "field.amp"),
+    (COUPLE + "field.lam = 0.5\n", "field.lam"),
 ], ids=["inf-horizon-solve", "nan-horizon-couple", "nan-tol", "negative-tol",
         "two-workers", "inf-steps", "fractional-steps", "nan-paths", "nan-ladder",
         "inf-ladder", "word-horizon", "word-ladder", "word-point", "word-direction",
@@ -438,7 +456,9 @@ def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
         "word-c0-key", "word-in-a0-list-key", "bool-dim-key", "fractional-dim",
         "word-amp-key",
         "word-width-key", "bool-width-key", "word-center-key", "oracle-key-in-couple",
-        "oracle-name-in-couple"])
+        "oracle-name-in-couple", "inf-b0", "inf-theta", "nan-width-modulus",
+        "nan-center-modulus", "inf-terminal-value", "inf-a0", "empty-amp",
+        "declared-lam"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_scalars_out_of_range_are_config_errors(tmp_path, capsys, text, key, command):
     # a horizon or tolerance that is not finite is neither a divergence nor

@@ -3,11 +3,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
-from couplemc import (RunningMaxQuery, bm_coupling_expectation,
+from couplemc import (ModulusOfContinuity, RunningMaxQuery, bm_coupling_expectation,
                       bm_coupling_survival, heat_kernel,
                       running_max_bounds, sgn_drift_density,
                       sgn_drift_solution)
 from couplemc.errors import ValidationError
+from couplemc.registry import make_gaussian_bump, make_log_modulus_field
 
 
 class TestSgnDriftDensity:
@@ -158,3 +159,22 @@ class TestCouplingSurvival:
             bm_coupling_survival(0.0, 1.0)
         with pytest.raises(ValidationError):
             bm_coupling_survival(0.1, np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sgn_drift_density(1.0, np.nan, 0.0, 0.0),
+    lambda: bm_coupling_survival(np.nan, 1.0),
+    lambda: bm_coupling_expectation(0.2, np.inf),
+    lambda: running_max_bounds(RunningMaxQuery(t=np.nan, x=1.0)),
+    lambda: heat_kernel([[1.0]], [0.0], np.nan, [0.0], [0.0]),
+    lambda: make_gaussian_bump(width=np.nan),
+    lambda: make_log_modulus_field(alpha=np.nan),
+    lambda: ModulusOfContinuity("power", scale=np.nan, alpha=0.5),
+], ids=["sgn-density-nan-t", "survival-nan-d0", "expectation-inf-t", "running-max-nan-t",
+        "heat-kernel-nan-t", "bump-nan-width", "log-modulus-nan-alpha",
+        "power-modulus-nan-scale"])
+def test_range_checks_reject_nan(call):
+    # nan compares false with every bound, so each check is written to
+    # fail on it; a horizon t or a bump width must also be finite
+    with pytest.raises(ValidationError):
+        call()

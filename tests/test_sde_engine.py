@@ -227,6 +227,23 @@ class TestSimulation:
         with pytest.raises(ValidationError):
             simulate_path(f, [0.0], TimeGrid(1.0, 4), RngStream(0))
 
+    @pytest.mark.parametrize("f", [
+        make_constant_field(dim=2, a0=[[1.5, 0.3], [0.3, 1.0]], b0=[0.2, -0.1], c0=0.1),
+        make_constant_field(dim=1, a0=2.0),
+    ], ids=["2d-anisotropic", "1d"])
+    def test_undeclared_sigma_is_the_root_of_a(self, f):
+        # with neither sigma nor sigma_scalar declared, sigma_batch takes
+        # the square root of a, which gives the declared sigma's bytes
+        grid, d = TimeGrid(1.0, 40), f.dim
+
+        def outputs(field):
+            X, w = simulate_terminal(field, np.zeros(d), grid, RngStream(3), 0, 200)
+            tau = coupling_times(field, np.zeros(d), 0.3 * np.eye(d)[0], grid,
+                                 RngStream(3), 200)
+            return X.tobytes(), w.tobytes(), tau.tobytes()
+
+        assert outputs(dataclasses.replace(f, sigma=None, sigma_scalar=None)) == outputs(f)
+
 
 class TestTerminalScan:
     @settings(max_examples=60, deadline=None)
