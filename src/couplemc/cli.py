@@ -27,7 +27,7 @@ from .fk_solver import (ResultTable, SolveRequest, difference_ladder, expected_r
 from .oracles import (RunningMaxQuery, bm_coupling_expectation, heat_kernel,
                       running_max_bounds, sgn_drift_density)
 from .registry import build_field, build_terminal
-from .sde_engine import RngStream, TimeGrid, mean_stderr
+from .sde_engine import RngStream, TimeGrid, rung_means
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,10 +72,10 @@ def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     t = cfg.eval_horizon if cfg.eval_horizon is not None else cfg.horizon
     tol = _resolve_tol(cfg.couple_tol, grid, field)
     # disjoint path blocks per distance keep the rows independent
-    ests = coupling_time_ladder(field, x, zs, t, grid, cfg.n_paths, RngStream(cfg.seed),
-                                couple_tol=tol)
-    rows = [(r, t, cfg.n_paths, est.mean, est.stderr, est.fraction_coupled, tol)
-            for r, est in zip(cfg.ladder, ests)]
+    tau_step, capped = coupling_time_ladder(field, x, zs, t, grid, cfg.n_paths,
+                                            RngStream(cfg.seed), couple_tol=tol)
+    rows = [(r, t, cfg.n_paths, *tau, frac, tol) for r, (tau, (frac, _)) in
+            zip(cfg.ladder, rung_means(cfg.n_paths, capped, tau_step >= 0))]
     table = ResultTable(
         columns=["distance", "horizon", "n_paths", "mean_tau_capped",
                  "stderr", "fraction_coupled", "couple_tol"],
@@ -100,9 +100,9 @@ def _run_modulus(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
     req = SolveRequest(field=field, terminal=terminal, eval_point=x,
                        n_paths=cfg.n_paths, grid=grid)
     # disjoint path blocks per distance keep the rows independent
-    rungs = difference_ladder(req, zs, RngStream(cfg.seed), tol)
-    rows = [(r, abs(mean), se, *mean_stderr(taus), cfg.n_paths, grid.dt, tol)
-            for r, (mean, se, taus) in zip(cfg.ladder, rungs)]
+    diffs, taus = difference_ladder(req, zs, RngStream(cfg.seed), tol)
+    rows = [(r, abs(mean), se, *tau, cfg.n_paths, grid.dt, tol) for r, ((mean, se), tau)
+            in zip(cfg.ladder, rung_means(cfg.n_paths, diffs, taus))]
     table = ResultTable(
         columns=["distance", "delta_u", "stderr_u", "tau_mean", "stderr_tau",
                  "n_paths", "dt", "couple_tol"],

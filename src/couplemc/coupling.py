@@ -5,8 +5,9 @@ across sigma(Z)^-1 (X - Z) until the pair meets, then fused with X.  Each
 mechanism is described where it is implemented: the start of the pairs
 in ``_start_pairs``, the pair step in ``pair_step``, the meeting test in
 ``_meets``, the draws of a pair in ``_pair_layout``, the 1D
-constant-sigma scan in ``_scan_tile`` and the estimate of E[t ^ tau] over
-a ladder of start points in ``coupling_time_ladder``.  Three drivers:
+constant-sigma scan in ``_scan_tile`` and the per-pair samples (not
+estimates) of t ^ tau over a ladder of start points in
+``coupling_time_ladder``.  Three drivers:
 ``simulate_coupled_block`` steps pairs only until they meet,
 ``simulate_coupled_terminal`` carries them to the horizon with the
 c-integrals of both legs, and the recorder ``simulate_coupled`` stores
@@ -22,9 +23,8 @@ import numpy as np
 from .coefficients import CoefficientField, ModulusOfContinuity, require_dini
 from .errors import SimulationDivergedError, ValidationError
 from .sde_engine import (RngStream, SamplePath, TimeGrid, as_point, chunk_steps,
-                         draw_chunks, euler_step, euler_update, mean_stderr,
-                         path_range, raise_first_nonfinite, run_blocks,
-                         sigma_batch, to_increments)
+                         draw_chunks, euler_step, euler_update, path_range,
+                         raise_first_nonfinite, run_blocks, sigma_batch, to_increments)
 
 
 @dataclass
@@ -52,13 +52,6 @@ class LyapunovParams:
     def __post_init__(self):
         if self.gamma <= 0.0:
             raise ValidationError("gamma must be positive")
-
-
-@dataclass(frozen=True)
-class CouplingEstimate:
-    mean: float
-    stderr: float
-    fraction_coupled: float
 
 
 def default_couple_tol(grid: TimeGrid, field: CoefficientField) -> float:
@@ -407,16 +400,17 @@ def capped_times(tau_step: np.ndarray, dt: float, t: float) -> np.ndarray:
 def coupling_time_ladder(field: CoefficientField, x, zs, t: float,
                          grid: TimeGrid, n_paths: int, rng: RngStream,
                          couple_tol: float | None = None,
-                         path_offset: int = 0) -> list[CouplingEstimate]:
-    """E[t ^ tau], its standard error and the fraction of pairs coupled by
-    t for each start point z of zs, rung i on the pairs [path_offset + i n,
-    path_offset + (i + 1) n), n = n_paths.  One survivor loop steps every
-    rung (``ladder_starts``).  Every per-pair operation is element by
-    element and each rung's estimate is taken on its own pairs, so a rung
-    has the bytes of a one-rung ladder at path_offset + i n; a divergence
-    names the earliest diverging step of any rung.  The pairs are stepped to
-    the last node at or before t, so a t off the grid counts no meeting
-    after t."""
+                         path_offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The per-pair samples (tau_step, capped) of each start point z of zs:
+    the coupling steps (-1 for pairs unmet by t) and t ^ tau
+    (``capped_times``); ``sde_engine.rung_means`` reduces them.  Rung i is
+    the pairs [i n, (i + 1) n) of the arrays and [path_offset + i n,
+    path_offset + (i + 1) n) of the stream, n = n_paths.  One survivor loop
+    steps every rung (``ladder_starts``).  Every per-pair operation is
+    element by element, so a rung has the bytes of a one-rung ladder at
+    path_offset + i n; a divergence names the earliest diverging step of
+    any rung.  The pairs are stepped to the last node at or before t, so a
+    t off the grid counts no meeting after t."""
     if n_paths < 2:
         raise ValidationError("need at least 2 paths")
     if not 0.0 < t <= grid.horizon + 1e-12:
@@ -425,17 +419,10 @@ def coupling_time_ladder(field: CoefficientField, x, zs, t: float,
     # the grid whose t / dt rounds to just below it
     n_t = min(grid.steps, int(np.floor(t / grid.dt + 1e-9)))
     starts = ladder_starts(field.dim, zs, n_paths)
-    tau_steps = coupling_times(field, x, starts, grid, rng, len(starts),
-                               couple_tol=couple_tol, stop_step=n_t,
-                               path_offset=path_offset)
-    capped = capped_times(tau_steps, grid.dt, t)
-    out = []
-    for lo in range(0, len(starts), n_paths):
-        rung = slice(lo, lo + n_paths)
-        mean, se = mean_stderr(capped[rung])
-        frac = float(np.mean(tau_steps[rung] >= 0))
-        out.append(CouplingEstimate(mean=mean, stderr=se, fraction_coupled=frac))
-    return out
+    tau_step = coupling_times(field, x, starts, grid, rng, len(starts),
+                              couple_tol=couple_tol, stop_step=n_t,
+                              path_offset=path_offset)
+    return tau_step, capped_times(tau_step, grid.dt, t)
 
 
 def lyapunov_f(params: LyapunovParams, eta: float) -> float:

@@ -1,5 +1,5 @@
-"""Feynman-Kac Monte Carlo estimates of u(T, x) and of coupled-pair
-differences u(T, x) - u(T, z) over a ladder of start points z, the
+"""Feynman-Kac Monte Carlo estimates of u(T, x), the per-pair samples of
+coupled differences u(T, x) - u(T, z) over a ladder of start points z, the
 placement of a ladder, and the result table and scaling fits that the
 runs of ``cli`` write."""
 
@@ -50,15 +50,14 @@ def solve_u(req: SolveRequest, rng: RngStream,
 
 
 def difference_ladder(req: SolveRequest, zs, rng: RngStream,
-                      couple_tol: float | None = None, path_offset: int = 0) -> list:
-    """Paired estimates (mean, stderr, taus) of u(T, x) - u(T, z) over
-    reflection-coupled pairs for each start point z of zs, taus the
-    per-path coupling times capped at the horizon; rung i runs on the pairs
-    [path_offset + i n, path_offset + (i + 1) n), n = req.n_paths, in one
-    batch with the bytes of a one-rung ladder at path_offset + i n, as in
-    ``coupling.coupling_time_ladder``.  Per-path differences vanish on
-    paths that couple before the horizon (up to the pre-coupling c-integral
-    discrepancy), so the variance shrinks with |x - z|.
+                      couple_tol: float | None = None, path_offset: int = 0) -> tuple:
+    """The per-pair samples (diffs, taus) of u(T, x) - u(T, z) over
+    reflection-coupled pairs, for each start point z of zs: the paired
+    differences and the coupling times capped at the horizon, in the rungs
+    of ``coupling.coupling_time_ladder``, run in one batch with the bytes
+    of one-rung ladders; ``sde_engine.rung_means`` reduces them.  The
+    differences vanish on paths that couple before the horizon (up to the
+    pre-coupling c-integral discrepancy), so their variance shrinks with |x - z|.
 
     For a field that declares c = 0 (``c_sup == 0``) a pair that meets
     adds exactly 0.0, so the block driver ``simulate_coupled_block`` steps
@@ -70,9 +69,8 @@ def difference_ladder(req: SolveRequest, zs, rng: RngStream,
     that may split a rung.
     """
     field, x, f, grid = req.field, req.eval_point, req.terminal, req.grid
-    n = req.n_paths
     couple_tol = _resolve_tol(couple_tol, grid, field)
-    starts = ladder_starts(field.dim, zs, n)
+    starts = ladder_starts(field.dim, zs, req.n_paths)
     if field.c_sup == 0.0:
         tau, rows, X, Z = simulate_coupled_block(field, x, starts, grid, rng, path_offset,
                                                  path_offset + len(starts), couple_tol)
@@ -87,9 +85,7 @@ def difference_ladder(req: SolveRequest, zs, rng: RngStream,
             return f(X) * np.exp(wx) - f(Z) * np.exp(wz), tau
 
         diffs, tau = run_path_blocks(len(starts), worker, path_offset=path_offset)
-    taus = capped_times(tau, grid.dt, grid.horizon)
-    return [(*mean_stderr(diffs[i:i + n]), taus[i:i + n])
-            for i in range(0, len(starts), n)]
+    return diffs, capped_times(tau, grid.dt, grid.horizon)
 
 
 def placement(base_point, direction, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,10 +23,12 @@ def sgn_drift_density(theta: float, t: float, x: float, y) -> np.ndarray | float
     Four-case closed form; the Gaussian tail integrals are evaluated via
     erfc.  Vectorized over y.
     """
-    if not t > 0.0:
-        raise ValidationError("t must be positive")
-    if not theta >= 0.0:
-        raise ValidationError("theta must be nonnegative")
+    if not 0.0 < t < np.inf:
+        raise ValidationError("t must be positive and finite")
+    if not 0.0 <= theta < np.inf:
+        raise ValidationError("theta must be nonnegative and finite")
+    if not np.isfinite(x):
+        raise ValidationError("x must be finite")
     y = np.asarray(y, dtype=float)
     sq = np.sqrt(2.0 * t)
     gauss_norm = 1.0 / np.sqrt(2.0 * np.pi * t)
@@ -62,8 +64,8 @@ def sgn_drift_solution(theta: float, t: float, x: float, f, lo=-12.0, hi=12.0) -
 
 def heat_kernel(a0, b0, t: float, x, y) -> float:
     """Density at y of N(x + t*b0, t*a0): the constant-coefficient kernel."""
-    if not t > 0.0:
-        raise ValidationError("t must be positive")
+    if not 0.0 < t < np.inf:
+        raise ValidationError("t must be positive and finite")
     a0 = np.atleast_2d(np.asarray(a0, dtype=float))
     d = a0.shape[0]
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -86,12 +88,12 @@ class RunningMaxQuery:
     c2: float = 1.0
 
     def __post_init__(self):
-        if not self.t > 0.0:
-            raise ValidationError("t must be positive")
-        if not self.x >= 0.0:
-            raise ValidationError("x must be nonnegative")
-        if not 0.0 < self.c1 <= self.c2:
-            raise ValidationError("need 0 < c1 <= c2")
+        if not 0.0 < self.t < np.inf:
+            raise ValidationError("t must be positive and finite")
+        if not 0.0 <= self.x < np.inf:
+            raise ValidationError("x must be nonnegative and finite")
+        if not 0.0 < self.c1 <= self.c2 < np.inf:
+            raise ValidationError("need 0 < c1 <= c2 < inf")
 
 
 @dataclass(frozen=True)

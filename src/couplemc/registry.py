@@ -17,11 +17,15 @@ from .errors import ConfigError, ValidationError
 
 
 def _floats(v, name: str) -> np.ndarray:
+    """v as an array of floats, every entry finite."""
     try:
-        return np.asarray(v, dtype=float)
+        out = np.asarray(v, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a number or a list of numbers, "
                               f"got {v!r}") from None
+    if not np.isfinite(out).all():
+        raise ValidationError(f"{name} must be finite, got {v!r}")
+    return out
 
 
 def _as_matrix(a0, dim: int) -> np.ndarray:
@@ -192,6 +196,7 @@ class TerminalFunction:
 def make_gaussian_bump(center=0.0, width: float = 1.0) -> TerminalFunction:
     if not 0 < width < np.inf:
         raise ValidationError("width must be finite and positive")
+    _floats(center, "terminal center")
 
     def fn(y):
         ctr = _as_vector(center, y.shape[1], "terminal center")
@@ -201,6 +206,8 @@ def make_gaussian_bump(center=0.0, width: float = 1.0) -> TerminalFunction:
 
 
 def make_linear(coeffs=1.0) -> TerminalFunction:
+    _floats(coeffs, "terminal coeffs")
+
     def fn(y):
         cv = _as_vector(coeffs, y.shape[1], "terminal coeffs")
         return y @ cv
@@ -209,6 +216,8 @@ def make_linear(coeffs=1.0) -> TerminalFunction:
 
 
 def make_constant_terminal(value: float = 1.0) -> TerminalFunction:
+    _floats(value, "terminal value")
+
     def fn(y):
         return np.full(len(y), float(value))
 

@@ -540,3 +540,12 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
         return mean, 0.0
     var = float(np.sum((values - mean) ** 2)) / (n - 1)
     return mean, float(np.sqrt(var / n))
+
+
+def rung_means(n: int, *samples) -> list[tuple]:
+    """``mean_stderr`` of each per-pair sample array over each rung of a
+    ladder, rung i the slice [i n, (i + 1) n): one tuple of (mean, stderr)
+    pairs per rung, in the order of samples.  A bool array gives the
+    fraction of its rung that is True."""
+    return [tuple(mean_stderr(s[lo:lo + n]) for s in samples)
+            for lo in range(0, len(samples[0]), n)]

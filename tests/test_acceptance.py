@@ -14,8 +14,8 @@ from scipy.integrate import quad
 from couplemc import (ExperimentConfig, LyapunovParams, ModulusOfContinuity,
                       RngStream, SolveRequest, TimeGrid, bm_coupling_expectation,
                       coupling_time_ladder, fit_power_law, heat_kernel,
-                      lyapunov_f, running_max_bounds, sgn_drift_density,
-                      sgn_drift_solution, solve_u, sqrt_spd)
+                      lyapunov_f, mean_stderr, running_max_bounds,
+                      sgn_drift_density, sgn_drift_solution, solve_u, sqrt_spd)
 from couplemc.cli import _run_modulus, run_experiment
 from couplemc.config import load_config
 from couplemc.coupling import _reflect_increments
@@ -90,13 +90,14 @@ def test_criterion_03_coupling_vs_exact_oracle():
     lines = []
     ok = True
     for i, d0 in enumerate((0.2, 0.1, 0.05)):
-        est = coupling_time_ladder(field, [0.0], [[d0]], 1.0, grid, n, rng,
-                                   path_offset=i * n)[0]
+        _, capped = coupling_time_ladder(field, [0.0], [[d0]], 1.0, grid, n, rng,
+                                         path_offset=i * n)
+        mean, se = mean_stderr(capped)
         oracle = bm_coupling_expectation(d0, 1.0)
-        band = 3.0 * est.stderr + 0.02 * oracle
-        diff = abs(est.mean - oracle)
+        band = 3.0 * se + 0.02 * oracle
+        diff = abs(mean - oracle)
         ok &= diff <= band
-        lines.append(f"d0={d0}: |{est.mean:.5f}-{oracle:.5f}|={diff:.2e}"
+        lines.append(f"d0={d0}: |{mean:.5f}-{oracle:.5f}|={diff:.2e}"
                      f"<=+-{band:.2e}")
     elapsed = time.monotonic() - start
     ok &= elapsed < 300.0
@@ -112,9 +113,9 @@ def test_criterion_04_lipschitz_regime_slope():
     start = time.monotonic()
     pairs = []
     for i, d0 in enumerate((0.2, 0.1, 0.05, 0.025, 0.0125)):
-        est = coupling_time_ladder(field, [0.0], [[d0]], 1.0, grid, n, rng,
-                                   path_offset=i * n)[0]
-        pairs.append((d0, est.mean))
+        _, capped = coupling_time_ladder(field, [0.0], [[d0]], 1.0, grid, n, rng,
+                                         path_offset=i * n)
+        pairs.append((d0, mean_stderr(capped)[0]))
     fit = fit_power_law(pairs)
     elapsed = time.monotonic() - start
     ok = 0.9 <= fit.slope <= 1.1 and elapsed < 600.0

@@ -11,7 +11,7 @@ import pytest
 
 import couplemc
 from couplemc import (RngStream, SolveRequest, TimeGrid, coupling_time_ladder,
-                      coupling_times, default_couple_tol, difference_ladder, mean_stderr)
+                      coupling_times, default_couple_tol, difference_ladder, rung_means)
 from couplemc.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, _setup, main)
 from couplemc.config import load_config, parse_config_text, validate_config
 from couplemc.registry import build_field, build_terminal, make_constant_field
@@ -307,7 +307,8 @@ def _rows(run_dir):
 @pytest.mark.parametrize("name", sorted(LADDERS))
 def test_ladder_rows_equal_per_distance_runs(name, tmp_path, capsys):
     # a ladder runs every rung in one batch of pairs; each row has the
-    # bytes of a one-rung call on the rung's own path block
+    # bytes of a one-rung ladder on the rung's own path block, reduced by
+    # rung_means
     path = _cfg(tmp_path, LADDERS[name])
     assert main(["run", path, "--run-dir", str(tmp_path / "d")]) == EXIT_OK
     cfg = load_config(path)
@@ -322,18 +323,20 @@ def test_ladder_rows_equal_per_distance_runs(name, tmp_path, capsys):
     for i, (r, row) in enumerate(zip(cfg.ladder, rows)):
         if cfg.kind == "couple":
             t = cfg.eval_horizon or cfg.horizon
-            est = coupling_time_ladder(field, x, [x + r * e], t, grid, n,
-                                       RngStream(cfg.seed), couple_tol=tol,
-                                       path_offset=i * n)[0]
-            want = [est.mean, est.stderr, est.fraction_coupled]
+            tau_step, capped = coupling_time_ladder(field, x, [x + r * e], t, grid, n,
+                                                    RngStream(cfg.seed), couple_tol=tol,
+                                                    path_offset=i * n)
+            [(tau, (frac, _))] = rung_means(n, capped, tau_step >= 0)
+            want = [*tau, frac]
             got = row[3:6]
         else:
             req = SolveRequest(field=field, eval_point=x, n_paths=n, grid=grid,
                                terminal=build_terminal(cfg.terminal_name,
                                                        cfg.terminal_params))
-            mean, se, taus = difference_ladder(
-                req, [x + r * e], RngStream(cfg.seed), couple_tol=tol, path_offset=i * n)[0]
-            want = [abs(mean), se, *mean_stderr(taus)]
+            diffs, taus = difference_ladder(
+                req, [x + r * e], RngStream(cfg.seed), couple_tol=tol, path_offset=i * n)
+            [((mean, se), tau)] = rung_means(n, diffs, taus)
+            want = [abs(mean), se, *tau]
             got = row[1:5]
         assert got == [repr(float(v)) for v in want], (i, r)
 

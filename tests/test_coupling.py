@@ -19,7 +19,7 @@ from couplemc.coupling import (_reflect_increments, coupling_time_ladder, pair_s
 from couplemc.errors import DiniDivergenceError, SimulationDivergedError, ValidationError
 from couplemc.registry import (build_field, make_constant_field,
                                make_constant_terminal, make_sin_field)
-from couplemc.sde_engine import simulate_terminal
+from couplemc.sde_engine import rung_means, simulate_terminal
 
 
 def reflector(sig, xi):
@@ -238,11 +238,12 @@ class TestCoupledPair:
     def test_expectation_near_oracle(self):
         f = make_constant_field(dim=1)
         grid = TimeGrid(1.0, 2000)
-        est = coupling_time_ladder(f, [0.0], [[0.1]], 1.0, grid, 8000,
-                                   RngStream(9))[0]
+        tau_step, capped = coupling_time_ladder(f, [0.0], [[0.1]], 1.0, grid, 8000,
+                                                RngStream(9))
+        [((mean, se), (frac, _))] = rung_means(8000, capped, tau_step >= 0)
         oracle = bm_coupling_expectation(0.1, 1.0)
-        assert abs(est.mean - oracle) <= 3.0 * est.stderr + 0.02 * oracle
-        assert 0.9 < est.fraction_coupled <= 1.0
+        assert abs(mean - oracle) <= 3.0 * se + 0.02 * oracle
+        assert 0.9 < frac <= 1.0
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("shape", ["isotropic", "anisotropic"])
@@ -254,11 +255,11 @@ class TestCoupledPair:
         e = np.ones(dim) / np.sqrt(dim)
         d0 = 0.2
         x = np.zeros(dim)
-        est = coupling_time_ladder(f, x, [x + d0 * e], 1.0, TimeGrid(1.0, 500),
-                                   4000, RngStream(21))[0]
+        _, capped = coupling_time_ladder(f, x, [x + d0 * e], 1.0, TimeGrid(1.0, 500),
+                                         4000, RngStream(21))
+        mean, se = sde_engine.mean_stderr(capped)
         oracle = bm_coupling_expectation(d0 * np.linalg.norm(e / np.sqrt(a)), 1.0)
-        assert abs(est.mean - oracle) <= 3.0 * est.stderr + 0.02 * oracle, (
-            est.mean, est.stderr, oracle)
+        assert abs(mean - oracle) <= 3.0 * se + 0.02 * oracle, (mean, se, oracle)
 
     def test_expectation_off_the_grid_counts_meetings_by_t(self):
         # t = 0.55 lies between nodes 5 and 6: a pair that meets at node 6
@@ -268,12 +269,14 @@ class TestCoupledPair:
         taus = coupling_times(f, [0.0], [0.3], grid, RngStream(3), 4000)
         assert np.sum(taus == 6) > 0
         for t, node in ((0.55, 5), (0.5, 5), (0.6, 6), (0.3, 3), (1.0, 10)):
-            est = coupling_time_ladder(f, [0.0], [[0.3]], t, grid, 4000,
-                                       RngStream(3))[0]
+            tau_step, capped = coupling_time_ladder(f, [0.0], [[0.3]], t, grid, 4000,
+                                                    RngStream(3))
             met = (taus >= 0) & (taus <= node)
-            assert est.fraction_coupled == np.mean(met), t
-            mean, _ = sde_engine.mean_stderr(np.where(met, taus * grid.dt, t))
-            assert est.mean == pytest.approx(mean, rel=1e-12), t
+            assert np.array_equal(tau_step >= 0, met), t
+            assert np.array_equal(tau_step, np.where(met, taus, -1)), t
+            # 6 dt rounds to just above t = 0.6: a time is never past t
+            want = np.where(met, np.minimum(taus * grid.dt, t), t)
+            assert capped.tobytes() == want.tobytes(), t
 
     def test_expectation_validation(self):
         f = make_constant_field(dim=1)
@@ -707,10 +710,10 @@ class TestCoupledPair:
 
         monkeypatch.setattr(RngStream, "uniforms", counted)
         n, per_pair = 500, coupling._pair_layout(1)[0]
-        ests = coupling_time_ladder(make_sin_field(dim=1, amp=0.5), [0.1],
-                                    [[0.3], [0.2], [0.15]], 1.0, TimeGrid(1.0, 1000),
-                                    n, RngStream(41))
-        assert min(est.fraction_coupled for est in ests) < 0.95
+        tau_step, _ = coupling_time_ladder(make_sin_field(dim=1, amp=0.5), [0.1],
+                                           [[0.3], [0.2], [0.15]], 1.0,
+                                           TimeGrid(1.0, 1000), n, RngStream(41))
+        assert min(frac for ((frac, _),) in rung_means(n, tau_step >= 0)) < 0.95
         assert drawn[0] == 3 * n * 16 * per_pair
         assert max(drawn) <= n * 64 * per_pair
 

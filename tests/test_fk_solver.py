@@ -113,16 +113,16 @@ class TestCoupledDifference:
     def test_identical_points_give_zero(self):
         f = make_sin_field(dim=1, amp=0.3)
         req = _request(f, make_gaussian_bump(0.0, 1.0), n_paths=200, steps=40)
-        mean, se, taus = difference_ladder(req, [req.eval_point], RngStream(3))[0]
-        assert mean == 0.0
-        assert se == 0.0
+        diffs, taus = difference_ladder(req, [req.eval_point], RngStream(3))
+        assert mean_stderr(diffs) == (0.0, 0.0)
+        assert np.all(diffs == 0.0)
         assert np.all(taus == 0.0)
 
     def test_variance_beats_independent_differences(self):
         f = make_sin_field(dim=1, amp=0.5)
         term = make_gaussian_bump(0.0, 1.0)
         req = _request(f, term, n_paths=4000, steps=200, point=[1.0])
-        _, se_c, _ = difference_ladder(req, [np.array([1.05])], RngStream(4))[0]
+        _, se_c = mean_stderr(difference_ladder(req, [np.array([1.05])], RngStream(4))[0])
         _, se_a = solve_u(req, RngStream(5))
         req2 = _request(f, term, n_paths=4000, steps=200, point=[1.05])
         _, se_b = solve_u(req2, RngStream(5), path_offset=4000)
@@ -156,8 +156,8 @@ class TestZeroPotentialDifference:
            budget=st.sampled_from([None, 450]))
     def test_matches_terminal_driver(self, case, seed, n, steps, offset, a0, x0,
                                      d0, tol_factor, budget):
-        # with c = 0 only the unmet pairs are stepped; mean, standard error
-        # and capped taus are the bytes of the terminal driver's
+        # with c = 0 only the unmet pairs are stepped; the per-pair
+        # differences and capped taus are the bytes of the terminal driver's
         # f(X) exp(wx) - f(Z) exp(wz), the estimator used for every field
         # before, applied to the same pairs
         name, dim = case
@@ -171,14 +171,14 @@ class TestZeroPotentialDifference:
         req = SolveRequest(field=f, terminal=term, eval_point=x, n_paths=n, grid=grid)
         with mock.patch.object(sde_engine, "_CHUNK_BUDGET",
                                budget or sde_engine._CHUNK_BUDGET):
-            mean, se, taus = difference_ladder(
-                req, [z], RngStream(seed), couple_tol=tol, path_offset=offset)[0]
+            diffs, taus = difference_ladder(
+                req, [z], RngStream(seed), couple_tol=tol, path_offset=offset)
             tau, X, wx, Z, wz = simulate_coupled_terminal(
                 f, x, z, grid, RngStream(seed), offset, offset + n, tol)
         diff = term(X) * np.exp(wx) - term(Z) * np.exp(wz)
         capped = np.where(tau >= 0, np.minimum(tau * grid.dt, grid.horizon),
                           grid.horizon)
-        assert np.array([mean, se]).tobytes() == np.array(mean_stderr(diff)).tobytes()
+        assert diffs.tobytes() == diff.tobytes()
         assert taus.tobytes() == capped.tobytes()
 
     @pytest.mark.parametrize("c0", [0.0, 0.2])
@@ -197,7 +197,7 @@ class TestZeroPotentialDifference:
 
         for mod in (sde_engine, coupling):
             monkeypatch.setattr(mod, "euler_update", counted)
-        _, _, taus = difference_ladder(req, [np.array([0.05])], RngStream(3))[0]
+        _, taus = difference_ladder(req, [np.array([0.05])], RngStream(3))
         unmet_steps = int(np.round(taus / req.grid.dt).sum())
         assert 0 < unmet_steps < 300 * 100
         if c0 == 0.0:

@@ -8,7 +8,8 @@ from couplemc import (ModulusOfContinuity, RunningMaxQuery, bm_coupling_expectat
                       running_max_bounds, sgn_drift_density,
                       sgn_drift_solution)
 from couplemc.errors import ValidationError
-from couplemc.registry import make_gaussian_bump, make_log_modulus_field
+from couplemc.registry import (make_constant_field, make_constant_terminal,
+                               make_gaussian_bump, make_linear, make_log_modulus_field)
 
 
 class TestSgnDriftDensity:
@@ -176,5 +177,32 @@ class TestCouplingSurvival:
 def test_range_checks_reject_nan(call):
     # nan compares false with every bound, so each check is written to
     # fail on it; a horizon t or a bump width must also be finite
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: sgn_drift_density(1.0, np.inf, 0.0, 0.0),
+    lambda: sgn_drift_density(1.0, 1.0, np.nan, 0.0),
+    lambda: sgn_drift_density(np.inf, 1.0, 0.0, 0.0),
+    lambda: heat_kernel([[1.0]], [0.0], np.inf, [0.0], [0.0]),
+    lambda: RunningMaxQuery(t=np.inf, x=1.0),
+    lambda: RunningMaxQuery(t=1.0, x=np.inf),
+    lambda: RunningMaxQuery(t=1.0, x=1.0, c2=np.inf),
+    lambda: make_linear(np.nan),
+    lambda: make_linear([1.0, np.inf]),
+    lambda: make_constant_terminal(np.nan),
+    lambda: make_gaussian_bump(center=np.nan),
+    lambda: make_constant_field(a0=np.inf),
+    lambda: make_constant_field(dim=2, a0=[[1.0, np.nan], [np.nan, 1.0]]),
+], ids=["sgn-density-inf-t", "sgn-density-nan-x", "sgn-density-inf-theta",
+        "heat-kernel-inf-t", "running-max-inf-t", "running-max-inf-x", "running-max-inf-c2",
+        "linear-nan", "linear-inf-entry", "constant-terminal-nan", "bump-nan-center",
+        "constant-field-inf-a0", "constant-field-nan-matrix"])
+def test_non_finite_library_input_is_rejected_before_numpy_warns(call):
+    # input that no config reaches (a config stops it first) is checked in
+    # the closed forms and builders themselves: a ValidationError, raised
+    # before NumPy warns or a terminal returns nan
     with pytest.raises(ValidationError):
         call()

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
 from couplemc import (RngStream, SolveRequest, TimeGrid, coupling, coupling_times,
-                      difference_ladder, mean_stderr, run_path_blocks, sde_engine,
-                      solve_u)
+                      difference_ladder, mean_stderr, run_path_blocks, rung_means,
+                      sde_engine, solve_u)
 from couplemc.errors import SimulationDivergedError, ValidationError
 from couplemc.registry import (make_constant_field, make_constant_terminal,
                                make_gaussian_bump, make_sin_field)
@@ -796,3 +796,21 @@ def test_mean_stderr():
     assert se == pytest.approx(np.std(v, ddof=1) / 2.0)
     m1, se1 = mean_stderr(np.array([5.0]))
     assert (m1, se1) == (5.0, 0.0)
+
+
+def test_rung_means():
+    # rung i of a ladder's per-pair arrays is the slice [i n, (i + 1) n):
+    # each rung's tuple holds the bytes of mean_stderr on its slices, and
+    # the mean of a bool rung is np.mean of it bit for bit
+    rng = np.random.default_rng(7)
+    n, rungs = 1001, 4
+    v = rng.standard_normal(n * rungs) * 1e3
+    w = rng.exponential(size=n * rungs)
+    mask = rng.random(n * rungs) < 0.37
+    got = rung_means(n, v, w, mask)
+    assert len(got) == rungs
+    for i, row in enumerate(got):
+        rung = slice(i * n, (i + 1) * n)
+        want = [mean_stderr(s[rung]) for s in (v, w, mask)]
+        assert np.array(row).tobytes() == np.array(want).tobytes(), i
+        assert np.float64(row[2][0]).tobytes() == np.mean(mask[rung]).tobytes(), i
