@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import erf, erfc, ndtr
 
 from .errors import ValidationError
+from .sde_engine import as_point
 
 
 def sgn_drift_density(theta: float, t: float, x: float, y) -> np.ndarray | float:
@@ -63,14 +64,16 @@ def sgn_drift_solution(theta: float, t: float, x: float, f, lo=-12.0, hi=12.0) -
 
 
 def heat_kernel(a0, b0, t: float, x, y) -> float:
-    """Density at y of N(x + t*b0, t*a0): the constant-coefficient kernel."""
+    """Density at y of N(x + t*b0, t*a0): the constant-coefficient kernel.
+    x, y and b0 must have a0's dimension and every entry must be finite."""
     if not 0.0 < t < np.inf:
         raise ValidationError("t must be positive and finite")
     a0 = np.atleast_2d(np.asarray(a0, dtype=float))
     d = a0.shape[0]
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    b0 = np.zeros(d) if b0 is None else np.atleast_1d(np.asarray(b0, dtype=float))
+    x, y = as_point(x, d, "x"), as_point(y, d, "y")
+    b0 = np.zeros(d) if b0 is None else as_point(b0, d, "b0")
+    if not all(np.isfinite(v).all() for v in (a0, b0, x, y)):
+        raise ValidationError("a0, b0, x and y must be finite")
     cov = t * a0
     sign, logdet = np.linalg.slogdet(cov)
     if sign <= 0:

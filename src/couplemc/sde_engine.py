@@ -8,7 +8,7 @@ Each mechanism is described where it is implemented: the counter RNG in
 draw buffer in ``_draw_buffer``, row blocks and threads in
 ``_on_row_blocks``, the step kernel in ``euler_update``, the path tiles of
 a solve in ``path_tile``, the constant-sigma scan in ``_scan_terminal``,
-and the divergence rule in ``run_blocks``.  The single-leg drivers are
+and the block runner in ``run_blocks``.  The single-leg drivers are
 ``simulate_terminal`` and the recorder ``simulate_path``.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +60,17 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.horizon < np.inf:
             raise ValidationError("grid.horizon must be finite and > 0")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
-            raise ValidationError(f"grid.steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise ValidationError("need at least one step")
+        _check_count("grid.steps", self.steps)
 
     @property
     def dt(self) -> float:
         return self.horizon / self.steps
+
+
+def _check_count(name: str, v) -> None:
+    """Raise ValidationError naming name unless v is an integer >= 1."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 @dataclass
@@ -136,7 +139,10 @@ def to_open_unit(u: np.ndarray) -> np.ndarray:
 
 def to_increments(u: np.ndarray, dt: float) -> np.ndarray:
     """``_increments`` of u in row blocks (``_on_row_blocks``); returns u."""
-    _on_row_blocks(lambda lo, hi: _increments(u[lo:hi], dt), len(u), u.size)
+    def block(lo, hi):
+        _increments(u[lo:hi], dt)
+
+    _on_row_blocks(block, len(u), u.size)
     return u
 
 
@@ -152,48 +158,27 @@ def _increments(u: np.ndarray, dt: float) -> np.ndarray:
 
 def _on_row_blocks(fn, rows: int, work: int) -> None:
     """fn(lo, hi) over the row blocks [lo, hi) of rows rows, for an fn that
-    works on each row on its own with the serial operations, so the bytes
-    do not depend on the split.  Below _SPLIT_MIN work (draws to map or
-    scan), or with one CPU, the calling thread runs fn(0, rows); otherwise
-    it and the pool's threads (``_row_pool``) pull more blocks than there
-    are threads, in order, so an unscheduled pool thread stalls no one: a
-    helper not started when the blocks run out is cancelled.  NumPy and
-    SciPy ufuncs release the GIL.  Helpers run in a copy of the caller's
-    context (its NumPy error state); an error in a block reaches the
-    caller and may leave later blocks unrun."""
+    works on each row on its own with the serial operations and returns
+    None, so the bytes do not depend on the split.  Below _SPLIT_MIN work
+    (draws to map or scan), or with one CPU, the calling thread runs
+    fn(0, rows); otherwise the pool (``_row_pool``) runs more blocks than
+    it has threads (``run_blocks``), so an unscheduled thread stalls no
+    one.  NumPy and SciPy ufuncs release the GIL."""
     threads, pool = (1, None) if work < _SPLIT_MIN or rows < 2 else _row_pool()
     if pool is None:
         fn(0, rows)
         return
     n = min(rows, _BLOCKS_PER_THREAD * threads)
-    blocks = iter([(rows * i // n, rows * (i + 1) // n) for i in range(n)])
-    lock = threading.Lock()
-
-    def pull():
-        while True:
-            with lock:
-                block = next(blocks, None)
-            if block is None:
-                return
-            fn(*block)
-
-    helpers = [pool.submit(contextvars.copy_context().run, pull)
-               for _ in range(threads - 1)]
-    try:
-        pull()
-    finally:
-        for helper in helpers:
-            if not helper.cancel():
-                helper.result()
+    run_blocks(fn, [(rows * i // n, rows * (i + 1) // n) for i in range(n)], pool)
 
 
 def _row_pool():
     """(threads, executor) that share a large map or scan: as many threads
-    as CPUs this process may run on, at most _MAX_THREADS, the calling one
-    included, so the executor has one thread fewer; None with one CPU.
-    Made on first use and again in a forked child, whose copy of the
-    parent's executor has no threads and of _draw_lock may be held.  Its
-    idle threads block without spinning and are joined at interpreter exit."""
+    as CPUs this process may run on, at most _MAX_THREADS, while the caller
+    waits; None with one CPU.  Made on first use and again in a forked
+    child, whose copy of the parent's executor has no threads and of
+    _draw_lock may be held.  Its idle threads block without spinning and
+    are joined at interpreter exit."""
     global _pool, _draw_lock
     pid = os.getpid()
     if _pool is None or _pool[0] != pid:
@@ -202,7 +187,7 @@ def _row_pool():
         except AttributeError:  # not on every platform
             cpus = os.cpu_count() or 1
         threads = min(cpus, _MAX_THREADS)
-        executor = (ThreadPoolExecutor(threads - 1, thread_name_prefix="couplemc-rows")
+        executor = (ThreadPoolExecutor(threads, thread_name_prefix="couplemc-rows")
                     if threads > 1 else None)
         _pool, _draw_lock = (pid, threads, executor), threading.Lock()
     return _pool[1], _pool[2]
@@ -416,39 +401,30 @@ def _scan_terminal(s: float, rng: RngStream, paths: np.ndarray, X: np.ndarray,
     """The nodes at the horizon of the paths started at X (n, d), for
     sigma = s and b = 0, written into X, which is returned.
 
-    One ``_on_row_blocks`` dispatch (work n steps d) gives each thread
-    whole rows, which it takes in sub-tiles of min(_SUB_TILE, _CHUNK_BUDGET)
-    doubles of its ``_draw_buffer``: it draws them under _draw_lock (threads
+    Each row block (``_on_row_blocks``, work n steps d) runs its sub-tiles
+    of min(_SUB_TILE, _CHUNK_BUDGET) doubles of a thread's ``_draw_buffer``
+    through ``run_blocks``: it draws them under _draw_lock (threads
     re-keying Philox rows at once hand the GIL back and forth), maps them
     (``_increments``) while another draws, and sums s dW, plus X on the
     first step, in step order by np.add.accumulate: the step X + s dW of
-    ``euler_update``.  A longer horizon is drawn in chunks.  After the join
-    the earliest non-finite step of any sub-tile is raised (``run_blocks``)."""
+    ``euler_update``.  A longer horizon is drawn in chunks."""
     d, steps = X.shape[1], grid.steps
     sub = min(_SUB_TILE, _CHUNK_BUDGET)
     rows, m = max(1, sub // (steps * d)), max(1, sub // d)
-    diverged = []
 
-    def scan(lo, hi):
-        buf = _draw_buffer(sub)
-        for a in range(lo, hi, rows):
-            tile = slice(a, min(hi, a + rows))
-            try:
-                for k in range(0, steps, m):
-                    with _draw_lock:
-                        dW = rng.uniforms(paths[tile], k, min(steps, k + m), d, buf)
-                    np.multiply(_increments(dW, grid.dt), s, out=dW)
-                    dW[:, 0] += X[tile]
-                    np.add.accumulate(dW, axis=1, out=dW)
-                    if not np.isfinite(dW[:, -1]).all():
-                        raise_first_nonfinite(~np.isfinite(dW).all(axis=2), k)
-                    X[tile] = dW[:, -1]
-            except SimulationDivergedError as exc:
-                diverged.append(exc)
+    def scan(a, b):
+        for k in range(0, steps, m):
+            with _draw_lock:
+                dW = rng.uniforms(paths[a:b], k, min(steps, k + m), d, _draw_buffer(sub))
+            np.multiply(_increments(dW, grid.dt), s, out=dW)
+            dW[:, 0] += X[a:b]
+            np.add.accumulate(dW, axis=1, out=dW)
+            if not np.isfinite(dW[:, -1]).all():
+                raise_first_nonfinite(~np.isfinite(dW).all(axis=2), k)
+            X[a:b] = dW[:, -1]
 
-    _on_row_blocks(scan, len(X), len(X) * steps * d)
-    if diverged:
-        raise min(diverged, key=lambda exc: exc.step_index)
+    _on_row_blocks(lambda lo, hi: run_blocks(
+        scan, ((a, min(hi, a + rows)) for a in range(lo, hi, rows))), len(X), len(X) * steps * d)
     return X
 
 
@@ -482,8 +458,10 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
     Consumes two uniforms per (path, step): one for the endpoint increment
     and one, shifted into (0, 1), for the bridge maximum.
     """
-    if t <= 0.0 or steps < 1 or n_paths < 1:
-        raise ValidationError("need t > 0, steps >= 1, n_paths >= 1")
+    if not 0.0 < t < np.inf:
+        raise ValidationError(f"t must be finite and > 0, got {t!r}")
+    _check_count("steps", steps)
+    _check_count("n_paths", n_paths)
     dt = t / steps
     paths = path_range(path_offset, path_offset + n_paths)
     run_max = np.zeros(n_paths)
@@ -501,13 +479,21 @@ def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
     return run_max
 
 
-def run_blocks(fn, blocks):
-    """fn(*block) for each block of blocks in order, its per-row result
-    arrays, or tuples of them, concatenated.  The divergence rule: a block's
-    SimulationDivergedError is held until every block has run, then the
-    one with the earliest step of any block is raised.  That is the step a
-    loop over all the rows at once stops at, so the step reported does not
-    depend on how the rows are cut into blocks (path blocks, row tiles)."""
+def run_blocks(fn, blocks, pool=None):
+    """fn(*block) for each block, in order as blocks yields them, or in the
+    pool, each in a copy of the caller's context (its NumPy error state),
+    waiting for all so no block writes on after an error reaches the
+    caller.  Returns fn's per-row arrays, or tuples of them, concatenated
+    in block order, or None.  The divergence rule: a SimulationDivergedError
+    is held until every block has run, then the earliest step of any block
+    is raised, the step a loop over all the rows at once stops at, however
+    the rows are cut into blocks (path blocks, row blocks, row tiles)."""
+    if pool is not None:
+        futures = [pool.submit(contextvars.copy_context().run, fn, *block)
+                   for block in blocks]
+        wait(futures)
+        # read each block's result, or its error, in block order
+        fn, blocks = Future.result, [(future,) for future in futures]
     parts, diverged = [], []
     for block in blocks:
         try:
@@ -518,7 +504,7 @@ def run_blocks(fn, blocks):
         raise min(diverged, key=lambda exc: exc.step_index)
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(part) for part in zip(*parts))
-    return np.concatenate(parts)
+    return None if parts[0] is None else np.concatenate(parts)
 
 
 def run_path_blocks(n_paths: int, worker, path_offset: int = 0,
@@ -526,6 +512,8 @@ def run_path_blocks(n_paths: int, worker, path_offset: int = 0,
     """worker(path_lo, path_hi) over consecutive blocks of block_size paths
     (``run_blocks``).  The worker must be a pure function of the path
     range, so the results are byte-identical for any block size."""
+    _check_count("n_paths", n_paths)
+    _check_count("block_size", block_size)
     end = path_offset + n_paths
     return run_blocks(worker, ((lo, min(end, lo + block_size))
                                for lo in range(path_offset, end, block_size)))

@@ -84,6 +84,9 @@ class TestHeatKernel:
             heat_kernel([[0.0]], [0.0], 1.0, [0.0], [0.0])
         with pytest.raises(ValidationError):
             heat_kernel([[1.0]], [0.0], 0.0, [0.0], [0.0])
+        # a start point of another dimension than a0's is not broadcast
+        with pytest.raises(ValidationError):
+            heat_kernel([[1.0, 0.0], [0.0, 1.0]], None, 1.0, [0.0], [0.0, 0.0])
 
 
 class TestRunningMax:
@@ -196,10 +199,15 @@ def test_range_checks_reject_nan(call):
     lambda: make_gaussian_bump(center=np.nan),
     lambda: make_constant_field(a0=np.inf),
     lambda: make_constant_field(dim=2, a0=[[1.0, np.nan], [np.nan, 1.0]]),
+    lambda: heat_kernel([[np.nan]], [0.0], 1.0, [0.0], [0.0]),
+    lambda: heat_kernel([[1.0]], [np.inf], 1.0, [0.0], [0.0]),
+    lambda: heat_kernel([[1.0]], [0.0], 1.0, [np.inf], [0.0]),
+    lambda: heat_kernel([[1.0]], [0.0], 1.0, [0.0], [np.nan]),
 ], ids=["sgn-density-inf-t", "sgn-density-nan-x", "sgn-density-inf-theta",
         "heat-kernel-inf-t", "running-max-inf-t", "running-max-inf-x", "running-max-inf-c2",
         "linear-nan", "linear-inf-entry", "constant-terminal-nan", "bump-nan-center",
-        "constant-field-inf-a0", "constant-field-nan-matrix"])
+        "constant-field-inf-a0", "constant-field-nan-matrix", "heat-kernel-nan-a0",
+        "heat-kernel-inf-b0", "heat-kernel-inf-x", "heat-kernel-nan-y"])
 def test_non_finite_library_input_is_rejected_before_numpy_warns(call):
     # input that no config reaches (a config stops it first) is checked in
     # the closed forms and builders themselves: a ValidationError, raised

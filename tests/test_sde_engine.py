@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from unittest import mock
 
@@ -514,6 +515,14 @@ class TestRunningMaxSampler:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
             simulate_brownian_running_max(0.0, 10, 4, RngStream(0))
+        # nan and inf horizons, fractional or zero counts: a ValidationError
+        # before any draw, not nan samples, a warning or a TypeError
+        for t, n_paths, steps in [(np.nan, 10, 4), (np.inf, 10, 4), (1.0, 10, 2.5),
+                                  (1.0, 0, 4), (1.0, 10.0, 4), (1.0, 10, True)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError):
+                    simulate_brownian_running_max(t, n_paths, steps, RngStream(0))
 
 
 class TestPathBlocks:
@@ -548,6 +557,13 @@ class TestPathBlocks:
             run_path_blocks(30, worker, block_size=7)
         assert exc.value.step_index == 4
         assert ran == [0, 7, 14, 21, 28]
+
+    @pytest.mark.parametrize("n_paths,block_size", [(0, 7), (-3, 7), (30, 0), (30, -1)])
+    def test_rejects_empty_runs_and_blocks(self, n_paths, block_size):
+        # a ValidationError, not an IndexError or ValueError from the runner
+        with pytest.raises(ValidationError):
+            run_path_blocks(n_paths, lambda lo, hi: np.arange(lo, hi, dtype=float),
+                            block_size=block_size)
 
     def test_simulation_invariant_under_workers(self):
         f = make_sin_field(dim=1, amp=0.3)
@@ -719,6 +735,22 @@ class TestRowBlocks:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_terminal_scan_divergence_in_row_blocks(self, bad, threaded, monkeypatch):
         TestTerminalScan().test_terminal_scan_divergence_matches_step_loop(bad, monkeypatch)
+
+    def test_error_reaches_the_caller_after_every_block_has_run(self, threaded):
+        # the first block fails at once while the others are still running:
+        # the caller sees the error only when no block can still write into
+        # its arrays
+        ran = []
+
+        def block(lo, hi):
+            if lo == 0:
+                raise ValueError("block 0")
+            time.sleep(0.02)
+            ran.append(lo)
+
+        with pytest.raises(ValueError, match="block 0"):
+            sde_engine._on_row_blocks(block, 12, 12)
+        assert sorted(ran) == list(range(1, 12))
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(sde_engine, "_SPLIT_MIN", 2)
