@@ -46,8 +46,8 @@ def _prepare(pairs):
     arr = np.asarray([(float(r), float(v)) for r, v in pairs], dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 3:
         raise ValidationError("need at least 3 (r, v) pairs")
-    if np.any(arr <= 0.0):
-        raise ValidationError("all pairs must be strictly positive")
+    if not (np.isfinite(arr).all() and (arr > 0.0).all()):
+        raise ValidationError("all pairs must be finite and strictly positive")
     # sort by abscissa, then value, so the result is independent of input
     # order
     arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]

@@ -189,9 +189,9 @@ def validate_field(field_: CoefficientField, points: np.ndarray,
     points has shape (n, d).  Passing requires all sampled eigenvalues in
     [1/lam - slack, lam + slack] and |b|, |c| within the declared bounds.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.size == 0:
-        raise ValidationError("sampler is empty")
+    points, times = np.atleast_2d(np.asarray(points, dtype=float)), tuple(times)
+    if points.size == 0 or not times:
+        raise ValidationError("sampler is empty: no points or no times")
     eig_min, eig_max, b_max, c_max, asym_max = np.inf, -np.inf, 0.0, 0.0, 0.0
     for t in times:
         A = np.asarray(field_.a(t, points), dtype=float)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .coefficients import CoefficientField, ModulusOfContinuity, require_dini
 from .errors import SimulationDivergedError, ValidationError
-from .sde_engine import (RngStream, SamplePath, TimeGrid, as_point, chunk_steps,
-                         draw_chunks, euler_step, euler_update, path_range,
+from .sde_engine import (RngStream, SamplePath, TimeGrid, _check_count, as_point,
+                         chunk_steps, draw_chunks, euler_step, euler_update, path_range,
                          raise_first_nonfinite, run_blocks, sigma_batch, to_increments)
 
 
@@ -50,8 +50,8 @@ class LyapunovParams:
     rho: ModulusOfContinuity
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValidationError("gamma must be positive")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValidationError("gamma must be positive and finite")
 
 
 def default_couple_tol(grid: TimeGrid, field: CoefficientField) -> float:
@@ -154,7 +154,8 @@ def _start_pairs(field, x, z, path_lo, path_hi, couple_tol):
     one start point of every pair or the pairs' own start points (n, d).
     Each pair takes the test norm(x - z) <= couple_tol on its own row, so
     no start decision depends on the batch a pair runs in."""
-    d, n = field.dim, path_hi - path_lo
+    paths = path_range(path_lo, path_hi)
+    d, n = field.dim, len(paths)
     x = as_point(x, d)
     if np.ndim(z) < 2:
         Z = np.tile(as_point(z, d), (n, 1))
@@ -165,12 +166,13 @@ def _start_pairs(field, x, z, path_lo, path_hi, couple_tol):
                                   f"shape {(n, d)}, got {Z.shape}")
     met = np.linalg.norm(x - Z, axis=1) <= couple_tol
     tau_step = np.where(met, 0, -1).astype(np.int64)
-    return path_range(path_lo, path_hi), tau_step, np.tile(x, (n, 1)), Z
+    return paths, tau_step, np.tile(x, (n, 1)), Z
 
 
 def ladder_starts(d: int, zs, n_paths: int) -> np.ndarray:
     """The pairs' start points (len(zs) n_paths, d) of a distance ladder
     run as one batch: rung i starts its n_paths pairs at zs[i]."""
+    _check_count("n_paths", n_paths)
     return np.repeat(np.reshape([as_point(z, d) for z in zs], (-1, d)), n_paths, axis=0)
 
 
@@ -189,6 +191,8 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     chunk leaves the rest of its row unmapped.  A 1D field that declares a
     constant sigma and b = 0 is scanned a row tile at a time
     (``_scan_tile``); every other field takes one ``pair_step`` per node."""
+    if stop_step is not None:
+        _check_count("stop_step", stop_step, least=0)
     stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
     d, s = field.dim, field.sigma_scalar
     per_pair, bridge = _pair_layout(d)
@@ -433,8 +437,8 @@ def lyapunov_f(params: LyapunovParams, eta: float) -> float:
     modulus)."""
     from scipy.integrate import quad
 
-    if eta < 0.0:
-        raise ValidationError("eta must be >= 0")
+    if not 0.0 <= eta < np.inf:
+        raise ValidationError("eta must be finite and >= 0")
     if eta == 0.0:
         return 0.0
     rho = params.rho

@@ -65,7 +65,8 @@ def sgn_drift_solution(theta: float, t: float, x: float, f, lo=-12.0, hi=12.0) -
 
 def heat_kernel(a0, b0, t: float, x, y) -> float:
     """Density at y of N(x + t*b0, t*a0): the constant-coefficient kernel.
-    x, y and b0 must have a0's dimension and every entry must be finite."""
+    a0 must be a symmetric square matrix, x, y and b0 must have its
+    dimension, and every entry must be finite."""
     if not 0.0 < t < np.inf:
         raise ValidationError("t must be positive and finite")
     a0 = np.atleast_2d(np.asarray(a0, dtype=float))
@@ -74,6 +75,8 @@ def heat_kernel(a0, b0, t: float, x, y) -> float:
     b0 = np.zeros(d) if b0 is None else as_point(b0, d, "b0")
     if not all(np.isfinite(v).all() for v in (a0, b0, x, y)):
         raise ValidationError("a0, b0, x and y must be finite")
+    if a0.shape != (d, d) or (a0 != a0.T).any():
+        raise ValidationError(f"a0 must be a symmetric square matrix, got shape {a0.shape}")
     cov = t * a0
     sign, logdet = np.linalg.slogdet(cov)
     if sign <= 0:

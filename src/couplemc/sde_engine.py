@@ -5,7 +5,7 @@ threads never change the numbers.
 
 Each mechanism is described where it is implemented: the counter RNG in
 ``RngStream``, the chunk schedule and row tiles in ``draw_chunks``, the
-draw buffer in ``_draw_buffer``, row blocks and threads in
+draw buffer in ``_draw_buffer``, row blocks and each dispatch's pool in
 ``_on_row_blocks``, the step kernel in ``euler_update``, the path tiles of
 a solve in ``path_tile``, the constant-sigma scan in ``_scan_terminal``,
 and the block runner in ``run_blocks``.  The single-leg drivers are
@@ -40,14 +40,10 @@ _draws = threading.local()
 # 5 ms of ndtri, below which waking a pool thread, and waiting for one the
 # host has descheduled, cost more than half the map saves
 _SPLIT_MIN = 1 << 18
-# threads that share a map or scan, the calling one included, at most
+# threads that share a map or scan, at most
 _MAX_THREADS = 4
 # row blocks cut per thread (_on_row_blocks)
 _BLOCKS_PER_THREAD = 4
-# (pid, threads, executor or None) of the row-block pool (_row_pool)
-_pool = None
-# held around the draws of a terminal scan's threads (_scan_terminal)
-_draw_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -67,10 +63,15 @@ class TimeGrid:
         return self.horizon / self.steps
 
 
-def _check_count(name: str, v) -> None:
-    """Raise ValidationError naming name unless v is an integer >= 1."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {v!r}")
+def _is_int(v) -> bool:
+    """Whether v is a Python or NumPy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_count(name: str, v, least: int = 1) -> None:
+    """Raise ValidationError naming name unless v is an integer >= least."""
+    if not _is_int(v) or v < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
 @dataclass
@@ -95,8 +96,7 @@ class RngStream:
     def __init__(self, seed: int):
         # Philox keys hold 64 bits: a seed outside [0, 2^64) would alias
         # another seed's streams
-        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-                or not 0 <= int(seed) < 2**64):
+        if not _is_int(seed) or not 0 <= int(seed) < 2**64:
             raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         self.seed = int(seed)
 
@@ -160,37 +160,25 @@ def _on_row_blocks(fn, rows: int, work: int) -> None:
     """fn(lo, hi) over the row blocks [lo, hi) of rows rows, for an fn that
     works on each row on its own with the serial operations and returns
     None, so the bytes do not depend on the split.  Below _SPLIT_MIN work
-    (draws to map or scan), or with one CPU, the calling thread runs
-    fn(0, rows); otherwise the pool (``_row_pool``) runs more blocks than
-    it has threads (``run_blocks``), so an unscheduled thread stalls no
-    one.  NumPy and SciPy ufuncs release the GIL."""
-    threads, pool = (1, None) if work < _SPLIT_MIN or rows < 2 else _row_pool()
-    if pool is None:
+    (draws to map or scan), or with one CPU (``_threads``), the calling
+    thread runs fn(0, rows); otherwise a pool opened for this dispatch, and
+    shut down before it returns, runs more blocks than it has threads
+    (``run_blocks``), so an unscheduled thread stalls no one.  NumPy and
+    SciPy ufuncs release the GIL."""
+    threads = 1 if work < _SPLIT_MIN or rows < 2 else _threads()
+    if threads < 2:
         fn(0, rows)
         return
     n = min(rows, _BLOCKS_PER_THREAD * threads)
-    run_blocks(fn, [(rows * i // n, rows * (i + 1) // n) for i in range(n)], pool)
+    with ThreadPoolExecutor(threads, thread_name_prefix="couplemc-rows") as pool:
+        run_blocks(fn, [(rows * i // n, rows * (i + 1) // n) for i in range(n)], pool)
 
 
-def _row_pool():
-    """(threads, executor) that share a large map or scan: as many threads
-    as CPUs this process may run on, at most _MAX_THREADS, while the caller
-    waits; None with one CPU.  Made on first use and again in a forked
-    child, whose copy of the parent's executor has no threads and of
-    _draw_lock may be held.  Its idle threads block without spinning and
-    are joined at interpreter exit."""
-    global _pool, _draw_lock
-    pid = os.getpid()
-    if _pool is None or _pool[0] != pid:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # not on every platform
-            cpus = os.cpu_count() or 1
-        threads = min(cpus, _MAX_THREADS)
-        executor = (ThreadPoolExecutor(threads, thread_name_prefix="couplemc-rows")
-                    if threads > 1 else None)
-        _pool, _draw_lock = (pid, threads, executor), threading.Lock()
-    return _pool[1], _pool[2]
+def _threads() -> int:
+    """Threads that share a large map or scan: the CPUs this process may
+    run on (affinity, else os.cpu_count()), at most _MAX_THREADS."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return min(len(affinity(0)) if affinity else (os.cpu_count() or 1), _MAX_THREADS)
 
 
 def sigma_batch(field: CoefficientField, t: float, x: np.ndarray) -> np.ndarray:
@@ -271,8 +259,10 @@ def chunk_steps(per_step: int) -> int:
 
 def _draw_buffer(n: int) -> np.ndarray:
     """A float64 array of at least n entries for a call's chunks of draws.
-    Up to _CHUNK_BUDGET entries it is the calling thread's kept buffer of
-    that size, resident only where written, so drivers must not nest in a thread.
+    Up to _CHUNK_BUDGET entries it is the calling thread's kept buffer, so
+    drivers must not nest in a thread, grown to the thread's largest
+    request: a scan thread's 2 MB sub-tile stays on small pages (NumPy
+    backs arrays of 4 MB or more with 2 MB pages).
 
     The block driver's chunks change size as pairs meet.  A fresh array
     per chunk or per call leaves it to malloc whether a freed chunk is
@@ -282,8 +272,8 @@ def _draw_buffer(n: int) -> np.ndarray:
     if n > _CHUNK_BUDGET:
         return np.empty(n)
     buf = getattr(_draws, "buf", None)
-    if buf is None or buf.size != _CHUNK_BUDGET:
-        buf = _draws.buf = np.empty(_CHUNK_BUDGET)
+    if buf is None or buf.size < n:
+        buf = _draws.buf = np.empty(n)
     return buf
 
 
@@ -306,9 +296,10 @@ def _scans(field: CoefficientField) -> bool:
 
 def path_range(lo: int, hi: int) -> np.ndarray:
     """The path indices [lo, hi) as uint64, the keys ``RngStream`` reads;
-    an index outside [0, 2^64) is an error, not a wrapped key."""
-    if not 0 <= lo <= hi <= 2**64:
-        raise ValidationError(f"path indices [{lo}, {hi}) must lie in [0, 2^64)")
+    an index outside [0, 2^64), or not an integer, is an error, not a
+    wrapped or rounded key."""
+    if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi <= 2**64):
+        raise ValidationError(f"path indices [{lo!r}, {hi!r}) must be integers in [0, 2^64)")
     return np.arange(lo, hi, dtype=np.uint64)
 
 
@@ -403,18 +394,19 @@ def _scan_terminal(s: float, rng: RngStream, paths: np.ndarray, X: np.ndarray,
 
     Each row block (``_on_row_blocks``, work n steps d) runs its sub-tiles
     of min(_SUB_TILE, _CHUNK_BUDGET) doubles of a thread's ``_draw_buffer``
-    through ``run_blocks``: it draws them under _draw_lock (threads
-    re-keying Philox rows at once hand the GIL back and forth), maps them
-    (``_increments``) while another draws, and sums s dW, plus X on the
-    first step, in step order by np.add.accumulate: the step X + s dW of
-    ``euler_update``.  A longer horizon is drawn in chunks."""
+    through ``run_blocks``: it draws them under the scan's one lock
+    (threads re-keying Philox rows at once hand the GIL back and forth),
+    maps them (``_increments``) while another draws, and sums s dW, plus X
+    on the first step, in step order by np.add.accumulate: the step
+    X + s dW of ``euler_update``.  A longer horizon is drawn in chunks."""
     d, steps = X.shape[1], grid.steps
     sub = min(_SUB_TILE, _CHUNK_BUDGET)
     rows, m = max(1, sub // (steps * d)), max(1, sub // d)
+    lock = threading.Lock()
 
     def scan(a, b):
         for k in range(0, steps, m):
-            with _draw_lock:
+            with lock:
                 dW = rng.uniforms(paths[a:b], k, min(steps, k + m), d, _draw_buffer(sub))
             np.multiply(_increments(dW, grid.dt), s, out=dW)
             dW[:, 0] += X[a:b]

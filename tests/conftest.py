@@ -10,7 +10,3 @@ def threaded(monkeypatch):
     monkeypatch.setattr(sde_engine, "_SPLIT_MIN", 2)
     monkeypatch.setattr(sde_engine.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
-    monkeypatch.setattr(sde_engine, "_pool", None)
-    yield
-    if sde_engine._pool is not None and sde_engine._pool[2] is not None:
-        sde_engine._pool[2].shutdown()

@@ -120,6 +120,9 @@ class TestFieldValidation:
         f = make_constant_field(dim=1)
         with pytest.raises(ValidationError):
             validate_field(f, np.empty((0, 1)))
+        # no times is no sample either, not a pass over none
+        with pytest.raises(ValidationError):
+            validate_field(f, np.zeros((3, 1)), times=())
 
     def test_field_invariants(self):
         f = make_constant_field(dim=1)

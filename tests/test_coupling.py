@@ -660,7 +660,8 @@ class TestCoupledPair:
         assert np.array_equal(default, small)
         assert len(calls) >= 3
         buf = calls[0][0]
-        assert buf.size == budget and all(b is buf for b, *_ in calls)
+        assert buf is sde_engine._draw_buffer(0) and buf.size >= budget
+        assert all(b is buf for b, *_ in calls)
         assert max(size for _, size, *_ in calls) <= budget
         chunks = {(lo, hi) for *_, lo, hi in calls}
         if dim == 1:
@@ -787,16 +788,27 @@ class TestCoupledPair:
         assert max(size for _, size in calls) <= sde_engine._ROW_TILE
 
     def test_draw_buffer_is_kept_per_thread(self):
-        # up to the budget every call of a thread gets that thread's buffer
-        buf = sde_engine._draw_buffer(10)
-        assert buf.size == sde_engine._CHUNK_BUDGET
-        assert sde_engine._draw_buffer(sde_engine._CHUNK_BUDGET) is buf
-        assert sde_engine._draw_buffer(sde_engine._CHUNK_BUDGET + 1) is not buf
-        other = []
-        t = threading.Thread(target=lambda: other.append(sde_engine._draw_buffer(10)))
-        t.start()
-        t.join()
-        assert other[0] is not buf and other[0].size == buf.size
+        # up to the budget a thread's buffer grows to its largest request
+        # and every call of the thread gets it; a request above the budget
+        # gets a fresh array; each thread keeps its own
+        budget = sde_engine._CHUNK_BUDGET
+
+        def requests():
+            # one after another, as a thread's driver calls make them
+            return [sde_engine._draw_buffer(n)
+                    for n in (10, 5, 1000, 10, budget, budget + 1, 1000)]
+
+        bufs = []
+        for _ in range(2):
+            t = threading.Thread(target=lambda: bufs.append(requests()))
+            t.start()
+            t.join()
+        for first, small, grown, kept, full, above, after in bufs:
+            assert first.size == 10 and small is first
+            assert grown.size == 1000 and kept is grown
+            assert full.size == budget and full is not grown
+            assert above.size == budget + 1 and above is not full and after is full
+        assert not set(map(id, bufs[0])) & set(map(id, bufs[1]))
 
     @pytest.mark.parametrize("x,z", [([0.0], [0.1]), ([0.0, 0.0], [0.1]),
                                      ([0.0, 0.0, 0.0], [0.1, 0.0, 0.0])],

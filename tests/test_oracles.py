@@ -3,9 +3,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
-from couplemc import (ModulusOfContinuity, RunningMaxQuery, bm_coupling_expectation,
-                      bm_coupling_survival, heat_kernel,
-                      running_max_bounds, sgn_drift_density,
+from couplemc import (LyapunovParams, ModulusOfContinuity, RunningMaxQuery,
+                      bm_coupling_expectation, bm_coupling_survival, fit_power_law,
+                      heat_kernel, lyapunov_f, running_max_bounds, sgn_drift_density,
                       sgn_drift_solution)
 from couplemc.errors import ValidationError
 from couplemc.registry import (make_constant_field, make_constant_terminal,
@@ -87,6 +87,11 @@ class TestHeatKernel:
         # a start point of another dimension than a0's is not broadcast
         with pytest.raises(ValidationError):
             heat_kernel([[1.0, 0.0], [0.0, 1.0]], None, 1.0, [0.0], [0.0, 0.0])
+        # a0 must be a symmetric square matrix, not solved as given
+        with pytest.raises(ValidationError):
+            heat_kernel([[1, 5], [0, 1]], None, 1.0, [0, 0], [0.5, 0.5])
+        with pytest.raises(ValidationError):
+            heat_kernel([[1, 0, 0], [0, 1, 0]], None, 1.0, [0, 0], [0.5, 0.5])
 
 
 class TestRunningMax:
@@ -174,9 +179,13 @@ class TestCouplingSurvival:
     lambda: make_gaussian_bump(width=np.nan),
     lambda: make_log_modulus_field(alpha=np.nan),
     lambda: ModulusOfContinuity("power", scale=np.nan, alpha=0.5),
+    lambda: fit_power_law([(0.1, np.nan), (0.2, 1.0), (0.3, 2.0)]),
+    lambda: LyapunovParams(gamma=np.nan, rho=ModulusOfContinuity("zero")),
+    lambda: lyapunov_f(LyapunovParams(gamma=1.0, rho=ModulusOfContinuity("zero")), np.nan),
 ], ids=["sgn-density-nan-t", "survival-nan-d0", "expectation-inf-t", "running-max-nan-t",
         "heat-kernel-nan-t", "bump-nan-width", "log-modulus-nan-alpha",
-        "power-modulus-nan-scale"])
+        "power-modulus-nan-scale", "fit-nan-value", "lyapunov-nan-gamma",
+        "lyapunov-nan-eta"])
 def test_range_checks_reject_nan(call):
     # nan compares false with every bound, so each check is written to
     # fail on it; a horizon t or a bump width must also be finite
@@ -203,11 +212,14 @@ def test_range_checks_reject_nan(call):
     lambda: heat_kernel([[1.0]], [np.inf], 1.0, [0.0], [0.0]),
     lambda: heat_kernel([[1.0]], [0.0], 1.0, [np.inf], [0.0]),
     lambda: heat_kernel([[1.0]], [0.0], 1.0, [0.0], [np.nan]),
+    lambda: fit_power_law([(0.1, np.inf), (0.2, 1.0), (0.3, 2.0)]),
+    lambda: fit_power_law([(np.inf, 1.0), (0.2, 1.0), (0.3, 2.0)]),
 ], ids=["sgn-density-inf-t", "sgn-density-nan-x", "sgn-density-inf-theta",
         "heat-kernel-inf-t", "running-max-inf-t", "running-max-inf-x", "running-max-inf-c2",
         "linear-nan", "linear-inf-entry", "constant-terminal-nan", "bump-nan-center",
         "constant-field-inf-a0", "constant-field-nan-matrix", "heat-kernel-nan-a0",
-        "heat-kernel-inf-b0", "heat-kernel-inf-x", "heat-kernel-nan-y"])
+        "heat-kernel-inf-b0", "heat-kernel-inf-x", "heat-kernel-nan-y",
+        "fit-inf-value", "fit-inf-distance"])
 def test_non_finite_library_input_is_rejected_before_numpy_warns(call):
     # input that no config reaches (a config stops it first) is checked in
     # the closed forms and builders themselves: a ValidationError, raised

@@ -138,12 +138,29 @@ class TestPathIndices:
         lambda r: coupling.simulate_coupled_terminal(SIN, [0.0], [0.1], GRID8, r,
                                                      -2, 2, 0.01),
         lambda r: coupling.simulate_coupled(SIN, [0.0], [0.1], GRID8, r, path_index=-1),
+        lambda r: simulate_terminal(SIN, [0.0], GRID8, r, 0, 2.5),
+        lambda r: simulate_terminal(SIN, [0.0], GRID8, r, False, 2),
+        lambda r: coupling.simulate_coupled_terminal(SIN, [0.0], [0.1], GRID8, r,
+                                                     0, 2.5, 0.01),
     ], ids=["terminal", "terminal-past-2^64", "path", "running-max", "solve",
-            "coupling-times", "pairs", "pair"])
+            "coupling-times", "pairs", "pair", "terminal-float-hi", "terminal-bool-lo",
+            "pairs-float-hi"])
     def test_rejects_path_indices_outside_the_key(self, run):
         # a negative offset reached np.arange(..., dtype=np.uint64) and
-        # died with NumPy's OverflowError
+        # died with NumPy's OverflowError; a float bound ran rounded-up
+        # paths or died with a TypeError
         with pytest.raises(ValidationError, match="path indices"):
+            run(RngStream(1))
+
+    @pytest.mark.parametrize("run", [
+        lambda r: coupling_times(SIN, [0.0], [0.1], GRID8, r, 4, stop_step=-5),
+        lambda r: coupling_times(SIN, [0.0], [0.1], GRID8, r, 4, stop_step=2.5),
+        lambda r: coupling.coupling_time_ladder(SIN, [0.0], [[0.1]], 1.0, GRID8, 2.5, r),
+    ], ids=["negative-stop-step", "float-stop-step", "ladder-float-n-paths"])
+    def test_rejects_counts_that_are_not_integers(self, run):
+        # a negative stop read as all pairs unmet; a float stop died with
+        # a TypeError, and a float ladder size ran its floor
+        with pytest.raises(ValidationError, match="must be an integer"):
             run(RngStream(1))
 
     def test_path_range_reaches_the_last_key(self):
@@ -368,8 +385,9 @@ class TestTerminalScan:
 class TestDrawChunks:
     def test_chunked_drivers_draw_into_the_thread_buffer(self, monkeypatch):
         # simulate_terminal, the running max, the terminal pair driver and
-        # the block driver draw every chunk into the calling thread's kept
-        # buffer; another thread draws into its own
+        # the block driver draw every chunk of a call into the calling
+        # thread's kept buffer; another thread draws into its own, grown to
+        # its largest request, here the budget
         bufs = []
         uniforms = RngStream.uniforms
 
@@ -396,20 +414,20 @@ class TestDrawChunks:
             for name, run in drivers.items():
                 bufs.clear()
                 run()
-                drawn[name] = list(bufs)
+                drawn[name] = list(bufs), sde_engine._draw_buffer(0)
             return drawn
 
-        buf = sde_engine._draw_buffer(0)
-        for name, drawn in run_all().items():
-            assert len(drawn) >= 2 and all(b is buf for b in drawn), name
+        for name, (drawn, kept) in run_all().items():
+            assert len(drawn) >= 2 and all(b is kept for b in drawn), name
         other = []
         t = threading.Thread(target=lambda: other.append(run_all()))
         t.start()
         t.join()
-        theirs = other[0]["terminal"][0]
-        assert theirs is not buf and theirs.size == buf.size
-        for name, drawn in other[0].items():
-            assert all(b is theirs for b in drawn), name
+        theirs = other[0]["terminal"][1]
+        assert theirs is not sde_engine._draw_buffer(0)
+        assert theirs.size == sde_engine._CHUNK_BUDGET
+        for name, (drawn, kept) in other[0].items():
+            assert kept is theirs and all(b is theirs for b in drawn), name
 
     def test_fixed_batches_fill_the_budget_from_the_first_chunk(self, monkeypatch):
         # only the survivor loop caps its chunks at the steps already
@@ -660,7 +678,7 @@ class TestRowBlocks:
                 assert simulate_terminal(*args)[0].tobytes() == expected.tobytes()
         finally:
             sys.setswitchinterval(interval)
-        assert sde_engine._pool[1] == 8
+        assert sde_engine._threads() == 8
 
     def test_scan_matches_serial(self, threaded, monkeypatch):
         # a scanned call whose row blocks each draw, map and scan in their
@@ -757,7 +775,6 @@ class TestRowBlocks:
         monkeypatch.setattr(sde_engine.os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         monkeypatch.setattr(sde_engine.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(sde_engine, "_pool", None)
         before = set(threading.enumerate())
         f = make_constant_field(dim=2)
 
@@ -768,15 +785,55 @@ class TestRowBlocks:
         u = _with_top_rows((64, 100, 2))
         expected = _serial(to_increments, u.copy(), 0.01)
         assert to_increments(u, 0.01).tobytes() == expected.tobytes()
-        assert sde_engine._pool[1:] == (1, None)
+        assert sde_engine._threads() == 1
         assert set(threading.enumerate()) == before
+
+    def test_threads_without_affinity_read_the_cpu_count(self, monkeypatch):
+        # where os has no sched_getaffinity the CPU count decides: three
+        # CPUs open a pool of three threads, an unknown count (None) runs
+        # every map in the calling thread and opens no pool
+        monkeypatch.delattr(sde_engine.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sde_engine, "_SPLIT_MIN", 2)
+        pools, executor = [], sde_engine.ThreadPoolExecutor
+        monkeypatch.setattr(sde_engine, "ThreadPoolExecutor",
+                            lambda threads, **kw: pools.append(threads) or executor(threads, **kw))
+        u = _with_top_rows((64, 100))
+        expected = _serial(to_increments, u.copy(), 0.01)
+        for cpus, threads, opened in [(3, 3, [3]), (None, 1, [])]:
+            monkeypatch.setattr(sde_engine.os, "cpu_count", lambda: cpus)
+            pools.clear()
+            assert sde_engine._threads() == threads
+            assert to_increments(u.copy(), 0.01).tobytes() == expected.tobytes()
+            assert pools == opened, cpus
+
+    def test_no_row_thread_outlives_the_call(self, threaded, monkeypatch):
+        # a split map and a split scan run in couplemc-rows threads, and
+        # none of them is alive once the call has returned
+        names, increments = set(), sde_engine._increments
+
+        def named(u, dt):
+            names.add(threading.current_thread().name)
+            return increments(u, dt)
+
+        def row_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("couplemc-rows")]
+
+        monkeypatch.setattr(sde_engine, "_increments", named)
+        f = make_constant_field(dim=2)
+        for run in (lambda: to_increments(_with_top_rows((40, 50)), 0.01),
+                    lambda: simulate_terminal(f, np.zeros(2), TimeGrid(1.0, 100),
+                                              RngStream(4), 0, 64)):
+            names.clear()
+            run()
+            assert names and all(n.startswith("couplemc-rows") for n in names)
+            assert not row_threads()
 
     def test_only_large_arrays_are_split(self, monkeypatch):
         # a scanned call of _SPLIT_MIN path-step draws is split, in one
         # request; the block driver of a few thousand pairs, scan or step
-        # loop, never asks for the pool
+        # loop, never asks for threads
         asked = []
-        monkeypatch.setattr(sde_engine, "_row_pool", lambda: asked.append(1) or (1, None))
+        monkeypatch.setattr(sde_engine, "_threads", lambda: asked.append(1) or 1)
         grid = TimeGrid(1.0, 128)
         f = make_constant_field(dim=1)
         for field in (f, dataclasses.replace(f, sigma_scalar=None)):
@@ -790,16 +847,22 @@ class TestRowBlocks:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_maps_with_its_own_pool(self, threaded):
-        # the child's copy of the parent's pool has no threads: the child
-        # makes its own and maps the same bytes
+        # a child forked after the parent's split map opens its own pool,
+        # whose threads map the same bytes
         u = _with_top_rows((64, 100, 2))
         expected = to_increments(u.copy(), 0.01)
-        parent_pool = sde_engine._pool
 
         def child():
+            names, increments = set(), sde_engine._increments
+
+            def named(u, dt):
+                names.add(threading.current_thread().name)
+                return increments(u, dt)
+
+            sde_engine._increments = named
             ok = to_increments(u.copy(), 0.01).tobytes() == expected.tobytes()
-            fresh = sde_engine._pool[0] == os.getpid() and sde_engine._pool is not parent_pool
-            os._exit(0 if ok and fresh else 1)
+            pooled = names and all(n.startswith("couplemc-rows") for n in names)
+            os._exit(0 if ok and pooled else 1)
 
         proc = multiprocessing.get_context("fork").Process(target=child)
         proc.start()
@@ -809,12 +872,12 @@ class TestRowBlocks:
         assert proc.exitcode == 0
 
     def test_pool_does_not_hold_up_exit(self):
-        # a process whose pool has mapped a large array exits at once
-        code = ("import os, numpy as np; from couplemc import sde_engine; "
+        # a process whose pool has mapped a large array has no couplemc
+        # thread left and exits at once
+        code = ("import os, threading, numpy as np; from couplemc import sde_engine; "
                 "os.sched_getaffinity = lambda pid: {0, 1}; "
-                "assert sde_engine._pool is None; "
                 "sde_engine.to_increments(np.random.random((64, 8192)), 0.01); "
-                "assert sde_engine._pool[2] is not None")
+                "assert not [t for t in threading.enumerate() if 'couplemc' in t.name]")
         src = os.path.dirname(os.path.dirname(sde_engine.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
