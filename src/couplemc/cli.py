@@ -22,8 +22,8 @@ from .coefficients import default_sample_points, validate_field
 from .config import ORACLES, ExperimentConfig, _parse_scalar, load_config
 from .coupling import _resolve_tol, coupling_time_ladder
 from .errors import ConfigError, CoupleMCError, SimulationDivergedError, ValidationError
-from .fk_solver import (ResultTable, SolveRequest, difference_ladder, expected_regime,
-                        fit_result_table, placement, solve_u)
+from .fk_solver import (_LADDER_FITS, ResultTable, SolveRequest, difference_ladder,
+                        expected_regime, fit_result_table, placement, solve_u)
 from .oracles import (RunningMaxQuery, bm_coupling_expectation, heat_kernel,
                       running_max_bounds, sgn_drift_density)
 from .registry import build_field, build_terminal
@@ -175,11 +175,25 @@ def run_experiment(cfg: ExperimentConfig, out_root, run_dir=None) -> str:
 
 
 def _cmd_report(run_dir) -> int:
+    """Print the fits of run_dir's results.csv (``fit_result_table``).  An
+    empty file, a row whose length differs from the header's, or a cell of
+    a column that the fits read (distance and the fitted values) that is
+    not a number is a ValidationError that names the file."""
     path = os.path.join(run_dir, "results.csv")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        columns = next(reader)
-        rows = [tuple(map(_parse_scalar, row)) for row in reader]
+        columns, *rows = list(csv.reader(fh)) or [[]]
+    if not columns:
+        raise ValidationError(f"{path} has no header")
+    rows = [tuple(map(_parse_scalar, row)) for row in rows]
+    fitted = ([i for i, c in enumerate(columns) if c == "distance" or c in _LADDER_FITS]
+              if "distance" in columns else [])
+    for n, row in enumerate(rows, start=1):
+        if len(row) != len(columns):
+            raise ValidationError(f"{path}: row {n} has {len(row)} cells, the header "
+                                  f"{len(columns)}")
+        if any(type(row[i]) not in (int, float) for i in fitted):
+            raise ValidationError(f"{path}: row {n} has a cell that is not a number in "
+                                  f"{', '.join(columns[i] for i in fitted)}")
     table = ResultTable(columns=columns, rows=rows)
     fits = fit_result_table(table) if "distance" in columns else {}
     json.dump(fits, sys.stdout, indent=2, sort_keys=True)

@@ -24,7 +24,8 @@ from .coefficients import CoefficientField, ModulusOfContinuity, require_dini
 from .errors import SimulationDivergedError, ValidationError
 from .sde_engine import (RngStream, SamplePath, TimeGrid, _check_count, as_point,
                          chunk_steps, draw_chunks, euler_step, euler_update, path_range,
-                         raise_first_nonfinite, run_blocks, sigma_batch, to_increments)
+                         raise_first_nonfinite, run_blocks, sigma_batch, tile_draw,
+                         to_increments)
 
 
 @dataclass
@@ -156,14 +157,16 @@ def _start_pairs(field, x, z, path_lo, path_hi, couple_tol):
     no start decision depends on the batch a pair runs in."""
     paths = path_range(path_lo, path_hi)
     d, n = field.dim, len(paths)
-    x = as_point(x, d)
+    x = as_point(x, d, "x")
     if np.ndim(z) < 2:
-        Z = np.tile(as_point(z, d), (n, 1))
+        Z = np.tile(as_point(z, d, "z"), (n, 1))
     else:
         Z = np.array(z, dtype=float)
         if Z.shape != (n, d):
             raise ValidationError(f"start points of {n} pairs of this field need "
                                   f"shape {(n, d)}, got {Z.shape}")
+        if not np.isfinite(Z).all():
+            raise ValidationError("start points z of the pairs must be finite")
     met = np.linalg.norm(x - Z, axis=1) <= couple_tol
     tau_step = np.where(met, 0, -1).astype(np.int64)
     return paths, tau_step, np.tile(x, (n, 1)), Z
@@ -173,7 +176,7 @@ def ladder_starts(d: int, zs, n_paths: int) -> np.ndarray:
     """The pairs' start points (len(zs) n_paths, d) of a distance ladder
     run as one batch: rung i starts its n_paths pairs at zs[i]."""
     _check_count("n_paths", n_paths)
-    return np.repeat(np.reshape([as_point(z, d) for z in zs], (-1, d)), n_paths, axis=0)
+    return np.repeat(np.reshape([as_point(z, d, "z") for z in zs], (-1, d)), n_paths, axis=0)
 
 
 def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
@@ -185,12 +188,12 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     and states at the stop node of the unmet pairs, in path order.
 
     z is one start point or one per pair (``_start_pairs``).  The unmet
-    pairs are kept compacted and drawn in chunks of a shrinking batch
-    (``draw_chunks``).  Uniforms become increments only for the pairs
-    about to be stepped, on a gathered copy, so a pair that meets inside a
-    chunk leaves the rest of its row unmapped.  A 1D field that declares a
-    constant sigma and b = 0 is scanned a row tile at a time
-    (``_scan_tile``); every other field takes one ``pair_step`` per node."""
+    pairs are kept compacted.  Uniforms become increments only for the
+    pairs about to be stepped, on a gathered copy, so a pair that meets
+    inside a chunk leaves the rest of its row unmapped.  A 1D field that
+    declares a constant sigma and b = 0 is scanned (``_scan_tile``) in row
+    tiles that ``tile_draw`` draws as they are reached; every other field
+    takes one ``pair_step`` per node in chunks (``draw_chunks``)."""
     if stop_step is not None:
         _check_count("stop_step", stop_step, least=0)
     stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
@@ -202,12 +205,18 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     # overflow is handled by the finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if d == 1 and s is not None and field.b_sup == 0.0:
-            for k, _, tiles in draw_chunks(rng, lambda: paths[rows], stop, per_pair,
-                                           row_tiles=True):
+            tile, draw = tile_draw(rng)
+            k = 0
+            while k < stop and rows.size:
+                # max(64, k) steps in whole 4-step counter blocks, a row at most a tile
+                k_hi = min(stop, k + max(64, k), k + tile // (4 * per_pair) * 4)
+                n = tile // ((k_hi - k) * per_pair)
                 # every tile of the chunk runs before rows, X, Z are rebound
-                rows, X, Z = run_blocks(
-                    lambda lo, hi, u: _scan_tile(s, grid.dt, couple_tol, k, u, rows[lo:hi],
-                                                 X[lo:hi], Z[lo:hi], tau_step), tiles)
+                rows, X, Z = run_blocks(lambda r, x_r, z_r: _scan_tile(
+                    s, grid.dt, couple_tol, k, draw(paths[r], k, k_hi, per_pair), r, x_r,
+                    z_r, tau_step), ((rows[a:a + n], X[a:a + n], Z[a:a + n])
+                                     for a in range(0, rows.size, n)))
+                k = k_hi
             return tau_step, rows, X, Z
         for k, k_hi, u in draw_chunks(rng, lambda: paths[rows], stop, per_pair):
             dpos = np.arange(rows.size)  # row into this chunk's draws
@@ -233,9 +242,10 @@ def _scan_steps(n_pairs: int) -> int:
 
 def _scan_tile(s, dt, couple_tol, k, u, rows, X, Z, tau_step):
     """The block driver's steps from node k of the pairs rows, a row tile
-    of a chunk (``draw_chunks``), for a 1D field with sigma = s and b = 0;
-    u holds their uniforms (pairs, steps, 2).  Returns the survivors
-    (rows, X, Z) and writes the coupling steps into tau_step.
+    of a chunk (``simulate_coupled_block``), for a 1D field with sigma = s
+    and b = 0; u holds their uniforms (pairs, steps, 2), drawn by
+    ``tile_draw``.  Returns the survivors (rows, X, Z) and writes the
+    coupling steps into tau_step.
 
     A sub-block of steps at a time, it gathers the survivors' uniforms,
     turns them into increments and repeats ``pair_step`` on every node of

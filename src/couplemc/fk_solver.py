@@ -90,15 +90,13 @@ def difference_ladder(req: SolveRequest, zs, rng: RngStream,
 
 def placement(base_point, direction, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(x, e / |e|) for a ladder from base_point x along direction e in R^d.
-    A point or direction of another length, a non-finite point, or a
-    direction that is zero or not finite is a ValidationError."""
+    A point or direction of another length or not finite (``as_point``),
+    or a zero direction, is a ValidationError."""
     x = as_point(base_point, d, "base_point")
-    if not np.isfinite(x).all():
-        raise ValidationError("base_point must be finite")
     e = as_point(direction, d, "direction")
     top = np.max(np.abs(e))
-    if not 0.0 < top < np.inf:
-        raise ValidationError("direction must be nonzero and finite")
+    if top == 0.0:
+        raise ValidationError("direction must be nonzero")
     # scaling by a power of two is exact and keeps |e| off overflow and underflow
     e = np.ldexp(e, -np.frexp(top)[1])
     return x, e / np.linalg.norm(e)

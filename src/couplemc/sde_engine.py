@@ -4,12 +4,12 @@ step k is a pure function of (seed, p, k), so blocks, tiles, chunks and
 threads never change the numbers.
 
 Each mechanism is described where it is implemented: the counter RNG in
-``RngStream``, the chunk schedule and row tiles in ``draw_chunks``, the
-draw buffer in ``_draw_buffer``, row blocks and each dispatch's pool in
-``_on_row_blocks``, the step kernel in ``euler_update``, the path tiles of
-a solve in ``path_tile``, the constant-sigma scan in ``_scan_terminal``,
-and the block runner in ``run_blocks``.  The single-leg drivers are
-``simulate_terminal`` and the recorder ``simulate_path``.
+``RngStream``, the step loops' chunks in ``draw_chunks``, the scans' tiles
+in ``tile_draw``, the draw buffer in ``_draw_buffer``, row blocks and each
+dispatch's pool in ``_on_row_blocks``, the step kernel in ``euler_update``,
+the path tiles of a solve in ``path_tile``, the constant-sigma scan in
+``_scan_terminal``, and the block runner in ``run_blocks``.  The single-leg
+drivers are ``simulate_terminal`` and the recorder ``simulate_path``.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ from .errors import SimulationDivergedError, ValidationError
 # draws per chunk, in doubles, for every chunked driver
 _CHUNK_BUDGET = 4_000_000
 _DEFAULT_BLOCK = 16_384
-# doubles per row tile of a row-wise chunk (draw_chunks), at most _CHUNK_BUDGET
-_ROW_TILE = 1 << 19
-# doubles per sub-tile of a terminal scan (_scan_terminal): 2^19 peaked 4 MB higher
+# doubles per tile of a scan (tile_draw): 2^19 peaked 4 MB higher
 _SUB_TILE = 1 << 18
 # the chunk loop's draw buffer, one per thread (_draw_buffer)
 _draws = threading.local()
@@ -104,7 +102,19 @@ class RngStream:
                  buf: np.ndarray | None = None) -> np.ndarray:
         """Uniform[0, 1) draws, shape (paths, steps, dim).  With buf, a flat
         float64 array of at least paths * steps * dim entries, the draws
-        are written to its leading entries and returned as a view of it."""
+        are written to its leading entries and returned as a view of it.
+        Path indices must be integers in [0, 2^64), the steps integers with
+        0 <= step_lo <= step_hi and dim an integer >= 1, else it is a
+        ValidationError, not a rounded or wrapped key; a uint64 array of
+        path indices (``path_range``) holds only keys and is taken as is."""
+        if getattr(path_indices, "dtype", None) != np.uint64:
+            for p in path_indices:
+                if not (_is_int(p) and 0 <= p < 2**64):
+                    raise ValidationError(f"path indices must be integers in [0, 2^64), got {p!r}")
+        if not (_is_int(step_lo) and _is_int(step_hi) and 0 <= step_lo <= step_hi):
+            raise ValidationError(f"steps [{step_lo!r}, {step_hi!r}) must be an integer "
+                                  f"range, 0 <= step_lo <= step_hi")
+        _check_count("dim", dim)
         paths = np.asarray(path_indices, dtype=np.uint64).tolist()
         n_steps = step_hi - step_lo
         shape = (len(paths), n_steps * dim)
@@ -194,62 +204,46 @@ def sigma_batch(field: CoefficientField, t: float, x: np.ndarray) -> np.ndarray:
     return sig
 
 
-def draw_chunks(rng: RngStream, paths, stop: int, dim: int, row_tiles: bool = False):
+def draw_chunks(rng: RngStream, paths, stop: int, dim: int):
     """Yields (k, k_hi, u) for consecutive step ranges [k, k_hi) covering
     [0, stop), u the raw uniforms (paths, k_hi - k, dim) of the chunk's
-    paths.  paths is an array of path indices, a fixed batch whose chunks
-    fill the draw budget (``chunk_steps``), or a callable that returns the
-    paths of a shrinking batch, read again for every chunk; the iteration
-    stops when it is empty.  A shrinking batch's chunk from node k also
-    takes at most max(16, k // 2) steps, half the steps already taken, so
-    pairs that meet early leave few draws unused and a batch of many
-    pairs (a whole distance ladder) draws its first chunks in little
-    memory; it ends on a whole four-double counter block unless it ends
-    at stop, so every chunk starts on one and no row pays for discarding
-    the doubles before its start.  Every chunk of a call is drawn into one
-    buffer (``_draw_buffer``), which the next chunk overwrites.
-
-    With row_tiles, for a consumer that works on each row on its own, it
-    yields (k, k_hi, tiles) instead.  The chunk from node k takes max(64, k)
-    steps however many paths it has (at most one tile's row, in whole
-    counter blocks), and tiles yields (lo, hi, u) for consecutive blocks
-    [lo, hi) of the chunk's paths, each drawn when it is reached into the
-    first min(_ROW_TILE, _CHUNK_BUDGET) doubles of the kept buffer."""
+    paths, for the step loops.  paths is an array of path indices, a fixed
+    batch whose chunks fill the draw budget (``chunk_steps``), or a
+    callable that returns the paths of a shrinking batch, read again for
+    every chunk; the iteration stops when it is empty.  A shrinking
+    batch's chunk from node k also takes at most max(16, k // 2) steps,
+    half the steps already taken, so pairs that meet early leave few draws
+    unused and a batch of many pairs (a whole distance ladder) draws its
+    first chunks in little memory; it ends on a whole four-double counter
+    block unless it ends at stop, so every chunk starts on one and no row
+    pays for discarding the doubles before its start.  Every chunk of a
+    call is drawn into one buffer (``_draw_buffer``), which the next chunk
+    overwrites."""
     shrinking = callable(paths)
-    tile = min(_ROW_TILE, _CHUNK_BUDGET)
-    buf = _draw_buffer(tile) if row_tiles else None
+    buf = None
     k = 0
     while k < stop:
         p = paths() if shrinking else paths
         per_step = len(p) * dim
         if not per_step:
             return
-        if row_tiles:
-            # rows of whole 4-step blocks keep every chunk start on a
-            # four-double counter block
-            k_hi = min(stop, k + max(64, k), k + tile // (4 * dim) * 4)
-            yield k, k_hi, _row_tiles(rng, p, k, k_hi, dim, buf, tile)
-        else:
-            if buf is None:
-                buf = _draw_buffer(min(per_step * stop, max(_CHUNK_BUDGET, 16 * per_step)))
-            k_hi = k + chunk_steps(per_step)
-            if shrinking:
-                # end on a multiple of 4 steps, a whole counter block in
-                # any dim, as k is
-                k_hi = min(k_hi, k + max(16, k // 2)) // 4 * 4
-            k_hi = min(stop, k_hi)
-            yield k, k_hi, rng.uniforms(p, k, k_hi, dim, buf)
+        if buf is None:
+            buf = _draw_buffer(min(per_step * stop, max(_CHUNK_BUDGET, 16 * per_step)))
+        k_hi = k + chunk_steps(per_step)
+        if shrinking:
+            # end on a multiple of 4 steps, a whole counter block in any dim
+            k_hi = min(k_hi, k + max(16, k // 2)) // 4 * 4
+        k_hi = min(stop, k_hi)
+        yield k, k_hi, rng.uniforms(p, k, k_hi, dim, buf)
         k = k_hi
 
 
-def _row_tiles(rng: RngStream, paths, k: int, k_hi: int, dim: int,
-               buf: np.ndarray, tile: int):
-    """(lo, hi, u) for the row tiles [lo, hi) of a chunk: as many paths as
-    fit tile doubles over steps [k, k_hi), drawn into buf."""
-    n = tile // ((k_hi - k) * dim)
-    for lo in range(0, len(paths), n):
-        hi = min(len(paths), lo + n)
-        yield lo, hi, rng.uniforms(paths[lo:hi], k, k_hi, dim, buf)
+def tile_draw(rng: RngStream):
+    """(tile, draw) of a scan: tile = min(_SUB_TILE, _CHUNK_BUDGET) doubles,
+    and draw(paths, k, k_hi, dim), rng's uniforms of steps [k, k_hi), at
+    most a tile, into the calling thread's kept ``_draw_buffer``."""
+    tile = min(_SUB_TILE, _CHUNK_BUDGET)
+    return tile, lambda *args: rng.uniforms(*args, _draw_buffer(tile))
 
 
 def chunk_steps(per_step: int) -> int:
@@ -261,7 +255,7 @@ def _draw_buffer(n: int) -> np.ndarray:
     """A float64 array of at least n entries for a call's chunks of draws.
     Up to _CHUNK_BUDGET entries it is the calling thread's kept buffer, so
     drivers must not nest in a thread, grown to the thread's largest
-    request: a scan thread's 2 MB sub-tile stays on small pages (NumPy
+    request: a scan's 2 MB tile (``tile_draw``) stays on small pages (NumPy
     backs arrays of 4 MB or more with 2 MB pages).
 
     The block driver's chunks change size as pairs meet.  A fresh array
@@ -305,10 +299,12 @@ def path_range(lo: int, hi: int) -> np.ndarray:
 
 def as_point(x, d: int, name: str = "a point") -> np.ndarray:
     """x as a point of R^d; a point of another length is an error, not
-    broadcast."""
+    broadcast, and so is a non-finite entry, not a divergence at step 1."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
     if p.shape != (d,):
         raise ValidationError(f"{name} of this field needs {d} entries, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValidationError(f"{name} must be finite, got {p.tolist()}")
     return p
 
 
@@ -393,21 +389,21 @@ def _scan_terminal(s: float, rng: RngStream, paths: np.ndarray, X: np.ndarray,
     sigma = s and b = 0, written into X, which is returned.
 
     Each row block (``_on_row_blocks``, work n steps d) runs its sub-tiles
-    of min(_SUB_TILE, _CHUNK_BUDGET) doubles of a thread's ``_draw_buffer``
-    through ``run_blocks``: it draws them under the scan's one lock
-    (threads re-keying Philox rows at once hand the GIL back and forth),
-    maps them (``_increments``) while another draws, and sums s dW, plus X
-    on the first step, in step order by np.add.accumulate: the step
-    X + s dW of ``euler_update``.  A longer horizon is drawn in chunks."""
+    of ``tile_draw``'s tile through ``run_blocks``: it draws them under the
+    scan's one lock (threads re-keying Philox rows at once hand the GIL
+    back and forth), maps them (``_increments``) while another draws, and
+    sums s dW, plus X on the first step, in step order by
+    np.add.accumulate: the step X + s dW of ``euler_update``.  A longer
+    horizon is drawn in chunks."""
     d, steps = X.shape[1], grid.steps
-    sub = min(_SUB_TILE, _CHUNK_BUDGET)
+    sub, draw = tile_draw(rng)
     rows, m = max(1, sub // (steps * d)), max(1, sub // d)
     lock = threading.Lock()
 
     def scan(a, b):
         for k in range(0, steps, m):
             with lock:
-                dW = rng.uniforms(paths[a:b], k, min(steps, k + m), d, _draw_buffer(sub))
+                dW = draw(paths[a:b], k, min(steps, k + m), d)
             np.multiply(_increments(dW, grid.dt), s, out=dW)
             dW[:, 0] += X[a:b]
             np.add.accumulate(dW, axis=1, out=dW)

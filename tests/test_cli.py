@@ -261,6 +261,29 @@ def test_report_emits_fits(tmp_path, capsys):
     assert fits == {k: summary[k] for k in keys}
 
 
+_TABLE = ("distance,horizon,n_paths,mean_tau_capped,stderr,fraction_coupled,couple_tol\n"
+          "0.2,1.0,600,0.15,0.002,0.9,0.002\n0.1,1.0,600,0.078,0.0015,0.95,0.002\n"
+          "0.05,1.0,600,0.04,0.0011,0.98,0.002\n")
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    _TABLE.rsplit(",", 6)[0] + "\n",
+    _TABLE.replace("0.1,1.0", "ten,1.0"),
+    _TABLE.replace("0.078", "0.078.1"),
+], ids=["empty", "cut-last-row", "word-distance", "word-fitted-value"])
+def test_report_rejects_a_malformed_table(tmp_path, capsys, text):
+    # a table that is empty, has a row whose length differs from the
+    # header's, or a cell that is not a number where the fits read one
+    # stops with a config error naming the file, not a traceback
+    # (StopIteration, IndexError and ValueError)
+    (tmp_path / "results.csv").write_text(text)
+    assert main(["report", str(tmp_path)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-error"
+    assert str(tmp_path / "results.csv") in err["message"]
+
+
 COUPLE_2D = COUPLE.replace("field.dim = 1", "field.dim = 2").replace(
     "n_paths = 600", "n_paths = 100").replace("grid.steps = 200", "grid.steps = 50")
 

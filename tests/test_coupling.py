@@ -458,8 +458,8 @@ class TestCoupledPair:
         tol = tol_factor * default_couple_tol(grid, f)
         with mock.patch.object(sde_engine, "_CHUNK_BUDGET",
                                budget or sde_engine._CHUNK_BUDGET), \
-                mock.patch.object(sde_engine, "_ROW_TILE",
-                                  tile or sde_engine._ROW_TILE), \
+                mock.patch.object(sde_engine, "_SUB_TILE",
+                                  tile or sde_engine._SUB_TILE), \
                 mock.patch.object(coupling, "_scan_steps",
                                   (lambda n_pairs: 16) if short_blocks
                                   else coupling._scan_steps):
@@ -785,7 +785,7 @@ class TestCoupledPair:
                            TimeGrid(1.0, 40), RngStream(3), n)
         kept = sde_engine._draw_buffer(0)
         assert len(calls) > 1 and all(b is kept for b, _ in calls)
-        assert max(size for _, size in calls) <= sde_engine._ROW_TILE
+        assert max(size for _, size in calls) <= sde_engine._SUB_TILE
 
     def test_draw_buffer_is_kept_per_thread(self):
         # up to the budget a thread's buffer grows to its largest request

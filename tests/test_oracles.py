@@ -3,13 +3,17 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
-from couplemc import (LyapunovParams, ModulusOfContinuity, RunningMaxQuery,
-                      bm_coupling_expectation, bm_coupling_survival, fit_power_law,
-                      heat_kernel, lyapunov_f, running_max_bounds, sgn_drift_density,
-                      sgn_drift_solution)
+from couplemc import (LyapunovParams, ModulusOfContinuity, RngStream, RunningMaxQuery,
+                      SolveRequest, TimeGrid, bm_coupling_expectation, bm_coupling_survival,
+                      coupling_time_ladder, coupling_times, difference_ladder,
+                      fit_power_law, heat_kernel, lyapunov_f, running_max_bounds,
+                      sgn_drift_density, sgn_drift_solution, solve_u)
+from couplemc.coupling import simulate_coupled
 from couplemc.errors import ValidationError
 from couplemc.registry import (make_constant_field, make_constant_terminal,
-                               make_gaussian_bump, make_linear, make_log_modulus_field)
+                               make_gaussian_bump, make_linear, make_log_modulus_field,
+                               make_sin_field)
+from couplemc.sde_engine import simulate_path, simulate_terminal
 
 
 class TestSgnDriftDensity:
@@ -193,6 +197,16 @@ def test_range_checks_reject_nan(call):
         call()
 
 
+CONST, SIN = make_constant_field(dim=1), make_sin_field(dim=1, amp=0.5)
+GRID = TimeGrid(1.0, 8)
+
+
+def _solve(field, x):
+    """A 4-path SolveRequest of field at x on GRID."""
+    return SolveRequest(field=field, terminal=make_gaussian_bump(0.0, 1.0),
+                        eval_point=np.asarray(x, dtype=float), n_paths=4, grid=GRID)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call", [
     lambda: sgn_drift_density(1.0, np.inf, 0.0, 0.0),
@@ -214,15 +228,38 @@ def test_range_checks_reject_nan(call):
     lambda: heat_kernel([[1.0]], [0.0], 1.0, [0.0], [np.nan]),
     lambda: fit_power_law([(0.1, np.inf), (0.2, 1.0), (0.3, 2.0)]),
     lambda: fit_power_law([(np.inf, 1.0), (0.2, 1.0), (0.3, 2.0)]),
+    lambda: simulate_terminal(CONST, [np.nan], GRID, RngStream(1), 0, 4),
+    lambda: simulate_terminal(SIN, [np.inf], GRID, RngStream(1), 0, 4),
+    lambda: simulate_path(SIN, [np.nan], GRID, RngStream(1)),
+    lambda: solve_u(_solve(CONST, [-np.inf]), RngStream(1)),
+    lambda: solve_u(_solve(SIN, [np.nan]), RngStream(1)),
+    lambda: coupling_times(CONST, [np.nan], [0.1], GRID, RngStream(1), 4),
+    lambda: coupling_times(SIN, [0.0], [np.inf], GRID, RngStream(1), 4),
+    lambda: coupling_times(CONST, [0.0], [[0.1], [np.nan]], GRID, RngStream(1), 2),
+    lambda: coupling_times(SIN, [0.0], [[np.inf], [0.1]], GRID, RngStream(1), 2),
+    lambda: coupling_time_ladder(CONST, [0.0], [[0.1], [np.inf]], 1.0, GRID, 4,
+                                 RngStream(1)),
+    lambda: coupling_time_ladder(SIN, [np.nan], [[0.1]], 1.0, GRID, 4, RngStream(1)),
+    lambda: difference_ladder(_solve(CONST, [np.inf]), [[0.1]], RngStream(1)),
+    lambda: difference_ladder(_solve(SIN, [0.0]), [[0.1], [np.nan]], RngStream(1)),
+    lambda: simulate_coupled(CONST, [0.0], [np.nan], GRID, RngStream(1)),
+    lambda: simulate_coupled(SIN, [np.inf], [0.1], GRID, RngStream(1)),
 ], ids=["sgn-density-inf-t", "sgn-density-nan-x", "sgn-density-inf-theta",
         "heat-kernel-inf-t", "running-max-inf-t", "running-max-inf-x", "running-max-inf-c2",
         "linear-nan", "linear-inf-entry", "constant-terminal-nan", "bump-nan-center",
         "constant-field-inf-a0", "constant-field-nan-matrix", "heat-kernel-nan-a0",
         "heat-kernel-inf-b0", "heat-kernel-inf-x", "heat-kernel-nan-y",
-        "fit-inf-value", "fit-inf-distance"])
+        "fit-inf-value", "fit-inf-distance", "terminal-constant-nan-x0",
+        "terminal-sin-inf-x0", "path-sin-nan-x0", "solve-constant-inf-point",
+        "solve-sin-nan-point", "coupling-times-constant-nan-x",
+        "coupling-times-sin-inf-z", "coupling-times-constant-nan-pair-start",
+        "coupling-times-sin-inf-pair-start", "ladder-constant-inf-z", "ladder-sin-nan-x",
+        "difference-ladder-constant-inf-x", "difference-ladder-sin-nan-z",
+        "coupled-constant-nan-z", "coupled-sin-inf-x"])
 def test_non_finite_library_input_is_rejected_before_numpy_warns(call):
     # input that no config reaches (a config stops it first) is checked in
-    # the closed forms and builders themselves: a ValidationError, raised
-    # before NumPy warns or a terminal returns nan
+    # the closed forms, builders and drivers themselves: a ValidationError,
+    # raised before NumPy warns, a terminal returns nan or a driver
+    # reports a non-finite start point as a divergence at step 1
     with pytest.raises(ValidationError):
         call()

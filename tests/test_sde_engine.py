@@ -142,13 +142,22 @@ class TestPathIndices:
         lambda r: simulate_terminal(SIN, [0.0], GRID8, r, False, 2),
         lambda r: coupling.simulate_coupled_terminal(SIN, [0.0], [0.1], GRID8, r,
                                                      0, 2.5, 0.01),
+        lambda r: r.uniforms([2.5], 0, 4, 1),
+        lambda r: r.uniforms([-0.5], 0, 4, 1),
+        lambda r: r.uniforms([True], 0, 4, 1),
+        lambda r: r.uniforms([0, -1], 0, 4, 1),
+        lambda r: r.uniforms([2**64], 0, 4, 1),
+        lambda r: r.uniforms(np.array([1.5]), 0, 4, 1),
     ], ids=["terminal", "terminal-past-2^64", "path", "running-max", "solve",
             "coupling-times", "pairs", "pair", "terminal-float-hi", "terminal-bool-lo",
-            "pairs-float-hi"])
+            "pairs-float-hi", "uniforms-float-index", "uniforms-negative-float-index",
+            "uniforms-bool-index", "uniforms-negative-index", "uniforms-index-past-2^64",
+            "uniforms-float-array"])
     def test_rejects_path_indices_outside_the_key(self, run):
         # a negative offset reached np.arange(..., dtype=np.uint64) and
         # died with NumPy's OverflowError; a float bound ran rounded-up
-        # paths or died with a TypeError
+        # paths or died with a TypeError.  RngStream.uniforms took [2.5]
+        # as path 2, [-0.5] as path 0 and [True] as path 1
         with pytest.raises(ValidationError, match="path indices"):
             run(RngStream(1))
 
@@ -156,10 +165,20 @@ class TestPathIndices:
         lambda r: coupling_times(SIN, [0.0], [0.1], GRID8, r, 4, stop_step=-5),
         lambda r: coupling_times(SIN, [0.0], [0.1], GRID8, r, 4, stop_step=2.5),
         lambda r: coupling.coupling_time_ladder(SIN, [0.0], [[0.1]], 1.0, GRID8, 2.5, r),
-    ], ids=["negative-stop-step", "float-stop-step", "ladder-float-n-paths"])
+        lambda r: r.uniforms([1], 0, 2.0, 1),
+        lambda r: r.uniforms([1], -1, 4, 1),
+        lambda r: r.uniforms([1], 5, 4, 1),
+        lambda r: r.uniforms([1], True, 4, 1),
+        lambda r: r.uniforms([1], 0, 4, 0),
+        lambda r: r.uniforms([1], 0, 4, 1.0),
+    ], ids=["negative-stop-step", "float-stop-step", "ladder-float-n-paths",
+            "uniforms-float-step-hi", "uniforms-negative-step-lo", "uniforms-reversed-steps",
+            "uniforms-bool-step-lo", "uniforms-zero-dim", "uniforms-float-dim"])
     def test_rejects_counts_that_are_not_integers(self, run):
         # a negative stop read as all pairs unmet; a float stop died with
-        # a TypeError, and a float ladder size ran its floor
+        # a TypeError, and a float ladder size ran its floor.  The step
+        # bounds of RngStream.uniforms died with NumPy's errors, or True
+        # drew step 1, and a zero dim drew nothing
         with pytest.raises(ValidationError, match="must be an integer"):
             run(RngStream(1))
 
