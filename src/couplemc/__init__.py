@@ -15,9 +15,8 @@ from .coefficients import (CoefficientField, ModulusOfContinuity,
                            ValidationReport, ZERO_MODULUS, classify_dini,
                            default_sample_points, sqrt_spd, validate_field)
 from .config import ExperimentConfig, load_config, parse_config_text, validate_config
-from .coupling import (CoupledPath, LyapunovParams, coupling_time_ladder,
-                       coupling_times, default_couple_tol, lyapunov_f,
-                       simulate_coupled)
+from .coupling import (LyapunovParams, coupling_time_ladder, coupling_times,
+                       default_couple_tol, lyapunov_f)
 from .errors import (ConfigError, CoupleMCError, DiniDivergenceError,
                      EllipticityError, SimulationDivergedError, ValidationError)
 from .fk_solver import (ResultTable, SolveRequest, difference_ladder, expected_regime,
@@ -28,6 +27,5 @@ from .oracles import (RunningMaxBounds, RunningMaxQuery,
                       sgn_drift_solution)
 from .registry import (FIELD_BUILDERS, TERMINAL_BUILDERS, TerminalFunction,
                        build_field, build_terminal)
-from .sde_engine import (RngStream, SamplePath, TimeGrid, mean_stderr,
-                         run_path_blocks, rung_means, simulate_brownian_running_max,
-                         simulate_path, simulate_terminal)
+from .sde_engine import (RngStream, TimeGrid, mean_stderr, run_path_blocks,
+                         rung_means, simulate_terminal)

@@ -47,11 +47,14 @@ def _run_validate(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 
 
 def _setup(cfg: ExperimentConfig) -> tuple:
-    """(field, terminal, grid, x, zs) of a couple, solve or modulus config,
-    checked as ``validate`` checks them before any draw: the base point x
-    and the unit direction e by ``fk_solver.placement`` (the origin and e_1
-    by default), the ladder points zs = x + r e as finite, the terminal
-    (None unless the kind reads one) by one evaluation at the origin."""
+    """(field, terminal, grid, x, zs, tol) of a couple, solve or modulus
+    config, checked as ``validate`` checks them before any draw: the base
+    point x and the unit direction e by ``fk_solver.placement`` (the origin
+    and e_1 by default), the ladder points zs = x + r e as finite, the
+    terminal (None unless the kind reads one) by one evaluation at the
+    origin.  tol is the coupling tolerance (``coupling._resolve_tol``); a
+    ladder distance at or below it is an error, as its pairs would meet at
+    step 0 and the rung would read 0."""
     field = build_field(cfg.field_name, cfg.field_params)
     d = field.dim
     x, e = placement(np.zeros(d) if cfg.base_point is None else cfg.base_point,
@@ -64,13 +67,18 @@ def _setup(cfg: ExperimentConfig) -> tuple:
     if cfg.terminal_name is not None:
         terminal = build_terminal(cfg.terminal_name, cfg.terminal_params)
         terminal(np.zeros(d))
-    return field, terminal, TimeGrid(horizon=cfg.horizon, steps=cfg.steps), x, zs
+    grid = TimeGrid(horizon=cfg.horizon, steps=cfg.steps)
+    tol = _resolve_tol(cfg.couple_tol, grid, field)
+    # the ladder decreases, so its last distance is the smallest
+    if cfg.ladder and cfg.ladder[-1] <= tol:
+        raise ValidationError(f"ladder distance {cfg.ladder[-1]:g} is at or below couple_tol "
+                              f"{tol:.3g}: its pairs would meet at step 0")
+    return field, terminal, grid, x, zs, tol
 
 
 def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    field, _, grid, x, zs = _setup(cfg)
+    field, _, grid, x, zs, tol = _setup(cfg)
     t = cfg.eval_horizon if cfg.eval_horizon is not None else cfg.horizon
-    tol = _resolve_tol(cfg.couple_tol, grid, field)
     # disjoint path blocks per distance keep the rows independent
     tau_step, capped = coupling_time_ladder(field, x, zs, t, grid, cfg.n_paths,
                                             RngStream(cfg.seed), couple_tol=tol)
@@ -84,7 +92,7 @@ def _run_couple(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 
 
 def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    field, terminal, grid, x, _ = _setup(cfg)
+    field, terminal, grid, x, *_ = _setup(cfg)
     req = SolveRequest(field=field, terminal=terminal, eval_point=x,
                        n_paths=cfg.n_paths, grid=grid)
     est, se = solve_u(req, RngStream(cfg.seed))
@@ -95,8 +103,7 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
 
 
 def _run_modulus(cfg: ExperimentConfig) -> tuple[ResultTable, dict]:
-    field, terminal, grid, x, zs = _setup(cfg)
-    tol = _resolve_tol(cfg.couple_tol, grid, field)
+    field, terminal, grid, x, zs, tol = _setup(cfg)
     req = SolveRequest(field=field, terminal=terminal, eval_point=x,
                        n_paths=cfg.n_paths, grid=grid)
     # disjoint path blocks per distance keep the rows independent
@@ -176,12 +183,16 @@ def run_experiment(cfg: ExperimentConfig, out_root, run_dir=None) -> str:
 
 def _cmd_report(run_dir) -> int:
     """Print the fits of run_dir's results.csv (``fit_result_table``).  An
-    empty file, a row whose length differs from the header's, or a cell of
-    a column that the fits read (distance and the fitted values) that is
-    not a number is a ValidationError that names the file."""
+    empty file, bytes that do not decode, a row whose length differs from
+    the header's, or a cell of a column that the fits read (distance and
+    the fitted values) that is not a number is a ValidationError that
+    names the file."""
     path = os.path.join(run_dir, "results.csv")
-    with open(path, newline="") as fh:
-        columns, *rows = list(csv.reader(fh)) or [[]]
+    try:
+        with open(path, newline="") as fh:
+            columns, *rows = list(csv.reader(fh)) or [[]]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} does not decode as text: {exc}") from None
     if not columns:
         raise ValidationError(f"{path} has no header")
     rows = [tuple(map(_parse_scalar, row)) for row in rows]

@@ -7,11 +7,9 @@ in ``_start_pairs``, the pair step in ``pair_step``, the meeting test in
 ``_meets``, the draws of a pair in ``_pair_layout``, the 1D
 constant-sigma scan in ``_scan_tile`` and the per-pair samples (not
 estimates) of t ^ tau over a ladder of start points in
-``coupling_time_ladder``.  Three drivers:
-``simulate_coupled_block`` steps pairs only until they meet,
-``simulate_coupled_terminal`` carries them to the horizon with the
-c-integrals of both legs, and the recorder ``simulate_coupled`` stores
-every node of one pair.
+``coupling_time_ladder``.  Two drivers: ``simulate_coupled_block``
+steps pairs only until they meet, and ``simulate_coupled_terminal``
+carries them to the horizon with the c-integrals of both legs.
 """
 
 from __future__ import annotations
@@ -22,24 +20,10 @@ import numpy as np
 
 from .coefficients import CoefficientField, ModulusOfContinuity, require_dini
 from .errors import SimulationDivergedError, ValidationError
-from .sde_engine import (RngStream, SamplePath, TimeGrid, _check_count, as_point,
+from .sde_engine import (RngStream, TimeGrid, _check_count, as_point,
                          chunk_steps, draw_chunks, euler_step, euler_update, path_range,
                          raise_first_nonfinite, run_blocks, sigma_batch, tile_draw,
                          to_increments)
-
-
-@dataclass
-class CoupledPath:
-    """A coupled pair of trajectories with the declared coupling time.
-
-    tau_index is None when the pair has not coupled by the horizon, in
-    which case tau_time equals the horizon.
-    """
-
-    path_x: SamplePath
-    path_z: SamplePath
-    tau_index: int | None
-    tau_time: float
 
 
 @dataclass(frozen=True)
@@ -350,46 +334,6 @@ def _resolve_tol(couple_tol: float | None, grid: TimeGrid,
     if not 0.0 <= couple_tol < np.inf:
         raise ValidationError("couple_tol must be finite and >= 0")
     return couple_tol
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def simulate_coupled(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStream,
-                     couple_tol: float | None = None, path_index: int = 0) -> CoupledPath:
-    """Simulate one coupled pair, recording both trajectories node by node:
-    a batch of one through the steps of the block drivers."""
-    couple_tol = _resolve_tol(couple_tol, grid, field)
-    d, dt, T = field.dim, grid.dt, grid.horizon
-    per_pair, bridge = _pair_layout(d)
-    paths, tau_step, X, Z = _start_pairs(field, x, z, path_index, path_index + 1,
-                                         couple_tol)
-    u = rng.uniforms(paths, 0, grid.steps, per_pair)
-    dW = to_increments(u[:, :, :d], dt)
-    states_x = np.empty((grid.steps + 1, d))
-    states_z = np.empty((grid.steps + 1, d))
-    wx = np.zeros(grid.steps + 1)
-    wz = np.zeros(grid.steps + 1)
-    states_x[0], states_z[0] = X[0], Z[0]
-    tau_index = 0 if tau_step[0] == 0 else None
-    for k in range(grid.steps):
-        wx[k + 1] = wx[k] + field.c(T - k * dt, X)[0] * dt
-        wz[k + 1] = wz[k] + field.c(T - k * dt, Z)[0] * dt
-        if tau_index is None:
-            X, Z, hit = pair_step(field, grid, k, X, Z, dW[:, k], u[:, k, bridge],
-                                  couple_tol)
-            tau_index = k + 1 if hit[0] else None
-        else:
-            X = euler_step(field, grid, k, X, dW[:, k])
-        if tau_index is not None:
-            Z = X
-        states_x[k + 1], states_z[k + 1] = X[0], Z[0]
-
-    tau_time = min(tau_index * dt, T) if tau_index is not None else T
-    return CoupledPath(
-        path_x=SamplePath(grid=grid, states=states_x, weight_log=wx),
-        path_z=SamplePath(grid=grid, states=states_z, weight_log=wz),
-        tau_index=tau_index,
-        tau_time=tau_time,
-    )
 
 
 def coupling_times(field: CoefficientField, x, z, grid: TimeGrid, rng: RngStream,

@@ -137,7 +137,12 @@ def _format_cell(v) -> str:
 
 
 def expected_regime(field: CoefficientField) -> str:
-    """Expected continuity regime implied by the declared modulus of a."""
+    """Expected continuity regime implied by the declared modulus of a:
+    "lipschitz" for a Dini modulus, else "holder".  The label names the
+    paper's bound, which is uniform in the sup norm of the terminal f.  It
+    is not the modulus of u for a smooth f: on the sin, power-modulus and
+    log-modulus fields, whose sigma = s(x_1) I varies in x_1 only, u is
+    C^{1,1} in x_1 whatever the label."""
     label, _ = classify_dini(field.modulus)
     return "lipschitz" if label == "Dini" else "holder"
 

@@ -9,7 +9,7 @@ in ``tile_draw``, the draw buffer in ``_draw_buffer``, row blocks and each
 dispatch's pool in ``_on_row_blocks``, the step kernel in ``euler_update``,
 the path tiles of a solve in ``path_tile``, the constant-sigma scan in
 ``_scan_terminal``, and the block runner in ``run_blocks``.  The single-leg
-drivers are ``simulate_terminal`` and the recorder ``simulate_path``.
+driver is ``simulate_terminal``.
 """
 
 from __future__ import annotations
@@ -72,15 +72,6 @@ def _check_count(name: str, v, least: int = 1) -> None:
         raise ValidationError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
-@dataclass
-class SamplePath:
-    """One discretized trajectory with the running Feynman-Kac exponent."""
-
-    grid: TimeGrid
-    states: np.ndarray      # (steps+1, d)
-    weight_log: np.ndarray  # (steps+1,), left-endpoint sum of c(T-t, X) dt
-
-
 class RngStream:
     """Counter-based uniforms keyed by (seed, path, step).
 
@@ -140,13 +131,6 @@ class RngStream:
         return out.reshape(len(paths), n_steps, dim)
 
 
-def to_open_unit(u: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) shifted by 2^-54 into (0, 1) in place, for ndtri;
-    the top value 1 - 2^-53, which the shift rounds to 1.0, is clamped."""
-    u += 2.0**-54
-    return np.minimum(u, 1.0 - 2.0**-53, out=u)
-
-
 def to_increments(u: np.ndarray, dt: float) -> np.ndarray:
     """``_increments`` of u in row blocks (``_on_row_blocks``); returns u."""
     def block(lo, hi):
@@ -159,8 +143,11 @@ def to_increments(u: np.ndarray, dt: float) -> np.ndarray:
 def _increments(u: np.ndarray, dt: float) -> np.ndarray:
     """Uniforms turned into Brownian increments sqrt(dt) ndtri(u) in place
     in the calling thread; returns u.  Every driver maps its uniforms here,
-    so an increment has the same bytes whichever driver maps it."""
-    to_open_unit(u)
+    so an increment has the same bytes whichever driver maps it.  ndtri
+    reads u shifted by 2^-54 from [0, 1) into (0, 1), the top value
+    1 - 2^-53, which the shift rounds to 1.0, clamped."""
+    u += 2.0**-54
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
     ndtri(u, out=u)
     u *= np.sqrt(dt)
     return u
@@ -358,11 +345,11 @@ def simulate_terminal(field: CoefficientField, x0: np.ndarray, grid: TimeGrid,
                       rng: RngStream, path_lo: int, path_hi: int):
     """Vectorized Euler-Maruyama over a block of paths.
 
-    Returns (X_T, weight_log) with shapes (n, d) and (n,).  States are not
-    recorded; use simulate_path for full trajectories.  A field with a
-    declared sigma, b = 0 and c = 0 (``_scans``) is scanned
-    (``_scan_terminal``), any other stepped node by node.  The c-integral
-    is skipped when c = 0, as adding 0.0 to the +0.0 sum is exact.
+    Returns (X_T, weight_log) with shapes (n, d) and (n,); no node before
+    the horizon is kept.  A field with a declared sigma, b = 0 and c = 0
+    (``_scans``) is scanned (``_scan_terminal``), any other stepped node
+    by node.  The c-integral is skipped when c = 0, as adding 0.0 to the
+    +0.0 sum is exact.
     """
     d = field.dim
     paths = path_range(path_lo, path_hi)
@@ -414,57 +401,6 @@ def _scan_terminal(s: float, rng: RngStream, paths: np.ndarray, X: np.ndarray,
     _on_row_blocks(lambda lo, hi: run_blocks(
         scan, ((a, min(hi, a + rows)) for a in range(lo, hi, rows))), len(X), len(X) * steps * d)
     return X
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def simulate_path(field: CoefficientField, x0, grid: TimeGrid, rng: RngStream,
-                  path_index: int = 0) -> SamplePath:
-    """Simulate path ``path_index`` of ``rng``, recording every node: a
-    batch of one through the same step and the same increments as
-    simulate_terminal, so its last node is that path's terminal state."""
-    d = field.dim
-    dt, T = grid.dt, grid.horizon
-    x0 = as_point(x0, d, "x0")
-    u = rng.uniforms(path_range(path_index, path_index + 1), 0, grid.steps, d)
-    dB = to_increments(u[0], dt)
-    states = np.empty((grid.steps + 1, d))
-    weight = np.zeros(grid.steps + 1)
-    states[0] = x0
-    X = x0[None, :]
-    for k in range(grid.steps):
-        weight[k + 1] = weight[k] + field.c(T - k * dt, X)[0] * dt
-        X = euler_step(field, grid, k, X, dB[k][None, :])
-        states[k + 1] = X[0]
-    return SamplePath(grid=grid, states=states, weight_log=weight)
-
-
-def simulate_brownian_running_max(t: float, n_paths: int, steps: int,
-                                  rng: RngStream, path_offset: int = 0) -> np.ndarray:
-    """Exact-in-law samples of sup_{s<=t} B_s for standard 1D Brownian
-    motion, via per-step Brownian-bridge maxima.
-
-    Consumes two uniforms per (path, step): one for the endpoint increment
-    and one, shifted into (0, 1), for the bridge maximum.
-    """
-    if not 0.0 < t < np.inf:
-        raise ValidationError(f"t must be finite and > 0, got {t!r}")
-    _check_count("steps", steps)
-    _check_count("n_paths", n_paths)
-    dt = t / steps
-    paths = path_range(path_offset, path_offset + n_paths)
-    run_max = np.zeros(n_paths)
-    endpoint = np.zeros(n_paths)
-    for k, k_hi, u in draw_chunks(rng, paths, steps, 2):
-        dB = to_increments(u[:, :, 0], dt)
-        to_open_unit(u[:, :, 1])
-        for j in range(k_hi - k):
-            a = endpoint
-            b = endpoint + dB[:, j]
-            # max of a Brownian bridge from a to b over a step of length dt
-            bridge = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 2.0 * dt * np.log(u[:, j, 1])))
-            run_max = np.maximum(run_max, bridge)
-            endpoint = b
-    return run_max
 
 
 def run_blocks(fn, blocks, pool=None):

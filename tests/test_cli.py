@@ -271,13 +271,15 @@ _TABLE = ("distance,horizon,n_paths,mean_tau_capped,stderr,fraction_coupled,coup
     _TABLE.rsplit(",", 6)[0] + "\n",
     _TABLE.replace("0.1,1.0", "ten,1.0"),
     _TABLE.replace("0.078", "0.078.1"),
-], ids=["empty", "cut-last-row", "word-distance", "word-fitted-value"])
+    b"distance,mean_tau_capped\n0.2,\xff\xfe\n",
+], ids=["empty", "cut-last-row", "word-distance", "word-fitted-value", "undecodable"])
 def test_report_rejects_a_malformed_table(tmp_path, capsys, text):
     # a table that is empty, has a row whose length differs from the
-    # header's, or a cell that is not a number where the fits read one
-    # stops with a config error naming the file, not a traceback
-    # (StopIteration, IndexError and ValueError)
-    (tmp_path / "results.csv").write_text(text)
+    # header's, a cell that is not a number where the fits read one or
+    # bytes that are not text stops with a config error naming the file,
+    # not a traceback (StopIteration, IndexError, ValueError and
+    # UnicodeDecodeError)
+    (tmp_path / "results.csv").write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["report", str(tmp_path)]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config-error"
@@ -379,6 +381,8 @@ def test_ladder_divergence_names_the_step(text, step, tmp_path, capsys):
     bad = text.replace("field.name = sin\nfield.dim = 1\nfield.amp = 0.5",
                        "field.name = constant\nfield.dim = 1")
     bad = bad.replace("field.dim = 1", "field.dim = 1\nfield.b0 = 1e308")
+    # dt = 1 or 2 makes the default tolerance reach the ladder's distances
+    bad += "couple_tol = 0.01\n"
     rc = main(["run", _cfg(tmp_path, bad), "--run-dir", str(tmp_path / "d")])
     assert rc == EXIT_DIVERGED
     err = json.loads(capsys.readouterr().err)
@@ -475,6 +479,13 @@ def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
     (COUPLE.replace("field.name = constant", "field.name = sin") + "field.amp =\n",
      "field.amp"),
     (COUPLE + "field.lam = 0.5\n", "field.lam"),
+    # a pair that starts within couple_tol meets at step 0, so its rung
+    # would read t ^ tau = 0 or a zero difference
+    (COUPLE.replace("ladder = 0.2, 0.1, 0.05", "ladder = 0.2, 0.05, 0.003"),
+     "distance 0.003 is at or below couple_tol 0.00707"),
+    (MODULUS.replace("ladder = 0.2, 0.1, 0.05", "ladder = 0.2, 0.1, 0.003"),
+     "distance 0.003 is at or below couple_tol 0.00354"),
+    (COUPLE + "couple_tol = 0.05\n", "distance 0.05 is at or below couple_tol 0.05"),
 ], ids=["inf-horizon-solve", "nan-horizon-couple", "nan-tol", "negative-tol",
         "two-workers", "inf-steps", "fractional-steps", "nan-paths", "nan-ladder",
         "inf-ladder", "word-horizon", "word-ladder", "word-point", "word-direction",
@@ -484,7 +495,8 @@ def test_placement_must_fit_the_field(tmp_path, capsys, text, key, command):
         "word-width-key", "bool-width-key", "word-center-key", "oracle-key-in-couple",
         "oracle-name-in-couple", "inf-b0", "inf-theta", "nan-width-modulus",
         "nan-center-modulus", "inf-terminal-value", "inf-a0", "empty-amp",
-        "declared-lam"])
+        "declared-lam", "couple-rung-within-tol", "modulus-rung-within-tol",
+        "couple-rung-at-tol"])
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_scalars_out_of_range_are_config_errors(tmp_path, capsys, text, key, command):
     # a horizon or tolerance that is not finite is neither a divergence nor
@@ -570,7 +582,7 @@ def test_benchmark_templates_pass_setup(name):
     # every benchmark run fills its template with a seed; a key that the
     # config rules reject would fail all of them
     cfg = validate_config(parse_config_text(BENCHMARK_WORKLOADS[name].format(seed=1000)))
-    field, terminal, grid, _, zs = _setup(cfg)
+    field, terminal, grid, _, zs, _ = _setup(cfg)
     assert field.dim >= 1 and grid.steps == cfg.steps and len(zs) == len(cfg.ladder)
     assert (terminal is None) == (cfg.kind == "couple")
 

@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtri
 
+import reference_paths
 from couplemc import (CoefficientField, LyapunovParams, ModulusOfContinuity,
                       RngStream, TimeGrid, ZERO_MODULUS, bm_coupling_expectation,
                       bm_coupling_survival, coupling, coupling_times,
                       default_couple_tol, difference_ladder, lyapunov_f,
-                      sde_engine, SolveRequest, simulate_coupled, simulate_path,
-                      solve_u)
+                      sde_engine, SolveRequest, solve_u)
 from couplemc.coupling import (_reflect_increments, coupling_time_ladder, pair_step,
                               simulate_coupled_block, simulate_coupled_terminal)
 from couplemc.errors import DiniDivergenceError, SimulationDivergedError, ValidationError
@@ -151,43 +151,51 @@ class TestCoupledPair:
     def test_immediate_coupling(self):
         f = make_constant_field(dim=1)
         grid = TimeGrid(1.0, 16)
-        pair = simulate_coupled(f, [0.3], [0.3], grid, RngStream(0))
-        assert pair.tau_index == 0
-        assert pair.tau_time == 0.0
-        assert np.array_equal(pair.path_x.states, pair.path_z.states)
+        states_x, states_z, *_, tau = reference_paths.pair(f, [0.3], [0.3], grid,
+                                                           RngStream(0))
+        assert tau == 0
+        assert np.array_equal(states_x, states_z)
 
     def test_fusion_after_coupling(self):
         f = make_constant_field(dim=1)
         grid = TimeGrid(1.0, 400)
-        pair = simulate_coupled(f, [0.0], [0.05], grid, RngStream(4),
-                                couple_tol=0.01)
-        assert pair.tau_index is not None
-        k = pair.tau_index
-        assert np.array_equal(pair.path_x.states[k:], pair.path_z.states[k:])
+        states_x, states_z, *_, k = reference_paths.pair(f, [0.0], [0.05], grid,
+                                                         RngStream(4), 0.01)
+        assert k >= 0
+        assert np.array_equal(states_x[k:], states_z[k:])
         # before coupling the trajectories are distinct
-        assert not np.array_equal(pair.path_x.states[:k], pair.path_z.states[:k])
+        assert not np.array_equal(states_x[:k], states_z[:k])
 
     @pytest.mark.parametrize("field,x,z,tol_factor", [
+        (make_constant_field(dim=1), [0.0], [0.1], 1.0),
         (make_sin_field(dim=1, amp=0.4), [0.0], [0.1], 1.0),
+        # a potential that depends on t: the c-integrals read the time
+        # T - k dt of every step
+        (dataclasses.replace(make_sin_field(dim=1, amp=0.4),
+                             c=lambda t, x: 0.2 * (1.0 + t) * np.cos(x[:, 0]), c_sup=0.4),
+         [0.0], [0.1], 1.0),
         (make_constant_field(dim=2, a0=[[1.5, 0.3], [0.3, 1.0]]),
          [0.0, 0.0], [0.1, 0.05], 10.0),
         (make_sin_field(dim=2, amp=0.4), [0.0, 0.0], [0.1, 0.05], 10.0),
-    ], ids=["sin-1d", "anisotropic-2d", "sin-2d"])
+    ], ids=["scan-1d", "sin-1d", "sin-1d-c-of-t", "anisotropic-2d", "sin-2d"])
     def test_single_pair_matches_block(self, field, x, z, tol_factor):
-        # the block driver, the terminal driver and the recorder give
-        # the same coupling step for every pair
+        # the block driver, the terminal driver and the step-by-step
+        # reference give the same coupling step for every pair, and the
+        # terminal driver the reference's nodes and c-integrals at the
+        # horizon: after a meeting its Z integral is the X integral plus
+        # the gap at the meeting, equal up to rounding
         grid = TimeGrid(1.0, 300)
         rng = RngStream(6)
         tol = tol_factor * default_couple_tol(grid, field)
         taus = coupling_times(field, x, z, grid, rng, 12, couple_tol=tol)
-        terminal = simulate_coupled_terminal(field, x, z, grid, rng, 0, 12, tol)[0]
-        assert np.array_equal(taus, terminal)
+        tau, X, wx, Z, wz = simulate_coupled_terminal(field, x, z, grid, rng, 0, 12, tol)
+        assert np.array_equal(taus, tau)
         assert np.any(taus >= 0)
         for p in range(12):
-            pair = simulate_coupled(field, x, z, grid, rng,
-                                    couple_tol=tol, path_index=p)
-            expected = -1 if pair.tau_index is None else pair.tau_index
-            assert taus[p] == expected
+            ref = reference_paths.pair(field, x, z, grid, rng, tol, p)
+            assert taus[p] == ref[4]
+            assert np.array_equal(X[p], ref[0][-1]) and np.array_equal(Z[p], ref[1][-1])
+            assert wx[p] == ref[2][-1] and wz[p] == pytest.approx(ref[3][-1], rel=1e-12)
 
     @pytest.mark.parametrize("field,x,z,tol_factor,budget", [
         (make_constant_field(dim=1), [0.0], [0.3], 1.0, None),
@@ -305,7 +313,7 @@ class TestCoupledPair:
             "tau": lambda: coupling_times(f, x, z, grid, RngStream(0), 4),
             "terminal": lambda: simulate_coupled_terminal(
                 f, x, z, grid, RngStream(0), 0, 4, tol),
-            "recorder": lambda: simulate_coupled(f, x, z, grid, RngStream(0)),
+            "reference": lambda: reference_paths.pair(f, x, z, grid, RngStream(0)),
         }
         for name, run in drivers.items():
             with pytest.raises(SimulationDivergedError) as exc:
@@ -316,8 +324,8 @@ class TestCoupledPair:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_divergence_raises_without_a_warning(self, dim):
         # the field of test_divergence_reports_the_step, with overflow
-        # warnings left as the suite sets them (errors): every driver and
-        # recorder raises the divergence, none warns first
+        # warnings left as the suite sets them (errors): every driver
+        # raises the divergence, none warns first
         eye = np.eye(dim)
         f = CoefficientField(
             dim=dim, a=lambda t, x: np.broadcast_to(eye, (len(x), dim, dim)),
@@ -330,8 +338,6 @@ class TestCoupledPair:
             "tau": lambda: coupling_times(f, x, z, grid, RngStream(0), 4),
             "terminal": lambda: simulate_coupled_terminal(
                 f, x, z, grid, RngStream(0), 0, 4, default_couple_tol(grid, f)),
-            "recorder": lambda: simulate_coupled(f, x, z, grid, RngStream(0)),
-            "path": lambda: simulate_path(f, z, grid, RngStream(0)),
         }
         for name, run in drivers.items():
             with pytest.raises(SimulationDivergedError) as exc:
@@ -372,7 +378,6 @@ class TestCoupledPair:
         monkeypatch.setattr(np.linalg, "solve", no_solve)
         coupling_times(f, x, z, grid, RngStream(0), 20)
         simulate_coupled_terminal(f, x, z, grid, RngStream(0), 0, 20, tol)
-        simulate_coupled(f, x, z, grid, RngStream(0))
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 3), seed=st.integers(0, 2**64 - 1),
@@ -397,9 +402,7 @@ class TestCoupledPair:
             rng = RngStream(seed)
             out = [simulate_coupled_block(field, x, z, grid, rng, 0, n, tol)[0]]
             out += simulate_coupled_terminal(field, x, z, grid, rng, 0, n, tol)
-            pair = simulate_coupled(field, x, z, grid, rng, couple_tol=tol,
-                                    path_index=n)
-            return out + [pair.path_x.states, pair.path_z.states]
+            return out + list(reference_paths.pair(field, x, z, grid, rng, tol, n)[:2])
 
         for a, b in zip(run(f), run(m), strict=True):
             assert a.tobytes() == b.tobytes()
@@ -513,7 +516,7 @@ class TestCoupledPair:
         assert _diverged_at(f, *args) == _diverged_at(loop_f, *args) == 31
 
     def test_every_1d_driver_meets_in_one_test(self):
-        # the scan, the step loop, the terminal driver and the recorder all
+        # the scan, the step loop, the terminal driver and the reference all
         # decide a meeting in coupling._meets, so a test that always hits
         # couples every unmet pair in the first step, in each of them
         grid, tol, n = TimeGrid(1.0, 100), 1e-3, 10
@@ -521,10 +524,9 @@ class TestCoupledPair:
         loop = make_sin_field(dim=1, amp=0.4)
         starts = coupling.ladder_starts(1, [[0.3], [0.0]], n)  # rung 2 starts met
 
-        def recorded():
-            taus = [simulate_coupled(loop, [0.0], z, grid, RngStream(2), couple_tol=tol,
-                                     path_index=p).tau_index for p, z in enumerate(starts)]
-            return np.array([-1 if tau is None else tau for tau in taus])
+        def reference():
+            return np.array([reference_paths.pair(loop, [0.0], z, grid, RngStream(2), tol,
+                                                  p)[-1] for p, z in enumerate(starts)])
 
         drivers = {
             "scan": lambda: coupling_times(scan, [0.0], starts, grid, RngStream(2),
@@ -533,7 +535,7 @@ class TestCoupledPair:
                                                 2 * n, couple_tol=tol),
             "terminal": lambda: simulate_coupled_terminal(loop, [0.0], starts, grid,
                                                           RngStream(2), 0, 2 * n, tol)[0],
-            "recorder": recorded,
+            "reference": reference,
         }
         for name, run in drivers.items():
             with mock.patch.object(coupling, "_meets", side_effect=coupling._meets) as spy:
@@ -824,9 +826,7 @@ class TestCoupledPair:
             "tau": lambda: coupling_times(f, x, z, grid, RngStream(0), 4),
             "terminal": lambda: simulate_coupled_terminal(
                 f, x, z, grid, RngStream(0), 0, 4, 0.01),
-            "recorder": lambda: simulate_coupled(f, x, z, grid, RngStream(0)),
             "solve": lambda: solve_u(solve, RngStream(0)),
-            "path": lambda: simulate_path(f, z, grid, RngStream(0)),
         }
         for name, run in drivers.items():
             with pytest.raises(ValidationError, match="2 entries"):
@@ -907,11 +907,8 @@ def test_scale_sigma_matches_matrix_sigma(case, seed, n, steps, x0, d0, tol_fact
         out = list(simulate_terminal(field, x, grid, rng, 0, n))
         out.append(simulate_coupled_block(field, x, z, grid, rng, 0, n, tol)[0])
         out += simulate_coupled_terminal(field, x, z, grid, rng, 0, n, tol)
-        pair = simulate_coupled(field, x, z, grid, rng, couple_tol=tol,
-                                path_index=n)
-        return out + [pair.path_x.states, pair.path_z.states,
-                      pair.path_x.weight_log, pair.path_z.weight_log,
-                      np.array([pair.tau_time])]
+        *legs, tau = reference_paths.pair(field, x, z, grid, rng, tol, n)
+        return out + legs + [np.array([tau])]
 
     for a, b in zip(run(f), run(m), strict=True):
         assert a.tobytes() == b.tobytes()

@@ -309,8 +309,6 @@ class TestModulusExperiment:
                 req, [[0.1]], RngStream(0), couple_tol=tol),
             "tau": lambda: coupling.coupling_times(
                 f, [0.0], [0.1], grid, RngStream(0), 10, couple_tol=tol),
-            "recorder": lambda: coupling.simulate_coupled(
-                f, [0.0], [0.1], grid, RngStream(0), couple_tol=tol),
         }
         for name, run in runs.items():
             with pytest.raises(ValidationError, match="couple_tol"):

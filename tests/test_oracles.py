@@ -8,12 +8,12 @@ from couplemc import (LyapunovParams, ModulusOfContinuity, RngStream, RunningMax
                       coupling_time_ladder, coupling_times, difference_ladder,
                       fit_power_law, heat_kernel, lyapunov_f, running_max_bounds,
                       sgn_drift_density, sgn_drift_solution, solve_u)
-from couplemc.coupling import simulate_coupled
+from couplemc.coupling import simulate_coupled_terminal
 from couplemc.errors import ValidationError
 from couplemc.registry import (make_constant_field, make_constant_terminal,
                                make_gaussian_bump, make_linear, make_log_modulus_field,
                                make_sin_field)
-from couplemc.sde_engine import simulate_path, simulate_terminal
+from couplemc.sde_engine import simulate_terminal
 
 
 class TestSgnDriftDensity:
@@ -230,7 +230,6 @@ def _solve(field, x):
     lambda: fit_power_law([(np.inf, 1.0), (0.2, 1.0), (0.3, 2.0)]),
     lambda: simulate_terminal(CONST, [np.nan], GRID, RngStream(1), 0, 4),
     lambda: simulate_terminal(SIN, [np.inf], GRID, RngStream(1), 0, 4),
-    lambda: simulate_path(SIN, [np.nan], GRID, RngStream(1)),
     lambda: solve_u(_solve(CONST, [-np.inf]), RngStream(1)),
     lambda: solve_u(_solve(SIN, [np.nan]), RngStream(1)),
     lambda: coupling_times(CONST, [np.nan], [0.1], GRID, RngStream(1), 4),
@@ -242,15 +241,17 @@ def _solve(field, x):
     lambda: coupling_time_ladder(SIN, [np.nan], [[0.1]], 1.0, GRID, 4, RngStream(1)),
     lambda: difference_ladder(_solve(CONST, [np.inf]), [[0.1]], RngStream(1)),
     lambda: difference_ladder(_solve(SIN, [0.0]), [[0.1], [np.nan]], RngStream(1)),
-    lambda: simulate_coupled(CONST, [0.0], [np.nan], GRID, RngStream(1)),
-    lambda: simulate_coupled(SIN, [np.inf], [0.1], GRID, RngStream(1)),
+    lambda: simulate_coupled_terminal(CONST, [0.0], [np.nan], GRID, RngStream(1), 0, 4,
+                                      0.01),
+    lambda: simulate_coupled_terminal(SIN, [np.inf], [0.1], GRID, RngStream(1), 0, 4,
+                                      0.01),
 ], ids=["sgn-density-inf-t", "sgn-density-nan-x", "sgn-density-inf-theta",
         "heat-kernel-inf-t", "running-max-inf-t", "running-max-inf-x", "running-max-inf-c2",
         "linear-nan", "linear-inf-entry", "constant-terminal-nan", "bump-nan-center",
         "constant-field-inf-a0", "constant-field-nan-matrix", "heat-kernel-nan-a0",
         "heat-kernel-inf-b0", "heat-kernel-inf-x", "heat-kernel-nan-y",
         "fit-inf-value", "fit-inf-distance", "terminal-constant-nan-x0",
-        "terminal-sin-inf-x0", "path-sin-nan-x0", "solve-constant-inf-point",
+        "terminal-sin-inf-x0", "solve-constant-inf-point",
         "solve-sin-nan-point", "coupling-times-constant-nan-x",
         "coupling-times-sin-inf-z", "coupling-times-constant-nan-pair-start",
         "coupling-times-sin-inf-pair-start", "ladder-constant-inf-z", "ladder-sin-nan-x",

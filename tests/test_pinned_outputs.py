@@ -5,7 +5,9 @@ outputs.  Every path-p, step-k draw is a pure function of (seed, p, k), so
 a refactor of the step kernel must leave these hashes unchanged; a change
 that alters the stream on purpose updates them and says so.  The hashes
 were recorded with NumPy 2.4 and SciPy 1.17 on x86-64; another math
-library may round sin, exp or ndtri differently.
+library may round sin, exp or ndtri differently.  The path-1d-sin and
+coupled-1d-sin cases pin the step-by-step references (``reference_paths``)
+that the drivers are compared with.
 """
 
 import hashlib
@@ -15,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from couplemc import (RngStream, TimeGrid, coupling_times, sde_engine,
-                      simulate_coupled)
+import reference_paths
+from couplemc import RngStream, TimeGrid, coupling_times, sde_engine
 from couplemc.cli import run_experiment
 from couplemc.config import load_config
 from couplemc.coupling import simulate_coupled_terminal
@@ -24,8 +26,7 @@ from couplemc.fk_solver import SolveRequest, difference_ladder
 from couplemc.registry import (make_constant_field, make_gaussian_bump,
                                make_log_modulus_field, make_power_modulus_field,
                                make_sin_field)
-from couplemc.sde_engine import (rung_means, simulate_brownian_running_max,
-                                 simulate_path, simulate_terminal)
+from couplemc.sde_engine import rung_means, simulate_terminal
 
 GRID = TimeGrid(1.0, 200)
 N = 200
@@ -69,17 +70,15 @@ def _terminal_2d_sin():
 
 def _path_1d_sin():
     f = make_sin_field(dim=1, amp=0.5, c0=0.3)
-    path = simulate_path(f, [0.2], GRID, RngStream(106), path_index=3)
-    return [path.states, path.weight_log]
+    return list(reference_paths.path(f, [0.2], GRID, RngStream(106), p=3))
 
 
 def _coupled_1d_sin():
     f = make_sin_field(dim=1, amp=0.5, c0=0.3)
-    pair = simulate_coupled(f, [0.0], [0.4], GRID, RngStream(107),
-                            path_index=5)
-    return [pair.path_x.states, pair.path_z.states, pair.path_x.weight_log,
-            pair.path_z.weight_log, np.array([pair.tau_index]),
-            np.array([pair.tau_time])]
+    *legs, tau = reference_paths.pair(f, [0.0], [0.4], GRID, RngStream(107), p=5)
+    # the pair meets, at node tau of GRID
+    assert tau >= 0
+    return legs + [np.array([tau]), np.array([min(tau * GRID.dt, GRID.horizon)])]
 
 
 def _terminal_2d_power_modulus():
@@ -167,19 +166,14 @@ def _simulate_terminal_3d_scalar():
                                   RngStream(110), 0, 8))
 
 
-def _running_max():
-    # 13 paths take 17-step chunks at the small budget
-    return [simulate_brownian_running_max(1.0, 13, 200, RngStream(114))]
-
-
 @pytest.mark.parametrize("run,budget,starts", [
     (_simulate_terminal_3d_sin, 450, "mid-block"),
     (_simulate_terminal_3d_scalar, 450, "mid-block"),
     (_tau_1d_constant, 450, "tiles"), (_difference_1d_sin, 450, "blocks"),
     # 17-step chunks of the 200 pairs' two doubles a step
-    (_terminal_1d_sin, 17 * 2 * N, "mid-block"), (_running_max, 450, "mid-block"),
+    (_terminal_1d_sin, 17 * 2 * N, "mid-block"),
 ], ids=["simulate-terminal-3d-sin", "simulate-terminal-3d-scalar",
-        "tau-1d-constant", "difference-1d-sin", "terminal-1d-sin", "running-max"])
+        "tau-1d-constant", "difference-1d-sin", "terminal-1d-sin"])
 def test_chunk_boundaries_leave_bytes_unchanged(run, budget, starts, monkeypatch):
     """A small draw budget splits the steps into many chunks; the output
     bytes stay the same.  A fixed batch's chunks fill the budget, so some

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
+import reference_paths
 from couplemc import (RngStream, SolveRequest, TimeGrid, coupling, coupling_times,
                       difference_ladder, mean_stderr, run_path_blocks, rung_means,
                       sde_engine, solve_u)
 from couplemc.errors import SimulationDivergedError, ValidationError
 from couplemc.registry import (make_constant_field, make_constant_terminal,
                                make_gaussian_bump, make_sin_field)
-from couplemc.sde_engine import (path_tile, simulate_brownian_running_max,
-                                 simulate_path, simulate_terminal, to_increments)
+from couplemc.sde_engine import path_tile, simulate_terminal, to_increments
 
 
 class TestRngStream:
@@ -88,13 +88,9 @@ class TestRngStream:
         grid = TimeGrid(1.0, 4)
         f = make_constant_field(dim=1)
         assert np.isfinite(simulate_terminal(f, [0.0], grid, rng, 0, 2)[0]).all()
-        assert np.isfinite(simulate_path(f, [0.0], grid, rng).states).all()
         _, *legs = coupling.simulate_coupled_terminal(f, [0.0], [0.5], grid, rng,
                                                       0, 2, 0.01)
         assert all(np.isfinite(leg).all() for leg in legs)
-        pair = coupling.simulate_coupled(f, [0.0], [0.5], grid, rng)
-        assert np.isfinite(pair.path_z.states).all()
-        assert np.isfinite(simulate_brownian_running_max(1.0, 2, 4, rng)).all()
         # the block driver maps the uniforms of the pairs it steps itself:
         # in the 1D scan, in the step loop and in the c = 0 difference
         for field, x, z in [(f, [0.0], [0.5]),
@@ -131,13 +127,10 @@ class TestPathIndices:
     @pytest.mark.parametrize("run", [
         lambda r: simulate_terminal(SIN, [0.0], GRID8, r, -3, 5),
         lambda r: simulate_terminal(SIN, [0.0], GRID8, r, 2**64 - 1, 2**64 + 1),
-        lambda r: simulate_path(SIN, [0.0], GRID8, r, path_index=-1),
-        lambda r: simulate_brownian_running_max(1.0, 4, 8, r, path_offset=-1),
         lambda r: solve_u(SOLVE8, r, path_offset=-1),
         lambda r: coupling_times(SIN, [0.0], [0.1], GRID8, r, 4, path_offset=-2),
         lambda r: coupling.simulate_coupled_terminal(SIN, [0.0], [0.1], GRID8, r,
                                                      -2, 2, 0.01),
-        lambda r: coupling.simulate_coupled(SIN, [0.0], [0.1], GRID8, r, path_index=-1),
         lambda r: simulate_terminal(SIN, [0.0], GRID8, r, 0, 2.5),
         lambda r: simulate_terminal(SIN, [0.0], GRID8, r, False, 2),
         lambda r: coupling.simulate_coupled_terminal(SIN, [0.0], [0.1], GRID8, r,
@@ -148,11 +141,10 @@ class TestPathIndices:
         lambda r: r.uniforms([0, -1], 0, 4, 1),
         lambda r: r.uniforms([2**64], 0, 4, 1),
         lambda r: r.uniforms(np.array([1.5]), 0, 4, 1),
-    ], ids=["terminal", "terminal-past-2^64", "path", "running-max", "solve",
-            "coupling-times", "pairs", "pair", "terminal-float-hi", "terminal-bool-lo",
-            "pairs-float-hi", "uniforms-float-index", "uniforms-negative-float-index",
-            "uniforms-bool-index", "uniforms-negative-index", "uniforms-index-past-2^64",
-            "uniforms-float-array"])
+    ], ids=["terminal", "terminal-past-2^64", "solve", "coupling-times", "pairs",
+            "terminal-float-hi", "terminal-bool-lo", "pairs-float-hi",
+            "uniforms-float-index", "uniforms-negative-float-index", "uniforms-bool-index",
+            "uniforms-negative-index", "uniforms-index-past-2^64", "uniforms-float-array"])
     def test_rejects_path_indices_outside_the_key(self, run):
         # a negative offset reached np.arange(..., dtype=np.uint64) and
         # died with NumPy's OverflowError; a float bound ran rounded-up
@@ -237,20 +229,23 @@ class TestSimulation:
         assert np.all(w == 0.5)
 
     def test_single_path_matches_block(self):
-        f = make_sin_field(dim=1, amp=0.4)
+        # a potential that depends on t: the c-integral reads the time
+        # T - k dt of every step
+        f = dataclasses.replace(make_sin_field(dim=1, amp=0.4), c_sup=0.4,
+                                c=lambda t, x: 0.2 * (1.0 + t) * np.cos(x[:, 0]))
         grid = TimeGrid(0.5, 40)
         rng = RngStream(5)
         X, w = simulate_terminal(f, np.array([0.2]), grid, rng, 0, 6)
         for p in range(6):
-            path = simulate_path(f, [0.2], grid, rng, path_index=p)
-            assert np.array_equal(path.states[-1], X[p])
-            assert path.weight_log[-1] == w[p]
+            states, weight = reference_paths.path(f, [0.2], grid, rng, p)
+            assert np.array_equal(states[-1], X[p])
+            assert weight[-1] == w[p]
 
     def test_weight_exponential(self):
         f = make_constant_field(dim=1, c0=1.0)
         grid = TimeGrid(1.0, 64)
-        path = simulate_path(f, [0.0], grid, RngStream(0))
-        assert path.weight_log[-1] == pytest.approx(1.0, rel=1e-12)
+        _, weight = reference_paths.path(f, [0.0], grid, RngStream(0))
+        assert weight[-1] == pytest.approx(1.0, rel=1e-12)
 
     def test_divergence_raises_with_step(self):
         f = make_constant_field(dim=1, b0=1e308)
@@ -262,7 +257,7 @@ class TestSimulation:
     def test_bad_start_shape(self):
         f = make_constant_field(dim=2)
         with pytest.raises(ValidationError):
-            simulate_path(f, [0.0], TimeGrid(1.0, 4), RngStream(0))
+            simulate_terminal(f, [0.0], TimeGrid(1.0, 4), RngStream(0), 0, 2)
 
     @pytest.mark.parametrize("f", [
         make_constant_field(dim=2, a0=[[1.5, 0.3], [0.3, 1.0]], b0=[0.2, -0.1], c0=0.1),
@@ -403,7 +398,7 @@ class TestTerminalScan:
 
 class TestDrawChunks:
     def test_chunked_drivers_draw_into_the_thread_buffer(self, monkeypatch):
-        # simulate_terminal, the running max, the terminal pair driver and
+        # simulate_terminal, the terminal pair driver and
         # the block driver draw every chunk of a call into the calling
         # thread's kept buffer; another thread draws into its own, grown to
         # its largest request, here the budget
@@ -422,7 +417,6 @@ class TestDrawChunks:
         rng = RngStream(4)
         drivers = {
             "terminal": lambda: simulate_terminal(f, [0.0], grid, rng, 0, 30),
-            "running-max": lambda: simulate_brownian_running_max(1.0, 30, 50, rng),
             "pairs": lambda: coupling.simulate_coupled_terminal(
                 f, [0.0], [0.1], grid, rng, 0, 30, 0.01),
             "survivors": lambda: coupling_times(f, [0.0], [0.1], grid, rng, 30),
@@ -473,7 +467,6 @@ class TestDrawChunks:
         grid, rng = TimeGrid(1.0, 300), RngStream(4)
         drivers = {  # (run, doubles per path-step)
             "terminal": (lambda: simulate_terminal(f, [0.0], grid, rng, 0, 10), 1),
-            "running-max": (lambda: simulate_brownian_running_max(1.0, 10, 300, rng), 2),
             "pairs": (lambda: coupling.simulate_coupled_terminal(
                 f, [0.0], [0.1], grid, rng, 0, 10, 0.01), 2),
         }
@@ -532,34 +525,6 @@ class TestDrawChunks:
         # _CHUNK_BUDGET, not _SUB_TILE
         field = make_sin_field(dim=1, amp=0.5)
         assert self._solve_draws(field, steps, n_paths, monkeypatch) == calls
-
-
-class TestRunningMaxSampler:
-    def test_dominates_zero_and_is_deterministic(self):
-        m1 = simulate_brownian_running_max(1.0, 500, 16, RngStream(8))
-        m2 = simulate_brownian_running_max(1.0, 500, 16, RngStream(8))
-        assert np.array_equal(m1, m2)
-        assert np.all(m1 >= 0.0)
-
-    def test_law_insensitive_to_step_count(self):
-        # the bridge construction is exact in law, so refining the grid
-        # only reshuffles randomness, not the distribution
-        qs = np.array([0.25, 0.5, 0.75, 0.9])
-        a = np.quantile(simulate_brownian_running_max(1.0, 40_000, 4, RngStream(9)), qs)
-        b = np.quantile(simulate_brownian_running_max(1.0, 40_000, 64, RngStream(10)), qs)
-        assert np.allclose(a, b, atol=0.03)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValidationError):
-            simulate_brownian_running_max(0.0, 10, 4, RngStream(0))
-        # nan and inf horizons, fractional or zero counts: a ValidationError
-        # before any draw, not nan samples, a warning or a TypeError
-        for t, n_paths, steps in [(np.nan, 10, 4), (np.inf, 10, 4), (1.0, 10, 2.5),
-                                  (1.0, 0, 4), (1.0, 10.0, 4), (1.0, 10, True)]:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValidationError):
-                    simulate_brownian_running_max(t, n_paths, steps, RngStream(0))
 
 
 class TestPathBlocks:
