@@ -20,7 +20,7 @@ import numpy as np
 
 from .coefficients import CoefficientField, ModulusOfContinuity, require_dini
 from .errors import SimulationDivergedError, ValidationError
-from .sde_engine import (RngStream, TimeGrid, _check_count, as_point,
+from .sde_engine import (RngStream, TimeGrid, _check_count, as_point, chunk_buffer,
                          chunk_steps, draw_chunks, euler_step, euler_update, path_range,
                          raise_first_nonfinite, run_blocks, sigma_batch, tile_draw,
                          to_increments)
@@ -171,27 +171,31 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
     coupling steps (-1 for pairs unmet at the stop node), and the local ids
     and states at the stop node of the unmet pairs, in path order.
 
-    z is one start point or one per pair (``_start_pairs``).  The unmet
-    pairs are kept compacted.  Uniforms become increments only for the
-    pairs about to be stepped, on a gathered copy, so a pair that meets
-    inside a chunk leaves the rest of its row unmapped.  A 1D field that
-    declares a constant sigma and b = 0 is scanned (``_scan_tile``) in row
-    tiles that ``tile_draw`` draws as they are reached; every other field
-    takes one ``pair_step`` per node in chunks (``draw_chunks``)."""
+    z is one start point or one per pair (``_start_pairs``).  One loop draws
+    each chunk for the unmet pairs only, by one of two rules.  A 1D field
+    that declares a constant sigma and b = 0 is scanned (``_scan_tile``) in
+    chunks of max(64, k) steps from node k, in row tiles (``tile_draw``).
+    Any other is stepped node by node (``_step_chunk``) in chunks of at most
+    max(16, k // 2) steps, half those taken, within the budget
+    (``chunk_steps``), into a ``chunk_buffer`` that a scan never takes:
+    pairs that meet early leave few draws unused, and a ladder draws its
+    first chunks in little memory.  A chunk ends on a whole 4-step counter
+    block unless at the stop node, so no row discards doubles before a
+    chunk's start."""
     if stop_step is not None:
         _check_count("stop_step", stop_step, least=0)
     stop = grid.steps if stop_step is None else min(stop_step, grid.steps)
     d, s = field.dim, field.sigma_scalar
-    per_pair, bridge = _pair_layout(d)
+    per_pair = _pair_layout(d)[0]
     paths, tau_step, X, Z = _start_pairs(field, x, z, path_lo, path_hi, couple_tol)
     rows = np.flatnonzero(tau_step < 0)  # local ids of uncoupled pairs
     X, Z = X[rows], Z[rows]
+    tile, draw = tile_draw(rng)
+    buf, k = None, 0
     # overflow is handled by the finite checks, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if d == 1 and s is not None and field.b_sup == 0.0:
-            tile, draw = tile_draw(rng)
-            k = 0
-            while k < stop and rows.size:
+        while k < stop and rows.size:
+            if d == 1 and s is not None and field.b_sup == 0.0:
                 # max(64, k) steps in whole 4-step counter blocks, a row at most a tile
                 k_hi = min(stop, k + max(64, k), k + tile // (4 * per_pair) * 4)
                 n = tile // ((k_hi - k) * per_pair)
@@ -200,22 +204,33 @@ def simulate_coupled_block(field: CoefficientField, x, z, grid: TimeGrid,
                     s, grid.dt, couple_tol, k, draw(paths[r], k, k_hi, per_pair), r, x_r,
                     z_r, tau_step), ((rows[a:a + n], X[a:a + n], Z[a:a + n])
                                      for a in range(0, rows.size, n)))
-                k = k_hi
-            return tau_step, rows, X, Z
-        for k, k_hi, u in draw_chunks(rng, lambda: paths[rows], stop, per_pair):
-            dpos = np.arange(rows.size)  # row into this chunk's draws
-            for kk in range(k, k_hi):
-                # the index gathers a copy: the chunk keeps the raw uniforms
-                dW = to_increments(u[dpos, kk - k, :d], grid.dt)
-                X, Z, hit = pair_step(field, grid, kk, X, Z, dW, u[dpos, kk - k, bridge],
-                                      couple_tol)
-                if hit.any():
-                    tau_step[rows[hit]] = kk + 1
-                    keep = ~hit
-                    rows, dpos, X, Z = rows[keep], dpos[keep], X[keep], Z[keep]
-                    if not rows.size:
-                        break
+            else:
+                per_step = rows.size * per_pair
+                k_hi = min(stop, min(k + chunk_steps(per_step), k + max(16, k // 2)) // 4 * 4)
+                buf = chunk_buffer(per_step, stop) if buf is None else buf
+                rows, X, Z = _step_chunk(field, grid, couple_tol, k, rng.uniforms(
+                    paths[rows], k, k_hi, per_pair, buf), rows, X, Z, tau_step)
+            k = k_hi
     return tau_step, rows, X, Z
+
+
+def _step_chunk(field, grid, couple_tol, k, u, rows, X, Z, tau_step):
+    """The block driver's chunk from node k, one ``pair_step`` a node, with
+    ``_scan_tile``'s contract: survivors (rows, X, Z) out, tau_step written."""
+    d, bridge = field.dim, _pair_layout(field.dim)[1]
+    dpos = np.arange(rows.size)  # row into this chunk's draws
+    for kk in range(k, k + u.shape[1]):
+        # the index gathers a copy: the chunk keeps the raw uniforms
+        dW = to_increments(u[dpos, kk - k, :d], grid.dt)
+        X, Z, hit = pair_step(field, grid, kk, X, Z, dW, u[dpos, kk - k, bridge],
+                              couple_tol)
+        if hit.any():
+            tau_step[rows[hit]] = kk + 1
+            keep = ~hit
+            rows, dpos, X, Z = rows[keep], dpos[keep], X[keep], Z[keep]
+            if not rows.size:
+                break
+    return rows, X, Z
 
 
 def _scan_steps(n_pairs: int) -> int:
@@ -288,12 +303,11 @@ def simulate_coupled_terminal(field: CoefficientField, x, z, grid: TimeGrid,
     Every X leg takes the single-leg step; the Z legs of uncoupled pairs
     take the pair step, whose X update repeats the single-leg one bit for
     bit: that costs less than gathering and scattering the coupled rows at
-    every step.  The c-integrals are skipped when c = 0, as adding 0.0 to
-    the +0.0 sums is exact."""
+    every step.  Only c != 0 reaches it (``fk_solver.difference_ladder``);
+    for c = 0 its integrals would add exact zeros to +0.0."""
     paths, tau_step, X, Z = _start_pairs(field, x, z, path_lo, path_hi, couple_tol)
     n, dt, T = len(paths), grid.dt, grid.horizon
     per_pair, bridge = _pair_layout(field.dim)
-    with_c = field.c_sup > 0.0
     wx = np.zeros(n)
     wz = np.zeros(n)
     wz_off = np.zeros(n)
@@ -302,13 +316,11 @@ def simulate_coupled_terminal(field: CoefficientField, x, z, grid: TimeGrid,
         dW = to_increments(u[:, :, :field.dim], dt)
         for kk in range(k, k_hi):
             j, t = kk - k, T - kk * dt
-            if with_c:
-                wx += field.c(t, X) * dt
+            wx += field.c(t, X) * dt
             X_next = euler_step(field, grid, kk, X, dW[:, j])
             if rows.size:
                 Zr = Z[rows]
-                if with_c:
-                    wz[rows] += field.c(t, Zr) * dt
+                wz[rows] += field.c(t, Zr) * dt
                 _, Z[rows], hit = pair_step(field, grid, kk, X[rows], Zr, dW[rows, j],
                                             u[rows, j, bridge], couple_tol)
                 if hit.any():

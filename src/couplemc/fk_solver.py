@@ -64,9 +64,10 @@ def difference_ladder(req: SolveRequest, zs, rng: RngStream,
     only the unmet pairs, whose f(X_T) - f(Z_T) has the bytes of the
     terminal driver's f(X_T) exp(0) - f(Z_T) exp(0).  A blow-up after a
     meeting is then not reported; bounded coefficients and the clamped
-    uniforms cannot produce one.  Other fields take
+    uniforms cannot produce one.  Other fields, and only they, take
     ``simulate_coupled_terminal`` in blocks of paths (``run_path_blocks``)
-    that may split a rung.
+    that may split a rung.  The block driver keeps its survivor loop's
+    chunk rules; the terminal driver draws fixed batches (``draw_chunks``).
     """
     field, x, f, grid = req.field, req.eval_point, req.terminal, req.grid
     couple_tol = _resolve_tol(couple_tol, grid, field)

@@ -1,9 +1,9 @@
 """Closed-form references used as test oracles.
 
 Includes the explicit fundamental solution for the 1D equation with drift
--theta*sgn(x), constant-coefficient Gaussian kernels, Brownian
-running-maximum laws, and the exact survival curve and mean capped
-coupling time of the 1D reflection-coupled Brownian pair.
+-theta*sgn(x) and its product in R^d, constant-coefficient Gaussian
+kernels, Brownian running-maximum laws, and the exact survival curve and
+mean capped coupling time of the 1D reflection-coupled Brownian pair.
 """
 
 from __future__ import annotations
@@ -61,6 +61,21 @@ def sgn_drift_solution(theta: float, t: float, x: float, f, lo=-12.0, hi=12.0) -
         lo, hi, points=[0.0, x], limit=400, epsabs=1e-12, epsrel=1e-10,
     )
     return val
+
+
+def sgn_drift_product_solution(theta: float, t: float, x, center=0.0,
+                               width: float = 1.0) -> float:
+    """u(t, x) in R^d for a = I, b_i = -theta*sgn(x_i) and the Gaussian bump
+    exp(-|y - center|^2 / (2 width^2)) (``registry.make_gaussian_bump``):
+    the coordinates are independent 1D sgn-drift diffusions and the bump a
+    product, so u is the product over i of ``sgn_drift_solution`` at x_i."""
+    if not 0.0 < width < np.inf:
+        raise ValidationError("width must be finite and positive")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    center = as_point(np.full(len(x), center) if np.ndim(center) == 0 else center,
+                      len(x), "center")
+    return float(np.prod([sgn_drift_solution(theta, t, xi, lambda y, c=c: np.exp(
+        -(y - c) ** 2 / (2.0 * width**2))) for xi, c in zip(x, center)]))
 
 
 def heat_kernel(a0, b0, t: float, x, y) -> float:

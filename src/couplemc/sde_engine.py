@@ -4,8 +4,9 @@ step k is a pure function of (seed, p, k), so blocks, tiles, chunks and
 threads never change the numbers.
 
 Each mechanism is described where it is implemented: the counter RNG in
-``RngStream``, the step loops' chunks in ``draw_chunks``, the scans' tiles
-in ``tile_draw``, the draw buffer in ``_draw_buffer``, row blocks and each
+``RngStream``, the chunks of a fixed batch in ``draw_chunks`` (the survivor
+loop's are in ``coupling.simulate_coupled_block``), the scans' tiles in
+``tile_draw``, the draw buffer in ``_draw_buffer``, row blocks and each
 dispatch's pool in ``_on_row_blocks``, the step kernel in ``euler_update``,
 the path tiles of a solve in ``path_tile``, the constant-sigma scan in
 ``_scan_terminal``, and the block runner in ``run_blocks``.  The single-leg
@@ -191,38 +192,20 @@ def sigma_batch(field: CoefficientField, t: float, x: np.ndarray) -> np.ndarray:
     return sig
 
 
-def draw_chunks(rng: RngStream, paths, stop: int, dim: int):
+def draw_chunks(rng: RngStream, paths: np.ndarray, stop: int, dim: int):
     """Yields (k, k_hi, u) for consecutive step ranges [k, k_hi) covering
-    [0, stop), u the raw uniforms (paths, k_hi - k, dim) of the chunk's
-    paths, for the step loops.  paths is an array of path indices, a fixed
-    batch whose chunks fill the draw budget (``chunk_steps``), or a
-    callable that returns the paths of a shrinking batch, read again for
-    every chunk; the iteration stops when it is empty.  A shrinking
-    batch's chunk from node k also takes at most max(16, k // 2) steps,
-    half the steps already taken, so pairs that meet early leave few draws
-    unused and a batch of many pairs (a whole distance ladder) draws its
-    first chunks in little memory; it ends on a whole four-double counter
-    block unless it ends at stop, so every chunk starts on one and no row
-    pays for discarding the doubles before its start.  Every chunk of a
-    call is drawn into one buffer (``_draw_buffer``), which the next chunk
-    overwrites."""
-    shrinking = callable(paths)
-    buf = None
-    k = 0
-    while k < stop:
-        p = paths() if shrinking else paths
-        per_step = len(p) * dim
-        if not per_step:
-            return
-        if buf is None:
-            buf = _draw_buffer(min(per_step * stop, max(_CHUNK_BUDGET, 16 * per_step)))
-        k_hi = k + chunk_steps(per_step)
-        if shrinking:
-            # end on a multiple of 4 steps, a whole counter block in any dim
-            k_hi = min(k_hi, k + max(16, k // 2)) // 4 * 4
-        k_hi = min(stop, k_hi)
-        yield k, k_hi, rng.uniforms(p, k, k_hi, dim, buf)
-        k = k_hi
+    [0, stop), u the raw uniforms (paths, k_hi - k, dim) of a fixed batch
+    of paths, in chunks of ``chunk_steps`` drawn into one ``chunk_buffer``,
+    which the next chunk overwrites; an empty batch yields nothing.  The
+    drivers that carry every path to the horizon draw here; the block
+    driver's survivor loop keeps its own (``coupling.simulate_coupled_block``)."""
+    per_step = len(paths) * dim
+    if not per_step:
+        return
+    buf, step = chunk_buffer(per_step, stop), chunk_steps(per_step)
+    for k in range(0, stop, step):
+        k_hi = min(stop, k + step)
+        yield k, k_hi, rng.uniforms(paths, k, k_hi, dim, buf)
 
 
 def tile_draw(rng: RngStream):
@@ -236,6 +219,12 @@ def tile_draw(rng: RngStream):
 def chunk_steps(per_step: int) -> int:
     """At least 16 steps, else about _CHUNK_BUDGET doubles at per_step a step."""
     return max(16, _CHUNK_BUDGET // per_step)
+
+
+def chunk_buffer(per_step: int, stop: int) -> np.ndarray:
+    """The ``_draw_buffer`` of a chunk loop over [0, stop) whose first chunk
+    draws per_step doubles a step: no later chunk of fewer paths outgrows it."""
+    return _draw_buffer(min(per_step * stop, max(_CHUNK_BUDGET, 16 * per_step)))
 
 
 def _draw_buffer(n: int) -> np.ndarray:
@@ -408,10 +397,11 @@ def run_blocks(fn, blocks, pool=None):
     pool, each in a copy of the caller's context (its NumPy error state),
     waiting for all so no block writes on after an error reaches the
     caller.  Returns fn's per-row arrays, or tuples of them, concatenated
-    in block order, or None.  The divergence rule: a SimulationDivergedError
-    is held until every block has run, then the earliest step of any block
-    is raised, the step a loop over all the rows at once stops at, however
-    the rows are cut into blocks (path blocks, row blocks, row tiles)."""
+    in block order, or None, also for no blocks.  The divergence rule: a
+    SimulationDivergedError is held until every block has run, then the
+    earliest step of any block is raised, the step a loop over all the rows
+    at once stops at, however the rows are cut into blocks (path blocks,
+    row blocks, row tiles)."""
     if pool is not None:
         futures = [pool.submit(contextvars.copy_context().run, fn, *block)
                    for block in blocks]
@@ -426,9 +416,11 @@ def run_blocks(fn, blocks, pool=None):
             diverged.append(exc)
     if diverged:
         raise min(diverged, key=lambda exc: exc.step_index)
+    if not parts or parts[0] is None:
+        return None
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(part) for part in zip(*parts))
-    return None if parts[0] is None else np.concatenate(parts)
+    return np.concatenate(parts)
 
 
 def run_path_blocks(n_paths: int, worker, path_offset: int = 0,

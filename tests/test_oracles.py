@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,9 +9,10 @@ from couplemc import (LyapunovParams, ModulusOfContinuity, RngStream, RunningMax
                       SolveRequest, TimeGrid, bm_coupling_expectation, bm_coupling_survival,
                       coupling_time_ladder, coupling_times, difference_ladder,
                       fit_power_law, heat_kernel, lyapunov_f, running_max_bounds,
-                      sgn_drift_density, sgn_drift_solution, solve_u)
+                      rung_means, sgn_drift_density, sgn_drift_solution, solve_u)
 from couplemc.coupling import simulate_coupled_terminal
 from couplemc.errors import ValidationError
+from couplemc.oracles import sgn_drift_product_solution
 from couplemc.registry import (make_constant_field, make_constant_terminal,
                                make_gaussian_bump, make_linear, make_log_modulus_field,
                                make_sin_field)
@@ -64,6 +67,62 @@ class TestSgnDriftDensity:
             sgn_drift_density(1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
             sgn_drift_density(-1.0, 1.0, 0.0, 0.0)
+
+
+def _sgn_product_field(dim, theta):
+    """a = I and b_i(x) = -theta sgn(x_i), so |b| <= theta sqrt(dim)."""
+    return dataclasses.replace(make_constant_field(dim), b=lambda t, x: -theta * np.sign(x),
+                               b_sup=theta * np.sqrt(dim))
+
+
+class TestSgnDriftProduct:
+    def test_one_dimension_is_the_1d_solution(self):
+        bump = make_gaussian_bump(0.3, 0.7)
+        assert sgn_drift_product_solution(1.2, 0.8, [-0.4], 0.3, 0.7) == sgn_drift_solution(
+            1.2, 0.8, -0.4, lambda y: bump(np.array([[y]]))[0])
+
+    def test_product_of_the_coordinates(self):
+        u = [sgn_drift_product_solution(1.0, 1.0, [xi], c, 0.5)
+             for xi, c in ((0.1, 0.2), (-0.2, 0.0), (0.15, -0.1))]
+        assert sgn_drift_product_solution(1.0, 1.0, [0.1, -0.2, 0.15],
+                                          [0.2, 0.0, -0.1], 0.5) == pytest.approx(
+            u[0] * u[1] * u[2], rel=1e-14)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValidationError):
+            sgn_drift_product_solution(1.0, 1.0, [0.0, 0.0], 0.0, 0.0)
+        with pytest.raises(ValidationError):
+            sgn_drift_product_solution(1.0, 1.0, [0.0, 0.0], [0.0, 0.0, 0.0], 1.0)
+
+    # Euler's weak error on this field is about -0.5 dt (u reads -10 to -13
+    # SE at 50 steps), so each check reads the Richardson value
+    # 2 m(2N) - m(N) of runs at N = 50 and 100 steps on disjoint path ranges
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_solve_and_coupled_difference_match_the_product(self, dim):
+        theta, width, T = 1.0, 0.5, 1.0
+        field, bump = _sgn_product_field(dim, theta), make_gaussian_bump(np.zeros(dim), width)
+        x = np.array([0.1, -0.2, 0.15][:dim])
+        # the ladder points lie across the axes from x, where the drift flips
+        e = np.array([-1.0, 1.0, -1.0][:dim]) / np.sqrt(dim)
+        zs = [x + r * e for r in (0.4, 0.2)]
+        u_x = sgn_drift_product_solution(theta, T, x, 0.0, width)
+
+        def richardson(run, n):
+            # (value, se) of each (mean, se) that run(req, path_offset) returns
+            coarse, fine = (run(SolveRequest(field, bump, x, n, TimeGrid(T, N)), off)
+                            for N, off in ((50, 0), (100, 10**6)))
+            return [(2.0 * m2 - m1, np.hypot(2.0 * s2, s1))
+                    for (m1, s1), (m2, s2) in zip(coarse, fine)]
+
+        ((u, se),) = richardson(lambda req, off: [solve_u(req, RngStream(1), path_offset=off)],
+                                100_000)
+        assert abs(u - u_x) < 3.0 * se
+        n = 50_000
+        rungs = richardson(lambda req, off: [rung for (rung,) in rung_means(n, difference_ladder(
+            req, zs, RngStream(1), path_offset=off)[0])], n)
+        for z, (du, se) in zip(zs, rungs):
+            exact = u_x - sgn_drift_product_solution(theta, T, z, 0.0, width)
+            assert abs(du - exact) < 3.0 * se, (du, exact, se)
 
 
 class TestHeatKernel:

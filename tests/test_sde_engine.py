@@ -17,6 +17,7 @@ import reference_paths
 from couplemc import (RngStream, SolveRequest, TimeGrid, coupling, coupling_times,
                       difference_ladder, mean_stderr, run_path_blocks, rung_means,
                       sde_engine, solve_u)
+from couplemc.coefficients import CoefficientField
 from couplemc.errors import SimulationDivergedError, ValidationError
 from couplemc.registry import (make_constant_field, make_constant_terminal,
                                make_gaussian_bump, make_sin_field)
@@ -240,6 +241,51 @@ class TestSimulation:
             states, weight = reference_paths.path(f, [0.2], grid, rng, p)
             assert np.array_equal(states[-1], X[p])
             assert weight[-1] == w[p]
+
+    def test_nodes_read_the_pde_time(self):
+        # sigma and b depend on t only, so every node is a sum over the
+        # steps of sigma(T - k dt) dW_k + b(T - k dt) dt, summed here by
+        # hand from the draws: the step loop and both legs of the block
+        # driver's pairs (50 apart, none meets in 8 steps) must read the
+        # coefficients at T - k dt on step k, not at T - (k + 1) dt
+        def sig(t):
+            return 1.0 + 0.5 * t
+
+        f = CoefficientField(
+            dim=1, a=lambda t, x: np.full((len(x), 1, 1), sig(t) ** 2),
+            b=lambda t, x: np.full((len(x), 1), 0.3 * t), c=lambda t, x: np.zeros(len(x)),
+            lam=sig(1.0) ** 2, b_sup=0.3, c_sup=0.0, sigma=lambda t, x: np.full(len(x), sig(t)))
+        grid, rng, n = TimeGrid(1.0, 8), RngStream(21), 6
+        dt, T = grid.dt, grid.horizon
+
+        def by_hand(x0, dW):
+            return x0 + sum(sig(T - k * dt) * dW[:, k, 0] + 0.3 * (T - k * dt) * dt
+                            for k in range(grid.steps))
+
+        paths = np.arange(n)
+        X, _ = simulate_terminal(f, [0.2], grid, rng, 0, n)
+        dW = to_increments(rng.uniforms(paths, 0, grid.steps, 1), dt)
+        np.testing.assert_allclose(X[:, 0], by_hand(0.2, dW), rtol=1e-12)
+        tau, rows, X, Z = coupling.simulate_coupled_block(f, [0.0], [50.0], grid, rng, 0, n, 1e-3)
+        assert np.all(tau == -1) and np.array_equal(rows, paths)
+        dW = to_increments(rng.uniforms(paths, 0, grid.steps, 2)[:, :, :1], dt)
+        np.testing.assert_allclose(X[:, 0], by_hand(0.0, dW), rtol=1e-12)
+        np.testing.assert_allclose(Z[:, 0], by_hand(50.0, -dW), rtol=1e-12)
+
+    @pytest.mark.parametrize("field", [make_constant_field(dim=1), make_sin_field(dim=2)],
+                             ids=["scan", "step-loop"])
+    def test_empty_path_range(self, field):
+        # no paths give empty arrays, from the scans (the terminal scan's
+        # block runner runs no block) as from the step loops, and from both
+        # pair drivers
+        d, grid, rng = field.dim, TimeGrid(1.0, 10), RngStream(1)
+        X, w = simulate_terminal(field, np.zeros(d), grid, rng, 5, 5)
+        assert X.shape == (0, d) and w.shape == (0,)
+        x, z = np.zeros(d), np.full(d, 0.1)
+        tau, rows, X, Z = coupling.simulate_coupled_block(field, x, z, grid, rng, 5, 5, 0.01)
+        assert tau.shape == rows.shape == (0,) and X.shape == Z.shape == (0, d)
+        out = coupling.simulate_coupled_terminal(field, x, z, grid, rng, 5, 5, 0.01)
+        assert [a.shape for a in out] == [(0,), (0, d), (0,), (0, d), (0,)]
 
     def test_weight_exponential(self):
         f = make_constant_field(dim=1, c0=1.0)
@@ -559,6 +605,9 @@ class TestPathBlocks:
             run_path_blocks(30, worker, block_size=7)
         assert exc.value.step_index == 4
         assert ran == [0, 7, 14, 21, 28]
+
+    def test_no_blocks_give_none(self):
+        assert sde_engine.run_blocks(lambda lo, hi: np.arange(lo, hi), []) is None
 
     @pytest.mark.parametrize("n_paths,block_size", [(0, 7), (-3, 7), (30, 0), (30, -1)])
     def test_rejects_empty_runs_and_blocks(self, n_paths, block_size):
